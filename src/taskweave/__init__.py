@@ -15,7 +15,9 @@ from .errors import (
     DuplicateKeyError,
     EmptyCandidateSetError,
     EmptyReferenceError,
+    InvalidConfigError,
     InvalidTransitionError,
+    InvariantError,
     MissingCommitError,
     NoScriptedBehaviorError,
     NoTerminateError,
@@ -81,7 +83,9 @@ __all__ = [
     "FeedbackKind",
     "FeedbackMessage",
     "FinalDocument",
+    "InvalidConfigError",
     "InvalidTransitionError",
+    "InvariantError",
     "LexicalScorer",
     "MemoryEntry",
     "MemoryView",

@@ -1,6 +1,7 @@
 """Command-line runner: load a scenario, apply overrides, run, write outputs.
 
-Exit codes: 0 success, 1 runtime failure, 2 invalid scenario, 3 deadlock.
+Exit codes: 0 success, 1 runtime failure, 2 invalid scenario or run setting,
+3 deadlock.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import click
 
-from .errors import DeadlockError, OrchestrationError, ScenarioError
+from .errors import DeadlockError, InvalidConfigError, OrchestrationError, ScenarioError
 from .orchestrator import RunConfig, orchestrate
 from .scenario import load_scenario
 
@@ -94,6 +95,9 @@ def run(
         result = orchestrate(scenario, config)
     except ScenarioError as exc:
         click.echo(f"invalid scenario: {exc}", err=True)
+        sys.exit(EXIT_SCENARIO_INVALID)
+    except InvalidConfigError as exc:
+        click.echo(f"invalid setting: {exc}", err=True)
         sys.exit(EXIT_SCENARIO_INVALID)
     except DeadlockError as exc:
         click.echo(f"deadlock: {exc}", err=True)

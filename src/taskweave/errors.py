@@ -59,6 +59,14 @@ class UnknownTaskError(OrchestrationError):
     """A routing operation referenced a task id that is not in the graph."""
 
 
+class InvalidConfigError(OrchestrationError, ValueError):
+    """A run setting is outside the range it is documented to take."""
+
+
+class InvariantError(OrchestrationError):
+    """A bound the run loop guarantees does not hold: a defect, not bad input."""
+
+
 class DeadlockError(OrchestrationError):
     """No dispatch can make progress while uncommitted tasks remain."""
 
@@ -88,4 +96,5 @@ class ScenarioValidationError(ScenarioError):
 
     def __init__(self, path: str, message: str) -> None:
         self.path = path
+        self.message = message
         super().__init__(f"{path}: {message}")

@@ -59,17 +59,13 @@ class Evaluator:
         """
         if not candidate_keys:
             raise EmptyCandidateSetError("select_best needs at least one candidate")
-        best_key: EntryKey | None = None
-        best_rank: tuple[float, str, int, int] | None = None
-        for key in candidate_keys:
+
+        def rank(key: EntryKey) -> tuple[float, str, int, int]:
             entry = self.memory.entry(key)
             breakdown = self.score_entry(entry, graph.task(entry.task_id))
-            rank = (-breakdown.composite, entry.agent_id, entry.attempt, entry.version)
-            if best_rank is None or rank < best_rank:
-                best_rank = rank
-                best_key = key
-        assert best_key is not None
-        return best_key
+            return (-breakdown.composite, entry.agent_id, entry.attempt, entry.version)
+
+        return min(candidate_keys, key=rank)
 
     def review(self, graph: TaskGraph) -> list[FeedbackMessage]:
         """Inspect committed state and emit structured critiques.

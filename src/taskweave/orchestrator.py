@@ -24,7 +24,14 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .agents import Agent, CandidateOutput, adapt_strategy
-from .errors import DeadlockError, MissingCommitError, ScenarioValidationError
+from .errors import (
+    DeadlockError,
+    InvalidConfigError,
+    InvariantError,
+    MissingCommitError,
+    ScenarioValidationError,
+    ScorerUnavailableError,
+)
 from .evaluator import DEFAULT_FACT_THRESHOLD, Evaluator
 from .feedback import (
     DEFAULT_SEVERITY_THRESHOLD,
@@ -46,12 +53,15 @@ from .routing import (
 )
 from .runlog import RunLog
 from .scenario import Scenario
-from .scoring import LexicalScorer, Scorer, ScoringWeights, ScriptedScorer
+from .scoring import LexicalScorer, Scorer, ScoringWeights, ScriptedScorer, scorer_factory
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_REVISION_BUDGET = 3
 DEFAULT_ADAPT_DECREMENT = 0.1
+
+# Settings that must lie in [0, 1], as the scenario schema's `defaults` states.
+_UNIT_SETTINGS = ("theta", "w1", "w2", "severity_threshold", "fact_threshold", "adapt_decrement")
 
 
 @dataclass(frozen=True)
@@ -77,8 +87,22 @@ class RunConfig:
     no_parallel: bool = False
 
     def __post_init__(self) -> None:
+        for name in _UNIT_SETTINGS:
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise InvalidConfigError(f"{name} must be in [0, 1], got {value!r}")
+        if self.k < 1:
+            raise InvalidConfigError(f"k must be at least 1, got {self.k!r}")
         if self.revision_budget < 1:
-            raise ValueError("revision_budget must be at least 1")
+            raise InvalidConfigError("revision_budget must be at least 1")
+        try:
+            scorer_factory(self.scorer)
+        except ScorerUnavailableError as exc:
+            raise InvalidConfigError(str(exc)) from None
+        if self.scorer_fallback not in (None, "lexical"):
+            raise InvalidConfigError(
+                f"scorer_fallback must be 'lexical' or None, got {self.scorer_fallback!r}"
+            )
 
     def with_overrides(self, overrides: Mapping) -> RunConfig:
         """New config with every non-None override applied."""
@@ -158,7 +182,8 @@ class _Execution:
 
     @property
     def key(self) -> EntryKey:
-        assert self.output is not None
+        if self.output is None:
+            raise InvariantError(f"execution of task {self.task.id!r} has not run yet")
         return self.output.key
 
 
@@ -234,10 +259,9 @@ class Orchestrator:
             elif not self.config.no_feedback:
                 self._review_and_process_feedback()
 
-        bound = len(self.graph.tasks) * (1 + self.config.revision_budget) * max(1, self.config.k)
-        assert self._dispatches <= bound, (
-            f"dispatch bound violated: {self._dispatches} > {bound}"
-        )
+        bound = len(self.graph.tasks) * (1 + self.config.revision_budget) * self.config.k
+        if self._dispatches > bound:
+            raise InvariantError(f"dispatch bound violated: {self._dispatches} > {bound}")
         self.log.append(
             "terminate",
             self._clock,
@@ -245,7 +269,8 @@ class Orchestrator:
         )
         document = compile_final_output(self.memory, self.graph)
         for agent in self.agents.values():
-            assert agent.profile.load == 0, f"agent {agent.profile.id} still loaded"
+            if agent.profile.load != 0:
+                raise InvariantError(f"agent {agent.profile.id} still loaded at the end of the run")
         report = build_report(self.log, self.scenario)
         return RunResult(document=document, log=self.log, report=report)
 
@@ -445,8 +470,10 @@ class Orchestrator:
             )
 
     def _build_scorer(self) -> Scorer:
-        if self.config.scorer == "lexical":
-            return LexicalScorer()
+        """The registered policy named by the config; `scripted` reads the scenario."""
+        factory = scorer_factory(self.config.scorer)
+        if factory is not ScriptedScorer:
+            return factory()
         fallback = LexicalScorer() if self.config.scorer_fallback == "lexical" else None
         return ScriptedScorer(self.scenario.annotations(), fallback=fallback)
 

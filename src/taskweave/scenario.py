@@ -3,18 +3,18 @@
 A scenario is the complete deterministic description of a run: the task graph,
 the agent pool with scripted behavior tables, contradiction pairs, gold
 answers for compliance tasks, static-variant assignments, and config defaults.
-Structure is checked against the bundled JSON schema, cross-references by hand
-so every error carries a field path.
+`schemas/scenario.schema.json` is the published contract for the format. The
+loader enforces it in one hand-written walk that builds the specs as it
+checks them, then checks cross-references; every error carries a JSON path.
+The test suite holds the walk to the schema, with jsonschema as the oracle.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
-
-import jsonschema
 
 from .agents import AgentProfile, BehaviorRow, ScriptedAgent
 from .errors import CycleError, ScenarioParseError, ScenarioValidationError
@@ -144,11 +144,6 @@ def _row_to_dict(task_id: str, attempt: int, row: BehaviorRow) -> dict:
     return out
 
 
-def _schema() -> dict:
-    text = resources.files("taskweave.schemas").joinpath("scenario.schema.json").read_text()
-    return json.loads(text)
-
-
 def load_scenario(path: str | Path) -> Scenario:
     """Load and fully validate a scenario file."""
     path = Path(path)
@@ -164,75 +159,325 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def scenario_from_dict(doc: object) -> Scenario:
-    """Validate a parsed scenario document and build the Scenario."""
-    validator = jsonschema.Draft202012Validator(_schema())
-    errors = sorted(validator.iter_errors(doc), key=lambda e: str(e.json_path))
-    if errors:
-        first = errors[0]
-        raise ScenarioValidationError(first.json_path, first.message)
-    assert isinstance(doc, dict)
+    """Validate a parsed scenario document and build the Scenario in one walk.
 
-    tasks = tuple(
-        TaskSpec(
-            id=t["id"],
-            description=t.get("description", ""),
-            domain_markers=frozenset(t.get("domain_markers", [])),
-            ambiguity=float(t.get("ambiguity", 0.0)),
-            expected_effort=int(t.get("expected_effort", 0)),
-            reference_facts=frozenset(t.get("reference_facts", [])),
-            depends_on=frozenset(t.get("depends_on", [])),
-        )
-        for t in doc["tasks"]
+    The walk applies the rules of `schemas/scenario.schema.json` (type, range,
+    required and unknown keys, const, enum) with jsonschema's messages and
+    JSON paths, so the first fault raises the ScenarioValidationError
+    jsonschema would report for it. Properties are visited in name order,
+    which is the order jsonschema's errors take when sorted by path. Duplicate
+    behavior rows and cross-references are checked once the whole document
+    has passed.
+    """
+    top = _object(doc, "$", _TOP_KEYS, ("schema_version", "tasks", "agents"))
+    get = top.get
+    deferred: list[ScenarioValidationError] = []
+    agents = tuple(
+        _agent(raw, f"$.agents[{i}]", deferred)
+        for i, raw in enumerate(_array(top["agents"], "$.agents"))
     )
-    agents = tuple(_agent_from_dict(i, a) for i, a in enumerate(doc["agents"]))
+    pairs_path = "$.contradiction_pairs"
+    pairs = tuple(
+        _pair(raw, f"{pairs_path}[{i}]")
+        for i, raw in enumerate(_array(get("contradiction_pairs", _EMPTY), pairs_path))
+    )
+    defaults = _defaults(get("defaults", _NO_KEYS), "$.defaults")
+    description = _string(get("description", ""), "$", "description")
+    gold_answers = _string_map(get("gold_answers", _NO_KEYS), "$.gold_answers")
+    name = _string(get("name", ""), "$", "name")
+    version = top["schema_version"]
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
+        raise ScenarioValidationError("$.schema_version", f"{SCHEMA_VERSION!r} was expected")
+    static_assignments = _string_map(get("static_assignments", _NO_KEYS), "$.static_assignments")
+    tasks = tuple(
+        _task(raw, f"$.tasks[{i}]") for i, raw in enumerate(_array(top["tasks"], "$.tasks"))
+    )
+    if deferred:
+        raise deferred[0]
 
     scenario = Scenario(
-        name=doc.get("name", ""),
-        description=doc.get("description", ""),
+        name=name,
+        description=description,
         tasks=tasks,
         agents=agents,
-        contradiction_pairs=tuple(
-            (pair[0], pair[1]) for pair in doc.get("contradiction_pairs", [])
-        ),
-        gold_answers=dict(doc.get("gold_answers", {})),
-        static_assignments=dict(doc.get("static_assignments", {})),
-        defaults=dict(doc.get("defaults", {})),
+        contradiction_pairs=pairs,
+        gold_answers=gold_answers,
+        static_assignments=static_assignments,
+        defaults=defaults,
     )
     _check_cross_references(scenario)
     return scenario
 
 
-def _agent_from_dict(index: int, raw: dict) -> AgentSpec:
-    behavior: dict[tuple[str, int], BehaviorRow] = {}
-    for row_index, row in enumerate(raw.get("behavior", [])):
-        key = (row["task_id"], row["attempt"])
-        if key in behavior:
-            raise ScenarioValidationError(
-                f"$.agents[{index}].behavior[{row_index}]",
-                f"duplicate behavior row for task {key[0]!r} attempt {key[1]}",
-            )
-        annotated = row.get("annotated_scores")
-        behavior[key] = BehaviorRow(
-            content=row["content"],
-            emitted_facts=frozenset(row.get("emitted_facts", [])),
-            declared_confidence=float(row.get("declared_confidence", 0.5)),
-            latency=float(row.get("latency", 1.0)),
-            annotated_scores=(
-                (annotated["coherence"], annotated["factuality"], annotated["relevance"])
-                if annotated is not None
-                else None
-            ),
-            contingent_facts=tuple(
-                (c["if_visible"], c["emit"]) for c in row.get("contingent_facts", [])
-            ),
+# -- the validating walk -------------------------------------------------------
+#
+# Each helper checks one schema node and returns the value to build from.
+# Scalar helpers take the parent's path and the key (property name or array
+# index) and build the child's path only to report a fault. Messages are
+# jsonschema's own wording; paths use its JSON-path notation.
+
+_EMPTY: list = []
+_NO_KEYS: dict = {}
+_IDENTIFIER = re.compile("^[a-zA-Z][a-zA-Z0-9_]*$")
+
+_TOP_KEYS = frozenset(
+    {"schema_version", "name", "description", "tasks", "agents", "contradiction_pairs",
+     "gold_answers", "static_assignments", "defaults"}
+)
+_TASK_KEYS = frozenset(
+    {"id", "description", "domain_markers", "ambiguity", "expected_effort", "reference_facts",
+     "depends_on"}
+)
+_AGENT_KEYS = frozenset({"id", "capabilities", "capacity", "historical_performance", "behavior"})
+_ROW_KEYS = frozenset(
+    {"task_id", "attempt", "content", "emitted_facts", "declared_confidence", "latency",
+     "annotated_scores", "contingent_facts"}
+)
+_ROW_REQUIRED = ("task_id", "attempt", "content")
+_SCORE_KEYS = ("coherence", "factuality", "relevance")
+_SCORE_KEY_SET = frozenset(_SCORE_KEYS)
+_CONTINGENT_KEYS = ("if_visible", "emit")
+_CONTINGENT_KEY_SET = frozenset(_CONTINGENT_KEYS)
+_WEIGHT_KEYS = ("alpha", "beta", "gamma")
+_WEIGHT_KEY_SET = frozenset(_WEIGHT_KEYS)
+_DEFAULT_KEYS = frozenset(
+    {"seed", "theta", "k", "weights", "domain_weights", "w1", "w2", "severity_threshold",
+     "revision_budget", "fact_threshold", "adapt_decrement", "scorer", "scorer_fallback"}
+)
+_SCORERS = ["lexical", "scripted"]
+_SCORER_FALLBACKS = ["lexical", None]
+
+
+def _at(path: str, key: str | int) -> str:
+    """JSON path of `key` under `path`: `$.a[0].b`, or `$['a b']` for other names."""
+    if isinstance(key, int):
+        return f"{path}[{key}]"
+    if _IDENTIFIER.match(key):
+        return f"{path}.{key}"
+    escaped = key.replace("\\", "\\\\").replace("'", "\\'")
+    return f"{path}['{escaped}']"
+
+
+def _type_error(value: object, path: str, type_name: str) -> ScenarioValidationError:
+    return ScenarioValidationError(path, f"{value!r} is not of type {type_name!r}")
+
+
+def _object(value: object, path: str, allowed: frozenset, required: tuple = ()) -> dict:
+    """A closed object: required keys present, no key outside `allowed`."""
+    if not isinstance(value, dict):
+        raise _type_error(value, path, "object")
+    for key in required:
+        if key not in value:
+            raise ScenarioValidationError(path, f"{key!r} is a required property")
+    if not value.keys() <= allowed:
+        extras = sorted((key for key in value if key not in allowed), key=str)
+        verb = "was" if len(extras) == 1 else "were"
+        listed = ", ".join(repr(key) for key in extras)
+        raise ScenarioValidationError(
+            path, f"Additional properties are not allowed ({listed} {verb} unexpected)"
         )
+    return value
+
+
+def _map(value: object, path: str) -> dict:
+    """An open object whose values the caller checks."""
+    if not isinstance(value, dict):
+        raise _type_error(value, path, "object")
+    return value
+
+
+def _array(value: object, path: str) -> list:
+    if not isinstance(value, list):
+        raise _type_error(value, path, "array")
+    return value
+
+
+def _string(value: object, path: str, key: str | int, non_empty: bool = False) -> str:
+    if not isinstance(value, str):
+        raise _type_error(value, _at(path, key), "string")
+    if non_empty and not value:
+        raise ScenarioValidationError(_at(path, key), f"{value!r} should be non-empty")
+    return value
+
+
+def _strings(value: object, path: str, key: str) -> frozenset[str]:
+    if not isinstance(value, list):
+        raise _type_error(value, _at(path, key), "array")
+    for i, item in enumerate(value):
+        if not isinstance(item, str):
+            raise _type_error(item, f"{_at(path, key)}[{i}]", "string")
+    return frozenset(value)
+
+
+def _string_map(value: object, path: str) -> dict[str, str]:
+    for key, item in _map(value, path).items():
+        _string(item, path, key, non_empty=True)
+    return dict(value)
+
+
+def _number(value: object, path: str, key: str, minimum: int | None = 0, maximum: int | None = 1):
+    """A JSON number (never a bool) in [minimum, maximum]; None drops a bound."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _type_error(value, _at(path, key), "number")
+    if minimum is not None and value < minimum:
+        raise ScenarioValidationError(
+            _at(path, key), f"{value!r} is less than the minimum of {minimum!r}"
+        )
+    if maximum is not None and value > maximum:
+        raise ScenarioValidationError(
+            _at(path, key), f"{value!r} is greater than the maximum of {maximum!r}"
+        )
+    return value
+
+
+def _integer(value: object, path: str, key: str, minimum: int | None = None) -> int:
+    """A JSON integer: an int, or a float with no fractional part, never a bool."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise _type_error(value, _at(path, key), "integer")
+    return int(_number(value, path, key, minimum, None))
+
+
+def _enum(value: object, path: str, key: str, allowed: list) -> object:
+    if value not in allowed:
+        raise ScenarioValidationError(_at(path, key), f"{value!r} is not one of {allowed!r}")
+    return value
+
+
+def _task(raw: object, path: str) -> TaskSpec:
+    task = _object(raw, path, _TASK_KEYS, ("id",))
+    get = task.get
+    ambiguity = _number(get("ambiguity", 0.0), path, "ambiguity")
+    depends_on = _strings(get("depends_on", _EMPTY), path, "depends_on")
+    description = _string(get("description", ""), path, "description")
+    domain_markers = _strings(get("domain_markers", _EMPTY), path, "domain_markers")
+    expected_effort = _integer(get("expected_effort", 0), path, "expected_effort", 0)
+    task_id = _string(task["id"], path, "id", non_empty=True)
+    reference_facts = _strings(get("reference_facts", _EMPTY), path, "reference_facts")
+    try:
+        return TaskSpec(
+            id=task_id,
+            description=description,
+            domain_markers=domain_markers,
+            ambiguity=float(ambiguity),
+            expected_effort=expected_effort,
+            reference_facts=reference_facts,
+            depends_on=depends_on,
+        )
+    except ValueError as exc:  # a range the schema admits, such as NaN
+        raise ScenarioValidationError(path, str(exc)) from exc
+
+
+def _agent(raw: object, path: str, deferred: list[ScenarioValidationError]) -> AgentSpec:
+    agent = _object(raw, path, _AGENT_KEYS, ("id",))
+    get = agent.get
+    behavior: dict[tuple[str, int], BehaviorRow] = {}
+    behavior_path = path + ".behavior"
+    for i, row_raw in enumerate(_array(get("behavior", _EMPTY), behavior_path)):
+        row_path = f"{behavior_path}[{i}]"
+        key, row = _row(row_raw, row_path)
+        if key in behavior and not deferred:
+            deferred.append(
+                ScenarioValidationError(
+                    row_path, f"duplicate behavior row for task {key[0]!r} attempt {key[1]}"
+                )
+            )
+        behavior.setdefault(key, row)
+    capabilities = _strings(get("capabilities", _EMPTY), path, "capabilities")
+    capacity = _integer(get("capacity", 1), path, "capacity", 1)
+    performance_path = path + ".historical_performance"
+    performance = _map(get("historical_performance", _NO_KEYS), performance_path)
+    for marker, value in performance.items():
+        _number(value, performance_path, marker)
+    agent_id = _string(agent["id"], path, "id", non_empty=True)
     return AgentSpec(
-        id=raw["id"],
-        capabilities=frozenset(raw.get("capabilities", [])),
-        capacity=int(raw.get("capacity", 1)),
-        historical_performance=dict(raw.get("historical_performance", {})),
+        id=agent_id,
+        capabilities=capabilities,
+        capacity=capacity,
+        historical_performance=dict(performance),
         behavior=behavior,
     )
+
+
+def _row(raw: object, path: str) -> tuple[tuple[str, int], BehaviorRow]:
+    row = _object(raw, path, _ROW_KEYS, _ROW_REQUIRED)
+    get = row.get
+    annotated = None
+    if "annotated_scores" in row:
+        scores_path = path + ".annotated_scores"
+        scores = _object(row["annotated_scores"], scores_path, _SCORE_KEY_SET, _SCORE_KEYS)
+        annotated = tuple(_number(scores[key], scores_path, key) for key in _SCORE_KEYS)
+    attempt = _integer(row["attempt"], path, "attempt", 0)
+    content = _string(row["content"], path, "content")
+    contingent: tuple[tuple[str, str], ...] = ()
+    if "contingent_facts" in row:
+        contingent_path = path + ".contingent_facts"
+        contingent = tuple(
+            _contingent(item, f"{contingent_path}[{i}]")
+            for i, item in enumerate(_array(row["contingent_facts"], contingent_path))
+        )
+    confidence = _number(get("declared_confidence", 0.5), path, "declared_confidence")
+    emitted = _strings(get("emitted_facts", _EMPTY), path, "emitted_facts")
+    latency = _number(get("latency", 1.0), path, "latency", maximum=None)
+    task_id = _string(row["task_id"], path, "task_id", non_empty=True)
+    try:
+        built = BehaviorRow(
+            content=content,
+            emitted_facts=emitted,
+            declared_confidence=float(confidence),
+            latency=float(latency),
+            annotated_scores=annotated,
+            contingent_facts=contingent,
+        )
+    except ValueError as exc:  # a range the schema admits, such as NaN
+        raise ScenarioValidationError(path, str(exc)) from exc
+    return (task_id, attempt), built
+
+
+def _contingent(raw: object, path: str) -> tuple[str, str]:
+    item = _object(raw, path, _CONTINGENT_KEY_SET, _CONTINGENT_KEYS)
+    emit = _string(item["emit"], path, "emit", non_empty=True)
+    trigger = _string(item["if_visible"], path, "if_visible", non_empty=True)
+    return (trigger, emit)
+
+
+def _pair(raw: object, path: str) -> tuple[str, str]:
+    pair = _array(raw, path)
+    if len(pair) < 2:
+        raise ScenarioValidationError(path, f"{pair!r} is too short")
+    if len(pair) > 2:
+        raise ScenarioValidationError(path, f"{pair!r} is too long")
+    return (_string(pair[0], path, 0, non_empty=True), _string(pair[1], path, 1, non_empty=True))
+
+
+def _defaults(raw: object, path: str) -> dict:
+    defaults = dict(_object(raw, path, _DEFAULT_KEYS))
+    for key in sorted(defaults):
+        value = defaults[key]
+        if key == "seed":
+            defaults[key] = _integer(value, path, key)
+        elif key in ("k", "revision_budget"):
+            defaults[key] = _integer(value, path, key, 1)
+        elif key == "weights":
+            _weights(value, f"{path}.{key}")
+        elif key == "domain_weights":
+            table_path = f"{path}.{key}"
+            for marker, weights in _map(value, table_path).items():
+                _weights(weights, _at(table_path, marker))
+        elif key == "scorer":
+            _enum(value, path, key, _SCORERS)
+        elif key == "scorer_fallback":
+            _enum(value, path, key, _SCORER_FALLBACKS)
+        else:  # theta, w1, w2, the thresholds and adapt_decrement
+            _number(value, path, key)
+    return defaults
+
+
+def _weights(raw: object, path: str) -> None:
+    weights = _object(raw, path, _WEIGHT_KEY_SET, _WEIGHT_KEYS)
+    for key in _WEIGHT_KEYS:
+        _number(weights[key], path, key)
 
 
 def _check_cross_references(scenario: Scenario) -> None:
@@ -242,11 +487,11 @@ def _check_cross_references(scenario: Scenario) -> None:
             raise ScenarioValidationError(f"$.tasks[{i}].id", f"duplicate task id {task.id!r}")
         task_ids.add(task.id)
     for i, task in enumerate(scenario.tasks):
-        for dep in sorted(task.depends_on):
-            if dep not in task_ids:
-                raise ScenarioValidationError(
-                    f"$.tasks[{i}].depends_on", f"unknown task id {dep!r}"
-                )
+        unknown = task.depends_on - task_ids
+        if unknown:
+            raise ScenarioValidationError(
+                f"$.tasks[{i}].depends_on", f"unknown task id {min(unknown)!r}"
+            )
 
     agent_ids: set[str] = set()
     for i, agent in enumerate(scenario.agents):
@@ -255,12 +500,12 @@ def _check_cross_references(scenario: Scenario) -> None:
                 f"$.agents[{i}].id", f"duplicate agent id {agent.id!r}"
             )
         agent_ids.add(agent.id)
-        for task_id, attempt in sorted(agent.behavior):
-            if task_id not in task_ids:
-                raise ScenarioValidationError(
-                    f"$.agents[{i}].behavior",
-                    f"behavior row references unknown task {task_id!r}",
-                )
+        unknown = {task_id for task_id, _ in agent.behavior if task_id not in task_ids}
+        if unknown:
+            raise ScenarioValidationError(
+                f"$.agents[{i}].behavior",
+                f"behavior row references unknown task {min(unknown)!r}",
+            )
 
     for task_id, agent_id in sorted(scenario.static_assignments.items()):
         if task_id not in task_ids:

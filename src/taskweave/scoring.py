@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Protocol
 
-from .errors import ScorerUnavailableError
+from .errors import InvalidConfigError, ScorerUnavailableError
 
 if TYPE_CHECKING:
     from .agents import CandidateOutput
@@ -38,10 +38,10 @@ class ScoringWeights:
         for name in ("alpha", "beta", "gamma"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
+                raise InvalidConfigError(f"{name} must be in [0, 1], got {value}")
         total = self.alpha + self.beta + self.gamma
         if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
-            raise ValueError(f"weights must sum to 1, got {total}")
+            raise InvalidConfigError(f"weights must sum to 1, got {total}")
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,11 @@ _SCORERS: dict[str, ScorerFactory] = {
 
 
 def register_scorer(name: str, factory: ScorerFactory) -> None:
-    """Register a scorer policy under a scenario-selectable name."""
+    """Register a scorer policy under a name `RunConfig.scorer` can select.
+
+    A run builds its scorer by calling `factory()` with no arguments; only the
+    built-in `scripted` policy is built from the scenario's annotations.
+    """
     _SCORERS[name] = factory
 
 

@@ -220,6 +220,61 @@ def test_validate_accepts_canonical_scenarios(runner):
         assert result.output.startswith("ok:")
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--theta", "1.5"],
+        ["--k", "0"],
+        ["--w1", "-0.1"],
+        ["--w2", "2"],
+        ["--alpha", "0.5", "--beta", "0.5", "--gamma", "0.5"],
+    ],
+    ids=lambda flags: " ".join(flags),
+)
+def test_out_of_range_settings_exit_two(runner, flags):
+    result = runner.invoke(main, ["run", FILING, *flags])
+    assert result.exit_code == 2
+    assert "invalid setting" in result.output
+
+
+def test_out_of_range_scenario_default_exits_two(runner, tmp_path):
+    doc = json.loads(CANONICAL_SCENARIOS[0].read_text())
+    doc["defaults"]["theta"] = 1.5
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["run", str(path)])
+    assert result.exit_code == 2
+    assert "$.defaults.theta" in result.output
+
+
+def test_nan_in_scenario_exits_two(runner, tmp_path):
+    # json reads NaN and the schema's range checks admit it; the task spec does not
+    path = tmp_path / "nan.json"
+    path.write_text(
+        '{"schema_version": 1, "tasks": [{"id": "t1", "ambiguity": NaN}], "agents": []}'
+    )
+    result = runner.invoke(main, ["validate", str(path)])
+    assert result.exit_code == 2
+    assert "$.tasks[0]" in result.output
+
+
+def test_validate_under_python_O_exits_two(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"schema_version": 1, "tasks": [{"id": ""}], "agents": []}))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "taskweave.cli", "validate", str(path)],
+        env=dict(os.environ),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "$.tasks[0].id" in proc.stderr
+
+
 def test_validate_rejects_bad_file(runner, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("[]")

@@ -6,6 +6,7 @@ import pytest
 
 from taskweave import (
     DeadlockError,
+    InvariantError,
     MissingCommitError,
     NoScriptedBehaviorError,
     Orchestrator,
@@ -17,6 +18,8 @@ from taskweave import (
     orchestrate,
 )
 from taskweave.evaluator import Evaluator
+from taskweave.orchestrator import _Execution
+from taskweave.routing import RouteMode
 
 from conftest import make_agent, make_row, make_scenario, make_task
 
@@ -355,6 +358,75 @@ def test_loads_return_to_zero_after_run():
     orch = Orchestrator(ambiguous_scenario(), RunConfig())
     orch.run()
     assert all(agent.profile.load == 0 for agent in orch.agents.values())
+
+
+def test_execution_key_before_execute_is_an_invariant_error():
+    orch = Orchestrator(solo_scenario())
+    pending = _Execution(
+        task=orch.graph.task("t1"),
+        agent=orch.agents["solo"],
+        attempt=0,
+        mode=RouteMode.SINGLE,
+        tiebreak=0.0,
+    )
+    with pytest.raises(InvariantError):
+        pending.key
+
+
+def test_dispatch_bound_breach_is_an_invariant_error(monkeypatch):
+    orch = Orchestrator(solo_scenario())
+    run_wave = orch._run_wave
+
+    def overcounting_wave(assignable):
+        executed = run_wave(assignable)
+        orch._dispatches += 100
+        return executed
+
+    monkeypatch.setattr(orch, "_run_wave", overcounting_wave)
+    with pytest.raises(InvariantError, match="dispatch bound"):
+        orch.run()
+
+
+def test_agent_left_loaded_is_an_invariant_error(monkeypatch):
+    orch = Orchestrator(solo_scenario())
+    run_wave = orch._run_wave
+
+    def leaking_wave(assignable):
+        executed = run_wave(assignable)
+        orch.agents["solo"].profile.load += 1
+        return executed
+
+    monkeypatch.setattr(orch, "_run_wave", leaking_wave)
+    with pytest.raises(InvariantError, match="still loaded"):
+        orch.run()
+
+
+def test_invariants_hold_under_python_O(tmp_path):
+    # the checks are exceptions, so -O, which strips asserts, keeps them
+    import os
+    import subprocess
+    import sys
+
+    from conftest import CANONICAL_SCENARIOS
+
+    code = (
+        "from taskweave import InvariantError, Orchestrator, load_scenario\n"
+        f"orch = Orchestrator(load_scenario({str(CANONICAL_SCENARIOS[0])!r}))\n"
+        "wave = orch._run_wave\n"
+        "def overcounting(assignable):\n"
+        "    orch._dispatches += 1000\n"
+        "    return wave(assignable)\n"
+        "orch._run_wave = overcounting\n"
+        "try:\n"
+        "    orch.run()\n"
+        "except InvariantError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=dict(os.environ), capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "dispatch bound violated" in proc.stdout
 
 
 def test_reassign_events_carry_stale_field():

@@ -1,0 +1,393 @@
+"""The one-pass scenario builder, held to the published schema.
+
+jsonschema is the oracle here and nowhere else: the runtime never imports it.
+Single-fault mutations of valid documents must be accepted by the builder
+exactly when jsonschema accepts them, and a rejection must carry the path and
+message of the first jsonschema error (errors sorted by path). An accepted
+document must build the Scenario the construction code before the builder
+built.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+import math
+import os
+import subprocess
+import sys
+from importlib import resources
+
+import jsonschema
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from taskweave import ScenarioValidationError
+from taskweave.agents import BehaviorRow
+from taskweave.graph import TaskSpec
+from taskweave.scenario import AgentSpec, Scenario, scenario_from_dict
+
+from conftest import CANONICAL_SCENARIOS
+from test_scenario import MINIMAL
+
+SCHEMA = json.loads(
+    resources.files("taskweave.schemas").joinpath("scenario.schema.json").read_text()
+)
+VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
+
+# Every schema node in use: markers with spaces force the $['a b'] notation.
+RICH = {
+    "schema_version": 1,
+    "name": "rich",
+    "description": "every optional field",
+    "tasks": [
+        {
+            "id": "t1",
+            "description": "first",
+            "domain_markers": ["legal", "tax law"],
+            "ambiguity": 0.25,
+            "expected_effort": 3,
+            "reference_facts": ["f1", "f2"],
+            "depends_on": [],
+        },
+        {"id": "t2", "depends_on": ["t1"], "reference_facts": ["f3"]},
+    ],
+    "agents": [
+        {
+            "id": "a1",
+            "capabilities": ["legal"],
+            "capacity": 2,
+            "historical_performance": {"legal": 0.9, "tax law": 0.4},
+            "behavior": [
+                {
+                    "task_id": "t1",
+                    "attempt": 0,
+                    "content": "one",
+                    "emitted_facts": ["f1"],
+                    "declared_confidence": 0.8,
+                    "latency": 2,
+                    "annotated_scores": {"coherence": 1, "factuality": 0.5, "relevance": 0.75},
+                    "contingent_facts": [{"if_visible": "f3", "emit": "f2"}],
+                },
+                {"task_id": "t2", "attempt": 1, "content": "two"},
+            ],
+        },
+        {"id": "a 2", "behavior": [{"task_id": "t2", "attempt": 0, "content": "three"}]},
+    ],
+    "contradiction_pairs": [["f1", "f9"]],
+    "gold_answers": {"t1": "f1"},
+    "static_assignments": {"t1": "a1", "t2": "a 2"},
+    "defaults": {
+        "seed": 7,
+        "theta": 0.5,
+        "k": 2,
+        "weights": {"alpha": 0.2, "beta": 0.5, "gamma": 0.3},
+        "domain_weights": {"tax law": {"alpha": 0.5, "beta": 0.25, "gamma": 0.25}},
+        "w1": 0.6,
+        "w2": 0.4,
+        "severity_threshold": 0.3,
+        "revision_budget": 2,
+        "fact_threshold": 0.6,
+        "adapt_decrement": 0.1,
+        "scorer": "scripted",
+        "scorer_fallback": None,
+    },
+}
+
+BASES = [MINIMAL, RICH] + [json.loads(path.read_text()) for path in CANONICAL_SCENARIOS]
+
+
+def schema_verdict(doc):
+    errors = sorted(VALIDATOR.iter_errors(doc), key=lambda e: str(e.json_path))
+    return (errors[0].json_path, errors[0].message) if errors else None
+
+
+def builder_verdict(doc):
+    try:
+        scenario_from_dict(doc)
+    except ScenarioValidationError as exc:
+        return (exc.path, exc.message)
+    return None
+
+
+def reference_scenario(doc: dict) -> Scenario:
+    """The construction walk the builder replaced, for documents that passed the schema."""
+    behavior_of = {}
+    for raw in doc["agents"]:
+        behavior = {}
+        for row in raw.get("behavior", []):
+            annotated = row.get("annotated_scores")
+            behavior[(row["task_id"], row["attempt"])] = BehaviorRow(
+                content=row["content"],
+                emitted_facts=frozenset(row.get("emitted_facts", [])),
+                declared_confidence=float(row.get("declared_confidence", 0.5)),
+                latency=float(row.get("latency", 1.0)),
+                annotated_scores=(
+                    (annotated["coherence"], annotated["factuality"], annotated["relevance"])
+                    if annotated is not None
+                    else None
+                ),
+                contingent_facts=tuple(
+                    (c["if_visible"], c["emit"]) for c in row.get("contingent_facts", [])
+                ),
+            )
+        behavior_of[raw["id"]] = behavior
+    return Scenario(
+        name=doc.get("name", ""),
+        description=doc.get("description", ""),
+        tasks=tuple(
+            TaskSpec(
+                id=t["id"],
+                description=t.get("description", ""),
+                domain_markers=frozenset(t.get("domain_markers", [])),
+                ambiguity=float(t.get("ambiguity", 0.0)),
+                expected_effort=int(t.get("expected_effort", 0)),
+                reference_facts=frozenset(t.get("reference_facts", [])),
+                depends_on=frozenset(t.get("depends_on", [])),
+            )
+            for t in doc["tasks"]
+        ),
+        agents=tuple(
+            AgentSpec(
+                id=a["id"],
+                capabilities=frozenset(a.get("capabilities", [])),
+                capacity=int(a.get("capacity", 1)),
+                historical_performance=dict(a.get("historical_performance", {})),
+                behavior=behavior_of[a["id"]],
+            )
+            for a in doc["agents"]
+        ),
+        contradiction_pairs=tuple((p[0], p[1]) for p in doc.get("contradiction_pairs", [])),
+        gold_answers=dict(doc.get("gold_answers", {})),
+        static_assignments=dict(doc.get("static_assignments", {})),
+        defaults=dict(doc.get("defaults", {})),
+    )
+
+
+# -- single-fault mutations ------------------------------------------------------
+
+
+def resolve(schema: dict) -> dict:
+    ref = schema.get("$ref")
+    if ref is None:
+        return schema
+    node = SCHEMA
+    for part in ref.removeprefix("#/").split("/"):
+        node = node[part]
+    return node
+
+
+def sites(value, schema: dict, path: tuple = ()):
+    """(path, schema) of every node of a valid document, walked along its schema."""
+    schema = resolve(schema)
+    yield path, schema
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        extra = schema.get("additionalProperties")
+        for key, item in value.items():
+            child = properties.get(key, extra if isinstance(extra, dict) else None)
+            if child is not None:
+                yield from sites(item, child, path + (key,))
+    elif isinstance(value, list) and "items" in schema:
+        for i, item in enumerate(value):
+            yield from sites(item, schema["items"], path + (i,))
+
+
+def json_type(value) -> str:
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {str: "string", list: "array", dict: "object", type(None): "null"}[type(value)]
+
+
+SWAPS = [True, False, None, 0, 3, 2.0, 1.5, "x", [], ["x"], {}, {"x": 1}]
+NEW_KEYS = ["surprise", "odd key", "it's", "_x"]
+
+
+def mutations(value, schema: dict) -> list:
+    """Replacement values (or a callable editing the value in place) for one node."""
+    out: list = [swap for swap in SWAPS if json_type(swap) != json_type(value)]
+    if schema.get("type") == "integer":
+        out += [float(value), 1.5, schema.get("minimum", 0) - 1]
+    elif schema.get("type") == "number":
+        bounds = [schema[b] for b in ("minimum", "maximum") if b in schema]
+        out += bounds + [schema.get("minimum", 0) - 0.5]
+        if "maximum" in schema:
+            out.append(schema["maximum"] + 0.5)
+    if schema.get("minLength"):
+        out.append("")
+    if "enum" in schema:
+        out.append("typo")
+    if "const" in schema:
+        out += [schema["const"] + 1, float(schema["const"])]
+    if isinstance(value, dict):
+        for key in schema.get("required", []):
+            if key in value:
+                out.append(lambda v, key=key: v.pop(key))
+        for key in NEW_KEYS:
+            # a closed object gains an unknown key; a map gains an entry of the wrong type
+            out.append(lambda v, key=key: v.__setitem__(key, True))
+    if isinstance(value, list) and ("minItems" in schema or "maxItems" in schema):
+        out.append(lambda v: v.pop())
+        out.append(lambda v: v.append(v[0]))
+    return out
+
+
+def apply(doc: dict, path: tuple, mutation):
+    out = copy.deepcopy(doc)
+    if not path and not callable(mutation):
+        return mutation
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    if callable(mutation):
+        mutation(parent[path[-1]] if path else out)
+    else:
+        parent[path[-1]] = mutation
+    return out
+
+
+def single_faults(doc: dict):
+    """Every (document, mutation) pair one mutation away from a valid document."""
+    for path, schema in sites(doc, SCHEMA):
+        node = doc
+        for key in path:
+            node = node[key]
+        for mutation in mutations(node, schema):
+            yield apply(doc, path, mutation)
+
+
+def check_agreement(doc) -> None:
+    expected = schema_verdict(doc)
+    assert builder_verdict(doc) == expected
+    if expected is None:
+        assert scenario_from_dict(doc) == reference_scenario(doc)
+
+
+def test_builder_agrees_with_jsonschema_on_every_single_fault_of_rich():
+    for doc in single_faults(RICH):
+        check_agreement(doc)
+
+
+@st.composite
+def mutated_documents(draw):
+    base = draw(st.sampled_from(BASES))
+    # one schema node first, then one of its sites, so rare nodes get drawn
+    by_node: dict[int, list] = {}
+    for path, schema in sites(base, SCHEMA):
+        by_node.setdefault(id(schema), []).append((path, schema))
+    path, schema = draw(st.sampled_from(by_node[draw(st.sampled_from(sorted(by_node)))]))
+    node = base
+    for key in path:
+        node = node[key]
+    return apply(base, path, draw(st.sampled_from(mutations(node, schema))))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_documents())
+def test_builder_agrees_with_jsonschema_on_single_faults(doc):
+    # ids and references are strings and a mutation never puts another string
+    # in their place, so jsonschema's verdict is the whole verdict
+    check_agreement(doc)
+
+
+BASE_IDS = ["minimal", "rich", *(path.stem for path in CANONICAL_SCENARIOS)]
+
+
+@pytest.mark.parametrize("base", BASES, ids=BASE_IDS)
+def test_valid_bases_build_the_reference_scenario(base):
+    assert schema_verdict(base) is None
+    assert scenario_from_dict(copy.deepcopy(base)) == reference_scenario(base)
+
+
+def test_rich_document_reaches_every_schema_node():
+    seen = {id(schema) for _, schema in sites(RICH, SCHEMA)}
+    nodes = []
+
+    def collect(schema):
+        nodes.append(schema)
+        for child in schema.get("properties", {}).values():
+            collect(resolve(child))
+        for key in ("items", "additionalProperties"):
+            if isinstance(schema.get(key), dict):
+                collect(resolve(schema[key]))
+
+    collect(SCHEMA)
+    assert [n for n in nodes if id(n) not in seen] == []
+
+
+# -- the points where a hand-written check is easy to get wrong ---------------------
+
+
+def with_row_field(key, value) -> dict:
+    doc = copy.deepcopy(MINIMAL)
+    doc["agents"][0]["behavior"][0][key] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc,verdict",
+    [
+        (with_row_field("attempt", 0.0), None),
+        (
+            with_row_field("attempt", True),
+            ("$.agents[0].behavior[0].attempt", "True is not of type 'integer'"),
+        ),
+        (
+            with_row_field("latency", False),
+            ("$.agents[0].behavior[0].latency", "False is not of type 'number'"),
+        ),
+        ({**MINIMAL, "schema_version": True}, ("$.schema_version", "1 was expected")),
+        ({**MINIMAL, "schema_version": 1.0}, None),
+        (
+            {**MINIMAL, "gold_answers": {"a b": ""}},
+            ("$.gold_answers['a b']", "'' should be non-empty"),
+        ),
+    ],
+    ids=[
+        "integral-float", "bool-integer", "bool-number", "const-bool", "const-float", "bracket-path"
+    ],
+)
+def test_edge_cases_match_jsonschema(doc, verdict):
+    assert schema_verdict(doc) == verdict
+    assert builder_verdict(doc) == verdict
+
+
+def test_integral_floats_build_ints():
+    doc = copy.deepcopy(RICH)
+    doc["tasks"][0]["expected_effort"] = 3.0
+    doc["defaults"]["k"] = 2.0
+    scenario = scenario_from_dict(doc)
+    assert type(scenario.tasks[0].expected_effort) is int
+    assert type(scenario.defaults["k"]) is int
+
+
+@pytest.mark.parametrize("field", ["ambiguity", "declared_confidence"])
+def test_nan_the_schema_admits_is_still_a_validation_error(field):
+    # json.loads reads NaN; jsonschema's range checks let it through
+    doc = copy.deepcopy(MINIMAL)
+    if field == "ambiguity":
+        doc["tasks"][0]["ambiguity"] = math.nan
+        path = "$.tasks[0]"
+    else:
+        doc["agents"][0]["behavior"][0]["declared_confidence"] = math.nan
+        path = "$.agents[0].behavior[0]"
+    assert schema_verdict(doc) is None
+    with pytest.raises(ScenarioValidationError) as exc:
+        scenario_from_dict(doc)
+    assert exc.value.path == path
+
+
+def test_cli_import_leaves_jsonschema_out():
+    code = "import sys, taskweave.cli; print('jsonschema' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ), capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_shipped_schema_is_a_valid_draft_2020_12_schema():
+    jsonschema.Draft202012Validator.check_schema(SCHEMA)
