@@ -29,11 +29,10 @@ from .errors import (
     UnknownAgentError,
     UnknownDependencyError,
     UnknownEntryError,
-    UnknownTaskError,
 )
 from .evaluator import Evaluator
-from .feedback import FeedbackBus, FeedbackKind, FeedbackMessage, requires_revision
-from .graph import SubTask, TaskGraph, TaskSpec, TaskStatus, build_graph
+from .feedback import FeedbackBus, FeedbackMessage, requires_revision
+from .graph import TaskGraph, TaskSpec, TaskStatus, build_graph
 from .memory import MemoryEntry, MemoryView, SharedMemory
 from .metrics import (
     RunReport,
@@ -80,7 +79,6 @@ __all__ = [
     "EmptyReferenceError",
     "Evaluator",
     "FeedbackBus",
-    "FeedbackKind",
     "FeedbackMessage",
     "FinalDocument",
     "InvalidConfigError",
@@ -112,14 +110,12 @@ __all__ = [
     "ScriptedAgent",
     "ScriptedScorer",
     "SharedMemory",
-    "SubTask",
     "TaskGraph",
     "TaskSpec",
     "TaskStatus",
     "UnknownAgentError",
     "UnknownDependencyError",
     "UnknownEntryError",
-    "UnknownTaskError",
     "adapt_strategy",
     "build_graph",
     "build_report",

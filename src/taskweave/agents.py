@@ -1,20 +1,18 @@
 """Agent abstraction and the deterministic scripted implementation used in tests.
 
 A scripted agent replays a behavior table keyed by (task id, attempt index), so a
-run is a pure function of the scenario. Non-scripted agents plug in behind the
-same Agent protocol; only the in-process scripted implementation ships here.
+run is a pure function of the scenario. It is the only agent implementation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING
 
 from .errors import NoScriptedBehaviorError
-from .graph import SubTask
+from .graph import TaskSpec
 
 if TYPE_CHECKING:
-    from .feedback import FeedbackMessage
     from .memory import MemoryView
 
 
@@ -71,7 +69,6 @@ class AgentProfile:
     capacity: int = 1
     load: int = 0
     historical_performance: dict[str, float] = field(default_factory=dict)
-    feedback_log: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
@@ -84,20 +81,6 @@ class AgentProfile:
         return self.load < self.capacity
 
 
-class Agent(Protocol):
-    """Execution contract every agent implementation satisfies."""
-
-    profile: AgentProfile
-
-    def execute(
-        self, task: SubTask, memory_view: MemoryView, attempt: int, start: float
-    ) -> CandidateOutput: ...
-
-    def declared_confidence(self, task: SubTask) -> float: ...
-
-    def latency(self, task: SubTask, attempt: int) -> float: ...
-
-
 class ScriptedAgent:
     """Deterministic agent that replays a scenario behavior table."""
 
@@ -106,7 +89,7 @@ class ScriptedAgent:
         self.behavior = behavior
 
     def execute(
-        self, task: SubTask, memory_view: MemoryView, attempt: int, start: float
+        self, task: TaskSpec, memory_view: MemoryView, attempt: int, start: float
     ) -> CandidateOutput:
         """Produce the scripted output for (task.id, attempt).
 
@@ -130,12 +113,12 @@ class ScriptedAgent:
             produced_at=start + row.latency,
         )
 
-    def declared_confidence(self, task: SubTask) -> float:
+    def declared_confidence(self, task: TaskSpec) -> float:
         """Confidence declared for a first attempt at the task; 0 without a row."""
         row = self.behavior.get((task.id, 0))
         return row.declared_confidence if row is not None else 0.0
 
-    def latency(self, task: SubTask, attempt: int) -> float:
+    def latency(self, task: TaskSpec, attempt: int) -> float:
         return self._row(task.id, attempt).latency
 
     def _row(self, task_id: str, attempt: int) -> BehaviorRow:
@@ -150,18 +133,16 @@ class ScriptedAgent:
 
 def adapt_strategy(
     profile: AgentProfile,
-    feedback: FeedbackMessage,
     task_markers: frozenset[str],
     decrement: float = 0.1,
 ) -> AgentProfile:
-    """Apply a feedback message to an agent's routing metadata.
+    """Apply a revision request to an agent's routing metadata.
 
     Every domain marker of the task the feedback refers to loses `decrement`
-    historical performance (clamped at 0); the feedback id is appended to the
-    agent's log. This mutates only routing metadata, never scripted outputs.
+    historical performance (clamped at 0). This mutates only routing metadata,
+    never scripted outputs.
     """
     for marker in task_markers:
         current = profile.historical_performance.get(marker, 0.5)
         profile.historical_performance[marker] = max(0.0, current - decrement)
-    profile.feedback_log.append(feedback.id)
     return profile

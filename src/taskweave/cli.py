@@ -118,11 +118,15 @@ def run(
 @main.command()
 @click.argument("scenario_path", type=click.Path())
 def validate(scenario_path: str) -> None:
-    """Validate SCENARIO_PATH without running it."""
+    """Validate SCENARIO_PATH and the settings its defaults give, without running it."""
     try:
         scenario = load_scenario(scenario_path)
+        RunConfig().with_overrides(scenario.defaults)
     except ScenarioError as exc:
         click.echo(f"invalid scenario: {exc}", err=True)
+        sys.exit(EXIT_SCENARIO_INVALID)
+    except InvalidConfigError as exc:
+        click.echo(f"invalid setting: {exc}", err=True)
         sys.exit(EXIT_SCENARIO_INVALID)
     click.echo(
         f"ok: {len(scenario.tasks)} tasks, {len(scenario.agents)} agents"

@@ -55,10 +55,6 @@ class UnknownAgentError(OrchestrationError):
     """A routing operation referenced an agent id that is not in the pool."""
 
 
-class UnknownTaskError(OrchestrationError):
-    """A routing operation referenced a task id that is not in the graph."""
-
-
 class InvalidConfigError(OrchestrationError, ValueError):
     """A run setting is outside the range it is documented to take."""
 

@@ -9,8 +9,8 @@ pairs (severity 1.0, against the later-committed entry).
 from __future__ import annotations
 
 from .errors import EmptyCandidateSetError
-from .feedback import FeedbackKind, FeedbackMessage
-from .graph import SubTask, TaskGraph, TaskStatus
+from .feedback import FeedbackMessage
+from .graph import TaskGraph, TaskSpec, TaskStatus
 from .memory import EntryKey, MemoryEntry, SharedMemory
 from .scoring import ScoreBreakdown, Scorer, ScoringWeights, combine
 
@@ -37,14 +37,14 @@ class Evaluator:
         self.contradiction_pairs = list(contradiction_pairs or [])
         self._msg_counter = 0
 
-    def weights_for(self, task: SubTask) -> ScoringWeights:
+    def weights_for(self, task: TaskSpec) -> ScoringWeights:
         """Per-domain weights when a marker has an override, defaults otherwise."""
         for marker in sorted(task.domain_markers):
             if marker in self.domain_weights:
                 return self.domain_weights[marker]
         return self.weights
 
-    def score_entry(self, entry: MemoryEntry, task: SubTask) -> ScoreBreakdown:
+    def score_entry(self, entry: MemoryEntry, task: TaskSpec) -> ScoreBreakdown:
         """Score a stored candidate, caching the breakdown on the entry."""
         if entry.score is None:
             coherence, factuality, relevance = self.scorer.components(entry.output, task)
@@ -78,7 +78,7 @@ class Evaluator:
         reviewable = [
             entry
             for entry in self.memory.committed_entries()
-            if graph.task(entry.task_id).status is TaskStatus.COMMITTED
+            if graph.status(entry.task_id) is TaskStatus.COMMITTED
         ]
 
         for entry in reviewable:
@@ -121,7 +121,6 @@ class Evaluator:
             target=entry.agent_id,
             task_id=entry.task_id,
             referenced_version=entry.version,
-            kind=FeedbackKind.REVISION_REQUEST,
             severity=severity,
             note=note,
         )

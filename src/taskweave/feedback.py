@@ -1,28 +1,18 @@
 """Ordered in-process message channel for structured critiques.
 
-Messages are immutable, reference a concrete stored output version, and are
-delivered per target in publish order. Escalations always land in the
-orchestrator's queue no matter which target was named.
+Messages are immutable revision requests that reference a concrete stored
+output version. The bus hands back everything pending at once, grouped by
+target agent, in publish order within each target.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import DanglingReferenceError
 from .memory import SharedMemory
 
-ORCHESTRATOR_TARGET = "orchestrator"
-
 DEFAULT_SEVERITY_THRESHOLD = 0.5
-
-
-class FeedbackKind(str, Enum):
-    REVISION_REQUEST = "revision_request"
-    CLARIFICATION = "clarification"
-    ESCALATION = "escalation"
 
 
 @dataclass(frozen=True)
@@ -32,7 +22,6 @@ class FeedbackMessage:
     target: str
     task_id: str
     referenced_version: int
-    kind: FeedbackKind
     severity: float
     note: str = ""
 
@@ -47,7 +36,7 @@ class FeedbackMessage:
             "target": self.target,
             "task_id": self.task_id,
             "referenced_version": self.referenced_version,
-            "kind": self.kind.value,
+            "kind": "revision_request",
             "severity": self.severity,
             "note": self.note,
         }
@@ -56,16 +45,16 @@ class FeedbackMessage:
 def requires_revision(
     msg: FeedbackMessage, threshold: float = DEFAULT_SEVERITY_THRESHOLD
 ) -> bool:
-    """True iff the message is a revision request at or above the severity threshold."""
-    return msg.kind is FeedbackKind.REVISION_REQUEST and msg.severity >= threshold
+    """True iff the message's severity is at or above the threshold."""
+    return msg.severity >= threshold
 
 
 class FeedbackBus:
-    """Per-target FIFO queues over shared memory references."""
+    """Pending messages over shared memory references."""
 
     def __init__(self, memory: SharedMemory):
         self._memory = memory
-        self._queues: dict[str, deque[FeedbackMessage]] = {}
+        self._pending: list[FeedbackMessage] = []
 
     def publish(self, msg: FeedbackMessage) -> None:
         """Enqueue a message; its referenced version must exist in memory."""
@@ -74,23 +63,10 @@ class FeedbackBus:
                 f"feedback {msg.id!r} references unknown memory version"
                 f" {msg.referenced_version}"
             )
-        target = (
-            ORCHESTRATOR_TARGET if msg.kind is FeedbackKind.ESCALATION else msg.target
-        )
-        self._queues.setdefault(target, deque()).append(msg)
+        self._pending.append(msg)
 
-    def drain(self, target: str) -> list[FeedbackMessage]:
-        """Remove and return all pending messages for a target, publish order."""
-        queue = self._queues.get(target)
-        if not queue:
-            return []
-        drained = list(queue)
-        queue.clear()
+    def drain(self) -> list[FeedbackMessage]:
+        """Remove and return every pending message, by target, publish order within one."""
+        drained = sorted(self._pending, key=lambda msg: msg.target)
+        self._pending.clear()
         return drained
-
-    def pending(self, target: str) -> int:
-        return len(self._queues.get(target, ()))
-
-    def targets(self) -> list[str]:
-        """Targets with at least one pending message, sorted."""
-        return sorted(t for t, q in self._queues.items() if q)

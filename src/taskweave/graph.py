@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .errors import (
     CycleError,
@@ -51,44 +51,27 @@ class TaskSpec:
 
 
 @dataclass
-class SubTask:
-    """One vertex of the task graph: a TaskSpec plus runtime state."""
-
-    id: str
-    description: str
-    domain_markers: frozenset[str]
-    ambiguity: float
-    expected_effort: int
-    reference_facts: frozenset[str]
-    depends_on: frozenset[str]
-    status: TaskStatus = TaskStatus.PENDING
-    committed_ref: tuple[str, str, int] | None = None
-
-    @classmethod
-    def from_spec(cls, spec: TaskSpec) -> SubTask:
-        return cls(
-            id=spec.id,
-            description=spec.description,
-            domain_markers=spec.domain_markers,
-            ambiguity=spec.ambiguity,
-            expected_effort=spec.expected_effort,
-            reference_facts=spec.reference_facts,
-            depends_on=spec.depends_on,
-        )
-
-
-@dataclass
 class TaskGraph:
-    """Dependency DAG over SubTasks; edge (a, b) means b consumes a's output."""
+    """Dependency DAG over TaskSpecs; edge (a, b) means b consumes a's output.
 
-    tasks: dict[str, SubTask] = field(default_factory=dict)
+    Tasks without dependencies start ready, all others pending.
+    """
+
+    tasks: dict[str, TaskSpec] = field(default_factory=dict)
     edges: frozenset[tuple[str, str]] = frozenset()
+    _status: dict[str, TaskStatus] = field(init=False, repr=False)
 
-    def __contains__(self, task_id: str) -> bool:
-        return task_id in self.tasks
+    def __post_init__(self) -> None:
+        self._status = {
+            tid: TaskStatus.PENDING if task.depends_on else TaskStatus.READY
+            for tid, task in self.tasks.items()
+        }
 
-    def task(self, task_id: str) -> SubTask:
+    def task(self, task_id: str) -> TaskSpec:
         return self.tasks[task_id]
+
+    def status(self, task_id: str) -> TaskStatus:
+        return self._status[task_id]
 
     def dependents(self, task_id: str) -> tuple[str, ...]:
         """Direct downstream consumers of task_id, in id order."""
@@ -101,58 +84,58 @@ class TaskGraph:
         dependency is committed.
         """
         out: set[str] = set()
-        for task in self.tasks.values():
-            if task.status not in (TaskStatus.READY, TaskStatus.NEEDS_REVISION):
+        for tid, current in self._status.items():
+            if current not in (TaskStatus.READY, TaskStatus.NEEDS_REVISION):
                 continue
-            if all(self.tasks[dep].status is TaskStatus.COMMITTED for dep in task.depends_on):
-                out.add(task.id)
+            if all(
+                self._status[dep] is TaskStatus.COMMITTED for dep in self.tasks[tid].depends_on
+            ):
+                out.add(tid)
         return out
 
     def all_committed(self) -> bool:
-        return all(t.status is TaskStatus.COMMITTED for t in self.tasks.values())
+        return all(s is TaskStatus.COMMITTED for s in self._status.values())
 
     def mark_in_progress(self, task_id: str) -> None:
         """Transition an assignable task to in_progress (dispatch bookkeeping)."""
-        task = self._require(task_id)
-        if task.status not in (TaskStatus.READY, TaskStatus.NEEDS_REVISION):
+        current = self._require(task_id)
+        if current not in (TaskStatus.READY, TaskStatus.NEEDS_REVISION):
             raise InvalidTransitionError(
-                f"task {task_id!r} is {task.status.value}, expected ready or needs_revision"
+                f"task {task_id!r} is {current.value}, expected ready or needs_revision"
             )
-        task.status = TaskStatus.IN_PROGRESS
+        self._status[task_id] = TaskStatus.IN_PROGRESS
 
-    def mark_committed(self, task_id: str, output_ref: tuple[str, str, int]) -> None:
+    def mark_committed(self, task_id: str) -> None:
         """Commit an in_progress task and promote any dependents that became assignable."""
-        task = self._require(task_id)
-        if task.status is not TaskStatus.IN_PROGRESS:
+        current = self._require(task_id)
+        if current is not TaskStatus.IN_PROGRESS:
             raise InvalidTransitionError(
-                f"task {task_id!r} is {task.status.value}, expected in_progress"
+                f"task {task_id!r} is {current.value}, expected in_progress"
             )
-        task.status = TaskStatus.COMMITTED
-        task.committed_ref = output_ref
+        self._status[task_id] = TaskStatus.COMMITTED
         for dep_id in self.dependents(task_id):
-            dependent = self.tasks[dep_id]
-            if dependent.status is TaskStatus.PENDING and all(
-                self.tasks[d].status is TaskStatus.COMMITTED for d in dependent.depends_on
+            if self._status[dep_id] is TaskStatus.PENDING and all(
+                self._status[d] is TaskStatus.COMMITTED for d in self.tasks[dep_id].depends_on
             ):
-                dependent.status = TaskStatus.READY
+                self._status[dep_id] = TaskStatus.READY
 
     def mark_needs_revision(self, task_id: str) -> set[str]:
         """Reopen a committed task for revision.
 
-        Returns the ids of direct dependents that are already committed. Those stay
-        committed (no cascade) but are flagged stale so the evaluator re-reviews them
-        against the revised output once it re-commits.
+        Returns the ids of direct dependents that are already committed. Those
+        stay committed (no cascade); the caller logs them as stale, and nothing
+        re-reviews them because of it.
         """
-        task = self._require(task_id)
-        if task.status is not TaskStatus.COMMITTED:
+        current = self._require(task_id)
+        if current is not TaskStatus.COMMITTED:
             raise InvalidTransitionError(
-                f"task {task_id!r} is {task.status.value}, expected committed"
+                f"task {task_id!r} is {current.value}, expected committed"
             )
-        task.status = TaskStatus.NEEDS_REVISION
+        self._status[task_id] = TaskStatus.NEEDS_REVISION
         return {
             dep_id
             for dep_id in self.dependents(task_id)
-            if self.tasks[dep_id].status is TaskStatus.COMMITTED
+            if self._status[dep_id] is TaskStatus.COMMITTED
         }
 
     def topological_order(self) -> tuple[str, ...]:
@@ -169,19 +152,19 @@ class TaskGraph:
                 if indegree[dep_id] == 0:
                     heapq.heappush(ready, dep_id)
         if len(order) != len(self.tasks):
-            raise CycleError(_find_cycle(self.tasks))
+            raise CycleError(find_cycle(self.tasks))
         return tuple(order)
 
     def compiled_order(self) -> tuple[str, ...]:
         """Topological order, requiring every task to be committed."""
-        for task in self.tasks.values():
-            if task.status is not TaskStatus.COMMITTED:
-                raise MissingCommitError(f"task {task.id!r} has no committed output")
+        for tid, current in self._status.items():
+            if current is not TaskStatus.COMMITTED:
+                raise MissingCommitError(f"task {tid!r} has no committed output")
         return self.topological_order()
 
-    def _require(self, task_id: str) -> SubTask:
+    def _require(self, task_id: str) -> TaskStatus:
         try:
-            return self.tasks[task_id]
+            return self._status[task_id]
         except KeyError:
             raise InvalidTransitionError(f"unknown task {task_id!r}") from None
 
@@ -189,14 +172,14 @@ class TaskGraph:
 def build_graph(specs: Iterable[TaskSpec]) -> TaskGraph:
     """Construct a validated TaskGraph from task descriptors.
 
-    Tasks without dependencies start ready, all others pending. Raises
-    DuplicateIdError, UnknownDependencyError, or CycleError (citing one cycle).
+    Raises DuplicateIdError, UnknownDependencyError, or CycleError (citing one
+    cycle).
     """
-    tasks: dict[str, SubTask] = {}
+    tasks: dict[str, TaskSpec] = {}
     for spec in specs:
         if spec.id in tasks:
             raise DuplicateIdError(f"duplicate task id {spec.id!r}")
-        tasks[spec.id] = SubTask.from_spec(spec)
+        tasks[spec.id] = spec
 
     edges: set[tuple[str, str]] = set()
     for task in tasks.values():
@@ -207,18 +190,19 @@ def build_graph(specs: Iterable[TaskSpec]) -> TaskGraph:
                 )
             edges.add((dep, task.id))
 
-    cycle = _find_cycle(tasks)
+    cycle = find_cycle(tasks)
     if cycle:
         raise CycleError(cycle)
-
-    for task in tasks.values():
-        if not task.depends_on:
-            task.status = TaskStatus.READY
     return TaskGraph(tasks=tasks, edges=frozenset(edges))
 
 
-def _find_cycle(tasks: dict[str, SubTask]) -> tuple[str, ...]:
-    """Return one dependency cycle as a closed path, or () when acyclic."""
+def find_cycle(tasks: Mapping[str, TaskSpec]) -> tuple[str, ...]:
+    """Return one dependency cycle as a closed path, or () when acyclic.
+
+    Depth-first from each unvisited id in sorted order, consumers in sorted
+    order. The walk keeps its own stack, so a long dependency chain does not
+    run into the interpreter's recursion limit.
+    """
     consumers: dict[str, list[str]] = {tid: [] for tid in tasks}
     for task in tasks.values():
         for dep in task.depends_on:
@@ -226,26 +210,22 @@ def _find_cycle(tasks: dict[str, SubTask]) -> tuple[str, ...]:
                 consumers[dep].append(task.id)
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {tid: WHITE for tid in tasks}
-    stack: list[str] = []
-
-    def visit(tid: str) -> tuple[str, ...]:
-        color[tid] = GRAY
-        stack.append(tid)
-        for nxt in sorted(consumers[tid]):
-            if color[nxt] == GRAY:
-                start = stack.index(nxt)
-                return tuple(stack[start:]) + (nxt,)
-            if color[nxt] == WHITE:
-                found = visit(nxt)
-                if found:
-                    return found
-        stack.pop()
-        color[tid] = BLACK
-        return ()
-
-    for tid in sorted(tasks):
-        if color[tid] == WHITE:
-            found = visit(tid)
-            if found:
-                return found
+    for root in sorted(tasks):
+        if color[root] != WHITE:
+            continue
+        color[root] = GRAY
+        path = [root]
+        pending = [iter(sorted(consumers[root]))]
+        while pending:
+            for nxt in pending[-1]:
+                if color[nxt] == GRAY:
+                    return tuple(path[path.index(nxt):]) + (nxt,)
+                if color[nxt] == WHITE:
+                    color[nxt] = GRAY
+                    path.append(nxt)
+                    pending.append(iter(sorted(consumers[nxt])))
+                    break
+            else:
+                pending.pop()
+                color[path.pop()] = BLACK
     return ()

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Protocol
 
 from .agents import CandidateOutput
 from .errors import DuplicateKeyError, UnknownEntryError
@@ -54,25 +53,6 @@ class MemoryEntry:
         }
 
 
-class MemoryBackend(Protocol):
-    """Storage seam; only the in-process backend ships."""
-
-    def append(self, entry: MemoryEntry) -> None: ...
-
-    def entries(self) -> Iterator[MemoryEntry]: ...
-
-
-class InProcessBackend:
-    def __init__(self) -> None:
-        self._entries: list[MemoryEntry] = []
-
-    def append(self, entry: MemoryEntry) -> None:
-        self._entries.append(entry)
-
-    def entries(self) -> Iterator[MemoryEntry]:
-        return iter(self._entries)
-
-
 class MemoryView:
     """Read handle agents receive at execute time."""
 
@@ -87,31 +67,17 @@ class MemoryView:
                 facts |= entry.output.emitted_facts
         return frozenset(facts)
 
-    def committed_content(self, task_id: str) -> str | None:
-        for entry in self._entries:
-            if entry.committed and entry.task_id == task_id:
-                return entry.output.content
-        return None
-
 
 class SharedMemory:
     """Versioned, append-only store of every candidate output.
 
-    task_markers maps task id to its domain markers so committed entries can be
-    queried by marker without holding the graph.
+    Versions are dense: the n-th stored entry has version n.
     """
 
-    def __init__(
-        self,
-        task_markers: dict[str, frozenset[str]] | None = None,
-        backend: MemoryBackend | None = None,
-        audit_path: str | Path | None = None,
-    ) -> None:
-        self._backend = backend if backend is not None else InProcessBackend()
+    def __init__(self, audit_path: str | Path | None = None) -> None:
+        self._entries: list[MemoryEntry] = []
         self._by_key: dict[EntryKey, MemoryEntry] = {}
         self._by_task: dict[str, list[MemoryEntry]] = {}
-        self._by_version: dict[int, MemoryEntry] = {}
-        self._task_markers = dict(task_markers or {})
         self._next_version = 1
         self._next_commit_seq = 1
         self._audit_path = Path(audit_path) if audit_path is not None else None
@@ -124,10 +90,9 @@ class SharedMemory:
             raise DuplicateKeyError(f"memory key {key!r} already stored")
         entry = MemoryEntry(key=key, output=output, version=self._next_version)
         self._next_version += 1
-        self._backend.append(entry)
+        self._entries.append(entry)
         self._by_key[key] = entry
         self._by_task.setdefault(key[0], []).append(entry)
-        self._by_version[entry.version] = entry
         self._write_audit(entry)
         return entry.version
 
@@ -157,15 +122,7 @@ class SharedMemory:
 
     def committed_entries(self) -> list[MemoryEntry]:
         """Every currently committed entry, version order."""
-        return [e for e in self._backend.entries() if e.committed]
-
-    def query_by_marker(self, marker: str) -> list[MemoryEntry]:
-        """Committed entries whose task carries the marker, version order."""
-        return [
-            entry
-            for entry in self.committed_entries()
-            if marker in self._task_markers.get(entry.task_id, frozenset())
-        ]
+        return [e for e in self._entries if e.committed]
 
     def entry(self, key: EntryKey) -> MemoryEntry:
         entry = self._by_key.get(key)
@@ -174,10 +131,10 @@ class SharedMemory:
         return entry
 
     def has_version(self, version: int) -> bool:
-        return version in self._by_version
+        return 1 <= version < self._next_version
 
     def view(self) -> MemoryView:
-        return MemoryView(list(self._backend.entries()))
+        return MemoryView(list(self._entries))
 
     def empty_view(self) -> MemoryView:
         return MemoryView([])

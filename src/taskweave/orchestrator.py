@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import numbers
 import random
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .agents import Agent, CandidateOutput, adapt_strategy
+from .agents import CandidateOutput, ScriptedAgent, adapt_strategy
 from .errors import (
     DeadlockError,
     InvalidConfigError,
@@ -33,13 +34,8 @@ from .errors import (
     ScorerUnavailableError,
 )
 from .evaluator import DEFAULT_FACT_THRESHOLD, Evaluator
-from .feedback import (
-    DEFAULT_SEVERITY_THRESHOLD,
-    ORCHESTRATOR_TARGET,
-    FeedbackBus,
-    requires_revision,
-)
-from .graph import SubTask, TaskGraph, TaskStatus
+from .feedback import DEFAULT_SEVERITY_THRESHOLD, FeedbackBus, requires_revision
+from .graph import TaskGraph, TaskSpec, TaskStatus
 from .memory import EntryKey, SharedMemory
 from .metrics import RunReport, build_report
 from .routing import (
@@ -62,6 +58,7 @@ DEFAULT_ADAPT_DECREMENT = 0.1
 
 # Settings that must lie in [0, 1], as the scenario schema's `defaults` states.
 _UNIT_SETTINGS = ("theta", "w1", "w2", "severity_threshold", "fact_threshold", "adapt_decrement")
+_INT_SETTINGS = ("seed", "k", "revision_budget")
 
 
 @dataclass(frozen=True)
@@ -87,8 +84,14 @@ class RunConfig:
     no_parallel: bool = False
 
     def __post_init__(self) -> None:
+        for name in _INT_SETTINGS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
         for name in _UNIT_SETTINGS:
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise InvalidConfigError(f"{name} must be a number, got {value!r}")
             if not 0.0 <= value <= 1.0:
                 raise InvalidConfigError(f"{name} must be in [0, 1], got {value!r}")
         if self.k < 1:
@@ -173,8 +176,8 @@ class RunResult:
 
 @dataclass
 class _Execution:
-    task: SubTask
-    agent: Agent
+    task: TaskSpec
+    agent: ScriptedAgent
     attempt: int
     mode: RouteMode
     tiebreak: float
@@ -200,10 +203,7 @@ class Orchestrator:
         self.config = config if config is not None else RunConfig()
         self.graph = scenario.build_graph()
         self.agents = scenario.build_agents()
-        self.memory = SharedMemory(
-            task_markers={t.id: t.domain_markers for t in scenario.tasks},
-            audit_path=memory_audit_path,
-        )
+        self.memory = SharedMemory(audit_path=memory_audit_path)
         self.bus = FeedbackBus(self.memory)
         self.router = Router(
             self.agents,
@@ -288,10 +288,7 @@ class Orchestrator:
             attempt = self._attempts[task_id]
             for agent_id in decision.assignees:
                 agent = self.agents[agent_id]
-                # Static queues serialize per agent, so pinned work waits instead
-                # of running concurrently; load counts running tasks only.
-                if not self.config.static:
-                    agent.profile.load += 1
+                agent.profile.load += 1
                 planned.append(
                     _Execution(
                         task=task,
@@ -355,7 +352,7 @@ class Orchestrator:
             entry = self.memory.entry(winner_key)
             self.evaluator.score_entry(entry, task)
             self.memory.commit(task_id, winner_key)
-            self.graph.mark_committed(task_id, winner_key)
+            self.graph.mark_committed(task_id)
             self.log.append(
                 "commit",
                 wave_end,
@@ -368,13 +365,12 @@ class Orchestrator:
                 },
             )
 
-        if not self.config.static:
-            for ex in planned:
-                ex.agent.profile.load -= 1
+        for ex in planned:
+            ex.agent.profile.load -= 1
         self._clock = wave_end
         return len(planned)
 
-    def _decide(self, task: SubTask) -> RoutingDecision:
+    def _decide(self, task: TaskSpec) -> RoutingDecision:
         if self.config.static:
             return RoutingDecision(
                 task.id,
@@ -394,12 +390,8 @@ class Orchestrator:
             self.bus.publish(msg)
             self.log.append("feedback", self._clock, msg.to_dict())
 
-        drained = []
-        for target in sorted(self.agents) + [ORCHESTRATOR_TARGET]:
-            drained.extend(self.bus.drain(target))
-
         revised: set[str] = set()
-        for msg in drained:
+        for msg in self.bus.drain():
             if not requires_revision(msg, self.config.severity_threshold):
                 continue
             task_id = msg.task_id
@@ -408,12 +400,12 @@ class Orchestrator:
             if self._revisions[task_id] >= self.config.revision_budget:
                 logger.info("budget_exhausted task=%s feedback=%s", task_id, msg.id)
                 continue
-            if self.graph.task(task_id).status is not TaskStatus.COMMITTED:
+            if self.graph.status(task_id) is not TaskStatus.COMMITTED:
                 continue
             self._revisions[task_id] += 1
             self._attempts[task_id] += 1
             stale = self.graph.mark_needs_revision(task_id)
-            decision = self.router.reassign(self.graph, msg.target, task_id)
+            decision = self.router.reassign(msg.target, task_id)
             assignee = decision.assignees[0]
             self._pinned[task_id] = assignee
             self.log.append(
@@ -429,7 +421,6 @@ class Orchestrator:
             )
             adapt_strategy(
                 self.agents[msg.target].profile,
-                msg,
                 self.graph.task(task_id).domain_markers,
                 self.config.adapt_decrement,
             )
@@ -443,8 +434,7 @@ class Orchestrator:
         the next attempt row, bounded by the revision budget.
         """
         for task_id in sorted(self.graph.tasks):
-            task = self.graph.task(task_id)
-            if task.status is not TaskStatus.COMMITTED:
+            if self.graph.status(task_id) is not TaskStatus.COMMITTED:
                 continue
             entry = self.memory.committed_entry(task_id)
             if entry is None or entry.score is None:

@@ -9,9 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .agents import Agent, AgentProfile
-from .errors import UnknownAgentError, UnknownTaskError
-from .graph import SubTask, TaskGraph, TaskStatus
+from .agents import AgentProfile, ScriptedAgent
+from .errors import UnknownAgentError
+from .graph import TaskSpec
 
 DEFAULT_THETA = 0.7
 DEFAULT_K = 3
@@ -44,7 +44,7 @@ class RoutingDecision:
 
 def suitability(
     profile: AgentProfile,
-    task: SubTask,
+    task: TaskSpec,
     perf_weight: float = DEFAULT_PERF_WEIGHT,
     capacity_weight: float = DEFAULT_CAPACITY_WEIGHT,
 ) -> float:
@@ -70,7 +70,7 @@ class Router:
 
     def __init__(
         self,
-        agents: dict[str, Agent],
+        agents: dict[str, ScriptedAgent],
         theta: float = DEFAULT_THETA,
         k: int = DEFAULT_K,
         perf_weight: float = DEFAULT_PERF_WEIGHT,
@@ -82,7 +82,7 @@ class Router:
         self.perf_weight = perf_weight
         self.capacity_weight = capacity_weight
 
-    def is_ambiguous(self, task: SubTask) -> bool:
+    def is_ambiguous(self, task: TaskSpec) -> bool:
         """High inherent ambiguity, or no capable agent confident enough.
 
         An agent is capable when its capabilities cover every domain marker of
@@ -96,7 +96,7 @@ class Router:
                 best_confidence = max(best_confidence, agent.declared_confidence(task))
         return best_confidence < self.theta
 
-    def route(self, task: SubTask, allow_parallel: bool = True) -> RoutingDecision:
+    def route(self, task: TaskSpec, allow_parallel: bool = True) -> RoutingDecision:
         """Decide how to dispatch one assignable task.
 
         No spare capacity anywhere defers the task. Ambiguous tasks fan out to
@@ -113,26 +113,17 @@ class Router:
                 return RoutingDecision(task.id, RouteMode.PARALLEL, tuple(fanout))
         return RoutingDecision(task.id, RouteMode.SINGLE, (ranked[0],))
 
-    def reassign(self, graph: TaskGraph, target_agent_id: str, task_id: str) -> RoutingDecision:
-        """Pin a revision to the feedback's target agent when it has capacity.
+    def reassign(self, target_agent_id: str, task_id: str) -> RoutingDecision:
+        """Pin a revision to the agent the feedback names.
 
-        Falls back to a normal route when the target is loaded, so revisions can
-        migrate to idle peers.
+        Review runs between waves, when no agent holds load, so the pin needs no
+        capacity check here; the orchestrator checks capacity when it uses it.
         """
-        if task_id not in graph:
-            raise UnknownTaskError(f"unknown task {task_id!r}")
         if target_agent_id not in self.agents:
             raise UnknownAgentError(f"unknown agent {target_agent_id!r}")
-        task = graph.task(task_id)
-        if task.status is not TaskStatus.NEEDS_REVISION:
-            raise UnknownTaskError(
-                f"task {task_id!r} is {task.status.value}, expected needs_revision"
-            )
-        if self.agents[target_agent_id].profile.has_spare_capacity:
-            return RoutingDecision(task_id, RouteMode.SINGLE, (target_agent_id,))
-        return self.route(task)
+        return RoutingDecision(task_id, RouteMode.SINGLE, (target_agent_id,))
 
-    def _ranked_available(self, task: SubTask) -> list[str]:
+    def _ranked_available(self, task: TaskSpec) -> list[str]:
         """Agents with spare capacity, best suitability first, ties by id."""
         scored = [
             (

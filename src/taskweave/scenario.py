@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .agents import AgentProfile, BehaviorRow, ScriptedAgent
 from .errors import CycleError, ScenarioParseError, ScenarioValidationError
-from .graph import TaskGraph, TaskSpec, build_graph
+from .graph import TaskGraph, TaskSpec, build_graph, find_cycle
 
 SCHEMA_VERSION = 1
 
@@ -521,10 +521,9 @@ def _check_cross_references(scenario: Scenario) -> None:
         if task_id not in task_ids:
             raise ScenarioValidationError("$.gold_answers", f"unknown task id {task_id!r}")
 
-    try:
-        scenario.build_graph()
-    except CycleError as exc:
-        raise ScenarioValidationError("$.tasks", str(exc)) from exc
+    cycle = find_cycle({task.id: task for task in scenario.tasks})
+    if cycle:
+        raise ScenarioValidationError("$.tasks", str(CycleError(cycle)))
 
 
 def dump_scenario(scenario: Scenario, path: str | Path) -> None:

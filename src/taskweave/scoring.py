@@ -16,7 +16,7 @@ from .errors import InvalidConfigError, ScorerUnavailableError
 
 if TYPE_CHECKING:
     from .agents import CandidateOutput
-    from .graph import SubTask
+    from .graph import TaskSpec
 
 WEIGHT_SUM_TOLERANCE = 1e-9
 
@@ -79,7 +79,7 @@ class Scorer(Protocol):
     """Policy producing the three score components for a candidate output."""
 
     def components(
-        self, output: CandidateOutput, task: SubTask
+        self, output: CandidateOutput, task: TaskSpec
     ) -> tuple[float, float, float]: ...
 
 
@@ -92,7 +92,7 @@ class LexicalScorer:
     """
 
     def components(
-        self, output: CandidateOutput, task: SubTask
+        self, output: CandidateOutput, task: TaskSpec
     ) -> tuple[float, float, float]:
         overlap = len(output.emitted_facts & task.reference_facts)
         relevance = overlap / len(task.reference_facts) if task.reference_facts else 0.0
@@ -118,7 +118,7 @@ class ScriptedScorer:
         self._fallback = fallback
 
     def components(
-        self, output: CandidateOutput, task: SubTask
+        self, output: CandidateOutput, task: TaskSpec
     ) -> tuple[float, float, float]:
         triple = self._annotations.get(output.key)
         if triple is not None:

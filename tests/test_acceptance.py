@@ -186,10 +186,10 @@ def test_criterion_3_dag_correctness():
         def brute_force(graph):
             out = set()
             for task in graph.tasks.values():
-                if task.status.value not in ("ready", "needs_revision"):
+                if graph.status(task.id).value not in ("ready", "needs_revision"):
                     continue
                 if all(
-                    graph.tasks[d].status.value == "committed" for d in task.depends_on
+                    graph.status(d).value == "committed" for d in task.depends_on
                 ):
                     out.add(task.id)
             return out
@@ -206,7 +206,7 @@ def test_criterion_3_dag_correctness():
                 task_id = rng.choice(sorted(graph.ready_tasks()))
                 graph.mark_in_progress(task_id)
                 assert graph.ready_tasks() == brute_force(graph)
-                graph.mark_committed(task_id, (task_id, "x", 0))
+                graph.mark_committed(task_id)
             assert graph.ready_tasks() == set()
 
         for _ in range(100):

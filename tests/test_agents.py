@@ -5,20 +5,13 @@ from __future__ import annotations
 import pytest
 
 from taskweave import (
-    FeedbackKind,
-    FeedbackMessage,
     MemoryView,
     NoScriptedBehaviorError,
     SharedMemory,
-    SubTask,
     adapt_strategy,
 )
 
 from conftest import make_agent, make_row, make_task
-
-
-def subtask(spec) -> SubTask:
-    return SubTask.from_spec(spec)
 
 
 @pytest.fixture
@@ -30,7 +23,7 @@ def test_execute_returns_scripted_row(empty_view):
     agent = make_agent(
         "a", rows={("t1", 0): make_row({"f1", "f2"}, confidence=0.9, latency=2.0)}
     ).build()
-    out = agent.execute(subtask(make_task("t1")), empty_view, attempt=0, start=10.0)
+    out = agent.execute(make_task("t1"), empty_view, attempt=0, start=10.0)
     assert out.key == ("t1", "a", 0)
     assert out.emitted_facts == frozenset({"f1", "f2"})
     assert out.declared_confidence == 0.9
@@ -42,7 +35,7 @@ def test_execute_second_attempt_uses_revision_row(empty_view):
         "a",
         rows={("t1", 0): make_row({"f1"}), ("t1", 1): make_row({"f1", "f2"})},
     ).build()
-    out = agent.execute(subtask(make_task("t1")), empty_view, attempt=1, start=0.0)
+    out = agent.execute(make_task("t1"), empty_view, attempt=1, start=0.0)
     assert out.attempt == 1
     assert out.emitted_facts == frozenset({"f1", "f2"})
 
@@ -50,12 +43,12 @@ def test_execute_second_attempt_uses_revision_row(empty_view):
 def test_execute_missing_row_fails_loudly(empty_view):
     agent = make_agent("a", rows={("t1", 0): make_row()}).build()
     with pytest.raises(NoScriptedBehaviorError):
-        agent.execute(subtask(make_task("t1")), empty_view, attempt=1, start=0.0)
+        agent.execute(make_task("t1"), empty_view, attempt=1, start=0.0)
 
 
 def test_execute_is_pure_replay(empty_view):
     spec = make_agent("a", rows={("t1", 0): make_row({"f1"}, latency=3.0)})
-    task = subtask(make_task("t1"))
+    task = make_task("t1")
     first = spec.build().execute(task, empty_view, 0, 5.0)
     second = spec.build().execute(task, empty_view, 0, 5.0)
     assert first == second
@@ -66,11 +59,11 @@ def test_contingent_facts_fire_only_when_visible():
         "a",
         rows={("t2", 0): make_row({"base"}, contingent=[("up1", "derived")])},
     )
-    task = subtask(make_task("t2"))
+    task = make_task("t2")
 
     memory = SharedMemory()
     upstream = make_agent("u", rows={("t1", 0): make_row({"up1"})}).build()
-    out = upstream.execute(subtask(make_task("t1")), memory.empty_view(), 0, 0.0)
+    out = upstream.execute(make_task("t1"), memory.empty_view(), 0, 0.0)
     memory.store(out.key, out)
 
     # stored but not committed: trigger not visible
@@ -87,12 +80,12 @@ def test_contingent_facts_fire_only_when_visible():
 
 def test_declared_confidence_reads_first_attempt_row():
     agent = make_agent("a", rows={("t1", 0): make_row(confidence=0.9)}).build()
-    assert agent.declared_confidence(subtask(make_task("t1"))) == 0.9
+    assert agent.declared_confidence(make_task("t1")) == 0.9
 
 
 def test_declared_confidence_defaults_to_zero_without_row():
     agent = make_agent("a").build()
-    assert agent.declared_confidence(subtask(make_task("t1"))) == 0.0
+    assert agent.declared_confidence(make_task("t1")) == 0.0
 
 
 def test_out_of_range_confidence_rejected_at_row_construction():
@@ -100,48 +93,35 @@ def test_out_of_range_confidence_rejected_at_row_construction():
         make_row(confidence=1.2)
 
 
-def feedback_for(task_id: str, target: str) -> FeedbackMessage:
-    return FeedbackMessage(
-        id="fb-1",
-        sender="evaluator",
-        target=target,
-        task_id=task_id,
-        referenced_version=1,
-        kind=FeedbackKind.REVISION_REQUEST,
-        severity=0.8,
-    )
-
-
 def test_adapt_strategy_decrements_marker_performance():
     profile = make_agent("a", perf={"legal": 0.8}).build().profile
-    adapt_strategy(profile, feedback_for("t1", "a"), frozenset({"legal"}))
+    adapt_strategy(profile, frozenset({"legal"}))
     expected = 0.8 - 0.1
     assert profile.historical_performance["legal"] == pytest.approx(expected)
-    assert profile.feedback_log == ["fb-1"]
 
 
 def test_adapt_strategy_clamps_at_zero():
     profile = make_agent("a", perf={"legal": 0.05}).build().profile
-    adapt_strategy(profile, feedback_for("t1", "a"), frozenset({"legal"}))
+    adapt_strategy(profile, frozenset({"legal"}))
     assert profile.historical_performance["legal"] == 0.0
 
 
 def test_adapt_strategy_decrements_every_marker():
     profile = make_agent("a", perf={"legal": 0.8, "numeric": 0.6}).build().profile
-    adapt_strategy(profile, feedback_for("t1", "a"), frozenset({"legal", "numeric"}))
+    adapt_strategy(profile, frozenset({"legal", "numeric"}))
     assert profile.historical_performance["legal"] == pytest.approx(0.7)
     assert profile.historical_performance["numeric"] == pytest.approx(0.5)
 
 
 def test_adapt_strategy_unseen_marker_starts_from_default():
     profile = make_agent("a").build().profile
-    adapt_strategy(profile, feedback_for("t1", "a"), frozenset({"new"}))
+    adapt_strategy(profile, frozenset({"new"}))
     assert profile.historical_performance["new"] == pytest.approx(0.4)
 
 
 def test_adapt_strategy_custom_decrement():
     profile = make_agent("a", perf={"legal": 0.8}).build().profile
-    adapt_strategy(profile, feedback_for("t1", "a"), frozenset({"legal"}), decrement=0.25)
+    adapt_strategy(profile, frozenset({"legal"}), decrement=0.25)
     assert profile.historical_performance["legal"] == pytest.approx(0.55)
 
 

@@ -275,6 +275,27 @@ def test_validate_under_python_O_exits_two(tmp_path):
     assert "$.tasks[0].id" in proc.stderr
 
 
+def test_validate_rejects_settings_that_run_rejects(runner, tmp_path):
+    doc = json.loads(CANONICAL_SCENARIOS[0].read_text())
+    doc["defaults"]["weights"] = {"alpha": 0.5, "beta": 0.5, "gamma": 0.5}
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps(doc))
+    for command in ("validate", "run"):
+        result = runner.invoke(main, [command, str(path)])
+        assert result.exit_code == 2
+        assert "invalid setting: weights must sum to 1, got 1.5" in result.output
+
+
+def test_validate_accepts_a_chain_deeper_than_the_recursion_limit(runner, tmp_path):
+    ids = [f"t{i:05d}" for i in range(2500)]
+    tasks = [{"id": ids[0]}] + [{"id": t, "depends_on": [prev]} for prev, t in zip(ids, ids[1:])]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"schema_version": 1, "tasks": tasks, "agents": []}))
+    result = runner.invoke(main, ["validate", str(path)])
+    assert result.exit_code == 0, result.output
+    assert result.output == "ok: 2500 tasks, 0 agents\n"
+
+
 def test_validate_rejects_bad_file(runner, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("[]")

@@ -10,7 +10,6 @@ from taskweave import (
     CandidateOutput,
     EmptyCandidateSetError,
     Evaluator,
-    FeedbackKind,
     LexicalScorer,
     ScoringWeights,
     ScriptedScorer,
@@ -23,7 +22,7 @@ from conftest import make_task
 
 def build_world(task_specs, scorer, **evaluator_kwargs):
     graph = build_graph(task_specs)
-    memory = SharedMemory(task_markers={t.id: t.domain_markers for t in task_specs})
+    memory = SharedMemory()
     return graph, memory, Evaluator(memory=memory, scorer=scorer, **evaluator_kwargs)
 
 
@@ -43,9 +42,9 @@ def put(memory, task="t1", agent="a", attempt=0, facts=(), content="text", commi
     return output.key
 
 
-def mark_committed_in_graph(graph, task_id, key):
+def mark_committed_in_graph(graph, task_id):
     graph.mark_in_progress(task_id)
-    graph.mark_committed(task_id, key)
+    graph.mark_committed(task_id)
 
 
 def test_select_best_prefers_higher_composite():
@@ -177,11 +176,11 @@ def test_review_flags_low_factuality_with_complement_severity():
         [make_task("t1")], ScriptedScorer(annotations)
     )
     key = put(memory, commit=True)
-    mark_committed_in_graph(graph, "t1", key)
+    mark_committed_in_graph(graph, "t1")
     messages = evaluator.review(graph)
     assert len(messages) == 1
     msg = messages[0]
-    assert msg.kind is FeedbackKind.REVISION_REQUEST
+    assert msg.to_dict()["kind"] == "revision_request"
     assert msg.severity == pytest.approx(1.0 - 0.3)
     assert msg.target == "a"
     assert msg.referenced_version == 1
@@ -198,7 +197,7 @@ def test_review_ignores_factuality_at_threshold():
         [make_task("t1")], ScriptedScorer(annotations), fact_threshold=0.6
     )
     key = put(memory, commit=True)
-    mark_committed_in_graph(graph, "t1", key)
+    mark_committed_in_graph(graph, "t1")
     assert evaluator.review(graph) == []
 
 
@@ -210,9 +209,9 @@ def test_review_flags_contradiction_on_later_committed_entry():
         contradiction_pairs=[("debt_low", "debt_high")],
     )
     k1 = put(memory, task="t1", facts={"debt_low"}, commit=True)
-    mark_committed_in_graph(graph, "t1", k1)
+    mark_committed_in_graph(graph, "t1")
     k2 = put(memory, task="t2", agent="b", facts={"debt_high"}, commit=True)
-    mark_committed_in_graph(graph, "t2", k2)
+    mark_committed_in_graph(graph, "t2")
     messages = evaluator.review(graph)
     assert len(messages) == 1
     msg = messages[0]
@@ -229,7 +228,7 @@ def test_review_ignores_pair_inside_a_single_entry():
         contradiction_pairs=[("debt_low", "debt_high")],
     )
     key = put(memory, facts={"debt_low", "debt_high"}, commit=True)
-    mark_committed_in_graph(graph, "t1", key)
+    mark_committed_in_graph(graph, "t1")
     assert evaluator.review(graph) == []
 
 
@@ -239,7 +238,7 @@ def test_review_skips_tasks_already_under_revision():
         [make_task("t1")], ScriptedScorer(annotations)
     )
     key = put(memory, commit=True)
-    mark_committed_in_graph(graph, "t1", key)
+    mark_committed_in_graph(graph, "t1")
     graph.mark_needs_revision("t1")
     assert evaluator.review(graph) == []
 
@@ -253,7 +252,7 @@ def test_review_is_deterministic():
     graph, memory, evaluator = build_world(specs, ScriptedScorer(annotations))
     for task, agent in (("t1", "a"), ("t2", "b")):
         key = put(memory, task=task, agent=agent, commit=True)
-        mark_committed_in_graph(graph, task, key)
+        mark_committed_in_graph(graph, task)
     first = [(m.task_id, m.severity) for m in evaluator.review(graph)]
     second = [(m.task_id, m.severity) for m in evaluator.review(graph)]
     assert first == second == [("t1", 0.8), ("t2", 0.9)]

@@ -10,7 +10,6 @@ from taskweave import (
     CandidateOutput,
     DanglingReferenceError,
     FeedbackBus,
-    FeedbackKind,
     FeedbackMessage,
     SharedMemory,
     requires_revision,
@@ -39,7 +38,6 @@ def message(
     msg_id="m1",
     target="a0",
     version=1,
-    kind=FeedbackKind.REVISION_REQUEST,
     severity=0.8,
 ):
     return FeedbackMessage(
@@ -48,7 +46,6 @@ def message(
         target=target,
         task_id="t1",
         referenced_version=version,
-        kind=kind,
         severity=severity,
     )
 
@@ -57,8 +54,8 @@ def test_publish_then_drain_returns_same_message():
     bus = FeedbackBus(seeded_memory())
     msg = message()
     bus.publish(msg)
-    assert bus.drain("a0") == [msg]
-    assert bus.drain("a0") == []
+    assert bus.drain() == [msg]
+    assert bus.drain() == []
 
 
 def test_per_target_fifo():
@@ -66,30 +63,13 @@ def test_per_target_fifo():
     m1, m2 = message("m1"), message("m2")
     bus.publish(m1)
     bus.publish(m2)
-    assert bus.drain("a0") == [m1, m2]
+    assert bus.drain() == [m1, m2]
 
 
 def test_dangling_reference_rejected():
     bus = FeedbackBus(seeded_memory(1))
     with pytest.raises(DanglingReferenceError):
         bus.publish(message(version=99))
-
-
-def test_escalation_routes_to_orchestrator_regardless_of_target():
-    bus = FeedbackBus(seeded_memory())
-    msg = message(kind=FeedbackKind.ESCALATION, target="a0")
-    bus.publish(msg)
-    assert bus.drain("a0") == []
-    assert bus.drain("orchestrator") == [msg]
-
-
-def test_drain_leaves_other_targets_untouched():
-    bus = FeedbackBus(seeded_memory())
-    m1, m2 = message("m1", target="a0"), message("m2", target="a1", version=2)
-    bus.publish(m1)
-    bus.publish(m2)
-    assert bus.drain("a0") == [m1]
-    assert bus.pending("a1") == 1
 
 
 @given(
@@ -106,18 +86,14 @@ def test_fifo_per_target_under_any_publish_interleaving(items):
         msg = message(f"m{i}", target=target, severity=severity)
         bus.publish(msg)
         published[target].append(msg.id)
-    # no message lost between publish and drain, order preserved per target
-    for target, expected_ids in published.items():
-        assert [m.id for m in bus.drain(target)] == expected_ids
+    # no message lost between publish and drain; grouped by target, order preserved per target
+    expected_ids = [msg_id for target in sorted(published) for msg_id in published[target]]
+    assert [m.id for m in bus.drain()] == expected_ids
+    assert bus.drain() == []
 
 
 def test_requires_revision_true_for_severe_revision_request():
     assert requires_revision(message(severity=0.9)) is True
-
-
-def test_requires_revision_kind_gate():
-    msg = message(kind=FeedbackKind.CLARIFICATION, severity=1.0)
-    assert requires_revision(msg) is False
 
 
 def test_requires_revision_threshold_is_inclusive():

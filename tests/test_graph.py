@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from taskweave import (
     CycleError,
@@ -14,6 +16,8 @@ from taskweave import (
     UnknownDependencyError,
     build_graph,
 )
+from taskweave.graph import find_cycle
+from taskweave.scenario import scenario_from_dict
 
 from conftest import make_task
 
@@ -22,9 +26,9 @@ def brute_force_assignable(graph) -> set[str]:
     """Independent oracle: assignable = right status and all deps committed."""
     out = set()
     for task in graph.tasks.values():
-        if task.status.value not in ("ready", "needs_revision"):
+        if graph.status(task.id).value not in ("ready", "needs_revision"):
             continue
-        if all(graph.tasks[d].status.value == "committed" for d in task.depends_on):
+        if all(graph.status(d).value == "committed" for d in task.depends_on):
             out.add(task.id)
     return out
 
@@ -37,8 +41,8 @@ def test_build_empty_graph():
 
 def test_build_marks_sources_ready():
     graph = build_graph([make_task("a"), make_task("b", deps=["a"])])
-    assert graph.task("a").status is TaskStatus.READY
-    assert graph.task("b").status is TaskStatus.PENDING
+    assert graph.status("a") is TaskStatus.READY
+    assert graph.status("b") is TaskStatus.PENDING
     assert graph.ready_tasks() == {"a"}
 
 
@@ -65,7 +69,7 @@ def test_ready_tasks_linear_chain():
         [make_task("a"), make_task("b", deps=["a"]), make_task("c", deps=["b"])]
     )
     graph.mark_in_progress("a")
-    graph.mark_committed("a", ("a", "x", 0))
+    graph.mark_committed("a")
     assert graph.ready_tasks() == {"b"}
 
 
@@ -79,7 +83,7 @@ def test_ready_tasks_diamond_matches_brute_force():
         ]
     )
     graph.mark_in_progress("a")
-    graph.mark_committed("a", ("a", "x", 0))
+    graph.mark_committed("a")
     assert graph.ready_tasks() == {"b", "c"}
     assert graph.ready_tasks() == brute_force_assignable(graph)
 
@@ -88,7 +92,7 @@ def test_ready_tasks_empty_when_all_committed():
     graph = build_graph([make_task("a"), make_task("b", deps=["a"])])
     for task_id in ("a", "b"):
         graph.mark_in_progress(task_id)
-        graph.mark_committed(task_id, (task_id, "x", 0))
+        graph.mark_committed(task_id)
     assert graph.ready_tasks() == set()
     assert graph.all_committed()
 
@@ -96,31 +100,31 @@ def test_ready_tasks_empty_when_all_committed():
 def test_mark_committed_requires_in_progress():
     graph = build_graph([make_task("a")])
     with pytest.raises(InvalidTransitionError):
-        graph.mark_committed("a", ("a", "x", 0))
+        graph.mark_committed("a")
 
 
 def test_mark_needs_revision_flags_committed_dependent():
     graph = build_graph([make_task("a"), make_task("b", deps=["a"])])
     for task_id in ("a", "b"):
         graph.mark_in_progress(task_id)
-        graph.mark_committed(task_id, (task_id, "x", 0))
+        graph.mark_committed(task_id)
     stale = graph.mark_needs_revision("a")
     assert stale == {"b"}
-    assert graph.task("a").status is TaskStatus.NEEDS_REVISION
-    assert graph.task("b").status is TaskStatus.COMMITTED
+    assert graph.status("a") is TaskStatus.NEEDS_REVISION
+    assert graph.status("b") is TaskStatus.COMMITTED
 
 
 def test_mark_needs_revision_ignores_uncommitted_dependent():
     graph = build_graph([make_task("a"), make_task("b", deps=["a"])])
     graph.mark_in_progress("a")
-    graph.mark_committed("a", ("a", "x", 0))
+    graph.mark_committed("a")
     assert graph.mark_needs_revision("a") == set()
 
 
 def test_mark_needs_revision_on_leaf_returns_empty():
     graph = build_graph([make_task("a")])
     graph.mark_in_progress("a")
-    graph.mark_committed("a", ("a", "x", 0))
+    graph.mark_committed("a")
     assert graph.mark_needs_revision("a") == set()
 
 
@@ -134,7 +138,7 @@ def test_needs_revision_task_with_reopened_dependency_not_assignable():
     graph = build_graph([make_task("a"), make_task("b", deps=["a"])])
     for task_id in ("a", "b"):
         graph.mark_in_progress(task_id)
-        graph.mark_committed(task_id, (task_id, "x", 0))
+        graph.mark_committed(task_id)
     graph.mark_needs_revision("b")
     graph.mark_needs_revision("a")
     # b cannot be redone until its revised dependency re-commits
@@ -163,7 +167,7 @@ def test_ready_tasks_matches_brute_force_on_random_graphs():
             task_id = rng.choice(assignable)
             graph.mark_in_progress(task_id)
             assert graph.ready_tasks() == brute_force_assignable(graph)
-            graph.mark_committed(task_id, (task_id, "x", 0))
+            graph.mark_committed(task_id)
             remaining.discard(task_id)
         assert graph.all_committed()
 
@@ -194,11 +198,11 @@ def test_commit_promotes_only_fully_satisfied_dependents():
         [make_task("a"), make_task("b"), make_task("d", deps=["a", "b"])]
     )
     graph.mark_in_progress("a")
-    graph.mark_committed("a", ("a", "x", 0))
-    assert graph.task("d").status is TaskStatus.PENDING
+    graph.mark_committed("a")
+    assert graph.status("d") is TaskStatus.PENDING
     graph.mark_in_progress("b")
-    graph.mark_committed("b", ("b", "x", 0))
-    assert graph.task("d").status is TaskStatus.READY
+    graph.mark_committed("b")
+    assert graph.status("d") is TaskStatus.READY
 
 
 def test_topological_order_breaks_ties_by_id():
@@ -211,3 +215,66 @@ def test_topological_order_breaks_ties_by_id():
         ]
     )
     assert graph.topological_order() == ("a", "b", "c", "d")
+
+
+def test_deep_chain_is_not_bounded_by_the_recursion_limit():
+    # each task depends on the one before it, so a depth-first walk from the
+    # first id runs the whole chain
+    n = 3000
+    ids = [f"t{i:05d}" for i in range(n)]
+    doc = {
+        "schema_version": 1,
+        "tasks": [{"id": ids[0]}] + [{"id": ids[i], "depends_on": [ids[i - 1]]} for i in range(1, n)],
+        "agents": [],
+    }
+    graph = build_graph(make_task(t["id"], deps=t.get("depends_on", ())) for t in doc["tasks"])
+    assert graph.ready_tasks() == {ids[0]}
+    assert len(scenario_from_dict(doc).tasks) == n
+
+
+def recursive_find_cycle(tasks) -> tuple[str, ...]:
+    """The recursive depth-first cycle search, kept as the oracle for find_cycle."""
+    consumers = {tid: [] for tid in tasks}
+    for task in tasks.values():
+        for dep in task.depends_on:
+            if dep in consumers:
+                consumers[dep].append(task.id)
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = {tid: WHITE for tid in tasks}
+    stack = []
+
+    def visit(tid):
+        color[tid] = GRAY
+        stack.append(tid)
+        for nxt in sorted(consumers[tid]):
+            if color[nxt] == GRAY:
+                start = stack.index(nxt)
+                return tuple(stack[start:]) + (nxt,)
+            if color[nxt] == WHITE:
+                found = visit(nxt)
+                if found:
+                    return found
+        stack.pop()
+        color[tid] = BLACK
+        return ()
+
+    for tid in sorted(tasks):
+        if color[tid] == WHITE:
+            found = visit(tid)
+            if found:
+                return found
+    return ()
+
+
+@given(
+    st.integers(1, 9).flatmap(
+        lambda n: st.lists(st.sets(st.integers(0, n - 1)), min_size=n, max_size=n)
+    )
+)
+def test_find_cycle_matches_recursive_reference(dep_sets):
+    # self-loops and back edges included: most draws are cyclic
+    tasks = {
+        f"n{i}": make_task(f"n{i}", deps={f"n{j}" for j in deps})
+        for i, deps in enumerate(dep_sets)
+    }
+    assert find_cycle(tasks) == recursive_find_cycle(tasks)

@@ -87,34 +87,12 @@ def test_commit_key_for_wrong_task_raises():
         memory.commit("t2", ("t1", "a", 0))
 
 
-def test_query_by_marker_empty_without_commits():
-    memory = SharedMemory(task_markers={"t1": frozenset({"numeric"})})
-    memory.store(("t1", "a", 0), output())
-    assert memory.query_by_marker("numeric") == []
-
-
-def test_query_by_marker_returns_committed_in_version_order():
-    memory = SharedMemory(
-        task_markers={
-            "t1": frozenset({"numeric"}),
-            "t2": frozenset({"numeric", "legal"}),
-            "t3": frozenset({"legal"}),
-        }
-    )
-    for task in ("t1", "t2", "t3"):
-        key = (task, "a", 0)
-        memory.store(key, output(task=task))
-        memory.commit(task, key)
-    hits = memory.query_by_marker("numeric")
-    assert [e.task_id for e in hits] == ["t1", "t2"]
-
-
-def test_query_by_marker_excludes_uncommitted():
-    memory = SharedMemory(task_markers={"t1": frozenset({"numeric"})})
-    memory.store(("t1", "a", 0), output())
-    memory.store(("t1", "b", 0), output(agent="b"))
-    memory.commit("t1", ("t1", "b", 0))
-    assert [e.agent_id for e in memory.query_by_marker("numeric")] == ["b"]
+def test_has_version_covers_exactly_the_stored_versions():
+    memory = SharedMemory()
+    assert not memory.has_version(1)
+    for attempt in range(3):
+        memory.store(("t1", "a", attempt), output(attempt=attempt))
+    assert [v for v in range(-1, 6) if memory.has_version(v)] == [1, 2, 3]
 
 
 def test_append_only_under_random_interleaving():
@@ -140,7 +118,7 @@ def test_append_only_under_random_interleaving():
 
 def test_audit_log_write_through(tmp_path):
     audit = tmp_path / "memory.jsonl"
-    memory = SharedMemory(task_markers={"t1": frozenset()}, audit_path=audit)
+    memory = SharedMemory(audit_path=audit)
     key = ("t1", "a", 0)
     memory.store(key, output(facts={"f2", "f1"}, conf=0.9))
     memory.commit("t1", key)

@@ -7,18 +7,11 @@ import pytest
 from taskweave import (
     RouteMode,
     Router,
-    SubTask,
     UnknownAgentError,
-    UnknownTaskError,
-    build_graph,
     suitability,
 )
 
 from conftest import make_agent, make_row, make_task
-
-
-def subtask(spec) -> SubTask:
-    return SubTask.from_spec(spec)
 
 
 def pool(*specs):
@@ -27,7 +20,7 @@ def pool(*specs):
 
 def test_suitability_fresh_agent():
     profile = make_agent("a", capacity=2, perf={"legal": 0.8}).build().profile
-    task = subtask(make_task("t", markers={"legal"}))
+    task = make_task("t", markers={"legal"})
     expected = 0.7 * 0.8 + 0.3 * 1.0
     assert suitability(profile, task) == pytest.approx(expected)
     assert expected == pytest.approx(0.86)
@@ -36,7 +29,7 @@ def test_suitability_fresh_agent():
 def test_suitability_fully_loaded_agent():
     profile = make_agent("a", capacity=2, perf={"legal": 0.9}).build().profile
     profile.load = 2
-    task = subtask(make_task("t", markers={"legal"}))
+    task = make_task("t", markers={"legal"})
     assert suitability(profile, task) == pytest.approx(0.7 * 0.9)
     assert suitability(profile, task) == pytest.approx(0.63)
 
@@ -45,23 +38,23 @@ def test_suitability_defaults_for_unseen_markers_and_markerless_tasks():
     profile = make_agent("a", capacity=4).build().profile
     profile.load = 1
     capacity_term = 0.3 * (1 - 1 / 4)
-    assert suitability(profile, subtask(make_task("t"))) == pytest.approx(
+    assert suitability(profile, make_task("t")) == pytest.approx(
         0.7 * 0.5 + capacity_term
     )
     assert suitability(
-        profile, subtask(make_task("t", markers={"never_seen"}))
+        profile, make_task("t", markers={"never_seen"})
     ) == pytest.approx(0.7 * 0.5 + capacity_term)
 
 
 def test_suitability_averages_across_markers():
     profile = make_agent("a", perf={"legal": 0.9, "numeric": 0.5}).build().profile
-    task = subtask(make_task("t", markers={"legal", "numeric"}))
+    task = make_task("t", markers={"legal", "numeric"})
     assert suitability(profile, task) == pytest.approx(0.7 * 0.7 + 0.3)
 
 
 def test_is_ambiguous_flag_branch():
     router = Router(pool(make_agent("a")), theta=0.7)
-    assert router.is_ambiguous(subtask(make_task("t", ambiguity=0.9))) is True
+    assert router.is_ambiguous(make_task("t", ambiguity=0.9)) is True
 
 
 def test_is_ambiguous_confident_capable_agent():
@@ -69,7 +62,7 @@ def test_is_ambiguous_confident_capable_agent():
         make_agent("a", caps={"legal"}, rows={("t", 0): make_row(confidence=0.95)})
     )
     router = Router(agents, theta=0.7)
-    assert router.is_ambiguous(subtask(make_task("t", markers={"legal"}, ambiguity=0.1))) is False
+    assert router.is_ambiguous(make_task("t", markers={"legal"}, ambiguity=0.1)) is False
 
 
 def test_is_ambiguous_low_confidence_branch():
@@ -77,7 +70,7 @@ def test_is_ambiguous_low_confidence_branch():
         make_agent("a", caps={"legal"}, rows={("t", 0): make_row(confidence=0.4)})
     )
     router = Router(agents, theta=0.7)
-    assert router.is_ambiguous(subtask(make_task("t", markers={"legal"}, ambiguity=0.1))) is True
+    assert router.is_ambiguous(make_task("t", markers={"legal"}, ambiguity=0.1)) is True
 
 
 def test_is_ambiguous_when_no_agent_covers_markers():
@@ -85,7 +78,7 @@ def test_is_ambiguous_when_no_agent_covers_markers():
         make_agent("a", caps={"legal"}, rows={("t", 0): make_row(confidence=0.99)})
     )
     router = Router(agents, theta=0.7)
-    task = subtask(make_task("t", markers={"legal", "numeric"}, ambiguity=0.0))
+    task = make_task("t", markers={"legal", "numeric"}, ambiguity=0.0)
     assert router.is_ambiguous(task) is True
 
 
@@ -96,7 +89,7 @@ def test_route_single_to_suitability_argmax():
     )
     agents["B"].profile.load = 2
     router = Router(agents, theta=0.7)
-    decision = router.route(subtask(make_task("t", markers={"legal"}, ambiguity=0.1)))
+    decision = router.route(make_task("t", markers={"legal"}, ambiguity=0.1))
     # suitability oracle: A = 0.86 free, B at capacity is not even available
     assert decision.mode is RouteMode.SINGLE
     assert decision.assignees == ("A",)
@@ -109,7 +102,7 @@ def test_route_parallel_takes_top_k_in_suitability_order():
         make_agent("a3", perf={"x": 0.8}),
     )
     router = Router(agents, theta=0.7, k=3)
-    decision = router.route(subtask(make_task("t", markers={"x"}, ambiguity=0.9)))
+    decision = router.route(make_task("t", markers={"x"}, ambiguity=0.9))
     assert decision.mode is RouteMode.PARALLEL
     assert decision.assignees == ("a1", "a3", "a2")
 
@@ -119,7 +112,7 @@ def test_route_defers_when_everyone_is_full():
     for agent in agents.values():
         agent.profile.load = 1
     router = Router(agents)
-    decision = router.route(subtask(make_task("t")))
+    decision = router.route(make_task("t"))
     assert decision.mode is RouteMode.DEFER
     assert decision.assignees == ()
 
@@ -128,7 +121,7 @@ def test_route_parallel_falls_back_to_single_with_one_free_agent():
     agents = pool(make_agent("a1", capacity=1), make_agent("a2", capacity=1))
     agents["a2"].profile.load = 1
     router = Router(agents, theta=0.0, k=3)
-    decision = router.route(subtask(make_task("t", ambiguity=0.9)))
+    decision = router.route(make_task("t", ambiguity=0.9))
     assert decision.mode is RouteMode.SINGLE
     assert decision.assignees == ("a1",)
 
@@ -136,14 +129,14 @@ def test_route_parallel_falls_back_to_single_with_one_free_agent():
 def test_route_k_below_two_never_fans_out():
     agents = pool(make_agent("a1"), make_agent("a2"))
     router = Router(agents, theta=0.0, k=1)
-    decision = router.route(subtask(make_task("t", ambiguity=1.0)))
+    decision = router.route(make_task("t", ambiguity=1.0))
     assert decision.mode is RouteMode.SINGLE
 
 
 def test_route_allow_parallel_false_degenerates_to_single():
     agents = pool(make_agent("a1"), make_agent("a2"))
     router = Router(agents, theta=0.0, k=3)
-    decision = router.route(subtask(make_task("t", ambiguity=1.0)), allow_parallel=False)
+    decision = router.route(make_task("t", ambiguity=1.0), allow_parallel=False)
     assert decision.mode is RouteMode.SINGLE
 
 
@@ -151,7 +144,7 @@ def test_theta_zero_routes_every_task_parallel():
     agents = pool(make_agent("a1"), make_agent("a2"), make_agent("a3"))
     router = Router(agents, theta=0.0, k=3)
     for ambiguity in (0.0, 0.5, 1.0):
-        decision = router.route(subtask(make_task("t", ambiguity=ambiguity)))
+        decision = router.route(make_task("t", ambiguity=ambiguity))
         assert decision.mode is RouteMode.PARALLEL
 
 
@@ -161,7 +154,7 @@ def test_theta_one_triggers_confidence_branch_below_full_confidence():
         make_agent("a2", rows={("t", 0): make_row(confidence=0.98)}),
     )
     router = Router(agents, theta=1.0, k=2)
-    decision = router.route(subtask(make_task("t", ambiguity=0.0)))
+    decision = router.route(make_task("t", ambiguity=0.0))
     assert decision.mode is RouteMode.PARALLEL
 
 
@@ -172,7 +165,7 @@ def test_route_never_assigns_loaded_agent():
     )
     agents["a1"].profile.load = 1
     router = Router(agents, theta=0.5)
-    decision = router.route(subtask(make_task("t", markers={"x"}, ambiguity=0.9)))
+    decision = router.route(make_task("t", markers={"x"}, ambiguity=0.9))
     assert "a1" not in decision.assignees
 
 
@@ -184,7 +177,7 @@ def test_route_ties_break_on_agent_id():
         make_agent("c", rows=confident),
     )
     router = Router(agents, theta=0.7)
-    decision = router.route(subtask(make_task("t", ambiguity=0.0)))
+    decision = router.route(make_task("t", ambiguity=0.0))
     assert decision.mode is RouteMode.SINGLE
     assert decision.assignees == ("a",)
 
@@ -201,38 +194,19 @@ def test_route_is_deterministic():
             k=2,
         )
 
-    task = subtask(make_task("t", markers={"x"}, ambiguity=0.8))
+    task = make_task("t", markers={"x"}, ambiguity=0.8)
     assert fresh_router().route(task) == fresh_router().route(task)
-
-
-def committed_then_reopened_graph():
-    graph = build_graph([make_task("t")])
-    graph.mark_in_progress("t")
-    graph.mark_committed("t", ("t", "a1", 0))
-    graph.mark_needs_revision("t")
-    return graph
 
 
 def test_reassign_pins_target_with_capacity():
     agents = pool(make_agent("a1"), make_agent("a2"))
     router = Router(agents)
-    decision = router.reassign(committed_then_reopened_graph(), "a2", "t")
+    decision = router.reassign("a2", "t")
     assert decision.mode is RouteMode.SINGLE
     assert decision.assignees == ("a2",)
 
 
-def test_reassign_falls_back_to_route_when_target_full():
-    agents = pool(make_agent("a1", capacity=1), make_agent("a2", capacity=1))
-    agents["a2"].profile.load = 1
-    router = Router(agents)
-    decision = router.reassign(committed_then_reopened_graph(), "a2", "t")
-    assert decision.assignees == ("a1",)
-
-
 def test_reassign_unknown_agent_and_task():
     router = Router(pool(make_agent("a1")))
-    graph = committed_then_reopened_graph()
     with pytest.raises(UnknownAgentError):
-        router.reassign(graph, "ghost", "t")
-    with pytest.raises(UnknownTaskError):
-        router.reassign(graph, "a1", "ghost")
+        router.reassign("ghost", "t")

@@ -35,6 +35,25 @@ def test_settings_outside_their_bounds_are_rejected(setting):
         RunConfig().with_overrides(setting)
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"k": 2.0},
+        {"seed": 1.5},
+        {"seed": True},
+        {"revision_budget": "3"},
+        {"k": None},
+        {"theta": "0.5"},
+        {"w1": True},
+        {"fact_threshold": None},
+    ],
+    ids=lambda setting: "-".join(f"{k}={v!r}" for k, v in setting.items()),
+)
+def test_settings_of_the_wrong_type_are_rejected(setting):
+    with pytest.raises(InvalidConfigError):
+        RunConfig(**setting)
+
+
 def test_settings_on_their_bounds_are_accepted():
     RunConfig(theta=0.0, w1=1.0, w2=0.0, severity_threshold=1.0, fact_threshold=0.0,
               adapt_decrement=1.0, k=1, revision_budget=1)

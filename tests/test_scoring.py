@@ -12,7 +12,6 @@ from taskweave import (
     ScorerUnavailableError,
     ScoringWeights,
     ScriptedScorer,
-    SubTask,
     combine,
 )
 from taskweave.scoring import scorer_factory
@@ -33,7 +32,7 @@ def candidate(facts=(), content="text", key=("t1", "a", 0)):
 
 
 def task_with_reference(reference):
-    return SubTask.from_spec(make_task("t1", reference=reference))
+    return make_task("t1", reference=reference)
 
 
 def oracle_composite(components, weights):
