@@ -96,12 +96,10 @@ class Evaluator:
             holders_a = [e for e in reviewable if fact_a in e.output.emitted_facts]
             holders_b = [e for e in reviewable if fact_b in e.output.emitted_facts]
             # the mismatch must span two entries, not sit inside a single output
-            crossing = [
-                e2 for e1 in holders_a for e2 in holders_b if e1 is not e2
-            ] + [e1 for e1 in holders_a for e2 in holders_b if e1 is not e2]
-            if not crossing:
+            holders = {e.version: e for e in holders_a + holders_b}
+            if not holders_a or not holders_b or len(holders) < 2:
                 continue
-            later = max(crossing, key=lambda e: (e.committed_seq or 0, e.version))
+            later = max(holders.values(), key=lambda e: e.committed_seq)
             messages.append(
                 self._revision_request(
                     later,

@@ -52,20 +52,32 @@ class TaskSpec:
 
 @dataclass
 class TaskGraph:
-    """Dependency DAG over TaskSpecs; edge (a, b) means b consumes a's output.
+    """Dependency DAG over TaskSpecs; a task consumes the output of each task
+    its `depends_on` names.
 
-    Tasks without dependencies start ready, all others pending.
+    Tasks without dependencies start ready, all others pending. A dependency on
+    an id outside the graph raises UnknownDependencyError.
     """
 
     tasks: dict[str, TaskSpec] = field(default_factory=dict)
-    edges: frozenset[tuple[str, str]] = frozenset()
     _status: dict[str, TaskStatus] = field(init=False, repr=False)
+    _consumers: dict[str, tuple[str, ...]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._status = {
             tid: TaskStatus.PENDING if task.depends_on else TaskStatus.READY
             for tid, task in self.tasks.items()
         }
+        consumers: dict[str, list[str]] = {tid: [] for tid in self.tasks}
+        for task in self.tasks.values():
+            unknown = task.depends_on.difference(self.tasks)
+            if unknown:
+                raise UnknownDependencyError(
+                    f"task {task.id!r} depends on unknown id {min(unknown)!r}"
+                )
+            for dep in task.depends_on:
+                consumers[dep].append(task.id)
+        self._consumers = {tid: tuple(sorted(ids)) for tid, ids in consumers.items()}
 
     def task(self, task_id: str) -> TaskSpec:
         return self.tasks[task_id]
@@ -75,7 +87,7 @@ class TaskGraph:
 
     def dependents(self, task_id: str) -> tuple[str, ...]:
         """Direct downstream consumers of task_id, in id order."""
-        return tuple(sorted(to for frm, to in self.edges if frm == task_id))
+        return self._consumers[task_id]
 
     def ready_tasks(self) -> set[str]:
         """Tasks assignable right now.
@@ -152,7 +164,7 @@ class TaskGraph:
                 if indegree[dep_id] == 0:
                     heapq.heappush(ready, dep_id)
         if len(order) != len(self.tasks):
-            raise CycleError(find_cycle(self.tasks))
+            raise CycleError(self.find_cycle())
         return tuple(order)
 
     def compiled_order(self) -> tuple[str, ...]:
@@ -161,6 +173,35 @@ class TaskGraph:
             if current is not TaskStatus.COMMITTED:
                 raise MissingCommitError(f"task {tid!r} has no committed output")
         return self.topological_order()
+
+    def find_cycle(self) -> tuple[str, ...]:
+        """Return one dependency cycle as a closed path, or () when acyclic.
+
+        Depth-first from each unvisited id in sorted order, consumers in sorted
+        order. The walk keeps its own stack, so a long dependency chain does not
+        run into the interpreter's recursion limit.
+        """
+        WHITE, GRAY, BLACK = 0, 1, 2
+        color = {tid: WHITE for tid in self.tasks}
+        for root in sorted(self.tasks):
+            if color[root] != WHITE:
+                continue
+            color[root] = GRAY
+            path = [root]
+            pending = [iter(self._consumers[root])]
+            while pending:
+                for nxt in pending[-1]:
+                    if color[nxt] == GRAY:
+                        return tuple(path[path.index(nxt):]) + (nxt,)
+                    if color[nxt] == WHITE:
+                        color[nxt] = GRAY
+                        path.append(nxt)
+                        pending.append(iter(self._consumers[nxt]))
+                        break
+                else:
+                    pending.pop()
+                    color[path.pop()] = BLACK
+        return ()
 
     def _require(self, task_id: str) -> TaskStatus:
         try:
@@ -181,51 +222,13 @@ def build_graph(specs: Iterable[TaskSpec]) -> TaskGraph:
             raise DuplicateIdError(f"duplicate task id {spec.id!r}")
         tasks[spec.id] = spec
 
-    edges: set[tuple[str, str]] = set()
-    for task in tasks.values():
-        for dep in task.depends_on:
-            if dep not in tasks:
-                raise UnknownDependencyError(
-                    f"task {task.id!r} depends on unknown id {dep!r}"
-                )
-            edges.add((dep, task.id))
-
-    cycle = find_cycle(tasks)
+    graph = TaskGraph(tasks=tasks)
+    cycle = graph.find_cycle()
     if cycle:
         raise CycleError(cycle)
-    return TaskGraph(tasks=tasks, edges=frozenset(edges))
+    return graph
 
 
 def find_cycle(tasks: Mapping[str, TaskSpec]) -> tuple[str, ...]:
-    """Return one dependency cycle as a closed path, or () when acyclic.
-
-    Depth-first from each unvisited id in sorted order, consumers in sorted
-    order. The walk keeps its own stack, so a long dependency chain does not
-    run into the interpreter's recursion limit.
-    """
-    consumers: dict[str, list[str]] = {tid: [] for tid in tasks}
-    for task in tasks.values():
-        for dep in task.depends_on:
-            if dep in consumers:
-                consumers[dep].append(task.id)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {tid: WHITE for tid in tasks}
-    for root in sorted(tasks):
-        if color[root] != WHITE:
-            continue
-        color[root] = GRAY
-        path = [root]
-        pending = [iter(sorted(consumers[root]))]
-        while pending:
-            for nxt in pending[-1]:
-                if color[nxt] == GRAY:
-                    return tuple(path[path.index(nxt):]) + (nxt,)
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    path.append(nxt)
-                    pending.append(iter(sorted(consumers[nxt])))
-                    break
-            else:
-                pending.pop()
-                color[path.pop()] = BLACK
-    return ()
+    """TaskGraph.find_cycle over tasks that may not form a DAG."""
+    return TaskGraph(tasks=dict(tasks)).find_cycle()

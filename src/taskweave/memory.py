@@ -71,14 +71,12 @@ class MemoryView:
 class SharedMemory:
     """Versioned, append-only store of every candidate output.
 
-    Versions are dense: the n-th stored entry has version n.
+    Versions are dense (the n-th stored entry has version n) and `_by_key` is in version order.
     """
 
     def __init__(self, audit_path: str | Path | None = None) -> None:
-        self._entries: list[MemoryEntry] = []
         self._by_key: dict[EntryKey, MemoryEntry] = {}
         self._by_task: dict[str, list[MemoryEntry]] = {}
-        self._next_version = 1
         self._next_commit_seq = 1
         self._audit_path = Path(audit_path) if audit_path is not None else None
         if self._audit_path is not None:
@@ -88,9 +86,7 @@ class SharedMemory:
         """Store a candidate under a fresh version; keys are never overwritten."""
         if key in self._by_key:
             raise DuplicateKeyError(f"memory key {key!r} already stored")
-        entry = MemoryEntry(key=key, output=output, version=self._next_version)
-        self._next_version += 1
-        self._entries.append(entry)
+        entry = MemoryEntry(key=key, output=output, version=len(self._by_key) + 1)
         self._by_key[key] = entry
         self._by_task.setdefault(key[0], []).append(entry)
         self._write_audit(entry)
@@ -122,7 +118,7 @@ class SharedMemory:
 
     def committed_entries(self) -> list[MemoryEntry]:
         """Every currently committed entry, version order."""
-        return [e for e in self._entries if e.committed]
+        return [e for e in self._by_key.values() if e.committed]
 
     def entry(self, key: EntryKey) -> MemoryEntry:
         entry = self._by_key.get(key)
@@ -131,10 +127,10 @@ class SharedMemory:
         return entry
 
     def has_version(self, version: int) -> bool:
-        return 1 <= version < self._next_version
+        return 1 <= version <= len(self._by_key)
 
     def view(self) -> MemoryView:
-        return MemoryView(list(self._entries))
+        return MemoryView(list(self._by_key.values()))
 
     def empty_view(self) -> MemoryView:
         return MemoryView([])

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-import numbers
 import random
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .agents import CandidateOutput, ScriptedAgent, adapt_strategy
+from .agents import CandidateOutput, adapt_strategy
 from .errors import (
     DeadlockError,
     InvalidConfigError,
@@ -36,7 +35,7 @@ from .errors import (
 from .evaluator import DEFAULT_FACT_THRESHOLD, Evaluator
 from .feedback import DEFAULT_SEVERITY_THRESHOLD, FeedbackBus, requires_revision
 from .graph import TaskGraph, TaskSpec, TaskStatus
-from .memory import EntryKey, SharedMemory
+from .memory import SharedMemory
 from .metrics import RunReport, build_report
 from .routing import (
     DEFAULT_CAPACITY_WEIGHT,
@@ -49,7 +48,14 @@ from .routing import (
 )
 from .runlog import RunLog
 from .scenario import Scenario
-from .scoring import LexicalScorer, Scorer, ScoringWeights, ScriptedScorer, scorer_factory
+from .scoring import (
+    LexicalScorer,
+    Scorer,
+    ScoringWeights,
+    ScriptedScorer,
+    check_unit_setting,
+    scorer_factory,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -89,11 +95,12 @@ class RunConfig:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
         for name in _UNIT_SETTINGS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise InvalidConfigError(f"{name} must be a number, got {value!r}")
-            if not 0.0 <= value <= 1.0:
-                raise InvalidConfigError(f"{name} must be in [0, 1], got {value!r}")
+            check_unit_setting(name, getattr(self, name))
+        if not isinstance(self.domain_weights, Mapping):
+            raise InvalidConfigError(f"domain_weights must be a mapping, got {self.domain_weights!r}")
+        for value in (self.weights, *self.domain_weights.values()):
+            if not isinstance(value, ScoringWeights):
+                raise InvalidConfigError(f"weights must be ScoringWeights, got {value!r}")
         if self.k < 1:
             raise InvalidConfigError(f"k must be at least 1, got {self.k!r}")
         if self.revision_budget < 1:
@@ -174,22 +181,6 @@ class RunResult:
     report: RunReport
 
 
-@dataclass
-class _Execution:
-    task: TaskSpec
-    agent: ScriptedAgent
-    attempt: int
-    mode: RouteMode
-    tiebreak: float
-    output: CandidateOutput | None = None
-
-    @property
-    def key(self) -> EntryKey:
-        if self.output is None:
-            raise InvariantError(f"execution of task {self.task.id!r} has not run yet")
-        return self.output.key
-
-
 class Orchestrator:
     """Runs one scenario to completion under one configuration."""
 
@@ -225,7 +216,6 @@ class Orchestrator:
         self._clock = 0.0
         self._waves = 0
         self._dispatches = 0
-        self._attempts: dict[str, int] = {t.id: 0 for t in scenario.tasks}
         self._revisions: dict[str, int] = {t.id: 0 for t in scenario.tasks}
         self._pinned: dict[str, str] = {}
         if self.config.static:
@@ -278,26 +268,33 @@ class Orchestrator:
 
     def _run_wave(self, assignable: list[str]) -> int:
         wave_start = self._clock
-        planned: list[_Execution] = []
+        view = (
+            self.memory.empty_view()
+            if self.config.no_memory_sharing
+            else self.memory.view()
+        )
+        # One group of (output, seeded tiebreak) per dispatched task, in task id order.
+        groups: list[tuple[TaskSpec, list[tuple[CandidateOutput, float]]]] = []
+        agent_cursor: dict[str, float] = {}
         for task_id in assignable:
             task = self.graph.task(task_id)
             decision = self._decide(task)
             if decision.mode is RouteMode.DEFER:
                 continue
             self.graph.mark_in_progress(task_id)
-            attempt = self._attempts[task_id]
+            attempt = self._revisions[task_id]
+            group = []
             for agent_id in decision.assignees:
                 agent = self.agents[agent_id]
                 agent.profile.load += 1
-                planned.append(
-                    _Execution(
-                        task=task,
-                        agent=agent,
-                        attempt=attempt,
-                        mode=decision.mode,
-                        tiebreak=self._rng.random(),
-                    )
-                )
+                start = wave_start
+                if self.config.static:
+                    # Fixed-role agents work their wave queue one task at a time.
+                    start = wave_start + agent_cursor.get(agent_id, 0.0)
+                    latency = agent.latency(task, attempt)
+                    agent_cursor[agent_id] = (start - wave_start) + latency
+                output = agent.execute(task, view, attempt, start)
+                group.append((output, self._rng.random()))
                 self._dispatches += 1
                 self.log.append(
                     "dispatch",
@@ -310,65 +307,46 @@ class Orchestrator:
                         "wave": self._waves,
                     },
                 )
-        if not planned:
+            groups.append((task, group))
+        if not groups:
             return 0
 
-        view = (
-            self.memory.empty_view()
-            if self.config.no_memory_sharing
-            else self.memory.view()
-        )
-        agent_cursor: dict[str, float] = {}
-        for ex in planned:
-            agent_id = ex.agent.profile.id
-            if self.config.static:
-                # Fixed-role agents work their wave queue one task at a time.
-                start = wave_start + agent_cursor.get(agent_id, 0.0)
-                latency = ex.agent.latency(ex.task, ex.attempt)
-                agent_cursor[agent_id] = (start - wave_start) + latency
-            else:
-                start = wave_start
-            ex.output = ex.agent.execute(ex.task, view, ex.attempt, start)
-
-        wave_end = max(ex.output.produced_at for ex in planned)
+        executions = [ex for _, group in groups for ex in group]
+        wave_end = max(output.produced_at for output, _ in executions)
 
         # Versions follow completion time; simultaneous completions are ordered
         # by the seeded tiebreak so replay of one seed is exact.
-        for ex in sorted(planned, key=lambda e: (e.output.produced_at, e.tiebreak)):
-            self.memory.store(ex.key, ex.output)
-            entry = self.memory.entry(ex.key)
-            self.log.append("store", ex.output.produced_at, entry.to_audit_dict())
+        for output, _ in sorted(executions, key=lambda ex: (ex[0].produced_at, ex[1])):
+            self.memory.store(output.key, output)
+            entry = self.memory.entry(output.key)
+            self.log.append("store", output.produced_at, entry.to_audit_dict())
 
-        by_task: dict[str, list[_Execution]] = {}
-        for ex in planned:
-            by_task.setdefault(ex.task.id, []).append(ex)
-        for task_id in sorted(by_task):
-            group = by_task[task_id]
-            task = self.graph.task(task_id)
-            if len(group) > 1:
-                winner_key = self.evaluator.select_best([ex.key for ex in group], self.graph)
+        for task, group in groups:
+            keys = [output.key for output, _ in group]
+            if len(keys) > 1:
+                winner_key = self.evaluator.select_best(keys, self.graph)
             else:
-                winner_key = group[0].key
+                winner_key = keys[0]
             entry = self.memory.entry(winner_key)
-            self.evaluator.score_entry(entry, task)
-            self.memory.commit(task_id, winner_key)
-            self.graph.mark_committed(task_id)
+            score = self.evaluator.score_entry(entry, task)
+            self.memory.commit(task.id, winner_key)
+            self.graph.mark_committed(task.id)
             self.log.append(
                 "commit",
                 wave_end,
                 {
-                    "task_id": task_id,
+                    "task_id": task.id,
                     "agent_id": entry.agent_id,
                     "attempt": entry.attempt,
                     "version": entry.version,
-                    "score": entry.score.to_dict() if entry.score else None,
+                    "score": score.to_dict(),
                 },
             )
 
-        for ex in planned:
-            ex.agent.profile.load -= 1
+        for output, _ in executions:
+            self.agents[output.agent_id].profile.load -= 1
         self._clock = wave_end
-        return len(planned)
+        return len(executions)
 
     def _decide(self, task: TaskSpec) -> RoutingDecision:
         if self.config.static:
@@ -390,41 +368,21 @@ class Orchestrator:
             self.bus.publish(msg)
             self.log.append("feedback", self._clock, msg.to_dict())
 
-        revised: set[str] = set()
         for msg in self.bus.drain():
             if not requires_revision(msg, self.config.severity_threshold):
                 continue
-            task_id = msg.task_id
-            if task_id in revised:
+            # Review only critiques committed tasks; one reopened earlier in
+            # this drain is no longer committed.
+            if self.graph.status(msg.task_id) is not TaskStatus.COMMITTED:
                 continue
-            if self._revisions[task_id] >= self.config.revision_budget:
-                logger.info("budget_exhausted task=%s feedback=%s", task_id, msg.id)
+            if not self._reopen(msg.task_id, msg.target, "revision_request"):
                 continue
-            if self.graph.status(task_id) is not TaskStatus.COMMITTED:
-                continue
-            self._revisions[task_id] += 1
-            self._attempts[task_id] += 1
-            stale = self.graph.mark_needs_revision(task_id)
-            decision = self.router.reassign(msg.target, task_id)
-            assignee = decision.assignees[0]
-            self._pinned[task_id] = assignee
-            self.log.append(
-                "reassign",
-                self._clock,
-                {
-                    "task_id": task_id,
-                    "agent_id": assignee,
-                    "attempt": self._attempts[task_id],
-                    "reason": "revision_request",
-                    "stale": sorted(stale),
-                },
-            )
+            self._pinned[msg.task_id] = self.router.reassign(msg.target, msg.task_id).assignees[0]
             adapt_strategy(
                 self.agents[msg.target].profile,
-                self.graph.task(task_id).domain_markers,
+                self.graph.task(msg.task_id).domain_markers,
                 self.config.adapt_decrement,
             )
-            revised.add(task_id)
 
     def _static_quality_gate(self) -> None:
         """Bus-less redo loop for the static variant.
@@ -437,27 +395,29 @@ class Orchestrator:
             if self.graph.status(task_id) is not TaskStatus.COMMITTED:
                 continue
             entry = self.memory.committed_entry(task_id)
-            if entry is None or entry.score is None:
-                continue
             if entry.score.factuality >= self.config.fact_threshold:
                 continue
-            if self._revisions[task_id] >= self.config.revision_budget:
-                logger.info("budget_exhausted task=%s (quality gate)", task_id)
-                continue
-            self._revisions[task_id] += 1
-            self._attempts[task_id] += 1
-            stale = self.graph.mark_needs_revision(task_id)
-            self.log.append(
-                "reassign",
-                self._clock,
-                {
-                    "task_id": task_id,
-                    "agent_id": self.scenario.static_assignments[task_id],
-                    "attempt": self._attempts[task_id],
-                    "reason": "quality_gate",
-                    "stale": sorted(stale),
-                },
-            )
+            self._reopen(task_id, self.scenario.static_assignments[task_id], "quality_gate")
+
+    def _reopen(self, task_id: str, agent_id: str, reason: str) -> bool:
+        """Reopen a committed task for its next attempt, unless its revision budget is spent."""
+        if self._revisions[task_id] >= self.config.revision_budget:
+            logger.info("budget_exhausted task=%s reason=%s", task_id, reason)
+            return False
+        self._revisions[task_id] += 1
+        stale = self.graph.mark_needs_revision(task_id)
+        self.log.append(
+            "reassign",
+            self._clock,
+            {
+                "task_id": task_id,
+                "agent_id": agent_id,
+                "attempt": self._revisions[task_id],
+                "reason": reason,
+                "stale": sorted(stale),
+            },
+        )
+        return True
 
     def _build_scorer(self) -> Scorer:
         """The registered policy named by the config; `scripted` reads the scenario."""

@@ -9,6 +9,7 @@ policies can be registered by name.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Protocol
 
@@ -26,6 +27,14 @@ DEFAULT_BETA = 0.4
 DEFAULT_GAMMA = 0.3
 
 
+def check_unit_setting(name: str, value: object) -> None:
+    """Raise InvalidConfigError unless value is a number, not a bool, in [0, 1]."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidConfigError(f"{name} must be a number, got {value!r}")
+    if not 0.0 <= value <= 1.0:
+        raise InvalidConfigError(f"{name} must be in [0, 1], got {value!r}")
+
+
 @dataclass(frozen=True)
 class ScoringWeights:
     """Component weights (coherence, factuality, relevance); must sum to 1."""
@@ -36,9 +45,7 @@ class ScoringWeights:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise InvalidConfigError(f"{name} must be in [0, 1], got {value}")
+            check_unit_setting(name, getattr(self, name))
         total = self.alpha + self.beta + self.gamma
         if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
             raise InvalidConfigError(f"weights must sum to 1, got {total}")

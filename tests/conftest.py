@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 import pytest
 
-from taskweave import AgentSpec, BehaviorRow, Scenario, TaskSpec
+from taskweave import AgentSpec, BehaviorRow, RunConfig, Scenario, TaskSpec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"
@@ -74,6 +75,60 @@ def make_agent(
 
 def make_scenario(tasks, agents, **kwargs) -> Scenario:
     return Scenario(tasks=tuple(tasks), agents=tuple(agents), **kwargs)
+
+
+def random_adversarial_scenario(rng: random.Random):
+    fact_pool = [f"fact{i}" for i in range(8)]
+    markers = ["m1", "m2"]
+    budget = rng.randint(1, 3)
+    k = rng.randint(2, 3)
+
+    tasks = []
+    for i in range(rng.randint(1, 6)):
+        deps = [f"t{j}" for j in range(i) if rng.random() < 0.35]
+        tasks.append(
+            make_task(
+                f"t{i}",
+                markers=rng.sample(markers, rng.randint(0, 2)),
+                ambiguity=rng.random(),
+                reference=rng.sample(fact_pool, rng.randint(1, 4)),
+                deps=deps,
+            )
+        )
+
+    agents = []
+    for a in range(rng.randint(1, 4)):
+        rows = {}
+        for task in tasks:
+            for attempt in range(budget + 1):
+                rows[(task.id, attempt)] = make_row(
+                    facts=rng.sample(fact_pool, rng.randint(0, 3)),
+                    confidence=rng.random(),
+                    latency=float(rng.randint(1, 5)),
+                )
+        agents.append(
+            make_agent(
+                f"a{a}",
+                caps=set(markers),
+                capacity=rng.randint(1, 3),
+                perf={m: rng.random() for m in markers},
+                rows=rows,
+            )
+        )
+
+    pairs = []
+    for _ in range(rng.randint(0, 3)):
+        a, b = rng.sample(fact_pool, 2)
+        pairs.append((a, b))
+
+    scenario = make_scenario(tasks, agents, contradiction_pairs=tuple(pairs))
+    config = RunConfig(
+        seed=rng.randint(0, 10**6),
+        theta=rng.uniform(0.3, 0.9),
+        k=k,
+        revision_budget=budget,
+    )
+    return scenario, config
 
 
 @pytest.fixture

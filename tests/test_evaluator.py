@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from taskweave import (
     CandidateOutput,
@@ -230,6 +232,43 @@ def test_review_ignores_pair_inside_a_single_entry():
     key = put(memory, facts={"debt_low", "debt_high"}, commit=True)
     mark_committed_in_graph(graph, "t1")
     assert evaluator.review(graph) == []
+
+
+def crossing_list_target(reviewable, fact_a, fact_b):
+    """The crossing-list rule review used before, kept as the oracle: every
+    (holder of a, holder of b) pair of distinct entries, target the later commit."""
+    holders_a = [e for e in reviewable if fact_a in e.output.emitted_facts]
+    holders_b = [e for e in reviewable if fact_b in e.output.emitted_facts]
+    crossing = [
+        e2 for e1 in holders_a for e2 in holders_b if e1 is not e2
+    ] + [e1 for e1 in holders_a for e2 in holders_b if e1 is not e2]
+    if not crossing:
+        return None
+    return max(crossing, key=lambda e: (e.committed_seq or 0, e.version))
+
+
+class PerfectScorer:
+    def components(self, output, task):
+        return (1.0, 1.0, 1.0)
+
+
+@given(st.lists(st.sets(st.sampled_from("abc")), min_size=1, max_size=6), st.data())
+def test_contradiction_target_matches_crossing_list_oracle(fact_sets, data):
+    # facts {a, b} in one entry included; commits in an order unrelated to versions
+    pairs = [("a", "b"), ("b", "c")]
+    tasks = [make_task(f"t{i}") for i in range(len(fact_sets))]
+    graph, memory, evaluator = build_world(tasks, PerfectScorer(), contradiction_pairs=pairs)
+    keys = [put(memory, task=f"t{i}", facts=facts) for i, facts in enumerate(fact_sets)]
+    for i in data.draw(st.permutations(range(len(keys)))):
+        memory.commit(f"t{i}", keys[i])
+        mark_committed_in_graph(graph, f"t{i}")
+
+    expected = [
+        crossing_list_target(memory.committed_entries(), fact_a, fact_b) for fact_a, fact_b in pairs
+    ]
+    assert [(m.task_id, m.referenced_version) for m in evaluator.review(graph)] == [
+        (entry.task_id, entry.version) for entry in expected if entry is not None
+    ]
 
 
 def test_review_skips_tasks_already_under_revision():

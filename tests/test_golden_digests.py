@@ -1,5 +1,8 @@
 """Golden run-log digests: the sha256 of the JSON-lines log of every bundled
-scenario under every variant and two seeds, run through the CLI.
+scenario under every variant and two seeds, run through the CLI, plus one
+sha256 over the logs of seeded adversarial scenarios, which reach what the
+bundled ones never do: spent revision budgets, pins that fall back to routing,
+and one entry holding both facts of a contradiction pair.
 
 A change that alters a single log byte fails here. When a change alters the
 log on purpose, regenerate the table with
@@ -9,7 +12,9 @@ digests in CHANGES.md.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -17,9 +22,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from taskweave import orchestrate
 from taskweave.cli import main
 
-from conftest import CANONICAL_SCENARIOS
+from conftest import CANONICAL_SCENARIOS, random_adversarial_scenario
 
 VARIANTS = {
     "full": (),
@@ -63,6 +69,16 @@ GOLDEN = {
     "compliance_audit/no_memory/seed7": "edf3b47c280270a22eb7ff4c62ddbd1b4d773dfef959687981fd5a0ff16c934b",
 }
 
+SYNTHETIC_SEED = 777
+SYNTHETIC_SCENARIOS = 300
+SYNTHETIC_VARIANTS = {
+    "full": {},
+    "no_parallel": {"no_parallel": True},
+    "no_memory": {"no_memory_sharing": True},
+    "no_feedback": {"no_feedback": True},
+}
+SYNTHETIC_GOLDEN = "3a7a3074fcad12dd977a697b87d92b28617f51c80b18393fe2d1ce31229cdced"
+
 
 def log_digest(scenario: Path, variant: str, seed: int, log_path: Path) -> str:
     args = ["run", str(scenario), *VARIANTS[variant], "--seed", str(seed), "--log", str(log_path)]
@@ -90,9 +106,26 @@ def test_run_log_digest_is_golden(path, variant, seed, tmp_path):
     assert digest == GOLDEN[case_id(path, variant, seed)]
 
 
+def synthetic_digest() -> str:
+    """sha256 over the concatenated logs of every synthetic scenario and variant."""
+    rng = random.Random(SYNTHETIC_SEED)
+    digest = hashlib.sha256()
+    for _ in range(SYNTHETIC_SCENARIOS):
+        scenario, config = random_adversarial_scenario(rng)
+        for flags in SYNTHETIC_VARIANTS.values():
+            result = orchestrate(scenario, dataclasses.replace(config, **flags))
+            digest.update(result.log.to_jsonl().encode("utf-8"))
+    return digest.hexdigest()
+
+
+def test_synthetic_run_log_digest_is_golden():
+    assert synthetic_digest() == SYNTHETIC_GOLDEN
+
+
 if __name__ == "__main__":
-    # Print the table for GOLDEN from the current code.
+    # Print the table for GOLDEN and the value of SYNTHETIC_GOLDEN from the current code.
     with tempfile.TemporaryDirectory() as tmp:
         for case in cases():
             digest = log_digest(*case, Path(tmp) / "run.jsonl")
             sys.stdout.write(f'    "{case_id(*case)}": "{digest}",\n')
+    sys.stdout.write(f'SYNTHETIC_GOLDEN = "{synthetic_digest()}"\n')

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -54,6 +57,25 @@ def test_build_rejects_duplicate_ids():
 def test_build_rejects_unknown_dependency():
     with pytest.raises(UnknownDependencyError):
         build_graph([make_task("a", deps=["ghost"])])
+
+
+def test_unknown_dependency_names_the_smallest_id_under_every_hash_seed():
+    # a frozenset iterates in hash order, which PYTHONHASHSEED changes per process
+    code = (
+        "from taskweave import TaskSpec, UnknownDependencyError, build_graph\n"
+        "try:\n"
+        "    build_graph([TaskSpec('a', depends_on=frozenset(['x', 'y', 'z', 'w']))])\n"
+        "except UnknownDependencyError as exc:\n"
+        "    print(exc)\n"
+    )
+    for hash_seed in ("1", "2", "3", "4"):
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.stdout == "task 'a' depends on unknown id 'w'\n", proc.stderr
 
 
 def test_build_rejects_two_cycle_and_cites_it():
@@ -170,6 +192,14 @@ def test_ready_tasks_matches_brute_force_on_random_graphs():
             graph.mark_committed(task_id)
             remaining.discard(task_id)
         assert graph.all_committed()
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 20))
+def test_dependents_match_a_scan_of_depends_on(seed, n_nodes):
+    graph = build_graph(random_dag(random.Random(seed), n_nodes))
+    for tid in graph.tasks:
+        scan = sorted(task.id for task in graph.tasks.values() if tid in task.depends_on)
+        assert graph.dependents(tid) == tuple(scan)
 
 
 def test_random_cyclic_graphs_rejected():

@@ -18,8 +18,6 @@ from taskweave import (
     orchestrate,
 )
 from taskweave.evaluator import Evaluator
-from taskweave.orchestrator import _Execution
-from taskweave.routing import RouteMode
 
 from conftest import make_agent, make_row, make_scenario, make_task
 
@@ -357,19 +355,6 @@ def test_loads_return_to_zero_after_run():
     orch = Orchestrator(ambiguous_scenario(), RunConfig())
     orch.run()
     assert all(agent.profile.load == 0 for agent in orch.agents.values())
-
-
-def test_execution_key_before_execute_is_an_invariant_error():
-    orch = Orchestrator(solo_scenario())
-    pending = _Execution(
-        task=orch.graph.task("t1"),
-        agent=orch.agents["solo"],
-        attempt=0,
-        mode=RouteMode.SINGLE,
-        tiebreak=0.0,
-    )
-    with pytest.raises(InvariantError):
-        pending.key
 
 
 def test_dispatch_bound_breach_is_an_invariant_error(monkeypatch):

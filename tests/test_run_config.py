@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from taskweave import InvalidConfigError, RunConfig, orchestrate
+from taskweave import InvalidConfigError, RunConfig, ScoringWeights, orchestrate
 from taskweave import scoring
 
 from conftest import make_agent, make_row, make_scenario, make_task
@@ -46,12 +46,32 @@ def test_settings_outside_their_bounds_are_rejected(setting):
         {"theta": "0.5"},
         {"w1": True},
         {"fact_threshold": None},
+        {"weights": {"alpha": 0.3, "beta": 0.4, "gamma": 0.3}},
+        {"weights": None},
+        {"domain_weights": {"legal": {"alpha": 0.3, "beta": 0.4, "gamma": 0.3}}},
+        {"domain_weights": [("legal", ScoringWeights())]},
     ],
     ids=lambda setting: "-".join(f"{k}={v!r}" for k, v in setting.items()),
 )
 def test_settings_of_the_wrong_type_are_rejected(setting):
     with pytest.raises(InvalidConfigError):
         RunConfig(**setting)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        {"alpha": True, "beta": 0, "gamma": 0},
+        {"alpha": "0.3", "beta": 0.4, "gamma": 0.3},
+        {"alpha": None, "beta": 0.7, "gamma": 0.3},
+    ],
+    ids=lambda weights: "-".join(f"{k}={v!r}" for k, v in weights.items()),
+)
+def test_weights_of_the_wrong_type_are_rejected(weights):
+    with pytest.raises(InvalidConfigError):
+        ScoringWeights(**weights)
+    with pytest.raises(InvalidConfigError):
+        RunConfig().with_overrides({"weights": weights})
 
 
 def test_settings_on_their_bounds_are_accepted():
