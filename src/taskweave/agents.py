@@ -15,6 +15,9 @@ from .graph import TaskSpec
 if TYPE_CHECKING:
     from .memory import MemoryView
 
+UNSEEN_MARKER_PERFORMANCE = 0.5
+DEFAULT_ADAPT_DECREMENT = 0.1
+
 
 @dataclass(frozen=True)
 class CandidateOutput:
@@ -134,7 +137,7 @@ class ScriptedAgent:
 def adapt_strategy(
     profile: AgentProfile,
     task_markers: frozenset[str],
-    decrement: float = 0.1,
+    decrement: float = DEFAULT_ADAPT_DECREMENT,
 ) -> AgentProfile:
     """Apply a revision request to an agent's routing metadata.
 
@@ -143,6 +146,6 @@ def adapt_strategy(
     never scripted outputs.
     """
     for marker in task_markers:
-        current = profile.historical_performance.get(marker, 0.5)
+        current = profile.historical_performance.get(marker, UNSEEN_MARKER_PERFORMANCE)
         profile.historical_performance[marker] = max(0.0, current - decrement)
     return profile

@@ -75,13 +75,14 @@ class Evaluator:
         flight. Deterministic given memory contents and configuration.
         """
         messages: list[FeedbackMessage] = []
+        # commit order, so the last holder of a fact is the later-committed one
         reviewable = [
             entry
             for entry in self.memory.committed_entries()
             if graph.status(entry.task_id) is TaskStatus.COMMITTED
         ]
 
-        for entry in reviewable:
+        for entry in sorted(reviewable, key=lambda e: e.version):
             breakdown = self.score_entry(entry, graph.task(entry.task_id))
             if breakdown.factuality < self.fact_threshold:
                 messages.append(
@@ -93,16 +94,21 @@ class Evaluator:
                 )
 
         for fact_a, fact_b in self.contradiction_pairs:
-            holders_a = [e for e in reviewable if fact_a in e.output.emitted_facts]
-            holders_b = [e for e in reviewable if fact_b in e.output.emitted_facts]
+            holders = [
+                e
+                for e in reviewable
+                if fact_a in e.output.emitted_facts or fact_b in e.output.emitted_facts
+            ]
             # the mismatch must span two entries, not sit inside a single output
-            holders = {e.version: e for e in holders_a + holders_b}
-            if not holders_a or not holders_b or len(holders) < 2:
+            if (
+                len(holders) < 2
+                or not any(fact_a in e.output.emitted_facts for e in holders)
+                or not any(fact_b in e.output.emitted_facts for e in holders)
+            ):
                 continue
-            later = max(holders.values(), key=lambda e: e.committed_seq)
             messages.append(
                 self._revision_request(
-                    later,
+                    holders[-1],
                     severity=1.0,
                     note=f"contradictory facts {fact_a!r} / {fact_b!r} across committed outputs",
                 )

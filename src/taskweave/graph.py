@@ -16,13 +16,11 @@ from .errors import (
     CycleError,
     DuplicateIdError,
     InvalidTransitionError,
-    MissingCommitError,
     UnknownDependencyError,
 )
 
 
 class TaskStatus(str, Enum):
-    PENDING = "pending"
     READY = "ready"
     IN_PROGRESS = "in_progress"
     COMMITTED = "committed"
@@ -55,19 +53,19 @@ class TaskGraph:
     """Dependency DAG over TaskSpecs; a task consumes the output of each task
     its `depends_on` names.
 
-    Tasks without dependencies start ready, all others pending. A dependency on
-    an id outside the graph raises UnknownDependencyError.
+    Every task starts ready; `_blocked` counts each task's dependencies that are
+    not committed. A dependency on an id outside the graph raises
+    UnknownDependencyError.
     """
 
     tasks: dict[str, TaskSpec] = field(default_factory=dict)
     _status: dict[str, TaskStatus] = field(init=False, repr=False)
+    _blocked: dict[str, int] = field(init=False, repr=False)
     _consumers: dict[str, tuple[str, ...]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._status = {
-            tid: TaskStatus.PENDING if task.depends_on else TaskStatus.READY
-            for tid, task in self.tasks.items()
-        }
+        self._status = dict.fromkeys(self.tasks, TaskStatus.READY)
+        self._blocked = {tid: len(task.depends_on) for tid, task in self.tasks.items()}
         consumers: dict[str, list[str]] = {tid: [] for tid in self.tasks}
         for task in self.tasks.values():
             unknown = task.depends_on.difference(self.tasks)
@@ -95,15 +93,11 @@ class TaskGraph:
         A task is assignable when its status is ready or needs_revision and every
         dependency is committed.
         """
-        out: set[str] = set()
-        for tid, current in self._status.items():
-            if current not in (TaskStatus.READY, TaskStatus.NEEDS_REVISION):
-                continue
-            if all(
-                self._status[dep] is TaskStatus.COMMITTED for dep in self.tasks[tid].depends_on
-            ):
-                out.add(tid)
-        return out
+        return {
+            tid
+            for tid, current in self._status.items()
+            if current in (TaskStatus.READY, TaskStatus.NEEDS_REVISION) and not self._blocked[tid]
+        }
 
     def all_committed(self) -> bool:
         return all(s is TaskStatus.COMMITTED for s in self._status.values())
@@ -115,10 +109,12 @@ class TaskGraph:
             raise InvalidTransitionError(
                 f"task {task_id!r} is {current.value}, expected ready or needs_revision"
             )
+        if self._blocked[task_id]:
+            raise InvalidTransitionError(f"task {task_id!r} has uncommitted dependencies")
         self._status[task_id] = TaskStatus.IN_PROGRESS
 
     def mark_committed(self, task_id: str) -> None:
-        """Commit an in_progress task and promote any dependents that became assignable."""
+        """Commit an in_progress task; each dependent has one uncommitted dependency less."""
         current = self._require(task_id)
         if current is not TaskStatus.IN_PROGRESS:
             raise InvalidTransitionError(
@@ -126,10 +122,7 @@ class TaskGraph:
             )
         self._status[task_id] = TaskStatus.COMMITTED
         for dep_id in self.dependents(task_id):
-            if self._status[dep_id] is TaskStatus.PENDING and all(
-                self._status[d] is TaskStatus.COMMITTED for d in self.tasks[dep_id].depends_on
-            ):
-                self._status[dep_id] = TaskStatus.READY
+            self._blocked[dep_id] -= 1
 
     def mark_needs_revision(self, task_id: str) -> set[str]:
         """Reopen a committed task for revision.
@@ -144,11 +137,12 @@ class TaskGraph:
                 f"task {task_id!r} is {current.value}, expected committed"
             )
         self._status[task_id] = TaskStatus.NEEDS_REVISION
-        return {
-            dep_id
-            for dep_id in self.dependents(task_id)
-            if self._status[dep_id] is TaskStatus.COMMITTED
-        }
+        stale = set()
+        for dep_id in self.dependents(task_id):
+            self._blocked[dep_id] += 1
+            if self._status[dep_id] is TaskStatus.COMMITTED:
+                stale.add(dep_id)
+        return stale
 
     def topological_order(self) -> tuple[str, ...]:
         """Deterministic topological ordering; ties broken by task id."""
@@ -166,13 +160,6 @@ class TaskGraph:
         if len(order) != len(self.tasks):
             raise CycleError(self.find_cycle())
         return tuple(order)
-
-    def compiled_order(self) -> tuple[str, ...]:
-        """Topological order, requiring every task to be committed."""
-        for tid, current in self._status.items():
-            if current is not TaskStatus.COMMITTED:
-                raise MissingCommitError(f"task {tid!r} has no committed output")
-        return self.topological_order()
 
     def find_cycle(self) -> tuple[str, ...]:
         """Return one dependency cycle as a closed path, or () when acyclic.

@@ -24,7 +24,6 @@ class MemoryEntry:
     output: CandidateOutput
     version: int
     committed: bool = False
-    committed_seq: int | None = None
     score: ScoreBreakdown | None = None
 
     @property
@@ -60,11 +59,10 @@ class MemoryView:
         self._entries = entries
 
     def committed_facts(self) -> frozenset[str]:
-        """Union of emitted facts across currently committed entries."""
+        """Union of emitted facts across the entries committed when the view was taken."""
         facts: set[str] = set()
         for entry in self._entries:
-            if entry.committed:
-                facts |= entry.output.emitted_facts
+            facts |= entry.output.emitted_facts
         return frozenset(facts)
 
 
@@ -72,12 +70,12 @@ class SharedMemory:
     """Versioned, append-only store of every candidate output.
 
     Versions are dense (the n-th stored entry has version n) and `_by_key` is in version order.
+    `_committed` maps each task to its winner, in commit order.
     """
 
     def __init__(self, audit_path: str | Path | None = None) -> None:
         self._by_key: dict[EntryKey, MemoryEntry] = {}
-        self._by_task: dict[str, list[MemoryEntry]] = {}
-        self._next_commit_seq = 1
+        self._committed: dict[str, MemoryEntry] = {}
         self._audit_path = Path(audit_path) if audit_path is not None else None
         if self._audit_path is not None:
             self._audit_path.write_text("", encoding="utf-8")
@@ -88,37 +86,32 @@ class SharedMemory:
             raise DuplicateKeyError(f"memory key {key!r} already stored")
         entry = MemoryEntry(key=key, output=output, version=len(self._by_key) + 1)
         self._by_key[key] = entry
-        self._by_task.setdefault(key[0], []).append(entry)
         self._write_audit(entry)
         return entry.version
 
     def candidates(self, task_id: str) -> list[MemoryEntry]:
         """All entries for a task, committed or not, in version order."""
-        return list(self._by_task.get(task_id, []))
+        return [entry for entry in self._by_key.values() if entry.task_id == task_id]
 
     def commit(self, task_id: str, key: EntryKey) -> MemoryEntry:
         """Mark one entry as the task's committed output, demoting any previous winner."""
         entry = self._by_key.get(key)
         if entry is None or entry.task_id != task_id:
             raise UnknownEntryError(f"no entry {key!r} for task {task_id!r}")
-        for other in self._by_task.get(task_id, []):
-            if other.committed and other is not entry:
-                other.committed = False
+        previous = self._committed.pop(task_id, None)
+        if previous is not None:
+            previous.committed = False
         entry.committed = True
-        entry.committed_seq = self._next_commit_seq
-        self._next_commit_seq += 1
+        self._committed[task_id] = entry
         self._write_audit(entry)
         return entry
 
     def committed_entry(self, task_id: str) -> MemoryEntry | None:
-        for entry in self._by_task.get(task_id, []):
-            if entry.committed:
-                return entry
-        return None
+        return self._committed.get(task_id)
 
     def committed_entries(self) -> list[MemoryEntry]:
-        """Every currently committed entry, version order."""
-        return [e for e in self._by_key.values() if e.committed]
+        """Every currently committed entry, in commit order (a re-commit moves a task last)."""
+        return list(self._committed.values())
 
     def entry(self, key: EntryKey) -> MemoryEntry:
         entry = self._by_key.get(key)
@@ -130,7 +123,7 @@ class SharedMemory:
         return 1 <= version <= len(self._by_key)
 
     def view(self) -> MemoryView:
-        return MemoryView(list(self._by_key.values()))
+        return MemoryView(self.committed_entries())
 
     def empty_view(self) -> MemoryView:
         return MemoryView([])

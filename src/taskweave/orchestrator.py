@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .agents import CandidateOutput, adapt_strategy
+from .agents import DEFAULT_ADAPT_DECREMENT, CandidateOutput, adapt_strategy
 from .errors import (
     DeadlockError,
     InvalidConfigError,
@@ -49,6 +49,7 @@ from .routing import (
 from .runlog import RunLog
 from .scenario import Scenario
 from .scoring import (
+    WEIGHT_KEYS,
     LexicalScorer,
     Scorer,
     ScoringWeights,
@@ -60,7 +61,6 @@ from .scoring import (
 logger = logging.getLogger(__name__)
 
 DEFAULT_REVISION_BUDGET = 3
-DEFAULT_ADAPT_DECREMENT = 0.1
 
 # Settings that must lie in [0, 1], as the scenario schema's `defaults` states.
 _UNIT_SETTINGS = ("theta", "w1", "w2", "severity_threshold", "fact_threshold", "adapt_decrement")
@@ -120,15 +120,25 @@ class RunConfig:
         for key, value in overrides.items():
             if value is None:
                 continue
-            if key == "weights" and isinstance(value, Mapping):
-                value = ScoringWeights(**value)
+            if key == "weights":
+                value = _weights_from("weights", value)
             if key == "domain_weights" and isinstance(value, Mapping):
-                value = {
-                    marker: ScoringWeights(**w) if isinstance(w, Mapping) else w
-                    for marker, w in value.items()
-                }
+                value = {m: _weights_from(f"domain_weights[{m!r}]", w) for m, w in value.items()}
             clean[key] = value
         return dataclasses.replace(self, **clean)
+
+
+def _weights_from(name: str, value: object) -> object:
+    """ScoringWeights from a mapping naming exactly alpha, beta and gamma; other values as given."""
+    if not isinstance(value, Mapping):
+        return value
+    for key in value:
+        if key not in WEIGHT_KEYS:
+            raise InvalidConfigError(f"{name} has unknown key {key!r}")
+    for key in WEIGHT_KEYS:
+        if key not in value:
+            raise InvalidConfigError(f"{name} is missing key {key!r}")
+    return ScoringWeights(**value)
 
 
 @dataclass(frozen=True)
@@ -158,9 +168,10 @@ class FinalDocument:
 
 def compile_final_output(memory: SharedMemory, graph: TaskGraph) -> FinalDocument:
     """Concatenate committed contents in topological order (ties by task id)."""
-    order = graph.compiled_order()
     sections = []
-    for task_id in order:
+    for task_id in graph.topological_order():
+        if graph.status(task_id) is not TaskStatus.COMMITTED:
+            raise MissingCommitError(f"task {task_id!r} has no committed output")
         entry = memory.committed_entry(task_id)
         if entry is None:
             raise MissingCommitError(f"task {task_id!r} has no committed entry in memory")

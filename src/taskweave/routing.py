@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .agents import AgentProfile, ScriptedAgent
+from .agents import UNSEEN_MARKER_PERFORMANCE, AgentProfile, ScriptedAgent
 from .errors import UnknownAgentError
 from .graph import TaskSpec
 
@@ -17,8 +17,6 @@ DEFAULT_THETA = 0.7
 DEFAULT_K = 3
 DEFAULT_PERF_WEIGHT = 0.7
 DEFAULT_CAPACITY_WEIGHT = 0.3
-
-UNSEEN_MARKER_PERFORMANCE = 0.5
 
 
 class RouteMode(str, Enum):

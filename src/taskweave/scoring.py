@@ -25,6 +25,7 @@ WEIGHT_SUM_TOLERANCE = 1e-9
 DEFAULT_ALPHA = 0.3
 DEFAULT_BETA = 0.4
 DEFAULT_GAMMA = 0.3
+WEIGHT_KEYS = ("alpha", "beta", "gamma")
 
 
 def check_unit_setting(name: str, value: object) -> None:
@@ -44,7 +45,7 @@ class ScoringWeights:
     gamma: float = DEFAULT_GAMMA
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "gamma"):
+        for name in WEIGHT_KEYS:
             check_unit_setting(name, getattr(self, name))
         total = self.alpha + self.beta + self.gamma
         if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 from pathlib import Path
 
@@ -17,6 +18,15 @@ CANONICAL_SCENARIOS = [
     SCENARIO_DIR / "performance_review.json",
     SCENARIO_DIR / "compliance_audit.json",
 ]
+
+
+@pytest.fixture(autouse=True, scope="session")
+def child_interpreters_import_src():
+    """Interpreters the tests start import the package from `src/`, as pytest itself does."""
+    paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONPATH", os.pathsep.join(filter(None, paths)))
+        yield
 
 
 def make_task(

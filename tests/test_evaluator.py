@@ -234,9 +234,10 @@ def test_review_ignores_pair_inside_a_single_entry():
     assert evaluator.review(graph) == []
 
 
-def crossing_list_target(reviewable, fact_a, fact_b):
+def crossing_list_target(reviewable, fact_a, fact_b, commit_rank):
     """The crossing-list rule review used before, kept as the oracle: every
-    (holder of a, holder of b) pair of distinct entries, target the later commit."""
+    (holder of a, holder of b) pair of distinct entries, target the later commit.
+    `commit_rank` maps each task to the position of its commit."""
     holders_a = [e for e in reviewable if fact_a in e.output.emitted_facts]
     holders_b = [e for e in reviewable if fact_b in e.output.emitted_facts]
     crossing = [
@@ -244,7 +245,7 @@ def crossing_list_target(reviewable, fact_a, fact_b):
     ] + [e1 for e1 in holders_a for e2 in holders_b if e1 is not e2]
     if not crossing:
         return None
-    return max(crossing, key=lambda e: (e.committed_seq or 0, e.version))
+    return max(crossing, key=lambda e: (commit_rank[e.task_id], e.version))
 
 
 class PerfectScorer:
@@ -259,12 +260,15 @@ def test_contradiction_target_matches_crossing_list_oracle(fact_sets, data):
     tasks = [make_task(f"t{i}") for i in range(len(fact_sets))]
     graph, memory, evaluator = build_world(tasks, PerfectScorer(), contradiction_pairs=pairs)
     keys = [put(memory, task=f"t{i}", facts=facts) for i, facts in enumerate(fact_sets)]
-    for i in data.draw(st.permutations(range(len(keys)))):
+    commit_order = data.draw(st.permutations(range(len(keys))))
+    for i in commit_order:
         memory.commit(f"t{i}", keys[i])
         mark_committed_in_graph(graph, f"t{i}")
 
+    commit_rank = {f"t{i}": rank for rank, i in enumerate(commit_order)}
     expected = [
-        crossing_list_target(memory.committed_entries(), fact_a, fact_b) for fact_a, fact_b in pairs
+        crossing_list_target(memory.committed_entries(), fact_a, fact_b, commit_rank)
+        for fact_a, fact_b in pairs
     ]
     assert [(m.task_id, m.referenced_version) for m in evaluator.review(graph)] == [
         (entry.task_id, entry.version) for entry in expected if entry is not None

@@ -2,7 +2,9 @@
 scenario under every variant and two seeds, run through the CLI, plus one
 sha256 over the logs of seeded adversarial scenarios, which reach what the
 bundled ones never do: spent revision budgets, pins that fall back to routing,
-and one entry holding both facts of a contradiction pair.
+and one entry holding both facts of a contradiction pair, plus one sha256 over
+the logs of the benchmark's generated shapes under every variant, which carry
+the static variant and a DAG hundreds of waves deep through the run loop.
 
 A change that alters a single log byte fails here. When a change alters the
 log on purpose, regenerate the table with
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import importlib.util
 import random
 import sys
 import tempfile
@@ -24,8 +27,9 @@ from click.testing import CliRunner
 
 from taskweave import orchestrate
 from taskweave.cli import main
+from taskweave.scenario import load_scenario
 
-from conftest import CANONICAL_SCENARIOS, random_adversarial_scenario
+from conftest import CANONICAL_SCENARIOS, REPO_ROOT, random_adversarial_scenario
 
 VARIANTS = {
     "full": (),
@@ -79,6 +83,9 @@ SYNTHETIC_VARIANTS = {
 }
 SYNTHETIC_GOLDEN = "3a7a3074fcad12dd977a697b87d92b28617f51c80b18393fe2d1ce31229cdced"
 
+BENCH_SEED = 1
+BENCH_GOLDEN = "b60050e6269358b7ed967cea531feed721f216fa5a3a7d98c1c2c5d0107acdad"
+
 
 def log_digest(scenario: Path, variant: str, seed: int, log_path: Path) -> str:
     args = ["run", str(scenario), *VARIANTS[variant], "--seed", str(seed), "--log", str(log_path)]
@@ -122,10 +129,45 @@ def test_synthetic_run_log_digest_is_golden():
     assert synthetic_digest() == SYNTHETIC_GOLDEN
 
 
+def load_perfbench_run():
+    """`perfbench/run.py` as a module; it imports its sibling modules by bare name."""
+    perfbench = str(REPO_ROOT / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run", REPO_ROOT / "perfbench" / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # dataclasses look their module up by name
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(perfbench)
+    return module
+
+
+def bench_digest(work: Path) -> str:
+    """sha256 over the logs of every benchmark shape (generated at BENCH_SEED) and variant,
+    each configured as the benchmark configures it."""
+    bench = load_perfbench_run()
+    digest = hashlib.sha256()
+    for name, shape in bench.SHAPES.items():
+        path = work / f"{name}.json"
+        path.write_text(bench.synth.dumps(bench.synth.generate(shape, BENCH_SEED)), encoding="utf-8")
+        scenario = load_scenario(path)
+        for variant in bench.VARIANTS:
+            config = bench.make_item(path, scenario, variant).config
+            digest.update(orchestrate(scenario, config).log.to_jsonl().encode("utf-8"))
+    return digest.hexdigest()
+
+
+def test_bench_shape_run_log_digest_is_golden(tmp_path):
+    assert bench_digest(tmp_path) == BENCH_GOLDEN
+
+
 if __name__ == "__main__":
-    # Print the table for GOLDEN and the value of SYNTHETIC_GOLDEN from the current code.
+    # Print the table for GOLDEN and the values of SYNTHETIC_GOLDEN and BENCH_GOLDEN
+    # from the current code.
     with tempfile.TemporaryDirectory() as tmp:
         for case in cases():
             digest = log_digest(*case, Path(tmp) / "run.jsonl")
             sys.stdout.write(f'    "{case_id(*case)}": "{digest}",\n')
-    sys.stdout.write(f'SYNTHETIC_GOLDEN = "{synthetic_digest()}"\n')
+        sys.stdout.write(f'SYNTHETIC_GOLDEN = "{synthetic_digest()}"\n')
+        sys.stdout.write(f'BENCH_GOLDEN = "{bench_digest(Path(tmp))}"\n')

@@ -45,7 +45,6 @@ def test_build_empty_graph():
 def test_build_marks_sources_ready():
     graph = build_graph([make_task("a"), make_task("b", deps=["a"])])
     assert graph.status("a") is TaskStatus.READY
-    assert graph.status("b") is TaskStatus.PENDING
     assert graph.ready_tasks() == {"a"}
 
 
@@ -117,6 +116,19 @@ def test_ready_tasks_empty_when_all_committed():
         graph.mark_committed(task_id)
     assert graph.ready_tasks() == set()
     assert graph.all_committed()
+
+
+def test_mark_in_progress_requires_committed_dependencies():
+    graph = build_graph([make_task("a"), make_task("b", deps=["a"])])
+    with pytest.raises(InvalidTransitionError, match="uncommitted dependencies"):
+        graph.mark_in_progress("b")
+    for task_id in ("a", "b"):
+        graph.mark_in_progress(task_id)
+        graph.mark_committed(task_id)
+    graph.mark_needs_revision("b")
+    graph.mark_needs_revision("a")
+    with pytest.raises(InvalidTransitionError, match="uncommitted dependencies"):
+        graph.mark_in_progress("b")
 
 
 def test_mark_committed_requires_in_progress():
@@ -194,6 +206,31 @@ def test_ready_tasks_matches_brute_force_on_random_graphs():
         assert graph.all_committed()
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(1, 15), st.data())
+def test_ready_tasks_match_brute_force_under_commits_and_reopens(seed, n_nodes, data):
+    graph = build_graph(random_dag(random.Random(seed), n_nodes))
+    for _ in range(data.draw(st.integers(0, 4 * n_nodes), label="steps")):
+        assert graph.ready_tasks() == brute_force_assignable(graph)
+        committed = sorted(t for t in graph.tasks if graph.status(t) is TaskStatus.COMMITTED)
+        moves = [("commit", t) for t in sorted(graph.ready_tasks())]
+        moves += [("reopen", t) for t in committed]
+        if not moves:
+            break
+        move, task_id = data.draw(st.sampled_from(moves))
+        if move == "commit":
+            graph.mark_in_progress(task_id)
+            assert graph.ready_tasks() == brute_force_assignable(graph)
+            graph.mark_committed(task_id)
+        else:
+            stale = {
+                t.id
+                for t in graph.tasks.values()
+                if task_id in t.depends_on and graph.status(t.id) is TaskStatus.COMMITTED
+            }
+            assert graph.mark_needs_revision(task_id) == stale
+    assert graph.ready_tasks() == brute_force_assignable(graph)
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(1, 20))
 def test_dependents_match_a_scan_of_depends_on(seed, n_nodes):
     graph = build_graph(random_dag(random.Random(seed), n_nodes))
@@ -229,10 +266,10 @@ def test_commit_promotes_only_fully_satisfied_dependents():
     )
     graph.mark_in_progress("a")
     graph.mark_committed("a")
-    assert graph.status("d") is TaskStatus.PENDING
+    assert "d" not in graph.ready_tasks()
     graph.mark_in_progress("b")
     graph.mark_committed("b")
-    assert graph.status("d") is TaskStatus.READY
+    assert "d" in graph.ready_tasks()
 
 
 def test_topological_order_breaks_ties_by_id():

@@ -6,6 +6,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from taskweave import CandidateOutput, DuplicateKeyError, SharedMemory, UnknownEntryError
 
@@ -114,6 +116,36 @@ def test_append_only_under_random_interleaving():
     # version order equals store-call order
     versions = [memory.entry(k).version for k in stored]
     assert versions == sorted(versions)
+
+
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 3), st.integers(0, 2**16)), max_size=60))
+def test_winner_map_matches_a_scan_of_entry_flags_and_the_commit_log(ops):
+    memory = SharedMemory()
+    stored: list = []  # keys in store order, so in version order
+    commit_log: list[str] = []  # the task of every commit call
+    for is_commit, task_n, pick in ops:
+        if is_commit and stored:
+            key = stored[pick % len(stored)]
+            memory.commit(key[0], key)
+            commit_log.append(key[0])
+        else:
+            key = (f"t{task_n}", "a", len(stored))
+            memory.store(key, output(task=key[0], attempt=key[2], facts={f"f{pick % 5}"}))
+            stored.append(key)
+
+        entries = [memory.entry(k) for k in stored]
+        for task_id in sorted({k[0] for k in stored} | {"ghost"}):
+            scan = [e.key for e in entries if e.task_id == task_id]
+            assert [e.key for e in memory.candidates(task_id)] == scan
+            winners = [e for e in entries if e.task_id == task_id and e.committed]
+            assert len(winners) <= 1
+            assert memory.committed_entry(task_id) is (winners[0] if winners else None)
+        # a task's place in commit order is that of its latest commit
+        last_commit = {task_id: i for i, task_id in enumerate(commit_log)}
+        flagged = sorted((e for e in entries if e.committed), key=lambda e: last_commit[e.task_id])
+        assert [e.key for e in memory.committed_entries()] == [e.key for e in flagged]
+        facts = frozenset().union(*(e.output.emitted_facts for e in flagged))
+        assert memory.view().committed_facts() == facts
 
 
 def test_audit_log_write_through(tmp_path):

@@ -74,6 +74,23 @@ def test_weights_of_the_wrong_type_are_rejected(weights):
         RunConfig().with_overrides({"weights": weights})
 
 
+@pytest.mark.parametrize(
+    "weights,key",
+    [
+        ({"alpha": 0.3, "beta": 0.4, "delta": 0.3}, "delta"),
+        ({"alpha": 0.3, "beta": 0.4, "gamma": 0.3, "delta": 0.0}, "delta"),
+        ({"alpha": 0.2, "beta": 0.5}, "gamma"),
+        ({}, "alpha"),
+    ],
+    ids=["misspelt", "extra", "missing", "empty"],
+)
+def test_weight_mappings_must_name_exactly_alpha_beta_gamma(weights, key):
+    with pytest.raises(InvalidConfigError, match=f"'{key}'"):
+        RunConfig().with_overrides({"weights": weights})
+    with pytest.raises(InvalidConfigError, match=f"'{key}'"):
+        RunConfig().with_overrides({"domain_weights": {"risk": weights}})
+
+
 def test_settings_on_their_bounds_are_accepted():
     RunConfig(theta=0.0, w1=1.0, w2=0.0, severity_threshold=1.0, fact_threshold=0.0,
               adapt_decrement=1.0, k=1, revision_budget=1)
