@@ -55,8 +55,8 @@ class BehaviorRow:
     def __post_init__(self) -> None:
         if not 0.0 <= self.declared_confidence <= 1.0:
             raise ValueError("declared_confidence must be in [0, 1]")
-        if self.latency < 0:
-            raise ValueError("latency must be nonnegative")
+        if not 0.0 <= self.latency < float("inf"):
+            raise ValueError(f"latency must be finite and nonnegative, got {self.latency}")
         if self.annotated_scores is not None:
             for component in self.annotated_scores:
                 if not 0.0 <= component <= 1.0:

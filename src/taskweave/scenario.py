@@ -3,24 +3,30 @@
 A scenario is the complete deterministic description of a run: the task graph,
 the agent pool with scripted behavior tables, contradiction pairs, gold
 answers for compliance tasks, static-variant assignments, and config defaults.
-`schemas/scenario.schema.json` is the published contract for the format. The
-loader enforces it in one hand-written walk that builds the specs as it
-checks them, then checks cross-references; every error carries a JSON path.
-The test suite holds the walk to the schema, with jsonschema as the oracle.
+`schemas/scenario.schema.json` is the published contract for the format and
+the one place its rules are written: the loader compiles it at import into
+checks that build the specs as they check them, then checks cross-references.
+Every error carries a JSON path and jsonschema's message for the fault; the
+test suite holds the loader to the schema, with jsonschema as the oracle.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import reduce
+from operator import itemgetter
 from pathlib import Path
+from typing import Any, Callable
 
 from .agents import AgentProfile, BehaviorRow, ScriptedAgent
 from .errors import CycleError, ScenarioParseError, ScenarioValidationError
 from .graph import TaskGraph, TaskSpec, build_graph, find_cycle
 
-SCHEMA_VERSION = 1
+_SCHEMA = json.loads((Path(__file__).parent / "schemas/scenario.schema.json").read_text("utf-8"))
+SCHEMA_VERSION = _SCHEMA["properties"]["schema_version"]["const"]
 
 
 @dataclass(frozen=True)
@@ -32,6 +38,11 @@ class AgentSpec:
     capacity: int = 1
     historical_performance: dict[str, float] = field(default_factory=dict)
     behavior: dict[tuple[str, int], BehaviorRow] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for marker, value in self.historical_performance.items():
+            if math.isnan(value):
+                raise ValueError(f"historical_performance[{marker!r}] is NaN")  # others clamp
 
     def build(self) -> ScriptedAgent:
         """Fresh runtime agent; profiles mutate during a run, specs never do."""
@@ -83,27 +94,11 @@ class Scenario:
             "schema_version": SCHEMA_VERSION,
             "name": self.name,
             "description": self.description,
-            "tasks": [
-                {
-                    "id": t.id,
-                    "description": t.description,
-                    "domain_markers": sorted(t.domain_markers),
-                    "ambiguity": t.ambiguity,
-                    "expected_effort": t.expected_effort,
-                    "reference_facts": sorted(t.reference_facts),
-                    "depends_on": sorted(t.depends_on),
-                }
-                for t in self.tasks
-            ],
+            "tasks": [_fields(t) for t in self.tasks],
             "agents": [
                 {
-                    "id": a.id,
-                    "capabilities": sorted(a.capabilities),
-                    "capacity": a.capacity,
-                    "historical_performance": {
-                        k: a.historical_performance[k]
-                        for k in sorted(a.historical_performance)
-                    },
+                    **_fields(a),
+                    "historical_performance": dict(sorted(a.historical_performance.items())),
                     "behavior": [
                         _row_to_dict(task_id, attempt, row)
                         for (task_id, attempt), row in sorted(a.behavior.items())
@@ -112,35 +107,29 @@ class Scenario:
                 for a in self.agents
             ],
             "contradiction_pairs": [list(pair) for pair in self.contradiction_pairs],
-            "gold_answers": {k: self.gold_answers[k] for k in sorted(self.gold_answers)},
-            "static_assignments": {
-                k: self.static_assignments[k] for k in sorted(self.static_assignments)
-            },
+            "gold_answers": dict(sorted(self.gold_answers.items())),
+            "static_assignments": dict(sorted(self.static_assignments.items())),
             "defaults": self.defaults,
         }
         return doc
 
 
-def _row_to_dict(task_id: str, attempt: int, row: BehaviorRow) -> dict:
-    out: dict = {
-        "task_id": task_id,
-        "attempt": attempt,
-        "content": row.content,
-        "emitted_facts": sorted(row.emitted_facts),
-        "declared_confidence": row.declared_confidence,
-        "latency": row.latency,
+def _fields(spec: object) -> dict:
+    """A spec's fields by name in declaration order, sets as sorted lists."""
+    return {
+        f.name: sorted(value) if isinstance(value, frozenset) else value
+        for f in fields(spec)
+        for value in [getattr(spec, f.name)]
     }
-    if row.annotated_scores is not None:
-        coherence, factuality, relevance = row.annotated_scores
-        out["annotated_scores"] = {
-            "coherence": coherence,
-            "factuality": factuality,
-            "relevance": relevance,
-        }
-    if row.contingent_facts:
-        out["contingent_facts"] = [
-            {"if_visible": trigger, "emit": fact} for trigger, fact in row.contingent_facts
-        ]
+
+
+def _row_to_dict(task_id: str, attempt: int, row: BehaviorRow) -> dict:
+    out = {"task_id": task_id, "attempt": attempt, **_fields(row)}
+    scores, contingent = out.pop("annotated_scores"), out.pop("contingent_facts")
+    if scores is not None:
+        out["annotated_scores"] = dict(zip(_SCORE_NAMES, scores))
+    if contingent:
+        out["contingent_facts"] = [dict(zip(_CONTINGENT_NAMES, pair)) for pair in contingent]
     return out
 
 
@@ -149,103 +138,79 @@ def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
         raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioParseError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, too deep, too many digits
         raise ScenarioParseError(f"{path} is not valid JSON: {exc}") from exc
     return scenario_from_dict(doc)
 
 
 def scenario_from_dict(doc: object) -> Scenario:
-    """Validate a parsed scenario document and build the Scenario in one walk.
+    """Validate a parsed scenario document against the schema and build the Scenario.
 
-    The walk applies the rules of `schemas/scenario.schema.json` (type, range,
-    required and unknown keys, const, enum) with jsonschema's messages and
-    JSON paths, so the first fault raises the ScenarioValidationError
-    jsonschema would report for it. Properties are visited in name order,
-    which is the order jsonschema's errors take when sorted by path. Duplicate
-    behavior rows and cross-references are checked once the whole document
-    has passed.
+    A fault raises the ScenarioValidationError jsonschema would report first
+    for it: same JSON path, same message. Duplicate behavior rows and
+    cross-references are checked once the whole document has passed.
     """
-    top = _object(doc, "$", _TOP_KEYS, ("schema_version", "tasks", "agents"))
-    get = top.get
-    deferred: list[ScenarioValidationError] = []
-    agents = tuple(
-        _agent(raw, f"$.agents[{i}]", deferred)
-        for i, raw in enumerate(_array(top["agents"], "$.agents"))
-    )
-    pairs_path = "$.contradiction_pairs"
-    pairs = tuple(
-        _pair(raw, f"{pairs_path}[{i}]")
-        for i, raw in enumerate(_array(get("contradiction_pairs", _EMPTY), pairs_path))
-    )
-    defaults = _defaults(get("defaults", _NO_KEYS), "$.defaults")
-    description = _string(get("description", ""), "$", "description")
-    gold_answers = _string_map(get("gold_answers", _NO_KEYS), "$.gold_answers")
-    name = _string(get("name", ""), "$", "name")
-    version = top["schema_version"]
-    if isinstance(version, bool) or version != SCHEMA_VERSION:
-        raise ScenarioValidationError("$.schema_version", f"{SCHEMA_VERSION!r} was expected")
-    static_assignments = _string_map(get("static_assignments", _NO_KEYS), "$.static_assignments")
-    tasks = tuple(
-        _task(raw, f"$.tasks[{i}]") for i, raw in enumerate(_array(top["tasks"], "$.tasks"))
-    )
-    if deferred:
-        raise deferred[0]
-
+    try:
+        top = _check_document(doc)
+    except _Fault as fault:
+        raise ScenarioValidationError(reduce(_at, reversed(fault.keys), "$"), str(fault)) from None
     scenario = Scenario(
-        name=name,
-        description=description,
-        tasks=tasks,
-        agents=agents,
-        contradiction_pairs=pairs,
-        gold_answers=gold_answers,
-        static_assignments=static_assignments,
-        defaults=defaults,
+        name=top.get("name", ""),
+        description=top.get("description", ""),
+        tasks=tuple(top["tasks"]),
+        agents=tuple(top["agents"]),
+        contradiction_pairs=tuple(tuple(pair) for pair in top.get("contradiction_pairs", ())),
+        gold_answers=top.get("gold_answers", {}),
+        static_assignments=top.get("static_assignments", {}),
+        defaults=top.get("defaults", {}),
     )
+    _check_duplicate_rows(doc, scenario.agents)
     _check_cross_references(scenario)
     return scenario
 
 
-# -- the validating walk -------------------------------------------------------
+# -- the schema, compiled ---------------------------------------------------------
 #
-# Each helper checks one schema node and returns the value to build from.
-# Scalar helpers take the parent's path and the key (property name or array
-# index) and build the child's path only to report a fault. Messages are
-# jsonschema's own wording; paths use its JSON-path notation.
+# `_compile` turns each schema node into a check: a function that takes the
+# node's value and returns the value to build from (an integral float in an
+# integer node becomes an int) or raises `_Fault` with jsonschema's message.
+# A value off the fast path is held to each rule of the node in keyword order.
+# A fault collects its keys as it unwinds, so only a reported fault gets a
+# path. A closed object that holds a fault is walked again in property-name
+# order, the order of jsonschema's errors sorted by path; arrays and maps
+# report their first bad item. Task, agent and behavior-row nodes build their
+# specs, calling their property checks directly.
 
+Check = Callable[[Any], Any]
+_KEYWORDS = {  # by the node's type; a `$ref` stands alone, the root adds annotations
+    None: {"enum", "const"},
+    "string": {"type", "minLength"},
+    "number": {"type", "minimum", "maximum"},
+    "integer": {"type", "minimum", "maximum"},
+    "array": {"type", "items", "minItems", "maxItems"},
+    "object": {"type", "required", "properties", "additionalProperties"},
+}
+_ANNOTATIONS = {"$schema", "$id", "$defs", "title"}
+_TYPES = dict(object=dict, array=list, string=str, number=(int, float), integer=(int, float))
+_CLASSES = {"string": (str,), "number": (int, float), "integer": (int,)}  # fast-path classes
 _EMPTY: list = []
-_NO_KEYS: dict = {}
 _IDENTIFIER = re.compile("^[a-zA-Z][a-zA-Z0-9_]*$")
+_SCORE_NAMES = ("coherence", "factuality", "relevance")  # the order of a score triple
+_SCORES = itemgetter(*_SCORE_NAMES)
+_CONTINGENT_NAMES = ("if_visible", "emit")  # the order of a contingent pair
+_CONTINGENT = itemgetter(*_CONTINGENT_NAMES)
 
-_TOP_KEYS = frozenset(
-    {"schema_version", "name", "description", "tasks", "agents", "contradiction_pairs",
-     "gold_answers", "static_assignments", "defaults"}
-)
-_TASK_KEYS = frozenset(
-    {"id", "description", "domain_markers", "ambiguity", "expected_effort", "reference_facts",
-     "depends_on"}
-)
-_AGENT_KEYS = frozenset({"id", "capabilities", "capacity", "historical_performance", "behavior"})
-_ROW_KEYS = frozenset(
-    {"task_id", "attempt", "content", "emitted_facts", "declared_confidence", "latency",
-     "annotated_scores", "contingent_facts"}
-)
-_ROW_REQUIRED = ("task_id", "attempt", "content")
-_SCORE_KEYS = ("coherence", "factuality", "relevance")
-_SCORE_KEY_SET = frozenset(_SCORE_KEYS)
-_CONTINGENT_KEYS = ("if_visible", "emit")
-_CONTINGENT_KEY_SET = frozenset(_CONTINGENT_KEYS)
-_WEIGHT_KEYS = ("alpha", "beta", "gamma")
-_WEIGHT_KEY_SET = frozenset(_WEIGHT_KEYS)
-_DEFAULT_KEYS = frozenset(
-    {"seed", "theta", "k", "weights", "domain_weights", "w1", "w2", "severity_threshold",
-     "revision_budget", "fact_threshold", "adapt_decrement", "scorer", "scorer_fallback"}
-)
-_SCORERS = ["lexical", "scripted"]
-_SCORER_FALLBACKS = ["lexical", None]
+
+class _Fault(Exception):
+    """A schema rule a value breaks; `keys` leads from the value up to the root."""
+
+    def __init__(self, message: str) -> None:
+        super().__init__(message)
+        self.keys: list[str | int] = []
 
 
 def _at(path: str, key: str | int) -> str:
@@ -258,226 +223,221 @@ def _at(path: str, key: str | int) -> str:
     return f"{path}['{escaped}']"
 
 
-def _type_error(value: object, path: str, type_name: str) -> ScenarioValidationError:
-    return ScenarioValidationError(path, f"{value!r} is not of type {type_name!r}")
-
-
-def _object(value: object, path: str, allowed: frozenset, required: tuple = ()) -> dict:
-    """A closed object: required keys present, no key outside `allowed`."""
-    if not isinstance(value, dict):
-        raise _type_error(value, path, "object")
-    for key in required:
-        if key not in value:
-            raise ScenarioValidationError(path, f"{key!r} is a required property")
-    if not value.keys() <= allowed:
-        extras = sorted((key for key in value if key not in allowed), key=str)
-        verb = "was" if len(extras) == 1 else "were"
-        listed = ", ".join(repr(key) for key in extras)
-        raise ScenarioValidationError(
-            path, f"Additional properties are not allowed ({listed} {verb} unexpected)"
-        )
-    return value
-
-
-def _map(value: object, path: str) -> dict:
-    """An open object whose values the caller checks."""
-    if not isinstance(value, dict):
-        raise _type_error(value, path, "object")
-    return value
-
-
-def _array(value: object, path: str) -> list:
-    if not isinstance(value, list):
-        raise _type_error(value, path, "array")
-    return value
-
-
-def _string(value: object, path: str, key: str | int, non_empty: bool = False) -> str:
-    if not isinstance(value, str):
-        raise _type_error(value, _at(path, key), "string")
-    if non_empty and not value:
-        raise ScenarioValidationError(_at(path, key), f"{value!r} should be non-empty")
-    return value
-
-
-def _strings(value: object, path: str, key: str) -> frozenset[str]:
-    if not isinstance(value, list):
-        raise _type_error(value, _at(path, key), "array")
-    for i, item in enumerate(value):
-        if not isinstance(item, str):
-            raise _type_error(item, f"{_at(path, key)}[{i}]", "string")
-    return frozenset(value)
-
-
-def _string_map(value: object, path: str) -> dict[str, str]:
-    for key, item in _map(value, path).items():
-        _string(item, path, key, non_empty=True)
-    return dict(value)
-
-
-def _number(value: object, path: str, key: str, minimum: int | None = 0, maximum: int | None = 1):
-    """A JSON number (never a bool) in [minimum, maximum]; None drops a bound."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _type_error(value, _at(path, key), "number")
-    if minimum is not None and value < minimum:
-        raise ScenarioValidationError(
-            _at(path, key), f"{value!r} is less than the minimum of {minimum!r}"
-        )
-    if maximum is not None and value > maximum:
-        raise ScenarioValidationError(
-            _at(path, key), f"{value!r} is greater than the maximum of {maximum!r}"
-        )
-    return value
-
-
-def _integer(value: object, path: str, key: str, minimum: int | None = None) -> int:
-    """A JSON integer: an int, or a float with no fractional part, never a bool."""
-    if isinstance(value, bool) or not (
-        isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    ):
-        raise _type_error(value, _at(path, key), "integer")
-    return int(_number(value, path, key, minimum, None))
-
-
-def _enum(value: object, path: str, key: str, allowed: list) -> object:
-    if value not in allowed:
-        raise ScenarioValidationError(_at(path, key), f"{value!r} is not one of {allowed!r}")
-    return value
-
-
-def _task(raw: object, path: str) -> TaskSpec:
-    task = _object(raw, path, _TASK_KEYS, ("id",))
-    get = task.get
-    ambiguity = _number(get("ambiguity", 0.0), path, "ambiguity")
-    depends_on = _strings(get("depends_on", _EMPTY), path, "depends_on")
-    description = _string(get("description", ""), path, "description")
-    domain_markers = _strings(get("domain_markers", _EMPTY), path, "domain_markers")
-    expected_effort = _integer(get("expected_effort", 0), path, "expected_effort", 0)
-    task_id = _string(task["id"], path, "id", non_empty=True)
-    reference_facts = _strings(get("reference_facts", _EMPTY), path, "reference_facts")
-    try:
-        return TaskSpec(
-            id=task_id,
-            description=description,
-            domain_markers=domain_markers,
-            ambiguity=float(ambiguity),
-            expected_effort=expected_effort,
-            reference_facts=reference_facts,
-            depends_on=depends_on,
-        )
-    except ValueError as exc:  # a range the schema admits, such as NaN
-        raise ScenarioValidationError(path, str(exc)) from exc
-
-
-def _agent(raw: object, path: str, deferred: list[ScenarioValidationError]) -> AgentSpec:
-    agent = _object(raw, path, _AGENT_KEYS, ("id",))
-    get = agent.get
-    behavior: dict[tuple[str, int], BehaviorRow] = {}
-    behavior_path = path + ".behavior"
-    for i, row_raw in enumerate(_array(get("behavior", _EMPTY), behavior_path)):
-        row_path = f"{behavior_path}[{i}]"
-        key, row = _row(row_raw, row_path)
-        if key in behavior and not deferred:
-            deferred.append(
-                ScenarioValidationError(
-                    row_path, f"duplicate behavior row for task {key[0]!r} attempt {key[1]}"
-                )
-            )
-        behavior.setdefault(key, row)
-    capabilities = _strings(get("capabilities", _EMPTY), path, "capabilities")
-    capacity = _integer(get("capacity", 1), path, "capacity", 1)
-    performance_path = path + ".historical_performance"
-    performance = _map(get("historical_performance", _NO_KEYS), performance_path)
-    for marker, value in performance.items():
-        _number(value, performance_path, marker)
-    agent_id = _string(agent["id"], path, "id", non_empty=True)
-    return AgentSpec(
-        id=agent_id,
-        capabilities=capabilities,
-        capacity=capacity,
-        historical_performance=dict(performance),
-        behavior=behavior,
+def _is_type(value: object, name: str) -> bool:
+    """jsonschema's types: a bool is no number, an integral float is an integer."""
+    return (
+        isinstance(value, _TYPES[name])
+        and not isinstance(value, bool)
+        and (name != "integer" or isinstance(value, int) or value.is_integer())
     )
 
 
-def _row(raw: object, path: str) -> tuple[tuple[str, int], BehaviorRow]:
-    row = _object(raw, path, _ROW_KEYS, _ROW_REQUIRED)
-    get = row.get
-    annotated = None
-    if "annotated_scores" in row:
-        scores_path = path + ".annotated_scores"
-        scores = _object(row["annotated_scores"], scores_path, _SCORE_KEY_SET, _SCORE_KEYS)
-        annotated = tuple(_number(scores[key], scores_path, key) for key in _SCORE_KEYS)
-    attempt = _integer(row["attempt"], path, "attempt", 0)
-    content = _string(row["content"], path, "content")
-    contingent: tuple[tuple[str, str], ...] = ()
-    if "contingent_facts" in row:
-        contingent_path = path + ".contingent_facts"
-        contingent = tuple(
-            _contingent(item, f"{contingent_path}[{i}]")
-            for i, item in enumerate(_array(row["contingent_facts"], contingent_path))
-        )
-    confidence = _number(get("declared_confidence", 0.5), path, "declared_confidence")
-    emitted = _strings(get("emitted_facts", _EMPTY), path, "emitted_facts")
-    latency = _number(get("latency", 1.0), path, "latency", maximum=None)
-    task_id = _string(row["task_id"], path, "task_id", non_empty=True)
-    try:
-        built = BehaviorRow(
-            content=content,
-            emitted_facts=emitted,
-            declared_confidence=float(confidence),
-            latency=float(latency),
-            annotated_scores=annotated,
-            contingent_facts=contingent,
-        )
-    except ValueError as exc:  # a range the schema admits, such as NaN
-        raise ScenarioValidationError(path, str(exc)) from exc
-    return (task_id, attempt), built
+def _equal(a: object, b: object) -> bool:
+    """jsonschema's equality of scalars: a bool equals only a bool."""
+    return isinstance(a, bool) == isinstance(b, bool) and a == b
 
 
-def _contingent(raw: object, path: str) -> tuple[str, str]:
-    item = _object(raw, path, _CONTINGENT_KEY_SET, _CONTINGENT_KEYS)
-    emit = _string(item["emit"], path, "emit", non_empty=True)
-    trigger = _string(item["if_visible"], path, "if_visible", non_empty=True)
-    return (trigger, emit)
+def _unexpected(value: dict, names: dict) -> str | None:
+    extras = sorted((key for key in value if key not in names), key=str)
+    listed = ", ".join(repr(key) for key in extras)
+    verb = "was" if len(extras) == 1 else "were"
+    return extras and f"Additional properties are not allowed ({listed} {verb} unexpected)"
 
 
-def _pair(raw: object, path: str) -> tuple[str, str]:
-    pair = _array(raw, path)
-    if len(pair) < 2:
-        raise ScenarioValidationError(path, f"{pair!r} is too short")
-    if len(pair) > 2:
-        raise ScenarioValidationError(path, f"{pair!r} is too long")
-    return (_string(pair[0], path, 0, non_empty=True), _string(pair[1], path, 1, non_empty=True))
+# jsonschema's words for a size under (over) its bound; the second for a bound of 1 (0)
+_FEW, _MANY = ("is too short", "should be non-empty"), ("is too long", "is expected to be empty")
+# jsonschema's message when value `v` breaks the rule `a` of node `s`; falsy if it keeps it
+_RULES: dict[str, Callable[[Any, Any, dict], str | None]] = {
+    "type": lambda v, a, s: None if _is_type(v, a) else f"{v!r} is not of type {a!r}",
+    "minimum": lambda v, a, s: (
+        f"{v!r} is less than the minimum of {a!r}" if _is_type(v, "number") and v < a else None
+    ),
+    "maximum": lambda v, a, s: (
+        f"{v!r} is greater than the maximum of {a!r}" if _is_type(v, "number") and v > a else None
+    ),
+    "minLength": lambda v, a, s: isinstance(v, str) and len(v) < a and f"{v!r} {_FEW[a == 1]}",
+    "minItems": lambda v, a, s: isinstance(v, list) and len(v) < a and f"{v!r} {_FEW[a == 1]}",
+    "maxItems": lambda v, a, s: isinstance(v, list) and len(v) > a and f"{v!r} {_MANY[a == 0]}",
+    "enum": lambda v, a, s: None if any(_equal(v, x) for x in a) else f"{v!r} is not one of {a!r}",
+    "const": lambda v, a, s: None if _equal(v, a) else f"{a!r} was expected",
+    "required": lambda v, a, s: isinstance(v, dict) and next(
+        (f"{key!r} is a required property" for key in a if key not in v), None
+    ),
+    "additionalProperties": lambda v, a, s: (
+        a is False and isinstance(v, dict) and _unexpected(v, s["properties"])
+    ),
+}
 
 
-def _defaults(raw: object, path: str) -> dict:
-    defaults = dict(_object(raw, path, _DEFAULT_KEYS))
-    for key in sorted(defaults):
-        value = defaults[key]
-        if key == "seed":
-            defaults[key] = _integer(value, path, key)
-        elif key in ("k", "revision_budget"):
-            defaults[key] = _integer(value, path, key, 1)
-        elif key == "weights":
-            _weights(value, f"{path}.{key}")
-        elif key == "domain_weights":
-            table_path = f"{path}.{key}"
-            for marker, weights in _map(value, table_path).items():
-                _weights(weights, _at(table_path, marker))
-        elif key == "scorer":
-            _enum(value, path, key, _SCORERS)
-        elif key == "scorer_fallback":
-            _enum(value, path, key, _SCORER_FALLBACKS)
-        else:  # theta, w1, w2, the thresholds and adapt_decrement
-            _number(value, path, key)
-    return defaults
+def _compile(schema: dict, at: str = "#") -> Check:
+    """The check of one schema node; `at`, its JSON pointer, picks a spec builder."""
+    if schema.keys() == {"$ref"}:
+        parts = schema["$ref"].removeprefix("#/").split("/")
+        return _compile(reduce(dict.__getitem__, parts, _SCHEMA), schema["$ref"])
+    kind = schema.get("type")
+    unsupported = schema.keys() - _ANNOTATIONS - _KEYWORDS.get(kind, set())
+    if unsupported:
+        raise ValueError(f"unsupported schema keywords at {at}: {sorted(unsupported)}")
+
+    def held_to_rules(value: object) -> object:
+        """The slow path: every rule of the node, in the schema's keyword order."""
+        for keyword, arg in schema.items():
+            message = keyword in _RULES and _RULES[keyword](value, arg, schema)
+            if message:
+                raise _Fault(message)
+        return int(value) if kind == "integer" else value
+
+    if kind == "string":
+        shortest = schema.get("minLength", 0)
+        return lambda v: v if type(v) is str and len(v) >= shortest else held_to_rules(v)
+    if kind in ("number", "integer"):
+        low, high = schema.get("minimum", -math.inf), schema.get("maximum", math.inf)
+        classes = _CLASSES[kind]
+        return lambda v: v if type(v) in classes and low <= v <= high else held_to_rules(v)
+    if kind == "array":
+        return _array(schema, _compile(schema["items"], at + "/items"), held_to_rules)
+    if kind != "object":
+        return held_to_rules
+    extra = schema.get("additionalProperties")
+    if isinstance(extra, dict) and "properties" not in schema:
+        return _map(_compile(extra, at + "/additionalProperties"), held_to_rules)
+    if extra is not False or "properties" not in schema:
+        raise ValueError(f"unsupported object node at {at}: neither a closed object nor a map")
+    properties = schema["properties"]
+    checks = {key: _compile(properties[key], f"{at}/properties/{key}") for key in properties}
+    build = _BUILDERS.get(at, _as_dict)(checks)
+    allowed, required = frozenset(checks), frozenset(schema.get("required", ()))
+
+    def check(value: object) -> object:
+        if not (type(value) is dict and required <= value.keys() <= allowed):
+            held_to_rules(value)
+        try:
+            return build(value)
+        except _Fault:
+            for key in sorted(value):  # the first fault by property name
+                try:
+                    checks[key](value[key])
+                except _Fault as fault:
+                    fault.keys.append(key)
+                    raise fault from None
+            raise
+        except ValueError as exc:  # a range the schema admits, such as NaN
+            raise _Fault(str(exc)) from exc
+
+    return check
 
 
-def _weights(raw: object, path: str) -> None:
-    weights = _object(raw, path, _WEIGHT_KEY_SET, _WEIGHT_KEYS)
-    for key in _WEIGHT_KEYS:
-        _number(weights[key], path, key)
+def _array(schema: dict, item: Check, held_to_rules: Check) -> Check:
+    fewest, most = schema.get("minItems", 0), schema.get("maxItems", math.inf)
+    items = schema["items"]
+    classes = _CLASSES.get(items.get("type"), ()) if len(items) == 1 else ()
+
+    def check(value: object) -> list:
+        if not (type(value) is list and fewest <= len(value) <= most):
+            held_to_rules(value)
+        elif classes or not value:  # an empty list, or items of a type alone, pass as they are
+            for each in value:
+                if type(each) not in classes:
+                    break
+            else:
+                return value
+        out: list = []
+        append = out.append
+        try:
+            for each in value:
+                append(item(each))
+        except _Fault as fault:
+            fault.keys.append(len(out))
+            raise
+        return out
+
+    return check
+
+
+def _map(item: Check, held_to_rules: Check) -> Check:
+    def check(value: object) -> dict:
+        if type(value) is not dict:
+            held_to_rules(value)
+        out: dict = {}
+        try:
+            for key, each in value.items():
+                out[key] = item(each)
+        except _Fault as fault:
+            fault.keys.append(key)
+            raise
+        return out
+
+    return check
+
+
+def _as_dict(checks: dict[str, Check]) -> Callable[[dict], dict]:
+    return lambda value: {key: checks[key](each) for key, each in value.items()}
+
+
+def _task(checks: dict[str, Check]) -> Callable[[dict], TaskSpec]:
+    ambiguity, deps, description, markers, effort, task_id, facts = map(checks.get, sorted(checks))
+    return lambda raw: TaskSpec(
+        id=task_id(raw["id"]),
+        description=description(raw.get("description", "")),
+        domain_markers=frozenset(markers(raw.get("domain_markers", _EMPTY))),
+        ambiguity=float(ambiguity(raw.get("ambiguity", 0.0))),
+        expected_effort=effort(raw.get("expected_effort", 0)),
+        reference_facts=frozenset(facts(raw.get("reference_facts", _EMPTY))),
+        depends_on=frozenset(deps(raw.get("depends_on", _EMPTY))),
+    )
+
+
+def _agent(checks: dict[str, Check]) -> Callable[[dict], AgentSpec]:
+    behavior, capabilities, capacity, performance, agent_id = map(checks.get, sorted(checks))
+    return lambda raw: AgentSpec(
+        id=agent_id(raw["id"]),
+        capabilities=frozenset(capabilities(raw.get("capabilities", _EMPTY))),
+        capacity=capacity(raw.get("capacity", 1)),
+        historical_performance=performance(raw.get("historical_performance", {})),
+        # a repeated (task, attempt) is reported once the whole document passes
+        behavior=dict(behavior(raw.get("behavior", _EMPTY))),
+    )
+
+
+def _row(checks: dict[str, Check]) -> Callable[[dict], tuple[tuple[str, int], BehaviorRow]]:
+    scores, attempt, content, contingent, confidence, emitted, latency, task_id = map(
+        checks.get, sorted(checks)
+    )
+    return lambda raw: (
+        (task_id(raw["task_id"]), attempt(raw["attempt"])),
+        BehaviorRow(
+            content=content(raw["content"]),
+            emitted_facts=frozenset(emitted(raw.get("emitted_facts", _EMPTY))),
+            declared_confidence=float(confidence(raw.get("declared_confidence", 0.5))),
+            latency=float(latency(raw.get("latency", 1.0))),
+            annotated_scores=(
+                _SCORES(scores(raw["annotated_scores"])) if "annotated_scores" in raw else None
+            ),
+            contingent_facts=tuple(
+                map(_CONTINGENT, contingent(raw.get("contingent_facts", _EMPTY)))
+            ),
+        ),
+    )
+
+
+_BUILDERS = {
+    "#/properties/tasks/items": _task,
+    "#/properties/agents/items": _agent,
+    "#/properties/agents/items/properties/behavior/items": _row,
+}
+_check_document = _compile(_SCHEMA)
+
+
+def _check_duplicate_rows(doc: dict, agents: tuple[AgentSpec, ...]) -> None:
+    """No agent has two behavior rows for one (task, attempt); `doc` has passed the schema."""
+    for i, (raw, agent) in enumerate(zip(doc["agents"], agents)):
+        rows = raw.get("behavior", _EMPTY)
+        if len(agent.behavior) < len(rows):
+            keys = [(row["task_id"], int(row["attempt"])) for row in rows]
+            first: dict[tuple[str, int], int] = {}
+            j = next(j for j, key in enumerate(keys) if first.setdefault(key, j) != j)
+            message = f"duplicate behavior row for task {keys[j][0]!r} attempt {keys[j][1]}"
+            raise ScenarioValidationError(f"$.agents[{i}].behavior[{j}]", message)
 
 
 def _check_cross_references(scenario: Scenario) -> None:

@@ -258,6 +258,39 @@ def test_nan_in_scenario_exits_two(runner, tmp_path):
     assert "$.tasks[0]" in result.output
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_non_finite_latency_exits_two(runner, tmp_path, command):
+    doc = json.loads(CANONICAL_SCENARIOS[1].read_text())
+    for latency in (float("nan"), float("inf")):
+        doc["agents"][0]["behavior"][0]["latency"] = latency
+        path = tmp_path / "latency.json"
+        path.write_text(json.dumps(doc))  # writes NaN and Infinity, which json reads back
+        result = runner.invoke(main, [command, str(path)])
+        assert result.exit_code == 2, result.output
+        assert "invalid scenario: $.agents[0].behavior[0]: latency must be finite" in result.output
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"schema_version": 1, "name": "caf\xe9", "tasks": [], "agents": []}',
+        b"[" * 100_000,
+        b'{"schema_version": 1, "tasks": [], "agents": [], "defaults": {"seed": '
+        + b"1" * 5000
+        + b"}}",
+    ],
+    ids=["not-utf-8", "nested-past-the-recursion-limit", "integer-past-the-digit-limit"],
+)
+def test_file_the_parser_cannot_read_exits_two(runner, tmp_path, command, content):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    result = runner.invoke(main, [command, str(path)])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("invalid scenario: ")
+    assert str(path) in result.output
+
+
 def test_validate_under_python_O_exits_two(tmp_path):
     import os
     import subprocess

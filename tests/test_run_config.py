@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from taskweave import InvalidConfigError, RunConfig, ScoringWeights, orchestrate
+from taskweave import InvalidConfigError, RunConfig, ScoringWeights, orchestrate, register_scorer
 from taskweave import scoring
 
 from conftest import make_agent, make_row, make_scenario, make_task
@@ -113,8 +113,19 @@ class ConstantScorer:
         return (0.5, 0.5, 0.5)
 
 
-def test_registered_scorer_scores_the_run(monkeypatch):
-    monkeypatch.setitem(scoring._SCORERS, "constant", ConstantScorer)
+@pytest.fixture
+def scorer_registry():
+    """Scorers registered in a test are gone after it."""
+    saved = dict(scoring._SCORERS)
+    yield
+    scoring._SCORERS.clear()
+    scoring._SCORERS.update(saved)
+
+
+def test_registered_scorer_scores_the_run(scorer_registry):
+    with pytest.raises(InvalidConfigError, match="unknown scorer policy 'constant'"):
+        RunConfig(scorer="constant")
+    register_scorer("constant", ConstantScorer)
     scenario = make_scenario(
         tasks=[make_task("t1", reference={"f1"})],
         agents=[make_agent("a1", rows={("t1", 0): make_row({"f1"})})],

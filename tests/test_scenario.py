@@ -12,7 +12,7 @@ from taskweave import (
     dump_scenario,
     load_scenario,
 )
-from taskweave.scenario import scenario_from_dict
+from taskweave.scenario import _compile, scenario_from_dict
 
 from conftest import CANONICAL_SCENARIOS
 
@@ -59,6 +59,22 @@ def test_invalid_json_is_parse_error(tmp_path):
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(ScenarioParseError):
         load_scenario(str(path))
+
+
+@pytest.mark.parametrize(
+    "node",
+    [
+        {"type": "string", "pattern": "^a"},
+        {"type": "number", "exclusiveMaximum": 1},
+        {"type": "string", "enum": ["a"]},
+        {"type": "object", "properties": {"a": {"type": "string"}}},
+        {"$ref": "#/$defs/weights", "type": "object"},
+    ],
+    ids=["pattern", "exclusiveMaximum", "enum-beside-type", "open-object", "ref-beside-type"],
+)
+def test_compiling_a_rule_the_loader_does_not_implement_raises(node):
+    with pytest.raises(ValueError, match="unsupported"):
+        _compile(node)
 
 
 def mutated(**changes):

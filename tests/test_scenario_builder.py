@@ -293,6 +293,33 @@ def test_builder_agrees_with_jsonschema_on_single_faults(doc):
     check_agreement(doc)
 
 
+@st.composite
+def two_fault_documents(draw):
+    base = draw(st.sampled_from(BASES))
+    # the sites under each top-level property; two of them get one mutation each
+    by_property: dict[str, list] = {}
+    for path, schema in sites(base, SCHEMA):
+        if path:
+            by_property.setdefault(path[0], []).append((path, schema))
+    doc = base
+    names = st.lists(st.sampled_from(sorted(by_property)), min_size=2, max_size=2, unique=True)
+    for name in draw(names):
+        path, schema = draw(st.sampled_from(by_property[name]))
+        node = base
+        for key in path:
+            node = node[key]
+        doc = apply(doc, path, draw(st.sampled_from(mutations(node, schema))))
+    return doc
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(two_fault_documents())
+def test_builder_reports_the_first_of_two_faults_by_path(doc):
+    # jsonschema's first error by path is the fault under the property whose
+    # name sorts first, wherever the document puts that property
+    check_agreement(doc)
+
+
 BASE_IDS = ["minimal", "rich", *(path.stem for path in CANONICAL_SCENARIOS)]
 
 
@@ -364,16 +391,28 @@ def test_integral_floats_build_ints():
     assert type(scenario.defaults["k"]) is int
 
 
-@pytest.mark.parametrize("field", ["ambiguity", "declared_confidence"])
+# Where a non-finite number goes, and the path of the object whose spec rejects it.
+NON_FINITE = {
+    "ambiguity": (("tasks", 0, "ambiguity"), math.nan, "$.tasks[0]"),
+    "declared_confidence": (
+        ("agents", 0, "behavior", 0, "declared_confidence"), math.nan, "$.agents[0].behavior[0]"
+    ),
+    "latency": (("agents", 0, "behavior", 0, "latency"), math.nan, "$.agents[0].behavior[0]"),
+    "latency-infinity": (
+        ("agents", 0, "behavior", 0, "latency"), math.inf, "$.agents[0].behavior[0]"
+    ),
+    "historical_performance": (
+        ("agents", 0, "historical_performance"), {"legal": math.nan}, "$.agents[0]"
+    ),
+}
+
+
+@pytest.mark.parametrize("field", list(NON_FINITE))
 def test_nan_the_schema_admits_is_still_a_validation_error(field):
-    # json.loads reads NaN; jsonschema's range checks let it through
-    doc = copy.deepcopy(MINIMAL)
-    if field == "ambiguity":
-        doc["tasks"][0]["ambiguity"] = math.nan
-        path = "$.tasks[0]"
-    else:
-        doc["agents"][0]["behavior"][0]["declared_confidence"] = math.nan
-        path = "$.agents[0].behavior[0]"
+    # json reads NaN and Infinity; jsonschema's range checks let NaN through,
+    # and Infinity where there is no maximum
+    location, value, path = NON_FINITE[field]
+    doc = apply(MINIMAL, location, value)
     assert schema_verdict(doc) is None
     with pytest.raises(ScenarioValidationError) as exc:
         scenario_from_dict(doc)
