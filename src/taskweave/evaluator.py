@@ -3,7 +3,13 @@
 Scoring is cached on memory entries so identical keys are never rescored.
 Review emits revision requests for committed entries whose factuality falls
 below the threshold (severity = 1 - factuality) and for realized contradiction
-pairs (severity 1.0, against the later-committed entry).
+pairs (severity 1.0, against the later-committed entry). Each critique is sent
+once per (referenced version, note).
+
+Review is a delta over the memory's commit record, as in semi-naive
+evaluation: factuality is checked for the winners committed since the
+previous review only, and contradiction pairs read an index of the winners
+holding each fact a pair names.
 """
 
 from __future__ import annotations
@@ -36,6 +42,15 @@ class Evaluator:
         self.fact_threshold = fact_threshold
         self.contradiction_pairs = list(contradiction_pairs or [])
         self._msg_counter = 0
+        self._sent: set[tuple[int, str]] = set()
+        # Replay state over memory.commits_since: how many commits were read, the
+        # winners read but not yet checked while committed, and for each fact a
+        # pair names, its holders' tasks mapped to the rank of their latest commit.
+        self._commits_read = 0
+        self._unchecked: dict[str, MemoryEntry] = {}
+        self._holders: dict[str, dict[str, int]] = {
+            fact: {} for pair in self.contradiction_pairs for fact in pair
+        }
 
     def weights_for(self, task: TaskSpec) -> ScoringWeights:
         """Per-domain weights when a marker has an override, defaults otherwise."""
@@ -68,63 +83,81 @@ class Evaluator:
         return min(candidate_keys, key=rank)
 
     def review(self, graph: TaskGraph) -> list[FeedbackMessage]:
-        """Inspect committed state and emit structured critiques.
+        """Inspect committed state and emit the critiques not sent before.
 
         Only entries whose task is currently committed are examined, so a task
         already reopened for revision is not charged twice while its fix is in
-        flight. Deterministic given memory contents and configuration.
+        flight; a winner skipped that way is checked once its task is committed
+        again. Deterministic given memory contents and configuration.
         """
+        self._read_commits()
         messages: list[FeedbackMessage] = []
-        # commit order, so the last holder of a fact is the later-committed one
-        reviewable = [
-            entry
-            for entry in self.memory.committed_entries()
-            if graph.status(entry.task_id) is TaskStatus.COMMITTED
-        ]
-
-        for entry in sorted(reviewable, key=lambda e: e.version):
+        due = [e for e in self._unchecked.values() if graph.status(e.task_id) is TaskStatus.COMMITTED]
+        for entry in sorted(due, key=lambda e: e.version):
+            del self._unchecked[entry.task_id]
             breakdown = self.score_entry(entry, graph.task(entry.task_id))
             if breakdown.factuality < self.fact_threshold:
-                messages.append(
-                    self._revision_request(
-                        entry,
-                        severity=1.0 - breakdown.factuality,
-                        note=f"factuality {breakdown.factuality:.3f} below threshold",
-                    )
+                self._revision_request(
+                    messages,
+                    entry,
+                    severity=1.0 - breakdown.factuality,
+                    note=f"factuality {breakdown.factuality:.3f} below threshold",
                 )
 
         for fact_a, fact_b in self.contradiction_pairs:
-            holders = [
-                e
-                for e in reviewable
-                if fact_a in e.output.emitted_facts or fact_b in e.output.emitted_facts
-            ]
+            holders_a = self._committed_holders(fact_a, graph)
+            holders_b = self._committed_holders(fact_b, graph)
+            holders = {**holders_a, **holders_b}
             # the mismatch must span two entries, not sit inside a single output
-            if (
-                len(holders) < 2
-                or not any(fact_a in e.output.emitted_facts for e in holders)
-                or not any(fact_b in e.output.emitted_facts for e in holders)
-            ):
+            if len(holders) < 2 or not holders_a or not holders_b:
                 continue
-            messages.append(
-                self._revision_request(
-                    holders[-1],
-                    severity=1.0,
-                    note=f"contradictory facts {fact_a!r} / {fact_b!r} across committed outputs",
-                )
+            last = max(holders, key=holders.__getitem__)
+            self._revision_request(
+                messages,
+                self.memory.committed_entry(last),
+                severity=1.0,
+                note=f"contradictory facts {fact_a!r} / {fact_b!r} across committed outputs",
             )
         return messages
 
+    def _read_commits(self) -> None:
+        """Bring the unchecked winners and the holders index up to the commit record."""
+        commits = self.memory.commits_since(self._commits_read)
+        # a later commit of the same task overwrites what an earlier one set
+        for rank, (entry, demoted) in enumerate(commits, self._commits_read):
+            task_id = entry.task_id
+            self._unchecked[task_id] = entry
+            if demoted is not None:
+                for fact in demoted.output.emitted_facts & self._holders.keys():
+                    del self._holders[fact][task_id]
+            for fact in entry.output.emitted_facts & self._holders.keys():
+                self._holders[fact][task_id] = rank
+        self._commits_read += len(commits)
+
+    def _committed_holders(self, fact: str, graph: TaskGraph) -> dict[str, int]:
+        """Tasks whose winner holds `fact` and that are committed now, with their commit rank."""
+        return {
+            task_id: rank
+            for task_id, rank in self._holders[fact].items()
+            if graph.status(task_id) is TaskStatus.COMMITTED
+        }
+
     def _revision_request(
-        self, entry: MemoryEntry, severity: float, note: str
-    ) -> FeedbackMessage:
+        self, messages: list[FeedbackMessage], entry: MemoryEntry, severity: float, note: str
+    ) -> None:
+        """Append a critique of `entry` to `messages`, unless it was sent before."""
+        if (entry.version, note) in self._sent:
+            return
+        self._sent.add((entry.version, note))
         self._msg_counter += 1
-        return FeedbackMessage(
-            id=f"fb-{self._msg_counter}",
-            sender=EVALUATOR_ID,
-            target=entry.agent_id,
-            task_id=entry.task_id,
-            referenced_version=entry.version,
-            severity=severity,
-            note=note,
+        messages.append(
+            FeedbackMessage(
+                id=f"fb-{self._msg_counter}",
+                sender=EVALUATOR_ID,
+                target=entry.agent_id,
+                task_id=entry.task_id,
+                referenced_version=entry.version,
+                severity=severity,
+                note=note,
+            )
         )

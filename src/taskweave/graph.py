@@ -54,18 +54,22 @@ class TaskGraph:
     its `depends_on` names.
 
     Every task starts ready; `_blocked` counts each task's dependencies that are
-    not committed. A dependency on an id outside the graph raises
-    UnknownDependencyError.
+    not committed. `_ready` holds the assignable tasks: ready or needs_revision
+    with no blocked dependency; the transition methods keep it, as Kahn's
+    algorithm keeps its ready set. A dependency on an id outside the graph
+    raises UnknownDependencyError.
     """
 
     tasks: dict[str, TaskSpec] = field(default_factory=dict)
     _status: dict[str, TaskStatus] = field(init=False, repr=False)
     _blocked: dict[str, int] = field(init=False, repr=False)
+    _ready: set[str] = field(init=False, repr=False)
     _consumers: dict[str, tuple[str, ...]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._status = dict.fromkeys(self.tasks, TaskStatus.READY)
         self._blocked = {tid: len(task.depends_on) for tid, task in self.tasks.items()}
+        self._ready = {tid for tid, blocked in self._blocked.items() if not blocked}
         consumers: dict[str, list[str]] = {tid: [] for tid in self.tasks}
         for task in self.tasks.values():
             unknown = task.depends_on.difference(self.tasks)
@@ -93,11 +97,7 @@ class TaskGraph:
         A task is assignable when its status is ready or needs_revision and every
         dependency is committed.
         """
-        return {
-            tid
-            for tid, current in self._status.items()
-            if current in (TaskStatus.READY, TaskStatus.NEEDS_REVISION) and not self._blocked[tid]
-        }
+        return set(self._ready)
 
     def all_committed(self) -> bool:
         return all(s is TaskStatus.COMMITTED for s in self._status.values())
@@ -112,6 +112,7 @@ class TaskGraph:
         if self._blocked[task_id]:
             raise InvalidTransitionError(f"task {task_id!r} has uncommitted dependencies")
         self._status[task_id] = TaskStatus.IN_PROGRESS
+        self._ready.discard(task_id)
 
     def mark_committed(self, task_id: str) -> None:
         """Commit an in_progress task; each dependent has one uncommitted dependency less."""
@@ -123,6 +124,11 @@ class TaskGraph:
         self._status[task_id] = TaskStatus.COMMITTED
         for dep_id in self.dependents(task_id):
             self._blocked[dep_id] -= 1
+            if not self._blocked[dep_id] and self._status[dep_id] in (
+                TaskStatus.READY,
+                TaskStatus.NEEDS_REVISION,
+            ):
+                self._ready.add(dep_id)
 
     def mark_needs_revision(self, task_id: str) -> set[str]:
         """Reopen a committed task for revision.
@@ -137,9 +143,12 @@ class TaskGraph:
                 f"task {task_id!r} is {current.value}, expected committed"
             )
         self._status[task_id] = TaskStatus.NEEDS_REVISION
+        if not self._blocked[task_id]:
+            self._ready.add(task_id)
         stale = set()
         for dep_id in self.dependents(task_id):
             self._blocked[dep_id] += 1
+            self._ready.discard(dep_id)
             if self._status[dep_id] is TaskStatus.COMMITTED:
                 stale.add(dep_id)
         return stale

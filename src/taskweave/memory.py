@@ -8,6 +8,7 @@ An optional JSON-lines audit file receives one line per store and per commit.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,29 +54,36 @@ class MemoryEntry:
 
 
 class MemoryView:
-    """Read handle agents receive at execute time."""
+    """Read handle agents receive at execute time.
 
-    def __init__(self, entries: list[MemoryEntry]):
-        self._entries = entries
+    The view is live: it reads the store's fact counts, so a commit made after
+    the view was taken shows in it. Hold one for a single wave only; every
+    execute of a wave finishes before the wave's first commit.
+    """
 
-    def committed_facts(self) -> frozenset[str]:
-        """Union of emitted facts across the entries committed when the view was taken."""
-        facts: set[str] = set()
-        for entry in self._entries:
-            facts |= entry.output.emitted_facts
-        return frozenset(facts)
+    def __init__(self, fact_counts: Mapping[str, int]):
+        self._fact_counts = fact_counts
+
+    def committed_facts(self) -> Set[str]:
+        """Facts emitted by at least one current winner: a live set, not a snapshot."""
+        return self._fact_counts.keys()
 
 
 class SharedMemory:
     """Versioned, append-only store of every candidate output.
 
     Versions are dense (the n-th stored entry has version n) and `_by_key` is in version order.
-    `_committed` maps each task to its winner, in commit order.
+    `_committed` maps each task to its winner, in commit order. `_commits` records every
+    commit call's entry and the winner it demoted (None for a task's first commit), in call
+    order. `_fact_counts` counts the winners emitting each fact; a fact no winner emits has
+    no key.
     """
 
     def __init__(self, audit_path: str | Path | None = None) -> None:
         self._by_key: dict[EntryKey, MemoryEntry] = {}
         self._committed: dict[str, MemoryEntry] = {}
+        self._commits: list[tuple[MemoryEntry, MemoryEntry | None]] = []
+        self._fact_counts: dict[str, int] = {}
         self._audit_path = Path(audit_path) if audit_path is not None else None
         if self._audit_path is not None:
             self._audit_path.write_text("", encoding="utf-8")
@@ -99,10 +107,19 @@ class SharedMemory:
         if entry is None or entry.task_id != task_id:
             raise UnknownEntryError(f"no entry {key!r} for task {task_id!r}")
         previous = self._committed.pop(task_id, None)
+        counts = self._fact_counts
         if previous is not None:
             previous.committed = False
+            for fact in previous.output.emitted_facts:
+                if counts[fact] == 1:
+                    del counts[fact]
+                else:
+                    counts[fact] -= 1
         entry.committed = True
         self._committed[task_id] = entry
+        self._commits.append((entry, previous))
+        for fact in entry.output.emitted_facts:
+            counts[fact] = counts.get(fact, 0) + 1
         self._write_audit(entry)
         return entry
 
@@ -112,6 +129,15 @@ class SharedMemory:
     def committed_entries(self) -> list[MemoryEntry]:
         """Every currently committed entry, in commit order (a re-commit moves a task last)."""
         return list(self._committed.values())
+
+    def commits_since(self, start: int) -> list[tuple[MemoryEntry, MemoryEntry | None]]:
+        """(committed entry, demoted winner or None) of every commit call from the `start`-th
+        on (0-based), in call order.
+
+        A later call may have demoted an entry in the list; `committed_entry` says which
+        entry is the winner now.
+        """
+        return self._commits[start:]
 
     def entry(self, key: EntryKey) -> MemoryEntry:
         entry = self._by_key.get(key)
@@ -123,10 +149,10 @@ class SharedMemory:
         return 1 <= version <= len(self._by_key)
 
     def view(self) -> MemoryView:
-        return MemoryView(self.committed_entries())
+        return MemoryView(self._fact_counts)
 
     def empty_view(self) -> MemoryView:
-        return MemoryView([])
+        return MemoryView({})
 
     def __len__(self) -> int:
         return len(self._by_key)

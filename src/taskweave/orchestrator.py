@@ -249,14 +249,14 @@ class Orchestrator:
                 raise DeadlockError(
                     "uncommitted tasks remain but none are assignable"
                 )
-            executed = self._run_wave(sorted(assignable))
-            if executed == 0:
+            committed = self._run_wave(sorted(assignable))
+            if not committed:
                 raise DeadlockError(
                     "no agent has spare capacity for any assignable task"
                 )
             self._waves += 1
             if self.config.static:
-                self._static_quality_gate()
+                self._static_quality_gate(committed)
             elif not self.config.no_feedback:
                 self._review_and_process_feedback()
 
@@ -277,7 +277,8 @@ class Orchestrator:
 
     # -- wave mechanics -----------------------------------------------------
 
-    def _run_wave(self, assignable: list[str]) -> int:
+    def _run_wave(self, assignable: list[str]) -> list[str]:
+        """Dispatch, store and commit one wave; returns the committed task ids in id order."""
         wave_start = self._clock
         view = (
             self.memory.empty_view()
@@ -320,7 +321,7 @@ class Orchestrator:
                 )
             groups.append((task, group))
         if not groups:
-            return 0
+            return []
 
         executions = [ex for _, group in groups for ex in group]
         wave_end = max(output.produced_at for output, _ in executions)
@@ -357,7 +358,7 @@ class Orchestrator:
         for output, _ in executions:
             self.agents[output.agent_id].profile.load -= 1
         self._clock = wave_end
-        return len(executions)
+        return [task.id for task, _ in groups]
 
     def _decide(self, task: TaskSpec) -> RoutingDecision:
         if self.config.static:
@@ -395,16 +396,16 @@ class Orchestrator:
                 self.config.adapt_decrement,
             )
 
-    def _static_quality_gate(self) -> None:
-        """Bus-less redo loop for the static variant.
+    def _static_quality_gate(self, committed: list[str]) -> None:
+        """Bus-less redo loop for the static variant, over the tasks the wave committed.
 
         Fixed-role pipelines have no feedback channel, but they do redo work
         that fails a factuality bar; each redo re-runs the same pinned agent on
-        the next attempt row, bounded by the revision budget.
+        the next attempt row, bounded by the revision budget. A winner that
+        passed stays passed, and one whose budget is spent stays committed, so
+        earlier winners need no second look.
         """
-        for task_id in sorted(self.graph.tasks):
-            if self.graph.status(task_id) is not TaskStatus.COMMITTED:
-                continue
+        for task_id in committed:
             entry = self.memory.committed_entry(task_id)
             if entry.score.factuality >= self.config.fact_threshold:
                 continue

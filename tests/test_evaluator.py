@@ -16,6 +16,7 @@ from taskweave import (
     ScoringWeights,
     ScriptedScorer,
     SharedMemory,
+    TaskStatus,
     build_graph,
 )
 
@@ -296,10 +297,109 @@ def test_review_is_deterministic():
     for task, agent in (("t1", "a"), ("t2", "b")):
         key = put(memory, task=task, agent=agent, commit=True)
         mark_committed_in_graph(graph, task)
-    first = [(m.task_id, m.severity) for m in evaluator.review(graph)]
-    second = [(m.task_id, m.severity) for m in evaluator.review(graph)]
-    assert first == second == [("t1", 0.8), ("t2", 0.9)]
+    first = [(m.id, m.task_id, m.severity) for m in evaluator.review(graph)]
+    assert first == [("fb-1", "t1", 0.8), ("fb-2", "t2", 0.9)]
+    # each critique is sent once: nothing changed, so nothing new to say
+    assert evaluator.review(graph) == []
+    fresh = Evaluator(memory=memory, scorer=ScriptedScorer(annotations))
+    assert [(m.id, m.task_id, m.severity) for m in fresh.review(graph)] == first
 
+
+class FactualityInContent:
+    """Factuality read from the output's content, so a test picks it per entry."""
+
+    def components(self, output, task):
+        return (1.0, float(output.content), 1.0)
+
+
+class ScanReview:
+    """The review the delta replaced, kept as the oracle: every committed winner
+    and every contradiction pair scanned on each call, each critique sent once
+    per (referenced version, note)."""
+
+    def __init__(self, memory, pairs, fact_threshold=0.6):
+        self.memory, self.pairs, self.fact_threshold = memory, pairs, fact_threshold
+        self.sent = set()
+        self.counter = 0
+
+    def review(self, graph):
+        messages = []
+
+        def send(entry, severity, note):
+            if (entry.version, note) in self.sent:
+                return
+            self.sent.add((entry.version, note))
+            self.counter += 1
+            messages.append((f"fb-{self.counter}", entry.agent_id, entry.task_id, entry.version, severity, note))
+
+        reviewable = [
+            e for e in self.memory.committed_entries() if graph.status(e.task_id) is TaskStatus.COMMITTED
+        ]
+        for entry in sorted(reviewable, key=lambda e: e.version):
+            factuality = float(entry.output.content)
+            if factuality < self.fact_threshold:
+                send(entry, 1.0 - factuality, f"factuality {factuality:.3f} below threshold")
+        for fact_a, fact_b in self.pairs:
+            holders = [e for e in reviewable if {fact_a, fact_b} & e.output.emitted_facts]
+            if (
+                len(holders) < 2
+                or not any(fact_a in e.output.emitted_facts for e in holders)
+                or not any(fact_b in e.output.emitted_facts for e in holders)
+            ):
+                continue
+            send(holders[-1], 1.0, f"contradictory facts {fact_a!r} / {fact_b!r} across committed outputs")
+        return messages
+
+
+STEP = st.tuples(
+    st.sampled_from(["store", "commit", "reopen"]),
+    st.integers(0, 3),  # task
+    st.sets(st.sampled_from("abcd"), max_size=3),  # facts of a stored entry
+    st.sampled_from(["0.2", "0.5", "0.9"]),  # factuality of a stored entry
+    st.integers(0, 2**16),  # which stored entry a commit picks
+    st.booleans(),  # review after the step
+)
+
+
+@given(st.lists(STEP, max_size=40))
+def test_delta_review_matches_a_full_scan_with_send_once(steps):
+    pairs = [("a", "b"), ("b", "c"), ("c", "d"), ("a", "b")]
+    tasks = [make_task(f"t{i}") for i in range(4)]
+    graph, memory, evaluator = build_world(tasks, FactualityInContent(), contradiction_pairs=pairs)
+    oracle = ScanReview(memory, pairs)
+    stored = {f"t{i}": [] for i in range(4)}
+    for op, task_n, facts, factuality, pick, review in steps + [("review", 0, set(), "", 0, True)]:
+        task_id = f"t{task_n}"
+        if op == "store":
+            key = put(memory, task=task_id, attempt=len(stored[task_id]), facts=facts, content=factuality)
+            stored[task_id].append(key)
+        elif op == "commit" and stored[task_id]:
+            # a commit may re-commit the winner or an older candidate
+            memory.commit(task_id, stored[task_id][pick % len(stored[task_id])])
+            if graph.status(task_id) is not TaskStatus.COMMITTED:
+                mark_committed_in_graph(graph, task_id)
+        elif op == "reopen" and graph.status(task_id) is TaskStatus.COMMITTED:
+            graph.mark_needs_revision(task_id)
+        if review:
+            got = [
+                (m.id, m.target, m.task_id, m.referenced_version, m.severity, m.note)
+                for m in evaluator.review(graph)
+            ]
+            assert got == oracle.review(graph)
+
+
+def test_a_demoted_winner_stops_holding_its_facts():
+    graph, memory, evaluator = build_world(
+        [make_task("t0"), make_task("t1")], FactualityInContent(), contradiction_pairs=[("a", "b")]
+    )
+    put(memory, task="t0", attempt=0, facts={"a"}, content="1.0", commit=True)
+    mark_committed_in_graph(graph, "t0")
+    assert evaluator.review(graph) == []
+    # t0's new winner drops "a", so t1's "b" contradicts nothing
+    put(memory, task="t0", attempt=1, content="1.0", commit=True)
+    put(memory, task="t1", attempt=0, facts={"b"}, content="1.0", commit=True)
+    mark_committed_in_graph(graph, "t1")
+    assert evaluator.review(graph) == []
 
 def test_domain_weight_table_overrides_defaults():
     annotations = {("t1", "a", 0): (1.0, 0.0, 0.0)}

@@ -81,7 +81,7 @@ SYNTHETIC_VARIANTS = {
     "no_memory": {"no_memory_sharing": True},
     "no_feedback": {"no_feedback": True},
 }
-SYNTHETIC_GOLDEN = "3a7a3074fcad12dd977a697b87d92b28617f51c80b18393fe2d1ce31229cdced"
+SYNTHETIC_GOLDEN = "051dd77a995b36cc959af161ab0d345e10410eff2a44e7eb4527a9346f34780c"
 
 BENCH_SEED = 1
 BENCH_GOLDEN = "b60050e6269358b7ed967cea531feed721f216fa5a3a7d98c1c2c5d0107acdad"

@@ -179,6 +179,17 @@ def test_needs_revision_task_with_reopened_dependency_not_assignable():
     assert graph.ready_tasks() == {"a"}
 
 
+def test_dependency_recommitted_under_an_in_progress_task_does_not_make_it_ready():
+    graph = build_graph([make_task("a"), make_task("b", deps=["a"])])
+    graph.mark_in_progress("a")
+    graph.mark_committed("a")
+    graph.mark_in_progress("b")
+    graph.mark_needs_revision("a")
+    graph.mark_in_progress("a")
+    graph.mark_committed("a")
+    assert graph.ready_tasks() == set() == brute_force_assignable(graph)
+
+
 def random_dag(rng: random.Random, n_nodes: int):
     """Random DAG: edges only from lower to higher indices, so acyclic by construction."""
     specs = []

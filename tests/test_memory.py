@@ -148,6 +148,27 @@ def test_winner_map_matches_a_scan_of_entry_flags_and_the_commit_log(ops):
         assert memory.view().committed_facts() == facts
 
 
+STEP = st.tuples(st.booleans(), st.integers(0, 3), st.sets(st.sampled_from("abcde"), max_size=3), st.integers(0, 2**16))
+
+
+@given(st.lists(STEP, max_size=60))
+def test_a_held_view_reads_the_union_of_the_current_winners(ops):
+    memory = SharedMemory()
+    view = memory.view()  # taken once, held across commits and demotions
+    stored: list = []
+    for is_commit, task_n, facts, pick in ops:
+        if is_commit and stored:
+            key = stored[pick % len(stored)]
+            memory.commit(key[0], key)
+        else:
+            key = (f"t{task_n}", "a", len(stored))
+            memory.store(key, output(task=key[0], attempt=key[2], facts=facts))
+            stored.append(key)
+        winners = [memory.entry(k) for k in stored if memory.entry(k).committed]
+        assert view.committed_facts() == frozenset().union(*(e.output.emitted_facts for e in winners))
+    assert memory.empty_view().committed_facts() == frozenset()
+
+
 def test_audit_log_write_through(tmp_path):
     audit = tmp_path / "memory.jsonl"
     memory = SharedMemory(audit_path=audit)

@@ -246,6 +246,25 @@ def test_static_quality_gate_retries_same_agent_without_feedback():
     assert orch.memory.committed_entry("t1").attempt == 3
 
 
+def test_static_quality_gate_reports_a_spent_budget_once(caplog):
+    # t1 spends its budget in the first waves; t2 and t3 keep the run going after it
+    junk = {("t1", attempt): make_row({"junk"}, latency=1.0) for attempt in range(2)}
+    good = {(tid, 0): make_row({f"{tid}.f"}, latency=1.0) for tid in ("t2", "t3")}
+    scenario = make_scenario(
+        tasks=[
+            make_task("t1", reference={"f1"}),
+            make_task("t2", reference={"t2.f"}, deps=["t1"]),
+            make_task("t3", reference={"t3.f"}, deps=["t2"]),
+        ],
+        agents=[make_agent("pinned", rows={**junk, **good})],
+        static_assignments={"t1": "pinned", "t2": "pinned", "t3": "pinned"},
+    )
+    with caplog.at_level("INFO", logger="taskweave.orchestrator"):
+        result = orchestrate(scenario, RunConfig(static=True, revision_budget=1))
+    assert result.log.by_kind("terminate")[0].payload["waves"] == 4
+    assert [r.getMessage() for r in caplog.records] == ["budget_exhausted task=t1 reason=quality_gate"]
+
+
 def test_no_feedback_never_calls_review(monkeypatch):
     calls = []
     original = Evaluator.review

@@ -1,0 +1,54 @@
+"""Smoke test of the size sweep in tools/sweep.py, at sizes small enough for tier 1."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import subprocess
+import sys
+
+from conftest import REPO_ROOT
+
+SWEEP_PATH = REPO_ROOT / "tools" / "sweep.py"
+
+ROW_KEYS = {
+    "load_s",
+    "load_raw_s",
+    "load_repeats",
+    "orchestrate_s",
+    "orchestrate_raw_s",
+    "orchestrate_repeats",
+    "orchestrate_peak_bytes",
+}
+
+
+def test_sweep_writes_every_size_of_every_shape(tmp_path):
+    out = tmp_path / "bench.json"
+    argv = [
+        sys.executable, str(SWEEP_PATH), "--out", str(out),
+        "--size", "deep_dag=8", "--size", "deep_dag=16", "--size", "fanout_revise=15",
+    ]
+    subprocess.run(argv, check=True, capture_output=True, timeout=120)
+    # a second label joins the first in the same file
+    subprocess.run([*argv[:-4], "--label", "other"], check=True, capture_output=True, timeout=120)
+
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert set(doc["runs"]) == {"change", "other"}
+    run = doc["runs"]["change"]
+    assert {"commit", "dirty", "python", "machine", "seed", "cap_s", "shapes"} <= set(run)
+    assert set(run["shapes"]) == {"deep_dag", "fanout_revise"}
+    assert set(run["shapes"]["deep_dag"]["sizes"]) == {"8", "16"}
+    assert set(run["shapes"]["deep_dag"]["orchestrate_growth"]) == {"8->16"}
+    for shape in run["shapes"].values():
+        for row in shape["sizes"].values():
+            assert set(row) == ROW_KEYS
+            assert row["orchestrate_s"] > 0 and row["orchestrate_peak_bytes"] > 0
+    assert set(doc["runs"]["other"]["shapes"]) == {"deep_dag"}
+
+
+def test_sweep_records_a_size_over_the_cap_as_skipped(tmp_path):
+    spec = importlib.util.spec_from_file_location("sweep", SWEEP_PATH)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    shapes = sweep.sweep(REPO_ROOT, {"deep_dag": (8,)}, 0.001, tmp_path)
+    assert shapes["deep_dag"]["sizes"] == {"8": {"skipped": "over the 0.001 s cap"}}

@@ -1,0 +1,182 @@
+"""Size sweep of the run loop: how load and orchestrate time grow with task count.
+
+    python3 tools/sweep.py --repo . --label change --out BENCH.json
+    python3 tools/sweep.py --repo ../parent --label parent --out BENCH.json
+
+For each shape and size it generates a scenario with `perfbench/synth.py`
+from the shape in `perfbench/run.py` `SHAPES`, scaled with `Shape.scaled`,
+and records:
+
+- `load_s`: `load_scenario` of the written file;
+- `orchestrate_s`: `orchestrate` of the loaded scenario, configured as the
+  benchmark configures its full variant;
+- `orchestrate_peak_bytes`: the `tracemalloc` peak of one more `orchestrate`.
+
+Timings are medians over repeats, scaled to nominal host speed by
+`perfbench/reference.py` as the benchmark scales its own (the raw medians are
+kept beside them). Each size runs in a child interpreter that imports the
+package from `<repo>/src` and the perfbench modules from `<repo>/perfbench`,
+so one copy of this script measures any checkout, parent or change. A child
+that runs past `CAP_S` seconds is stopped and its size recorded as skipped; the
+cap covers the whole child (generation, every load and orchestrate repeat and
+the traced run), not one orchestrate.
+The output file keeps the runs of other labels, so two calls with different
+labels fill one file. Nothing under `perfbench/` is written.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+import tracemalloc
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# fanout_revise at 10^4 tasks is ~100 MB of JSON, so it stops at 10^3.
+DEFAULT_SIZES = {"deep_dag": (100, 1000, 10000), "fanout_revise": (100, 1000)}
+SEED = 1  # the generator seed of every size, as in the bench-shape golden digest
+REPEATS = 5
+BUDGET_S = 2.0  # stop repeating an operation once its runs add up to this
+CAP_S = 120.0  # seconds one size's child may take before the size is recorded as skipped
+
+
+def measure(repo: Path, shape_name: str, tasks: int, work: Path) -> dict:
+    """One size, in this interpreter: the numbers of one `sizes` row."""
+    sys.path.insert(0, str(repo / "perfbench"))
+    import run  # puts <repo>/src first on sys.path and imports the package from there
+    import synth
+    from reference import Scaler
+    from taskweave.orchestrator import orchestrate
+    from taskweave.scenario import load_scenario
+
+    path = work / f"{shape_name}-{tasks}.json"
+    path.write_text(synth.dumps(synth.generate(run.SHAPES[shape_name].scaled(tasks), SEED)), encoding="utf-8")
+    scenario = load_scenario(path)
+    config = run.make_item(path, scenario, "full").config
+    scaler = Scaler()
+
+    def timed(name: str, fn) -> dict[str, float]:
+        def op() -> float:
+            start = time.perf_counter()
+            fn()
+            return time.perf_counter() - start
+
+        samples = []
+        while len(samples) < REPEATS and sum(raw for _, raw in samples) < BUDGET_S:
+            samples.append(scaler.wrap(op)())
+        return {
+            f"{name}_s": statistics.median(s for s, _ in samples),
+            f"{name}_raw_s": statistics.median(raw for _, raw in samples),
+            f"{name}_repeats": len(samples),
+        }
+
+    row = {**timed("load", lambda: load_scenario(path)), **timed("orchestrate", lambda: orchestrate(scenario, config))}
+    tracemalloc.start()
+    try:
+        orchestrate(scenario, config)
+        row["orchestrate_peak_bytes"] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    path.unlink()
+    return row
+
+
+def git_state(repo: Path) -> dict:
+    """The checkout's HEAD commit and whether tracked files differ from it."""
+    try:
+        head = subprocess.run(
+            ["git", "-C", str(repo), "rev-parse", "HEAD"], capture_output=True, text=True, check=True
+        ).stdout.strip()
+        status = subprocess.run(
+            ["git", "-C", str(repo), "status", "--porcelain", "--untracked-files=no"],
+            capture_output=True, text=True, check=True,
+        ).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return {"commit": None, "dirty": None}
+    return {"commit": head, "dirty": bool(status.strip())}
+
+
+def sweep(repo: Path, sizes: dict[str, tuple[int, ...]], cap: float, work: Path) -> dict:
+    """Every size of every shape, each in a child interpreter stopped after `cap` seconds."""
+    out: dict[str, dict] = {}
+    for shape_name, counts in sizes.items():
+        rows: dict[str, dict] = {}
+        for tasks in counts:
+            argv = [
+                sys.executable, str(Path(__file__).resolve()), "--child",
+                "--repo", str(repo), "--work", str(work),
+                "--size", f"{shape_name}={tasks}",
+            ]
+            try:
+                done = subprocess.run(argv, capture_output=True, text=True, timeout=cap)
+            except subprocess.TimeoutExpired:
+                rows[str(tasks)] = {"skipped": f"over the {cap:g} s cap"}
+                print(f"{shape_name} {tasks}: skipped, over the {cap:g} s cap", file=sys.stderr)
+                continue
+            if done.returncode != 0:
+                raise RuntimeError(f"{shape_name} at {tasks} tasks failed:\n{done.stderr}")
+            rows[str(tasks)] = json.loads(done.stdout)
+            print(f"{shape_name} {tasks}: {rows[str(tasks)]}", file=sys.stderr)
+        measured = [(int(n), row) for n, row in rows.items() if "skipped" not in row]
+        growth = {
+            f"{small}->{big}": big_row["orchestrate_s"] / small_row["orchestrate_s"]
+            for (small, small_row), (big, big_row) in zip(measured, measured[1:])
+        }
+        out[shape_name] = {"sizes": rows, "orchestrate_growth": growth}
+    return out
+
+
+def parse_sizes(values: list[str]) -> dict[str, tuple[int, ...]]:
+    sizes: dict[str, list[int]] = {}
+    for value in values:
+        name, _, tasks = value.partition("=")
+        sizes.setdefault(name, []).append(int(tasks))
+    return {name: tuple(counts) for name, counts in sizes.items()}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repo", type=Path, default=ROOT, help="checkout to measure (default: this one)")
+    parser.add_argument("--label", default="change", help="key of this run in the output file")
+    parser.add_argument("--out", type=Path, help="JSON file to write or update")
+    parser.add_argument("--size", action="append", default=[], metavar="SHAPE=TASKS",
+                        help="a shape of perfbench SHAPES and a task count; repeat for more (default: the sweep)")
+    # a child measures one size and writes its scenario under the parent's --work directory
+    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--work", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    repo = args.repo.resolve()
+    sizes = parse_sizes(args.size) if args.size else DEFAULT_SIZES
+
+    if args.child:
+        ((shape_name, (tasks,)),) = sizes.items()
+        json.dump(measure(repo, shape_name, tasks, args.work), sys.stdout)
+        return 0
+
+    if args.out is None:
+        parser.error("--out is required")
+    with tempfile.TemporaryDirectory() as work:
+        shapes = sweep(repo, sizes, CAP_S, Path(work))
+    doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
+    doc.setdefault("runs", {})[args.label] = {
+        **git_state(repo),
+        "python": platform.python_version(),
+        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
+        "seed": SEED,
+        "cap_s": CAP_S,
+        "shapes": shapes,
+    }
+    args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
