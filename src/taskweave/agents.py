@@ -7,7 +7,7 @@ run is a pure function of the scenario. It is the only agent implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import NoScriptedBehaviorError
 from .graph import TaskSpec
@@ -19,8 +19,7 @@ UNSEEN_MARKER_PERFORMANCE = 0.5
 DEFAULT_ADAPT_DECREMENT = 0.1
 
 
-@dataclass(frozen=True)
-class CandidateOutput:
+class CandidateOutput(NamedTuple):
     """One agent's attempt at one task; (task_id, agent_id, attempt) is unique per run."""
 
     task_id: str
@@ -36,7 +35,7 @@ class CandidateOutput:
         return (self.task_id, self.agent_id, self.attempt)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BehaviorRow:
     """Scripted response for one (task, attempt) pair.
 
@@ -53,6 +52,8 @@ class BehaviorRow:
     contingent_facts: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.emitted_facts, frozenset):
+            object.__setattr__(self, "emitted_facts", frozenset(self.emitted_facts))
         if not 0.0 <= self.declared_confidence <= 1.0:
             raise ValueError("declared_confidence must be in [0, 1]")
         if not 0.0 <= self.latency < float("inf"):
@@ -100,18 +101,18 @@ class ScriptedAgent:
         output to mask a scenario gap.
         """
         row = self._row(task.id, attempt)
-        facts = set(row.emitted_facts)
+        facts = row.emitted_facts
         if row.contingent_facts:
             visible = memory_view.committed_facts()
-            for trigger, fact in row.contingent_facts:
-                if trigger in visible:
-                    facts.add(fact)
+            fired = {fact for trigger, fact in row.contingent_facts if trigger in visible}
+            if fired:
+                facts = facts | fired
         return CandidateOutput(
             task_id=task.id,
             agent_id=self.profile.id,
             attempt=attempt,
             content=row.content,
-            emitted_facts=frozenset(facts),
+            emitted_facts=facts,
             declared_confidence=row.declared_confidence,
             produced_at=start + row.latency,
         )

@@ -54,6 +54,8 @@ class Evaluator:
 
     def weights_for(self, task: TaskSpec) -> ScoringWeights:
         """Per-domain weights when a marker has an override, defaults otherwise."""
+        if not self.domain_weights:
+            return self.weights
         for marker in sorted(task.domain_markers):
             if marker in self.domain_weights:
                 return self.domain_weights[marker]

@@ -19,7 +19,7 @@ from .scoring import ScoreBreakdown
 EntryKey = tuple[str, str, int]
 
 
-@dataclass
+@dataclass(slots=True)
 class MemoryEntry:
     key: EntryKey
     output: CandidateOutput

@@ -21,7 +21,7 @@ import dataclasses
 import logging
 import random
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .agents import DEFAULT_ADAPT_DECREMENT, CandidateOutput, adapt_strategy
 from .errors import (
@@ -141,8 +141,7 @@ def _weights_from(name: str, value: object) -> object:
     return ScoringWeights(**value)
 
 
-@dataclass(frozen=True)
-class DocumentSection:
+class DocumentSection(NamedTuple):
     task_id: str
     content: str
     facts: frozenset[str]
@@ -175,13 +174,7 @@ def compile_final_output(memory: SharedMemory, graph: TaskGraph) -> FinalDocumen
         entry = memory.committed_entry(task_id)
         if entry is None:
             raise MissingCommitError(f"task {task_id!r} has no committed entry in memory")
-        sections.append(
-            DocumentSection(
-                task_id=task_id,
-                content=entry.output.content,
-                facts=entry.output.emitted_facts,
-            )
-        )
+        sections.append(DocumentSection(task_id, entry.output.content, entry.output.emitted_facts))
     return FinalDocument(tuple(sections))
 
 

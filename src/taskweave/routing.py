@@ -52,11 +52,12 @@ def suitability(
     no markers at all.
     """
     if task.domain_markers:
+        history = profile.historical_performance
+        total = 0.0
         # sorted iteration keeps float summation order stable across processes
-        perf = sum(
-            profile.historical_performance.get(marker, UNSEEN_MARKER_PERFORMANCE)
-            for marker in sorted(task.domain_markers)
-        ) / len(task.domain_markers)
+        for marker in sorted(task.domain_markers):
+            total += history.get(marker, UNSEEN_MARKER_PERFORMANCE)
+        perf = total / len(task.domain_markers)
     else:
         perf = UNSEEN_MARKER_PERFORMANCE
     spare = 1.0 - profile.load / profile.capacity

@@ -10,12 +10,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 EVENT_KINDS = ("dispatch", "store", "commit", "feedback", "reassign", "terminate")
 
+# The encoder `json.dumps(obj, sort_keys=True)` builds on every call, built once.
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
 
-@dataclass(frozen=True)
-class RunEvent:
+
+class RunEvent(NamedTuple):
     virtual_time: float
     kind: str
     payload: dict
@@ -33,7 +36,7 @@ class RunLog:
             raise ValueError(f"unknown event kind {kind!r}")
         if self.events and virtual_time < self.events[-1].virtual_time:
             raise ValueError("virtual_time must be nondecreasing")
-        event = RunEvent(virtual_time=virtual_time, kind=kind, payload=payload)
+        event = RunEvent(virtual_time, kind, payload)
         self.events.append(event)
         return event
 
@@ -41,9 +44,10 @@ class RunLog:
         return [e for e in self.events if e.kind == kind]
 
     def to_jsonl(self) -> str:
-        return "".join(
-            json.dumps(e.to_dict(), sort_keys=True) + "\n" for e in self.events
-        )
+        """One `json.dumps(event.to_dict(), sort_keys=True)` line per event."""
+        lines = [_ENCODE(e.to_dict()) for e in self.events]
+        lines.append("")
+        return "\n".join(lines)
 
     def write(self, path: str | Path) -> None:
         Path(path).write_text(self.to_jsonl(), encoding="utf-8")

@@ -17,7 +17,6 @@ import math
 import re
 from dataclasses import dataclass, field, fields
 from functools import reduce
-from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable
 
@@ -135,16 +134,19 @@ def _row_to_dict(task_id: str, attempt: int, row: BehaviorRow) -> dict:
 
 def load_scenario(path: str | Path) -> Scenario:
     """Load and fully validate a scenario file."""
-    path = Path(path)
+    return scenario_from_dict(_parse(Path(path)))
+
+
+def _parse(path: Path) -> object:
+    """The file's JSON document; the text is dropped when this returns, before the build."""
     try:
         raw = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioParseError(f"cannot read {path}: {exc}") from exc
     try:
-        doc = json.loads(raw)
+        return json.loads(raw)
     except (ValueError, RecursionError) as exc:  # bad syntax, too deep, too many digits
         raise ScenarioParseError(f"{path} is not valid JSON: {exc}") from exc
-    return scenario_from_dict(doc)
 
 
 def scenario_from_dict(doc: object) -> Scenario:
@@ -183,7 +185,8 @@ def scenario_from_dict(doc: object) -> Scenario:
 # path. A closed object that holds a fault is walked again in property-name
 # order, the order of jsonschema's errors sorted by path; arrays and maps
 # report their first bad item. Task, agent and behavior-row nodes build their
-# specs, calling their property checks directly.
+# specs, and score and contingent-pair nodes their tuples, calling their
+# property checks directly.
 
 Check = Callable[[Any], Any]
 _KEYWORDS = {  # by the node's type; a `$ref` stands alone, the root adds annotations
@@ -200,9 +203,7 @@ _CLASSES = {"string": (str,), "number": (int, float), "integer": (int,)}  # fast
 _EMPTY: list = []
 _IDENTIFIER = re.compile("^[a-zA-Z][a-zA-Z0-9_]*$")
 _SCORE_NAMES = ("coherence", "factuality", "relevance")  # the order of a score triple
-_SCORES = itemgetter(*_SCORE_NAMES)
 _CONTINGENT_NAMES = ("if_visible", "emit")  # the order of a contingent pair
-_CONTINGENT = itemgetter(*_CONTINGENT_NAMES)
 
 
 class _Fault(Exception):
@@ -410,20 +411,29 @@ def _row(checks: dict[str, Check]) -> Callable[[dict], tuple[tuple[str, int], Be
             emitted_facts=frozenset(emitted(raw.get("emitted_facts", _EMPTY))),
             declared_confidence=float(confidence(raw.get("declared_confidence", 0.5))),
             latency=float(latency(raw.get("latency", 1.0))),
-            annotated_scores=(
-                _SCORES(scores(raw["annotated_scores"])) if "annotated_scores" in raw else None
-            ),
-            contingent_facts=tuple(
-                map(_CONTINGENT, contingent(raw.get("contingent_facts", _EMPTY)))
-            ),
+            annotated_scores=scores(raw["annotated_scores"]) if "annotated_scores" in raw else None,
+            contingent_facts=tuple(contingent(raw.get("contingent_facts", _EMPTY))),
         ),
     )
 
 
+def _names(names: tuple[str, ...]) -> Callable[[dict[str, Check]], Callable[[dict], tuple]]:
+    """A builder of the tuple of an object's required `names`, in that order."""
+
+    def builder(checks: dict[str, Check]) -> Callable[[dict], tuple]:
+        ordered = [(name, checks[name]) for name in names]
+        return lambda raw: tuple([check(raw[name]) for name, check in ordered])
+
+    return builder
+
+
+_ROW = "#/properties/agents/items/properties/behavior/items"
 _BUILDERS = {
     "#/properties/tasks/items": _task,
     "#/properties/agents/items": _agent,
-    "#/properties/agents/items/properties/behavior/items": _row,
+    _ROW: _row,
+    _ROW + "/properties/annotated_scores": _names(_SCORE_NAMES),
+    _ROW + "/properties/contingent_facts/items": _names(_CONTINGENT_NAMES),
 }
 _check_document = _compile(_SCHEMA)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Protocol
+from typing import TYPE_CHECKING, Callable, NamedTuple, Protocol
 
 from .errors import InvalidConfigError, ScorerUnavailableError
 
@@ -52,8 +52,7 @@ class ScoringWeights:
             raise InvalidConfigError(f"weights must sum to 1, got {total}")
 
 
-@dataclass(frozen=True)
-class ScoreBreakdown:
+class ScoreBreakdown(NamedTuple):
     coherence: float
     factuality: float
     relevance: float
@@ -75,12 +74,7 @@ def combine(
     composite = (
         weights.alpha * coherence + weights.beta * factuality + weights.gamma * relevance
     )
-    return ScoreBreakdown(
-        coherence=coherence,
-        factuality=factuality,
-        relevance=relevance,
-        composite=composite,
-    )
+    return ScoreBreakdown(coherence, factuality, relevance, composite)
 
 
 class Scorer(Protocol):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from taskweave import (
+    BehaviorRow,
     MemoryView,
     NoScriptedBehaviorError,
     SharedMemory,
@@ -76,6 +77,22 @@ def test_contingent_facts_fire_only_when_visible():
 
     blind = agent_spec.build().execute(task, memory.empty_view(), 0, 0.0)
     assert blind.emitted_facts == frozenset({"base"})
+
+
+@pytest.mark.parametrize("facts", [{"base"}, ["base"]], ids=["set", "list"])
+def test_row_built_from_a_set_or_list_emits_frozensets(facts):
+    row = BehaviorRow(content="out", emitted_facts=facts, contingent_facts=(("up1", "derived"),))
+    assert row.emitted_facts == frozenset({"base"}) and isinstance(row.emitted_facts, frozenset)
+    memory = SharedMemory()
+    upstream = make_agent("u", rows={("t1", 0): make_row({"up1"})}).build()
+    out = upstream.execute(make_task("t1"), memory.empty_view(), 0, 0.0)
+    memory.store(out.key, out)
+    memory.commit("t1", out.key)
+    agent = make_agent("a", rows={("t2", 0): row}).build()
+    blind = agent.execute(make_task("t2"), memory.empty_view(), 0, 0.0)
+    fired = agent.execute(make_task("t2"), memory.view(), 0, 0.0)
+    assert isinstance(blind.emitted_facts, frozenset) and blind.emitted_facts == {"base"}
+    assert isinstance(fired.emitted_facts, frozenset) and fired.emitted_facts == {"base", "derived"}
 
 
 def test_declared_confidence_reads_first_attempt_row():

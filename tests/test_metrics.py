@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+import importlib.util
 import random
+import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from taskweave import (
     EmptyReferenceError,
@@ -17,11 +22,13 @@ from taskweave import (
     compliance_accuracy,
     factual_coverage,
     load_scenario,
+    orchestrate,
     redundancy_penalty,
     revision_rate,
 )
+from taskweave.scenario import scenario_from_dict
 
-from conftest import CANONICAL_SCENARIOS
+from conftest import CANONICAL_SCENARIOS, REPO_ROOT
 
 
 def test_coverage_identity():
@@ -202,3 +209,59 @@ def test_report_json_omits_compliance_without_gold():
     report = orchestrate(scenario).report
     assert report.compliance_accuracy is None
     assert "compliance_accuracy" not in report.to_dict()
+
+
+def load_synth():
+    """`perfbench/synth.py`, the benchmark's scenario generator, as a module."""
+    spec = importlib.util.spec_from_file_location("perfbench_synth", REPO_ROOT / "perfbench" / "synth.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+synth = load_synth()
+
+VARIANT_FLAGS = (
+    {},
+    {"static": True},
+    {"no_parallel": True},
+    {"no_feedback": True},
+    {"no_memory_sharing": True},
+)
+
+
+synth_shapes = st.builds(
+    synth.Shape,
+    tasks=st.integers(2, 24),
+    width=st.integers(1, 4),
+    deps=st.integers(1, 3),
+    agents=st.integers(1, 3),
+    revision_budget=st.integers(1, 3),
+    ambiguous=st.floats(0, 1),
+    low_fact=st.floats(0, 1),
+    contingent=st.floats(0, 1),
+    contradictions=st.integers(0, 3),
+)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(synth_shapes, st.integers(0, 2**32 - 1), st.data())
+def test_report_recomputed_from_a_written_log_is_the_run_report(shape, seed, data):
+    doc = synth.generate(shape, seed)
+    # gold answers make compliance count: each names a reference fact or a fact no one emits
+    gold_tasks = data.draw(st.sets(st.sampled_from([t["id"] for t in doc["tasks"]])), label="gold")
+    doc["gold_answers"] = {
+        tid: data.draw(st.sampled_from([f"{tid}.r0", f"{tid}.r2", "never.emitted"]), label=tid)
+        for tid in sorted(gold_tasks)
+    }
+    scenario = scenario_from_dict(doc)
+    base = RunConfig().with_overrides(scenario.defaults)
+    for flags in VARIANT_FLAGS:
+        result = orchestrate(scenario, dataclasses.replace(base, **flags))
+        replayed = RunLog.from_jsonl(result.log.to_jsonl())
+        assert build_report(replayed, scenario) == result.report
+
+        unterminated = RunLog(events=[e for e in result.log.events if e.kind != "terminate"])
+        with pytest.raises(NoTerminateError):
+            build_report(unterminated, scenario)

@@ -19,6 +19,19 @@ ROW_KEYS = {
     "orchestrate_raw_s",
     "orchestrate_repeats",
     "orchestrate_peak_bytes",
+    "to_jsonl_s",
+    "to_jsonl_raw_s",
+    "to_jsonl_repeats",
+    "to_jsonl_gc_collections",
+    "to_jsonl_gc_s",
+    "to_jsonl_gc_raw_s",
+    "load_gc_collections",
+    "load_gc_s",
+    "load_gc_raw_s",
+    "orchestrate_gc_collections",
+    "orchestrate_gc_s",
+    "orchestrate_gc_raw_s",
+    "load_peak_bytes",
 }
 
 
@@ -43,6 +56,11 @@ def test_sweep_writes_every_size_of_every_shape(tmp_path):
         for row in shape["sizes"].values():
             assert set(row) == ROW_KEYS
             assert row["orchestrate_s"] > 0 and row["orchestrate_peak_bytes"] > 0
+            assert row["to_jsonl_s"] > 0 and row["load_peak_bytes"] > 0
+            for name in ("load", "orchestrate", "to_jsonl"):
+                collections = row[f"{name}_gc_collections"]
+                assert len(collections) == 3 and all(n >= 0 for n in collections)
+                assert row[f"{name}_gc_s"] >= 0 and row[f"{name}_gc_raw_s"] >= 0
     assert set(doc["runs"]["other"]["shapes"]) == {"deep_dag"}
 
 

@@ -10,7 +10,13 @@ and records:
 - `load_s`: `load_scenario` of the written file;
 - `orchestrate_s`: `orchestrate` of the loaded scenario, configured as the
   benchmark configures its full variant;
-- `orchestrate_peak_bytes`: the `tracemalloc` peak of one more `orchestrate`.
+- `to_jsonl_s`: `RunLog.to_jsonl` of that run's log;
+- `load_gc_collections`, `load_gc_s`, `load_gc_raw_s` (and the same for
+  `orchestrate` and `to_jsonl`): the cyclic collector's share of the timed
+  calls, as the collections it ran per generation (0, 1, 2) and the seconds
+  spent inside them, read through `gc.callbacks` during those same calls;
+- `load_peak_bytes`, `orchestrate_peak_bytes`: the `tracemalloc` peak of one
+  more call.
 
 Timings are medians over repeats, scaled to nominal host speed by
 `perfbench/reference.py` as the benchmark scales its own (the raw medians are
@@ -27,6 +33,7 @@ labels fill one file. Nothing under `perfbench/` is written.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -36,6 +43,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,32 +67,62 @@ def measure(repo: Path, shape_name: str, tasks: int, work: Path) -> dict:
 
     path = work / f"{shape_name}-{tasks}.json"
     path.write_text(synth.dumps(synth.generate(run.SHAPES[shape_name].scaled(tasks), SEED)), encoding="utf-8")
-    scenario = load_scenario(path)
-    config = run.make_item(path, scenario, "full").config
     scaler = Scaler()
 
-    def timed(name: str, fn) -> dict[str, float]:
+    def timed(name: str, fn) -> dict:
+        """Median time of `fn()` over the repeats, and the collector's work inside the same calls."""
+        collections = [0, 0, 0]
+        inside = started = 0.0
+
+        def callback(phase: str, info: dict) -> None:
+            nonlocal inside, started
+            if phase == "start":
+                started = time.perf_counter()
+            else:
+                inside += time.perf_counter() - started
+                collections[info["generation"]] += 1
+
         def op() -> float:
-            start = time.perf_counter()
-            fn()
-            return time.perf_counter() - start
+            gc.callbacks.append(callback)
+            try:
+                start = time.perf_counter()
+                fn()
+                return time.perf_counter() - start
+            finally:
+                gc.callbacks.remove(callback)
 
         samples = []
-        while len(samples) < REPEATS and sum(raw for _, raw in samples) < BUDGET_S:
-            samples.append(scaler.wrap(op)())
+        while len(samples) < REPEATS and sum(raw for _, raw, *_ in samples) < BUDGET_S:
+            collections[:] = [0, 0, 0]
+            inside = 0.0
+            scaled, raw = scaler.wrap(op)()
+            samples.append((scaled, raw, inside * scaled / raw, inside, list(collections)))
         return {
-            f"{name}_s": statistics.median(s for s, _ in samples),
-            f"{name}_raw_s": statistics.median(raw for _, raw in samples),
+            f"{name}_s": statistics.median(s[0] for s in samples),
+            f"{name}_raw_s": statistics.median(s[1] for s in samples),
             f"{name}_repeats": len(samples),
+            f"{name}_gc_s": statistics.median(s[2] for s in samples),
+            f"{name}_gc_raw_s": statistics.median(s[3] for s in samples),
+            f"{name}_gc_collections": [statistics.median(s[4][g] for s in samples) for g in range(3)],
         }
 
-    row = {**timed("load", lambda: load_scenario(path)), **timed("orchestrate", lambda: orchestrate(scenario, config))}
-    tracemalloc.start()
-    try:
-        orchestrate(scenario, config)
-        row["orchestrate_peak_bytes"] = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    def peak(name: str, fn) -> dict[str, int]:
+        tracemalloc.start()
+        try:
+            fn()
+            return {f"{name}_peak_bytes": tracemalloc.get_traced_memory()[1]}
+        finally:
+            tracemalloc.stop()
+
+    # Each reading holds only what the CLI holds at that point: no second
+    # scenario during the load, no run log during the orchestrate.
+    load = partial(load_scenario, path)
+    row = {**timed("load", load), **peak("load", load)}
+    scenario = load()
+    config = run.make_item(path, scenario, "full").config
+    run_once = partial(orchestrate, scenario, config)
+    row.update(timed("orchestrate", run_once), **peak("orchestrate", run_once))
+    row.update(timed("to_jsonl", run_once().log.to_jsonl))
     path.unlink()
     return row
 
