@@ -23,6 +23,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
+from ._collector import collector_paused
 from .agents import DEFAULT_ADAPT_DECREMENT, CandidateOutput, adapt_strategy
 from .errors import (
     DeadlockError,
@@ -232,8 +233,9 @@ class Orchestrator:
                     f"static variant needs an assignment for every task; missing {missing}",
                 )
 
+    @collector_paused
     def run(self) -> RunResult:
-        """Execute the full loop and return (document, log, report)."""
+        """Execute the full loop with the cyclic collector paused; return (document, log, report)."""
         while True:
             assignable = self.graph.ready_tasks()
             if not assignable:
@@ -433,6 +435,7 @@ class Orchestrator:
         return ScriptedScorer(self.scenario.annotations(), fallback=fallback)
 
 
+@collector_paused
 def orchestrate(scenario: Scenario, config: RunConfig | None = None) -> RunResult:
-    """Run a scenario to completion; see Orchestrator for the loop semantics."""
+    """Build and run a scenario to completion with the cyclic collector paused; see Orchestrator."""
     return Orchestrator(scenario, config).run()

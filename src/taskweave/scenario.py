@@ -20,6 +20,7 @@ from functools import reduce
 from pathlib import Path
 from typing import Any, Callable
 
+from ._collector import collector_paused
 from .agents import AgentProfile, BehaviorRow, ScriptedAgent
 from .errors import CycleError, ScenarioParseError, ScenarioValidationError
 from .graph import TaskGraph, TaskSpec, build_graph, find_cycle
@@ -132,8 +133,9 @@ def _row_to_dict(task_id: str, attempt: int, row: BehaviorRow) -> dict:
     return out
 
 
+@collector_paused
 def load_scenario(path: str | Path) -> Scenario:
-    """Load and fully validate a scenario file."""
+    """Load and fully validate a scenario file, with the cyclic collector paused."""
     return scenario_from_dict(_parse(Path(path)))
 
 

@@ -1,0 +1,168 @@
+"""The cyclic collector is paused over loads and runs, and the caller's setting survives.
+
+The pause is only safe because loading and running make no cyclic garbage:
+reference counting frees everything they drop. If that stopped holding,
+garbage would pile up for the length of every pause.
+"""
+
+from __future__ import annotations
+
+import gc
+
+import pytest
+
+from taskweave import (
+    OrchestrationError,
+    Orchestrator,
+    RunConfig,
+    ScenarioParseError,
+    ScenarioValidationError,
+    load_scenario,
+    orchestrate,
+)
+from taskweave import scoring
+from taskweave._collector import collector_paused
+
+from conftest import CANONICAL_SCENARIOS, make_agent, make_row, make_scenario, make_task
+from test_golden_digests import load_perfbench_run
+
+
+@pytest.fixture
+def no_collector():
+    """The collector off for the test and the caller's setting back after it."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+def test_load_and_every_variant_run_leave_no_cyclic_garbage(no_collector, tmp_path):
+    bench = load_perfbench_run()
+    generated = tmp_path / "deep_dag.json"
+    shape = bench.SHAPES["deep_dag"].scaled(40)
+    generated.write_text(bench.synth.dumps(bench.synth.generate(shape, 1)), encoding="utf-8")
+    gc.collect()  # what importing the bench and generating the shape left behind
+    for path in (*CANONICAL_SCENARIOS, generated):
+        scenario = load_scenario(path)
+        for variant in bench.VARIANTS:
+            orchestrate(scenario, bench.make_item(path, scenario, variant).config)
+    audited = Orchestrator(scenario, RunConfig(), memory_audit_path=tmp_path / "audit.jsonl")
+    audited.run()
+    assert (tmp_path / "audit.jsonl").stat().st_size > 0
+    del scenario, audited
+    assert gc.collect() == 0
+
+
+class Probe:
+    """A scorer that notes whether the collector runs when it is built and when it scores,
+    and fails on task `t2` when asked."""
+
+    built: list[bool] = []
+    seen: list[bool] = []
+    fail = False
+
+    def __init__(self):
+        Probe.built.append(gc.isenabled())
+
+    def components(self, output, task):
+        Probe.seen.append(gc.isenabled())
+        if Probe.fail and task.id == "t2":
+            raise OrchestrationError("probe failure mid-run")
+        return (0.5, 0.5, 0.5)
+
+
+@pytest.fixture(params=[True, False], ids=["collector_on", "collector_off"])
+def setting(request, monkeypatch):
+    """The caller's collector setting for the test, and the probe scorer registered."""
+    monkeypatch.setitem(scoring._SCORERS, "probe", Probe)
+    monkeypatch.setattr(Probe, "built", [])
+    monkeypatch.setattr(Probe, "seen", [])
+    enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if enabled else gc.disable)()
+
+
+def chain_scenario():
+    """Two tasks in a row, so the run scores and commits `t1` before it reaches `t2`."""
+    return make_scenario(
+        tasks=[make_task("t1", reference={"f1"}), make_task("t2", reference={"f2"}, deps={"t1"})],
+        agents=[make_agent("a1", rows={("t1", 0): make_row({"f1"}), ("t2", 0): make_row({"f2"})})],
+    )
+
+
+def test_load_restores_the_setting(setting, tmp_path):
+    assert load_scenario(CANONICAL_SCENARIOS[0]).tasks
+    assert gc.isenabled() is setting
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{", encoding="utf-8")
+    with pytest.raises(ScenarioParseError):
+        load_scenario(bad_json)
+    assert gc.isenabled() is setting
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text("{}", encoding="utf-8")
+    with pytest.raises(ScenarioValidationError):
+        load_scenario(invalid)
+    assert gc.isenabled() is setting
+
+
+@pytest.mark.parametrize(
+    "run,paused_construction",
+    [
+        (orchestrate, True),
+        (lambda scenario, config: Orchestrator(scenario, config).run(), False),
+    ],
+    ids=["orchestrate", "Orchestrator.run"],
+)
+def test_run_is_paused_and_restores_the_setting(setting, monkeypatch, run, paused_construction):
+    config = RunConfig(scorer="probe", no_feedback=True)
+    assert run(chain_scenario(), config).document.sections[-1].task_id == "t2"
+    assert gc.isenabled() is setting
+    assert Probe.built == [setting and not paused_construction]
+    assert Probe.seen == [False, False]
+
+    monkeypatch.setattr(Probe, "fail", True)
+    with pytest.raises(OrchestrationError, match="probe failure mid-run"):
+        run(chain_scenario(), config)
+    assert gc.isenabled() is setting
+    assert Probe.seen == [False, False, False, False]
+
+
+def test_a_nested_pause_leaves_the_outer_state(setting):
+    inside = []
+
+    @collector_paused
+    def inner():
+        inside.append(gc.isenabled())
+
+    @collector_paused
+    def outer():
+        inner()
+        inside.append(gc.isenabled())
+
+    outer()
+    assert inside == [False, False]
+    assert gc.isenabled() is setting
+
+
+@pytest.mark.parametrize("young", [0, 1], ids=["automatic_collection_off", "young_threshold_1"])
+def test_a_call_runs_only_the_young_collection_the_collector_would(setting, young):
+    """A call that turns the collector back on collects the young generation only when it is
+    over a nonzero threshold, as the caller's next allocation would."""
+    generations = []
+
+    def callback(phase, info):
+        if phase == "start":
+            generations.append(info["generation"])
+
+    saved = gc.get_threshold()
+    gc.set_threshold(young, 10**6, 10**6)  # no older collection can start
+    gc.callbacks.append(callback)
+    try:
+        load_scenario(CANONICAL_SCENARIOS[0])
+    finally:
+        gc.callbacks.remove(callback)
+        gc.set_threshold(*saved)
+    assert set(generations) <= {0}
+    assert bool(generations) is (setting and young > 0)
