@@ -7,7 +7,7 @@ run is a pure function of the scenario. It is the only agent implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import NoScriptedBehaviorError
 from .graph import TaskSpec
@@ -17,6 +17,8 @@ if TYPE_CHECKING:
 
 UNSEEN_MARKER_PERFORMANCE = 0.5
 DEFAULT_ADAPT_DECREMENT = 0.1
+_INF = float("inf")
+_new_tuple = tuple.__new__
 
 
 class CandidateOutput(NamedTuple):
@@ -35,33 +37,58 @@ class CandidateOutput(NamedTuple):
         return (self.task_id, self.agent_id, self.attempt)
 
 
-@dataclass(frozen=True, slots=True)
-class BehaviorRow:
+class _BehaviorFields(NamedTuple):  # the fields; BehaviorRow.__new__ has the defaults
+    content: str
+    emitted_facts: frozenset[str]
+    declared_confidence: float
+    latency: float
+    annotated_scores: tuple[float, float, float] | None
+    contingent_facts: tuple[tuple[str, str], ...]
+
+
+class BehaviorRow(_BehaviorFields):
     """Scripted response for one (task, attempt) pair.
 
     contingent_facts model memory-derived insight: each (trigger, fact) pair emits
     `fact` only when `trigger` is visible in the agent's memory view at execution
     time. With memory sharing disabled the view is empty and none of them fire.
+
+    Every way to build a row checks it: the constructor, and `_make` and
+    `_replace`, which go through it.
     """
 
-    content: str
-    emitted_facts: frozenset[str] = frozenset()
-    declared_confidence: float = 0.5
-    latency: float = 1.0
-    annotated_scores: tuple[float, float, float] | None = None
-    contingent_facts: tuple[tuple[str, str], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.emitted_facts, frozenset):
-            object.__setattr__(self, "emitted_facts", frozenset(self.emitted_facts))
-        if not 0.0 <= self.declared_confidence <= 1.0:
+    def __new__(
+        cls,
+        content: str,
+        emitted_facts: Iterable[str] = frozenset(),
+        declared_confidence: float = 0.5,
+        latency: float = 1.0,
+        annotated_scores: tuple[float, float, float] | None = None,
+        contingent_facts: tuple[tuple[str, str], ...] = (),
+    ) -> BehaviorRow:
+        if not isinstance(emitted_facts, frozenset):
+            emitted_facts = frozenset(emitted_facts)
+        if not 0.0 <= declared_confidence <= 1.0:
             raise ValueError("declared_confidence must be in [0, 1]")
-        if not 0.0 <= self.latency < float("inf"):
-            raise ValueError(f"latency must be finite and nonnegative, got {self.latency}")
-        if self.annotated_scores is not None:
-            for component in self.annotated_scores:
+        if not 0.0 <= latency < _INF:
+            raise ValueError(f"latency must be finite and nonnegative, got {latency}")
+        if annotated_scores is not None:
+            for component in annotated_scores:
                 if not 0.0 <= component <= 1.0:
                     raise ValueError("annotated score components must be in [0, 1]")
+        return _new_tuple(
+            cls,
+            (content, emitted_facts, declared_confidence, latency, annotated_scores, contingent_facts),
+        )
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> BehaviorRow:
+        values = tuple(iterable)
+        if len(values) != len(cls._fields):
+            raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(values)}")
+        return cls(*values)
 
 
 @dataclass
@@ -107,14 +134,14 @@ class ScriptedAgent:
             fired = {fact for trigger, fact in row.contingent_facts if trigger in visible}
             if fired:
                 facts = facts | fired
-        return CandidateOutput(
-            task_id=task.id,
-            agent_id=self.profile.id,
-            attempt=attempt,
-            content=row.content,
-            emitted_facts=facts,
-            declared_confidence=row.declared_confidence,
-            produced_at=start + row.latency,
+        return CandidateOutput(  # by position: a call by keyword costs a third of the execute
+            task.id,
+            self.profile.id,
+            attempt,
+            row.content,
+            facts,
+            row.declared_confidence,
+            start + row.latency,
         )
 
     def declared_confidence(self, task: TaskSpec) -> float:

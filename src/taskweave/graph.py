@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     CycleError,
@@ -70,16 +70,7 @@ class TaskGraph:
         self._status = dict.fromkeys(self.tasks, TaskStatus.READY)
         self._blocked = {tid: len(task.depends_on) for tid, task in self.tasks.items()}
         self._ready = {tid for tid, blocked in self._blocked.items() if not blocked}
-        consumers: dict[str, list[str]] = {tid: [] for tid in self.tasks}
-        for task in self.tasks.values():
-            unknown = task.depends_on.difference(self.tasks)
-            if unknown:
-                raise UnknownDependencyError(
-                    f"task {task.id!r} depends on unknown id {min(unknown)!r}"
-                )
-            for dep in task.depends_on:
-                consumers[dep].append(task.id)
-        self._consumers = {tid: tuple(sorted(ids)) for tid, ids in consumers.items()}
+        self._consumers = {tid: tuple(ids) for tid, ids in _consumer_index(self.tasks).items()}
 
     def task(self, task_id: str) -> TaskSpec:
         return self.tasks[task_id]
@@ -171,33 +162,8 @@ class TaskGraph:
         return tuple(order)
 
     def find_cycle(self) -> tuple[str, ...]:
-        """Return one dependency cycle as a closed path, or () when acyclic.
-
-        Depth-first from each unvisited id in sorted order, consumers in sorted
-        order. The walk keeps its own stack, so a long dependency chain does not
-        run into the interpreter's recursion limit.
-        """
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = {tid: WHITE for tid in self.tasks}
-        for root in sorted(self.tasks):
-            if color[root] != WHITE:
-                continue
-            color[root] = GRAY
-            path = [root]
-            pending = [iter(self._consumers[root])]
-            while pending:
-                for nxt in pending[-1]:
-                    if color[nxt] == GRAY:
-                        return tuple(path[path.index(nxt):]) + (nxt,)
-                    if color[nxt] == WHITE:
-                        color[nxt] = GRAY
-                        path.append(nxt)
-                        pending.append(iter(self._consumers[nxt]))
-                        break
-                else:
-                    pending.pop()
-                    color[path.pop()] = BLACK
-        return ()
+        """Return one dependency cycle as a closed path, or () when acyclic."""
+        return _first_cycle(self._consumers)
 
     def _require(self, task_id: str) -> TaskStatus:
         try:
@@ -226,5 +192,57 @@ def build_graph(specs: Iterable[TaskSpec]) -> TaskGraph:
 
 
 def find_cycle(tasks: Mapping[str, TaskSpec]) -> tuple[str, ...]:
-    """TaskGraph.find_cycle over tasks that may not form a DAG."""
-    return TaskGraph(tasks=dict(tasks)).find_cycle()
+    """TaskGraph.find_cycle over tasks that may not form a DAG, without building the graph.
+
+    Raises UnknownDependencyError as TaskGraph does.
+    """
+    return _first_cycle(_consumer_index(tasks))
+
+
+def _consumer_index(tasks: Mapping[str, TaskSpec]) -> dict[str, list[str]]:
+    """Each id's direct consumers in id order.
+
+    A dependency on an id outside `tasks` raises UnknownDependencyError, citing
+    the first such task in `tasks` order.
+    """
+    order = sorted(tasks)
+    consumers: dict[str, list[str]] = {tid: [] for tid in order}
+    try:
+        for tid in order:  # in id order, so each list is sorted as it grows
+            for dep in tasks[tid].depends_on:
+                consumers[dep].append(tid)
+    except KeyError:
+        task = next(task for task in tasks.values() if not task.depends_on <= tasks.keys())
+        unknown = min(task.depends_on - tasks.keys())
+        raise UnknownDependencyError(f"task {task.id!r} depends on unknown id {unknown!r}") from None
+    return consumers
+
+
+def _first_cycle(consumers: Mapping[str, Sequence[str]]) -> tuple[str, ...]:
+    """One cycle of the consumer index as a closed path, or () when acyclic.
+
+    Depth-first from each unvisited id in sorted order, consumers in their
+    index order. The walk keeps its own stack, so a long dependency chain does
+    not run into the interpreter's recursion limit.
+    """
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = dict.fromkeys(consumers, WHITE)
+    for root in sorted(consumers):
+        if color[root] != WHITE:
+            continue
+        color[root] = GRAY
+        path = [root]
+        pending = [iter(consumers[root])]
+        while pending:
+            for nxt in pending[-1]:
+                if color[nxt] == GRAY:
+                    return tuple(path[path.index(nxt):]) + (nxt,)
+                if color[nxt] == WHITE:
+                    color[nxt] = GRAY
+                    path.append(nxt)
+                    pending.append(iter(consumers[nxt]))
+                    break
+            else:
+                pending.pop()
+                color[path.pop()] = BLACK
+    return ()

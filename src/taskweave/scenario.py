@@ -115,11 +115,12 @@ class Scenario:
 
 
 def _fields(spec: object) -> dict:
-    """A spec's fields by name in declaration order, sets as sorted lists."""
+    """A spec's or a row's fields by name in declaration order, sets as sorted lists."""
+    names = spec._fields if isinstance(spec, tuple) else [f.name for f in fields(spec)]
     return {
-        f.name: sorted(value) if isinstance(value, frozenset) else value
-        for f in fields(spec)
-        for value in [getattr(spec, f.name)]
+        name: sorted(value) if isinstance(value, frozenset) else value
+        for name in names
+        for value in [getattr(spec, name)]
     }
 
 
@@ -203,6 +204,7 @@ _ANNOTATIONS = {"$schema", "$id", "$defs", "title"}
 _TYPES = dict(object=dict, array=list, string=str, number=(int, float), integer=(int, float))
 _CLASSES = {"string": (str,), "number": (int, float), "integer": (int,)}  # fast-path classes
 _EMPTY: list = []
+_NO_FACTS: frozenset[str] = frozenset()
 _IDENTIFIER = re.compile("^[a-zA-Z][a-zA-Z0-9_]*$")
 _SCORE_NAMES = ("coherence", "factuality", "relevance")  # the order of a score triple
 _CONTINGENT_NAMES = ("if_visible", "emit")  # the order of a contingent pair
@@ -406,17 +408,20 @@ def _row(checks: dict[str, Check]) -> Callable[[dict], tuple[tuple[str, int], Be
     scores, attempt, content, contingent, confidence, emitted, latency, task_id = map(
         checks.get, sorted(checks)
     )
-    return lambda raw: (
-        (task_id(raw["task_id"]), attempt(raw["attempt"])),
-        BehaviorRow(
-            content=content(raw["content"]),
-            emitted_facts=frozenset(emitted(raw.get("emitted_facts", _EMPTY))),
-            declared_confidence=float(confidence(raw.get("declared_confidence", 0.5))),
-            latency=float(latency(raw.get("latency", 1.0))),
-            annotated_scores=scores(raw["annotated_scores"]) if "annotated_scores" in raw else None,
-            contingent_facts=tuple(contingent(raw.get("contingent_facts", _EMPTY))),
-        ),
-    )
+
+    def build(raw: dict) -> tuple[tuple[str, int], BehaviorRow]:
+        """An absent property takes the row's default without a check call."""
+        key = (task_id(raw["task_id"]), attempt(raw["attempt"]))
+        return key, BehaviorRow(
+            content(raw["content"]),
+            emitted(raw["emitted_facts"]) if "emitted_facts" in raw else _NO_FACTS,
+            float(confidence(raw["declared_confidence"])) if "declared_confidence" in raw else 0.5,
+            float(latency(raw["latency"])) if "latency" in raw else 1.0,
+            scores(raw["annotated_scores"]) if "annotated_scores" in raw else None,
+            tuple(contingent(raw["contingent_facts"])) if "contingent_facts" in raw else (),
+        )
+
+    return build
 
 
 def _names(names: tuple[str, ...]) -> Callable[[dict[str, Check]], Callable[[dict], tuple]]:

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from taskweave import (
     BehaviorRow,
@@ -145,3 +150,63 @@ def test_adapt_strategy_custom_decrement():
 def test_profile_clamps_out_of_range_history():
     profile = make_agent("a", perf={"legal": 1.7, "numeric": -0.2}).build().profile
     assert profile.historical_performance == {"legal": 1.0, "numeric": 0.0}
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class ReferenceRow:
+    """The row as a checked dataclass: the oracle for every way to build a BehaviorRow."""
+
+    content: str
+    emitted_facts: frozenset[str] = frozenset()
+    declared_confidence: float = 0.5
+    latency: float = 1.0
+    annotated_scores: tuple[float, float, float] | None = None
+    contingent_facts: tuple[tuple[str, str], ...] = ()
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.emitted_facts, frozenset):
+            object.__setattr__(self, "emitted_facts", frozenset(self.emitted_facts))
+        if not 0.0 <= self.declared_confidence <= 1.0:
+            raise ValueError("declared_confidence must be in [0, 1]")
+        if not 0.0 <= self.latency < float("inf"):
+            raise ValueError(f"latency must be finite and nonnegative, got {self.latency}")
+        if self.annotated_scores is not None:
+            for component in self.annotated_scores:
+                if not 0.0 <= component <= 1.0:
+                    raise ValueError("annotated score components must be in [0, 1]")
+
+
+def verdict(build):
+    """The row's fields, or the error it raised."""
+    try:
+        row = build()
+    except ValueError as exc:
+        return ("rejected", str(exc))
+    assert type(row.emitted_facts) is frozenset
+    return tuple(getattr(row, name) for name in FIELDS)
+
+
+FIELDS = tuple(f.name for f in dataclasses.fields(ReferenceRow))
+
+numbers = st.floats() | st.integers(-2, 3) | st.sampled_from([0.0, 1.0, -0.0, math.inf, -math.inf, math.nan])
+facts = st.lists(st.text(max_size=3), max_size=3)
+row_fields = st.fixed_dictionaries(
+    {
+        "content": st.text(max_size=5),
+        "emitted_facts": facts | facts.map(set) | facts.map(frozenset) | facts.map(tuple),
+        "declared_confidence": numbers,
+        "latency": numbers,
+        "annotated_scores": st.none() | st.tuples(numbers, numbers, numbers),
+        "contingent_facts": st.lists(st.tuples(st.text(max_size=3), st.text(max_size=3)), max_size=2).map(tuple),
+    }
+)
+
+
+@given(row_fields)
+def test_every_way_to_build_a_row_checks_it_as_the_dataclass_did(values):
+    expected = verdict(lambda: ReferenceRow(**values))
+    assert verdict(lambda: BehaviorRow(**values)) == expected
+    in_order = [values[name] for name in FIELDS]
+    assert verdict(lambda: BehaviorRow(*in_order)) == expected
+    assert verdict(lambda: BehaviorRow._make(in_order)) == expected
+    assert verdict(lambda: BehaviorRow("valid")._replace(**values)) == expected

@@ -19,7 +19,7 @@ from taskweave import (
     UnknownDependencyError,
     build_graph,
 )
-from taskweave.graph import find_cycle
+from taskweave.graph import TaskGraph, find_cycle
 from taskweave.scenario import scenario_from_dict
 
 from conftest import make_task
@@ -356,3 +356,67 @@ def test_find_cycle_matches_recursive_reference(dep_sets):
         for i, deps in enumerate(dep_sets)
     }
     assert find_cycle(tasks) == recursive_find_cycle(tasks)
+
+
+def graph_walk_find_cycle(tasks) -> tuple[str, ...]:
+    """The cycle search as TaskGraph ran it before find_cycle walked the index
+    alone: TaskGraph's consumer index and its checks, then its iterative walk."""
+    consumers = {tid: [] for tid in tasks}
+    for task in tasks.values():
+        unknown = task.depends_on.difference(tasks)
+        if unknown:
+            raise UnknownDependencyError(f"task {task.id!r} depends on unknown id {min(unknown)!r}")
+        for dep in task.depends_on:
+            consumers[dep].append(task.id)
+    consumers = {tid: tuple(sorted(ids)) for tid, ids in consumers.items()}
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = {tid: WHITE for tid in tasks}
+    for root in sorted(tasks):
+        if color[root] != WHITE:
+            continue
+        color[root] = GRAY
+        path = [root]
+        pending = [iter(consumers[root])]
+        while pending:
+            for nxt in pending[-1]:
+                if color[nxt] == GRAY:
+                    return tuple(path[path.index(nxt):]) + (nxt,)
+                if color[nxt] == WHITE:
+                    color[nxt] = GRAY
+                    path.append(nxt)
+                    pending.append(iter(consumers[nxt]))
+                    break
+            else:
+                pending.pop()
+                color[path.pop()] = BLACK
+    return ()
+
+
+def cycle_verdict(find, tasks):
+    try:
+        return find(tasks)
+    except UnknownDependencyError as exc:
+        return str(exc)
+
+
+@st.composite
+def random_graphs(draw):
+    """A DAG in a shuffled id order, plus a few back edges (cyclic) and unknown ids."""
+    n = draw(st.integers(1, 12))
+    ids = draw(st.permutations([f"t{i}" for i in range(n)]))
+    deps = [set(draw(st.sets(st.sampled_from(ids[:i])))) if i else set() for i in range(n)]
+    for _ in range(draw(st.integers(0, 2))):  # a back edge closes a cycle
+        i, j = sorted(draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+        deps[i].add(ids[j])
+    if draw(st.integers(0, 9)) == 0:
+        deps[draw(st.integers(0, n - 1))].add(draw(st.sampled_from(["t99", "t100"])))
+    order = draw(st.permutations(range(n)))  # the mapping's order, apart from id order
+    return {ids[i]: make_task(ids[i], deps=deps[i]) for i in order}
+
+
+@given(random_graphs())
+def test_find_cycle_matches_the_graph_walk_it_replaced(tasks):
+    expected = cycle_verdict(graph_walk_find_cycle, tasks)
+    assert cycle_verdict(find_cycle, tasks) == expected
+    if not isinstance(expected, str):
+        assert TaskGraph(tasks).find_cycle() == expected

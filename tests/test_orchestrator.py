@@ -432,6 +432,52 @@ def test_invariants_hold_under_python_O(tmp_path):
     assert "dispatch bound violated" in proc.stdout
 
 
+def test_row_checks_hold_under_python_O(tmp_path):
+    # a behavior row checks its ranges with exceptions, so -O keeps them on
+    # every way to build one, and on the load path
+    import json
+    import os
+    import subprocess
+    import sys
+
+    from conftest import CANONICAL_SCENARIOS
+
+    code = (
+        "from taskweave import BehaviorRow\n"
+        "for build in (lambda: BehaviorRow('x', declared_confidence=1.5),\n"
+        "              lambda: BehaviorRow._make(('x', (), 0.5, float('inf'), None, ())),\n"
+        "              lambda: BehaviorRow('x')._replace(annotated_scores=(0.5, 2.0, 0.5))):\n"
+        "    try:\n"
+        "        build()\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=dict(os.environ), capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "declared_confidence must be in [0, 1]",
+        "latency must be finite and nonnegative, got inf",
+        "annotated score components must be in [0, 1]",
+    ]
+
+    doc = json.loads(CANONICAL_SCENARIOS[0].read_text())
+    doc["agents"][0]["behavior"][0]["latency"] = float("inf")
+    path = tmp_path / "infinite.json"
+    path.write_text(json.dumps(doc))
+    assert '"latency": Infinity' in path.read_text()
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "taskweave.cli", "validate", str(path)],
+        env=dict(os.environ),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "$.agents[0].behavior[0]" in proc.stderr
+    assert "latency must be finite and nonnegative, got inf" in proc.stderr
+
+
 def test_reassign_events_carry_stale_field():
     # In the wave loop a task is reopened before any dependent can commit, so
     # the stale set is empty here; nonempty sets are exercised at the graph API

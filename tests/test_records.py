@@ -1,4 +1,4 @@
-"""The run records: immutable tuples whose dict forms, and the log's JSON lines, keep their bytes."""
+"""The run records and behavior rows: immutable tuples whose dict forms, and the log's JSON lines, keep their bytes."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from taskweave import CandidateOutput, RunEvent, RunLog
+from taskweave import BehaviorRow, CandidateOutput, RunEvent, RunLog
 from taskweave.orchestrator import DocumentSection
 from taskweave.scoring import ScoreBreakdown
 
@@ -17,6 +17,7 @@ RECORDS = [
     CandidateOutput("t1", "a1", 0, "text", frozenset({"f1"}), 0.8, 2.0),
     ScoreBreakdown(0.5, 0.25, 1.0, 0.55),
     DocumentSection("t1", "text", frozenset({"f1"})),
+    BehaviorRow("text", frozenset({"f1"}), 0.8, 2.0, (0.5, 0.25, 1.0), (("f1", "f2"),)),
 ]
 
 

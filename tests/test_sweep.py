@@ -64,9 +64,33 @@ def test_sweep_writes_every_size_of_every_shape(tmp_path):
     assert set(doc["runs"]["other"]["shapes"]) == {"deep_dag"}
 
 
-def test_sweep_records_a_size_over_the_cap_as_skipped(tmp_path):
+def load_sweep():
     spec = importlib.util.spec_from_file_location("sweep", SWEEP_PATH)
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
+    return sweep
+
+
+def test_sweep_records_a_size_over_the_cap_as_skipped(tmp_path):
+    sweep = load_sweep()
     shapes = sweep.sweep(REPO_ROOT, {"deep_dag": (8,)}, 0.001, tmp_path)
     assert shapes["deep_dag"]["sizes"] == {"8": {"skipped": "over the 0.001 s cap"}}
+
+
+def test_a_timed_result_is_freed_after_the_clock_stops(monkeypatch):
+    sweep = load_sweep()
+    events = []
+
+    class Clock:
+        @staticmethod
+        def perf_counter() -> float:
+            events.append("clock")
+            return float(len(events))
+
+    class Result:
+        def __del__(self) -> None:
+            events.append("freed")
+
+    monkeypatch.setattr(sweep, "time", Clock)
+    assert sweep.seconds_of(Result) == 1.0
+    assert events == ["clock", "clock", "freed"]

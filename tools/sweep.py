@@ -45,6 +45,7 @@ import time
 import tracemalloc
 from functools import partial
 from pathlib import Path
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -54,6 +55,19 @@ SEED = 1  # the generator seed of every size, as in the bench-shape golden diges
 REPEATS = 5
 BUDGET_S = 2.0  # stop repeating an operation once its runs add up to this
 CAP_S = 120.0  # seconds one size's child may take before the size is recorded as skipped
+
+
+def seconds_of(fn: Callable[[], object]) -> float:
+    """Seconds `fn()` takes.
+
+    The result is dropped only after the clock stops: the CLI keeps what it
+    loads and runs until it exits, so no reading includes freeing it.
+    """
+    start = time.perf_counter()
+    result = fn()
+    elapsed = time.perf_counter() - start
+    del result
+    return elapsed
 
 
 def measure(repo: Path, shape_name: str, tasks: int, work: Path) -> dict:
@@ -85,9 +99,7 @@ def measure(repo: Path, shape_name: str, tasks: int, work: Path) -> dict:
         def op() -> float:
             gc.callbacks.append(callback)
             try:
-                start = time.perf_counter()
-                fn()
-                return time.perf_counter() - start
+                return seconds_of(fn)
             finally:
                 gc.callbacks.remove(callback)
 
