@@ -104,8 +104,9 @@ class AgentProfile:
     def __post_init__(self) -> None:
         if self.capacity < 1:
             raise ValueError("capacity must be a positive integer")
-        for marker, value in self.historical_performance.items():
-            self.historical_performance[marker] = min(1.0, max(0.0, value))
+        # a clamped copy, so that adapt_strategy never edits the caller's mapping
+        history = self.historical_performance
+        self.historical_performance = {m: min(1.0, max(0.0, v)) for m, v in history.items()}
 
     @property
     def has_spare_capacity(self) -> bool:

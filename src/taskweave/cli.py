@@ -6,35 +6,51 @@ Exit codes: 0 success, 1 runtime failure, 2 invalid scenario or run setting,
 
 from __future__ import annotations
 
-import logging
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 import click
 
 from .errors import DeadlockError, InvalidConfigError, OrchestrationError, ScenarioError
 from .orchestrator import RunConfig, orchestrate
 from .scenario import load_scenario
+from .scoring import WEIGHT_KEYS
 
-EXIT_OK = 0
-EXIT_FAILURE = 1
-EXIT_SCENARIO_INVALID = 2
-EXIT_DEADLOCK = 3
+# (error class, exit code, stderr prefix): the first match wins, so a subclass precedes its base.
+_EXITS = (
+    (ScenarioError, 2, "invalid scenario"),
+    (InvalidConfigError, 2, "invalid setting"),
+    (DeadlockError, 3, "deadlock"),
+    ((OrchestrationError, ValueError), 1, "run failed"),
+)
 
-logger = logging.getLogger(__name__)
+
+@contextmanager
+def _exit_on_error() -> Iterator[None]:
+    """Report an error _EXITS names on stderr and exit with its code; re-raise any other."""
+    try:
+        yield
+    except Exception as exc:
+        for kind, code, prefix in _EXITS:
+            if isinstance(exc, kind):
+                click.echo(f"{prefix}: {exc}", err=True)
+                sys.exit(code)
+        raise
 
 
 @click.group()
 def main() -> None:
     """Deterministic multi-agent orchestration runs over scenario files."""
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
 
 
+# Each option but --report, --log and the weight trio sets the RunConfig field it is named after.
 @main.command()
 @click.argument("scenario_path", type=click.Path())
 @click.option("--static", is_flag=True, help="Static variant: pinned roles, no feedback, no fan-out.")
 @click.option("--no-feedback", is_flag=True, help="Never call the evaluator review.")
-@click.option("--no-memory", is_flag=True, help="Agents execute against an empty memory view.")
+@click.option("--no-memory", "no_memory_sharing", is_flag=True, help="Agents execute against an empty memory view.")
 @click.option("--no-parallel", is_flag=True, help="Disable competitive fan-out.")
 @click.option("--seed", type=int, default=None, help="Deterministic replay seed.")
 @click.option("--theta", type=float, default=None, help="Ambiguity/confidence threshold.")
@@ -46,65 +62,24 @@ def main() -> None:
 @click.option("--w2", type=float, default=None, help="Suitability spare-capacity weight.")
 @click.option("--report", "report_path", type=click.Path(), default=None, help="Write the report JSON here.")
 @click.option("--log", "log_path", type=click.Path(), default=None, help="Write the run log (JSON lines) here.")
-def run(
-    scenario_path: str,
-    static: bool,
-    no_feedback: bool,
-    no_memory: bool,
-    no_parallel: bool,
-    seed: int | None,
-    theta: float | None,
-    k: int | None,
-    alpha: float | None,
-    beta: float | None,
-    gamma: float | None,
-    w1: float | None,
-    w2: float | None,
-    report_path: str | None,
-    log_path: str | None,
-) -> None:
+def run(scenario_path: str, report_path: str | None, log_path: str | None, **settings) -> None:
     """Run SCENARIO_PATH and print the metrics report to stdout."""
-    weight_args = (alpha, beta, gamma)
-    if any(w is not None for w in weight_args) and None in weight_args:
-        raise click.UsageError("--alpha/--beta/--gamma must be given together")
+    weights = {key: settings.pop(key) for key in WEIGHT_KEYS}
+    if None in weights.values():
+        if any(w is not None for w in weights.values()):
+            raise click.UsageError("--alpha/--beta/--gamma must be given together")
+        weights = None
 
-    try:
+    # An unset value option is None, which with_overrides skips; an unset flag is
+    # False, the RunConfig default, and a scenario's defaults cannot set a flag.
+    with _exit_on_error():
         scenario = load_scenario(scenario_path)
         config = (
             RunConfig()
             .with_overrides(scenario.defaults)
-            .with_overrides(
-                {
-                    "seed": seed,
-                    "theta": theta,
-                    "k": k,
-                    "w1": w1,
-                    "w2": w2,
-                    "weights": (
-                        {"alpha": alpha, "beta": beta, "gamma": gamma}
-                        if alpha is not None
-                        else None
-                    ),
-                    "static": static or None,
-                    "no_feedback": no_feedback or None,
-                    "no_memory_sharing": no_memory or None,
-                    "no_parallel": no_parallel or None,
-                }
-            )
+            .with_overrides({**settings, "weights": weights})
         )
         result = orchestrate(scenario, config)
-    except ScenarioError as exc:
-        click.echo(f"invalid scenario: {exc}", err=True)
-        sys.exit(EXIT_SCENARIO_INVALID)
-    except InvalidConfigError as exc:
-        click.echo(f"invalid setting: {exc}", err=True)
-        sys.exit(EXIT_SCENARIO_INVALID)
-    except DeadlockError as exc:
-        click.echo(f"deadlock: {exc}", err=True)
-        sys.exit(EXIT_DEADLOCK)
-    except (OrchestrationError, ValueError) as exc:
-        click.echo(f"run failed: {exc}", err=True)
-        sys.exit(EXIT_FAILURE)
 
     report_json = result.report.to_json()
     if report_path is not None:
@@ -112,26 +87,16 @@ def run(
     if log_path is not None:
         result.log.write(log_path)
     click.echo(report_json, nl=False)
-    sys.exit(EXIT_OK)
 
 
 @main.command()
 @click.argument("scenario_path", type=click.Path())
 def validate(scenario_path: str) -> None:
     """Validate SCENARIO_PATH and the settings its defaults give, without running it."""
-    try:
+    with _exit_on_error():
         scenario = load_scenario(scenario_path)
         RunConfig().with_overrides(scenario.defaults)
-    except ScenarioError as exc:
-        click.echo(f"invalid scenario: {exc}", err=True)
-        sys.exit(EXIT_SCENARIO_INVALID)
-    except InvalidConfigError as exc:
-        click.echo(f"invalid setting: {exc}", err=True)
-        sys.exit(EXIT_SCENARIO_INVALID)
-    click.echo(
-        f"ok: {len(scenario.tasks)} tasks, {len(scenario.agents)} agents"
-    )
-    sys.exit(EXIT_OK)
+    click.echo(f"ok: {len(scenario.tasks)} tasks, {len(scenario.agents)} agents")
 
 
 if __name__ == "__main__":

@@ -41,7 +41,6 @@ class Evaluator:
         self.domain_weights = dict(domain_weights or {})
         self.fact_threshold = fact_threshold
         self.contradiction_pairs = list(contradiction_pairs or [])
-        self._msg_counter = 0
         self._sent: set[tuple[int, str]] = set()
         # Replay state over memory.commits_since: how many commits were read, the
         # winners read but not yet checked while committed, and for each fact a
@@ -151,10 +150,9 @@ class Evaluator:
         if (entry.version, note) in self._sent:
             return
         self._sent.add((entry.version, note))
-        self._msg_counter += 1
         messages.append(
             FeedbackMessage(
-                id=f"fb-{self._msg_counter}",
+                id=f"fb-{len(self._sent)}",
                 sender=EVALUATOR_ID,
                 target=entry.agent_id,
                 task_id=entry.task_id,

@@ -88,8 +88,9 @@ class SharedMemory:
         if self._audit_path is not None:
             self._audit_path.write_text("", encoding="utf-8")
 
-    def store(self, key: EntryKey, output: CandidateOutput) -> int:
-        """Store a candidate under a fresh version; keys are never overwritten."""
+    def store(self, output: CandidateOutput) -> int:
+        """Store a candidate under its own key and a fresh version; keys are never overwritten."""
+        key = output.key
         if key in self._by_key:
             raise DuplicateKeyError(f"memory key {key!r} already stored")
         entry = MemoryEntry(key=key, output=output, version=len(self._by_key) + 1)

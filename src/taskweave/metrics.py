@@ -7,7 +7,7 @@ store/commit events, so a written log file is enough to recompute every field.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from typing import Iterable, Mapping, Sequence
 
@@ -33,23 +33,14 @@ class RunReport:
     counts: dict[str, int]
 
     def to_dict(self, timestamp: str | None = None) -> dict:
+        """Every field but an unset compliance_accuracy, the schema version and a timestamp."""
         doc = {
             "schema_version": REPORT_SCHEMA_VERSION,
-            TIMESTAMP_FIELD: (
-                timestamp
-                if timestamp is not None
-                else datetime.now(timezone.utc).isoformat()
-            ),
-            "factual_coverage": self.factual_coverage,
-            "redundancy_penalty": self.redundancy_penalty,
-            "revision_rate": self.revision_rate,
-            "coherence_mean": self.coherence_mean,
-            "relevance_mean": self.relevance_mean,
-            "completion_time": self.completion_time,
-            "counts": self.counts,
+            TIMESTAMP_FIELD: timestamp if timestamp is not None else datetime.now(timezone.utc).isoformat(),
         }
-        if self.compliance_accuracy is not None:
-            doc["compliance_accuracy"] = self.compliance_accuracy
+        doc.update((f.name, getattr(self, f.name)) for f in fields(self))
+        if self.compliance_accuracy is None:
+            del doc["compliance_accuracy"]
         return doc
 
     def to_json(self, timestamp: str | None = None) -> str:

@@ -43,7 +43,6 @@ from .routing import (
     DEFAULT_K,
     DEFAULT_PERF_WEIGHT,
     DEFAULT_THETA,
-    RouteMode,
     Router,
     RoutingDecision,
 )
@@ -66,6 +65,7 @@ DEFAULT_REVISION_BUDGET = 3
 # Settings that must lie in [0, 1], as the scenario schema's `defaults` states.
 _UNIT_SETTINGS = ("theta", "w1", "w2", "severity_threshold", "fact_threshold", "adapt_decrement")
 _INT_SETTINGS = ("seed", "k", "revision_budget")
+_FLAG_SETTINGS = ("static", "no_feedback", "no_memory_sharing", "no_parallel")
 
 
 @dataclass(frozen=True)
@@ -95,6 +95,10 @@ class RunConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
+        for name in _FLAG_SETTINGS:
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise InvalidConfigError(f"{name} must be a boolean, got {value!r}")
         for name in _UNIT_SETTINGS:
             check_unit_setting(name, getattr(self, name))
         if not isinstance(self.domain_weights, Mapping):
@@ -286,7 +290,7 @@ class Orchestrator:
         for task_id in assignable:
             task = self.graph.task(task_id)
             decision = self._decide(task)
-            if decision.mode is RouteMode.DEFER:
+            if not decision.assignees:
                 continue
             self.graph.mark_in_progress(task_id)
             attempt = self._revisions[task_id]
@@ -324,7 +328,7 @@ class Orchestrator:
         # Versions follow completion time; simultaneous completions are ordered
         # by the seeded tiebreak so replay of one seed is exact.
         for output, _ in sorted(executions, key=lambda ex: (ex[0].produced_at, ex[1])):
-            self.memory.store(output.key, output)
+            self.memory.store(output)
             entry = self.memory.entry(output.key)
             self.log.append("store", output.produced_at, entry.to_audit_dict())
 
@@ -357,14 +361,10 @@ class Orchestrator:
 
     def _decide(self, task: TaskSpec) -> RoutingDecision:
         if self.config.static:
-            return RoutingDecision(
-                task.id,
-                RouteMode.SINGLE,
-                (self.scenario.static_assignments[task.id],),
-            )
+            return RoutingDecision(task.id, (self.scenario.static_assignments[task.id],))
         pinned = self._pinned.pop(task.id, None)
         if pinned is not None and self.agents[pinned].profile.has_spare_capacity:
-            return RoutingDecision(task.id, RouteMode.SINGLE, (pinned,))
+            return RoutingDecision(task.id, (pinned,))
         return self.router.route(task, allow_parallel=not self.config.no_parallel)
 
     # -- feedback processing --------------------------------------------------

@@ -28,16 +28,14 @@ class RouteMode(str, Enum):
 @dataclass(frozen=True)
 class RoutingDecision:
     task_id: str
-    mode: RouteMode
     assignees: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if self.mode is RouteMode.SINGLE and len(self.assignees) != 1:
-            raise ValueError("single mode takes exactly one assignee")
-        if self.mode is RouteMode.PARALLEL and len(self.assignees) < 2:
-            raise ValueError("parallel mode takes at least two assignees")
-        if self.mode is RouteMode.DEFER and self.assignees:
-            raise ValueError("defer takes no assignees")
+    @property
+    def mode(self) -> RouteMode:
+        """DEFER with no assignee, SINGLE with one, PARALLEL with two or more."""
+        if not self.assignees:
+            return RouteMode.DEFER
+        return RouteMode.SINGLE if len(self.assignees) == 1 else RouteMode.PARALLEL
 
 
 def suitability(
@@ -105,12 +103,12 @@ class Router:
         """
         ranked = self._ranked_available(task)
         if not ranked:
-            return RoutingDecision(task.id, RouteMode.DEFER, ())
+            return RoutingDecision(task.id, ())
         if allow_parallel and self.k >= 2 and self.is_ambiguous(task):
             fanout = ranked[: min(self.k, len(ranked))]
             if len(fanout) >= 2:
-                return RoutingDecision(task.id, RouteMode.PARALLEL, tuple(fanout))
-        return RoutingDecision(task.id, RouteMode.SINGLE, (ranked[0],))
+                return RoutingDecision(task.id, tuple(fanout))
+        return RoutingDecision(task.id, (ranked[0],))
 
     def reassign(self, target_agent_id: str, task_id: str) -> RoutingDecision:
         """Pin a revision to the agent the feedback names.
@@ -120,7 +118,7 @@ class Router:
         """
         if target_agent_id not in self.agents:
             raise UnknownAgentError(f"unknown agent {target_agent_id!r}")
-        return RoutingDecision(task_id, RouteMode.SINGLE, (target_agent_id,))
+        return RoutingDecision(task_id, (target_agent_id,))
 
     def _ranked_available(self, task: TaskSpec) -> list[str]:
         """Agents with spare capacity, best suitability first, ties by id."""

@@ -50,7 +50,7 @@ class AgentSpec:
             id=self.id,
             capabilities=self.capabilities,
             capacity=self.capacity,
-            historical_performance=dict(self.historical_performance),
+            historical_performance=self.historical_performance,
         )
         return ScriptedAgent(profile, dict(self.behavior))
 

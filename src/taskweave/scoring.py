@@ -59,12 +59,7 @@ class ScoreBreakdown(NamedTuple):
     composite: float
 
     def to_dict(self) -> dict:
-        return {
-            "coherence": self.coherence,
-            "factuality": self.factuality,
-            "relevance": self.relevance,
-            "composite": self.composite,
-        }
+        return self._asdict()
 
 
 def combine(

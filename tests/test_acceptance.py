@@ -75,7 +75,6 @@ def test_criterion_1_scoring_oracle():
             key = ("t1", "a", i)
             components_by_key[key] = (rng.random(), rng.random(), rng.random())
             memory.store(
-                key,
                 CandidateOutput(
                     task_id="t1",
                     agent_id="a",
@@ -122,7 +121,6 @@ def selection_world(annotations):
     for task_id, agent_id, attempt in sorted(annotations):
         key = (task_id, agent_id, attempt)
         memory.store(
-            key,
             CandidateOutput(
                 task_id=task_id,
                 agent_id=agent_id,

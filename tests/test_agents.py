@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from taskweave import (
+    AgentProfile,
     BehaviorRow,
     MemoryView,
     NoScriptedBehaviorError,
@@ -70,7 +71,7 @@ def test_contingent_facts_fire_only_when_visible():
     memory = SharedMemory()
     upstream = make_agent("u", rows={("t1", 0): make_row({"up1"})}).build()
     out = upstream.execute(make_task("t1"), memory.empty_view(), 0, 0.0)
-    memory.store(out.key, out)
+    memory.store(out)
 
     # stored but not committed: trigger not visible
     hidden = agent_spec.build().execute(task, memory.view(), 0, 0.0)
@@ -91,7 +92,7 @@ def test_row_built_from_a_set_or_list_emits_frozensets(facts):
     memory = SharedMemory()
     upstream = make_agent("u", rows={("t1", 0): make_row({"up1"})}).build()
     out = upstream.execute(make_task("t1"), memory.empty_view(), 0, 0.0)
-    memory.store(out.key, out)
+    memory.store(out)
     memory.commit("t1", out.key)
     agent = make_agent("a", rows={("t2", 0): row}).build()
     blind = agent.execute(make_task("t2"), memory.empty_view(), 0, 0.0)
@@ -150,6 +151,20 @@ def test_adapt_strategy_custom_decrement():
 def test_profile_clamps_out_of_range_history():
     profile = make_agent("a", perf={"legal": 1.7, "numeric": -0.2}).build().profile
     assert profile.historical_performance == {"legal": 1.0, "numeric": 0.0}
+
+
+def test_profile_leaves_the_callers_history_alone():
+    history = {"legal": 1.7, "numeric": 0.6}
+    profile = AgentProfile("a", historical_performance=history)
+    assert history == {"legal": 1.7, "numeric": 0.6}
+    adapt_strategy(profile, frozenset({"legal", "numeric"}))
+    assert history == {"legal": 1.7, "numeric": 0.6}
+    assert profile.historical_performance == pytest.approx({"legal": 0.9, "numeric": 0.5})
+
+    spec = make_agent("a", perf={"legal": 0.8})
+    adapt_strategy(spec.build().profile, frozenset({"legal"}))
+    assert spec.historical_performance == {"legal": 0.8}
+    assert spec.build().profile.historical_performance == {"legal": 0.8}
 
 
 @dataclasses.dataclass(frozen=True, slots=True)

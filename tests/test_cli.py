@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 from click.testing import CliRunner
 
-from taskweave.cli import main
+from taskweave import RunConfig, load_scenario, orchestrate
+from taskweave.cli import main, run
 
 from conftest import CANONICAL_SCENARIOS
 
@@ -334,3 +336,39 @@ def test_validate_rejects_bad_file(runner, tmp_path):
     path.write_text("[]")
     result = runner.invoke(main, ["validate", str(path)])
     assert result.exit_code == 2
+
+
+# Each option with the RunConfig override it stands for. On this scenario every
+# one of them changes the run log, so an option the CLI dropped would show.
+REVIEW = CANONICAL_SCENARIOS[1]
+RUN_OPTIONS = [
+    (["--static"], {"static": True}),
+    (["--no-feedback"], {"no_feedback": True}),
+    (["--no-memory"], {"no_memory_sharing": True}),
+    (["--no-parallel"], {"no_parallel": True}),
+    (["--seed", "3"], {"seed": 3}),
+    (["--theta", "0.9"], {"theta": 0.9}),
+    (["--k", "3"], {"k": 3}),
+    (["--w1", "0.2"], {"w1": 0.2}),
+    (["--w2", "0.5"], {"w2": 0.5}),
+    (["--alpha", "0.2", "--beta", "0.5", "--gamma", "0.3"], {"weights": {"alpha": 0.2, "beta": 0.5, "gamma": 0.3}}),
+]
+
+
+@pytest.mark.parametrize("flags,override", RUN_OPTIONS, ids=[" ".join(flags) for flags, _ in RUN_OPTIONS])
+def test_each_run_option_gives_the_library_run_it_names(runner, tmp_path, flags, override):
+    log_path = tmp_path / "run.jsonl"
+    result = runner.invoke(main, ["run", str(REVIEW), *flags, "--log", str(log_path)])
+    assert result.exit_code == 0, result.output
+    scenario = load_scenario(REVIEW)
+    config = RunConfig().with_overrides(scenario.defaults)
+    expected = orchestrate(scenario, config.with_overrides(override)).log.to_jsonl()
+    assert log_path.read_bytes() == expected.encode("utf-8")
+    assert expected != orchestrate(scenario, config).log.to_jsonl()
+
+
+def test_every_run_parameter_is_a_run_config_field():
+    own = {"scenario_path", "report_path", "log_path", "alpha", "beta", "gamma"}
+    fields = {field.name for field in dataclasses.fields(RunConfig)}
+    settings = {param.name for param in run.params} - own
+    assert settings <= fields, f"not RunConfig fields: {sorted(settings - fields)}"

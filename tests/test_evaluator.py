@@ -39,7 +39,7 @@ def put(memory, task="t1", agent="a", attempt=0, facts=(), content="text", commi
         declared_confidence=0.5,
         produced_at=0.0,
     )
-    memory.store(output.key, output)
+    memory.store(output)
     if commit:
         memory.commit(task, output.key)
     return output.key

@@ -20,7 +20,6 @@ def seeded_memory(n_versions: int = 3) -> SharedMemory:
     memory = SharedMemory()
     for i in range(n_versions):
         memory.store(
-            ("t1", f"a{i}", 0),
             CandidateOutput(
                 task_id="t1",
                 agent_id=f"a{i}",

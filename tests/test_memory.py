@@ -26,21 +26,21 @@ def output(task="t1", agent="a", attempt=0, facts=(), conf=0.5, at=0.0):
 
 def test_first_store_gets_version_one():
     memory = SharedMemory()
-    assert memory.store(("t1", "a", 0), output()) == 1
+    assert memory.store(output()) == 1
 
 
 def test_versions_increase_in_store_order():
     memory = SharedMemory()
-    v1 = memory.store(("t1", "a", 0), output(agent="a"))
-    v2 = memory.store(("t1", "b", 0), output(agent="b"))
+    v1 = memory.store(output(agent="a"))
+    v2 = memory.store(output(agent="b"))
     assert (v1, v2) == (1, 2)
 
 
 def test_restore_same_key_raises():
     memory = SharedMemory()
-    memory.store(("t1", "a", 0), output())
+    memory.store(output())
     with pytest.raises(DuplicateKeyError):
-        memory.store(("t1", "a", 0), output())
+        memory.store(output())
 
 
 def test_candidates_unknown_task_is_empty():
@@ -50,7 +50,7 @@ def test_candidates_unknown_task_is_empty():
 def test_candidates_preserve_store_order():
     memory = SharedMemory()
     for agent in ("c", "a", "b"):
-        memory.store(("t1", agent, 0), output(agent=agent))
+        memory.store(output(agent=agent))
     assert [e.agent_id for e in memory.candidates("t1")] == ["c", "a", "b"]
 
 
@@ -58,7 +58,7 @@ def test_losing_candidates_survive_commit():
     memory = SharedMemory()
     keys = [("t1", agent, 0) for agent in ("a", "b", "c")]
     for key in keys:
-        memory.store(key, output(agent=key[1]))
+        memory.store(output(agent=key[1]))
     memory.commit("t1", keys[1])
     entries = memory.candidates("t1")
     assert len(entries) == 3
@@ -67,8 +67,8 @@ def test_losing_candidates_survive_commit():
 
 def test_recommit_demotes_previous_winner():
     memory = SharedMemory()
-    memory.store(("t1", "a", 0), output(agent="a"))
-    memory.store(("t1", "a", 1), output(agent="a", attempt=1))
+    memory.store(output(agent="a"))
+    memory.store(output(agent="a", attempt=1))
     memory.commit("t1", ("t1", "a", 0))
     memory.commit("t1", ("t1", "a", 1))
     committed = [e for e in memory.candidates("t1") if e.committed]
@@ -84,7 +84,7 @@ def test_commit_unknown_key_raises():
 
 def test_commit_key_for_wrong_task_raises():
     memory = SharedMemory()
-    memory.store(("t1", "a", 0), output())
+    memory.store(output())
     with pytest.raises(UnknownEntryError):
         memory.commit("t2", ("t1", "a", 0))
 
@@ -93,7 +93,7 @@ def test_has_version_covers_exactly_the_stored_versions():
     memory = SharedMemory()
     assert not memory.has_version(1)
     for attempt in range(3):
-        memory.store(("t1", "a", attempt), output(attempt=attempt))
+        memory.store(output(attempt=attempt))
     assert [v for v in range(-1, 6) if memory.has_version(v)] == [1, 2, 3]
 
 
@@ -104,7 +104,7 @@ def test_append_only_under_random_interleaving():
     for step in range(200):
         task = f"t{rng.randrange(5)}"
         key = (task, f"a{rng.randrange(4)}", step)
-        memory.store(key, output(task=key[0], agent=key[1], attempt=step))
+        memory.store(output(task=key[0], agent=key[1], attempt=step))
         stored.append(key)
         if rng.random() < 0.3:
             commit_key = rng.choice(stored)
@@ -130,7 +130,7 @@ def test_winner_map_matches_a_scan_of_entry_flags_and_the_commit_log(ops):
             commit_log.append(key[0])
         else:
             key = (f"t{task_n}", "a", len(stored))
-            memory.store(key, output(task=key[0], attempt=key[2], facts={f"f{pick % 5}"}))
+            memory.store(output(task=key[0], attempt=key[2], facts={f"f{pick % 5}"}))
             stored.append(key)
 
         entries = [memory.entry(k) for k in stored]
@@ -162,7 +162,7 @@ def test_a_held_view_reads_the_union_of_the_current_winners(ops):
             memory.commit(key[0], key)
         else:
             key = (f"t{task_n}", "a", len(stored))
-            memory.store(key, output(task=key[0], attempt=key[2], facts=facts))
+            memory.store(output(task=key[0], attempt=key[2], facts=facts))
             stored.append(key)
         winners = [memory.entry(k) for k in stored if memory.entry(k).committed]
         assert view.committed_facts() == frozenset().union(*(e.output.emitted_facts for e in winners))
@@ -173,7 +173,7 @@ def test_audit_log_write_through(tmp_path):
     audit = tmp_path / "memory.jsonl"
     memory = SharedMemory(audit_path=audit)
     key = ("t1", "a", 0)
-    memory.store(key, output(facts={"f2", "f1"}, conf=0.9))
+    memory.store(output(facts={"f2", "f1"}, conf=0.9))
     memory.commit("t1", key)
 
     lines = [json.loads(line) for line in audit.read_text().splitlines()]

@@ -498,7 +498,6 @@ def test_compile_concatenates_chain_in_order():
         from taskweave import CandidateOutput
 
         memory.store(
-            key,
             CandidateOutput(
                 task_id=task_id,
                 agent_id="w",
@@ -532,7 +531,6 @@ def test_compile_breaks_diamond_ties_by_id():
     for task_id in ("a", "b", "c", "d"):
         key = (task_id, "w", 0)
         memory.store(
-            key,
             CandidateOutput(
                 task_id=task_id,
                 agent_id="w",

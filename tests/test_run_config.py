@@ -50,6 +50,10 @@ def test_settings_outside_their_bounds_are_rejected(setting):
         {"weights": None},
         {"domain_weights": {"legal": {"alpha": 0.3, "beta": 0.4, "gamma": 0.3}}},
         {"domain_weights": [("legal", ScoringWeights())]},
+        {"static": "false"},
+        {"no_feedback": 1},
+        {"no_memory_sharing": None},
+        {"no_parallel": 0.0},
     ],
     ids=lambda setting: "-".join(f"{k}={v!r}" for k, v in setting.items()),
 )
