@@ -120,9 +120,11 @@ class RunConfig:
             )
 
     def with_overrides(self, overrides: Mapping) -> RunConfig:
-        """New config with every non-None override applied."""
+        """New config with every non-None override applied; an unknown key is an error."""
         clean = dict()
         for key, value in overrides.items():
+            if key not in _FIELDS:
+                raise InvalidConfigError(f"unknown setting {key!r}")
             if value is None:
                 continue
             if key == "weights":
@@ -131,6 +133,9 @@ class RunConfig:
                 value = {m: _weights_from(f"domain_weights[{m!r}]", w) for m, w in value.items()}
             clean[key] = value
         return dataclasses.replace(self, **clean)
+
+
+_FIELDS = frozenset(f.name for f in dataclasses.fields(RunConfig))
 
 
 def _weights_from(name: str, value: object) -> object:

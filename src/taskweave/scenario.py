@@ -4,8 +4,8 @@ A scenario is the complete deterministic description of a run: the task graph,
 the agent pool with scripted behavior tables, contradiction pairs, gold
 answers for compliance tasks, static-variant assignments, and config defaults.
 `schemas/scenario.schema.json` is the published contract for the format and
-the one place its rules are written: the loader compiles it at import into
-checks that build the specs as they check them, then checks cross-references.
+the one place its rules are written: the loader generates checks from it at
+import that build the specs as they check them, then checks cross-references.
 Every error carries a JSON path and jsonschema's message for the fault; the
 test suite holds the loader to the schema, with jsonschema as the oracle.
 """
@@ -16,8 +16,9 @@ import json
 import math
 import re
 from dataclasses import dataclass, field, fields
-from functools import reduce
+from functools import cache, reduce
 from pathlib import Path
+from types import CodeType
 from typing import Any, Callable
 
 from ._collector import collector_paused
@@ -183,13 +184,18 @@ def scenario_from_dict(doc: object) -> Scenario:
 # `_compile` turns each schema node into a check: a function that takes the
 # node's value and returns the value to build from (an integral float in an
 # integer node becomes an int) or raises `_Fault` with jsonschema's message.
-# A value off the fast path is held to each rule of the node in keyword order.
-# A fault collects its keys as it unwinds, so only a reported fault gets a
-# path. A closed object that holds a fault is walked again in property-name
-# order, the order of jsonschema's errors sorted by path; arrays and maps
-# report their first bad item. Task, agent and behavior-row nodes build their
-# specs, and score and contingent-pair nodes their tuples, calling their
-# property checks directly.
+# The fast path is Python source generated from the schema and `exec`ed once:
+# string and number nodes test their value inline, and each hot node (`_BUILT`)
+# inlines its key-set test and its properties' tests, then builds its spec or
+# tuple. A number passes only as an int or float (an integer node: an int)
+# inside its bounds and ±inf, so NaN, ±inf and bools never pass. Any other
+# value takes the slow path: each rule of the node in keyword order, with
+# jsonschema's message, then each property's check, then the spec
+# constructors, which reject the NaN and inf the schema admits. A fault
+# collects its keys as it unwinds, so only a reported fault gets a path. A
+# closed object that holds a fault is walked again in property-name order, the
+# order of jsonschema's errors sorted by path; arrays and maps report their
+# first bad item. An absent property of a hot node takes its `default`.
 
 Check = Callable[[Any], Any]
 _KEYWORDS = {  # by the node's type; a `$ref` stands alone, the root adds annotations
@@ -200,11 +206,9 @@ _KEYWORDS = {  # by the node's type; a `$ref` stands alone, the root adds annota
     "array": {"type", "items", "minItems", "maxItems"},
     "object": {"type", "required", "properties", "additionalProperties"},
 }
-_ANNOTATIONS = {"$schema", "$id", "$defs", "title"}
+_ANNOTATIONS = {"$schema", "$id", "$defs", "title", "default"}
 _TYPES = dict(object=dict, array=list, string=str, number=(int, float), integer=(int, float))
-_CLASSES = {"string": (str,), "number": (int, float), "integer": (int,)}  # fast-path classes
 _EMPTY: list = []
-_NO_FACTS: frozenset[str] = frozenset()
 _IDENTIFIER = re.compile("^[a-zA-Z][a-zA-Z0-9_]*$")
 _SCORE_NAMES = ("coherence", "factuality", "relevance")  # the order of a score triple
 _CONTINGENT_NAMES = ("if_visible", "emit")  # the order of a contingent pair
@@ -274,8 +278,22 @@ _RULES: dict[str, Callable[[Any, Any, dict], str | None]] = {
 }
 
 
+def _held_to_rules(schema: dict, value: object) -> object:
+    """The slow path of a node: each of its rules, in the schema's keyword order."""
+    for keyword, arg in schema.items():
+        message = keyword in _RULES and _RULES[keyword](value, arg, schema)
+        if message:
+            raise _Fault(message)
+    return int(value) if schema.get("type") == "integer" else value
+
+
+def _off(value: object) -> object:
+    """The slow path of a hot child called from its parent's fast path: the parent's."""
+    raise _Fault("off the fast path")
+
+
 def _compile(schema: dict, at: str = "#") -> Check:
-    """The check of one schema node; `at`, its JSON pointer, picks a spec builder."""
+    """The check of one schema node; `at`, its JSON pointer, picks a built form."""
     if schema.keys() == {"$ref"}:
         parts = schema["$ref"].removeprefix("#/").split("/")
         return _compile(reduce(dict.__getitem__, parts, _SCHEMA), schema["$ref"])
@@ -283,41 +301,30 @@ def _compile(schema: dict, at: str = "#") -> Check:
     unsupported = schema.keys() - _ANNOTATIONS - _KEYWORDS.get(kind, set())
     if unsupported:
         raise ValueError(f"unsupported schema keywords at {at}: {sorted(unsupported)}")
-
-    def held_to_rules(value: object) -> object:
-        """The slow path: every rule of the node, in the schema's keyword order."""
-        for keyword, arg in schema.items():
-            message = keyword in _RULES and _RULES[keyword](value, arg, schema)
-            if message:
-                raise _Fault(message)
-        return int(value) if kind == "integer" else value
-
-    if kind == "string":
-        shortest = schema.get("minLength", 0)
-        return lambda v: v if type(v) is str and len(v) >= shortest else held_to_rules(v)
-    if kind in ("number", "integer"):
-        low, high = schema.get("minimum", -math.inf), schema.get("maximum", math.inf)
-        classes = _CLASSES[kind]
-        return lambda v: v if type(v) in classes and low <= v <= high else held_to_rules(v)
+    slow = lambda value: _held_to_rules(schema, value)  # noqa: E731
+    test = _test(schema, "v")
+    if test:
+        return eval(_leaf(test), {"slow": slow, "inf": math.inf})
     if kind == "array":
-        return _array(schema, _compile(schema["items"], at + "/items"), held_to_rules)
+        return _array(schema, _compile(schema["items"], at + "/items"), slow)
     if kind != "object":
-        return held_to_rules
+        return slow
     extra = schema.get("additionalProperties")
     if isinstance(extra, dict) and "properties" not in schema:
-        return _map(_compile(extra, at + "/additionalProperties"), held_to_rules)
+        return _map(_compile(extra, at + "/additionalProperties"), slow)
     if extra is not False or "properties" not in schema:
         raise ValueError(f"unsupported object node at {at}: neither a closed object nor a map")
     properties = schema["properties"]
     checks = {key: _compile(properties[key], f"{at}/properties/{key}") for key in properties}
-    build = _BUILDERS.get(at, _as_dict)(checks)
     allowed, required = frozenset(checks), frozenset(schema.get("required", ()))
+    build = None  # a hot node's build from checked values, generated below
 
-    def check(value: object) -> object:
-        if not (type(value) is dict and required <= value.keys() <= allowed):
-            held_to_rules(value)
+    def walk(value: object) -> object:
+        """The slow path of a closed object: its rules, then each property's check."""
+        slow(value)
         try:
-            return build(value)
+            checked = {key: checks[key](each) for key, each in value.items()}
+            return build(checked) if build else checked
         except _Fault:
             for key in sorted(value):  # the first fault by property name
                 try:
@@ -326,26 +333,91 @@ def _compile(schema: dict, at: str = "#") -> Check:
                     fault.keys.append(key)
                     raise fault from None
             raise
-        except ValueError as exc:  # a range the schema admits, such as NaN
+        except (ValueError, ArithmeticError) as exc:  # a value the schema admits: NaN, inf
             raise _Fault(str(exc)) from exc
+
+    if at in _BUILT:
+        namespace = {**_NAMES, "walk": walk, "allowed": allowed, "required": required}
+        namespace.update((f"check_{key}", check) for key, check in checks.items())
+        exec(_source(schema, at), namespace)
+        build = namespace["build"]
+        return namespace["fast"]
+
+    def check(value: object) -> dict:
+        """A closed object with no built form: the dict of its checked values."""
+        if type(value) is dict and required <= value.keys() <= allowed:
+            try:
+                return {key: checks[key](each) for key, each in value.items()}
+            except _Fault:
+                pass
+        return walk(value)
 
     return check
 
 
-def _array(schema: dict, item: Check, held_to_rules: Check) -> Check:
+def _test(schema: dict, x: str) -> str | None:
+    """Source of the fast test of `x` against a string or number node; None for others."""
+    kind = schema.get("type")
+    if kind == "string":
+        shortest = schema.get("minLength", 0)
+        return f"type({x}) is str" + (f" and len({x}) >= {shortest}" if shortest else "")
+    if kind not in ("number", "integer"):
+        return None
+    classes = "is int" if kind == "integer" else "in (int, float)"
+    low = f"{schema['minimum']!r} <=" if "minimum" in schema else "-inf <"
+    high = f"<= {schema['maximum']!r}" if "maximum" in schema else "< inf"
+    return f"type({x}) {classes} and {low} {x} {high}"
+
+
+@cache
+def _leaf(test: str) -> CodeType:
+    """The fast path of a string or number node, compiled once per distinct test."""
+    return compile(f"lambda v: v if {test} else slow(v)", "<schema>", "eval")
+
+
+def _tests(schema: dict, x: str, hot: bool) -> list[str]:
+    """Statements that return `slow(v)` unless the local `x` is on `schema`'s fast path."""
+    test, each = _test(schema, x), _test(schema.get("items", {}), "each")
+    if test:
+        return [f"if not ({test}): return slow(v)"]
+    if each and not schema.keys() & {"minItems", "maxItems"}:
+        return [
+            f"if type({x}) is not list: return slow(v)",
+            f"for each in {x}:",
+            f"    if not ({each}): return slow(v)",
+        ]
+    call = f"check_{x}({x}, _off)" if hot else f"check_{x}({x})"
+    return ["try:", f"    {x} = {call}", "except _Fault:", "    return slow(v)"]
+
+
+def _source(schema: dict, at: str) -> str:
+    """A hot node's `fast` path and the slow path's `build`, with each property in
+    the local named after it. `fast` calls a hot child on its fast path alone
+    (`_off`), so all it builds from has passed its tests; `build` gets checked values."""
+    required = schema.get("required", ())
+    fast = [
+        "def fast(v, slow=walk):",
+        "    if type(v) is not dict or not required <= v.keys() <= allowed:",
+        "        return slow(v)",
+    ]
+    build = ["def build(d):", "    new = construct"]
+    for key, node in schema["properties"].items():
+        default, pad = node.get("default"), " " * (4 if key in required else 8)
+        build.append(f"    {key} = d.get({key!r}, {default!r})")
+        fast += [] if key in required else [f"    if {key!r} in v:"]
+        fast.append(f"{pad}{key} = v[{key!r}]")
+        fast += [pad + line for line in _tests(node, key, f"{at}/properties/{key}" in _BUILT)]
+        fast += [] if key in required else ["    else:", f"        {key} = {default!r}"]
+    tail = ["    try:", f"        return {_BUILT[at]}", "    except (ValueError, ArithmeticError):"]
+    return "\n".join([*fast, *tail, "        return slow(v)", *build, f"    return {_BUILT[at]}"])
+
+
+def _array(schema: dict, item: Check, slow: Check) -> Check:
     fewest, most = schema.get("minItems", 0), schema.get("maxItems", math.inf)
-    items = schema["items"]
-    classes = _CLASSES.get(items.get("type"), ()) if len(items) == 1 else ()
 
     def check(value: object) -> list:
         if not (type(value) is list and fewest <= len(value) <= most):
-            held_to_rules(value)
-        elif classes or not value:  # an empty list, or items of a type alone, pass as they are
-            for each in value:
-                if type(each) not in classes:
-                    break
-            else:
-                return value
+            slow(value)
         out: list = []
         append = out.append
         try:
@@ -359,10 +431,10 @@ def _array(schema: dict, item: Check, held_to_rules: Check) -> Check:
     return check
 
 
-def _map(item: Check, held_to_rules: Check) -> Check:
+def _map(item: Check, slow: Check) -> Check:
     def check(value: object) -> dict:
         if type(value) is not dict:
-            held_to_rules(value)
+            slow(value)
         out: dict = {}
         try:
             for key, each in value.items():
@@ -375,73 +447,25 @@ def _map(item: Check, held_to_rules: Check) -> Check:
     return check
 
 
-def _as_dict(checks: dict[str, Check]) -> Callable[[dict], dict]:
-    return lambda value: {key: checks[key](each) for key, each in value.items()}
-
-
-def _task(checks: dict[str, Check]) -> Callable[[dict], TaskSpec]:
-    ambiguity, deps, description, markers, effort, task_id, facts = map(checks.get, sorted(checks))
-    return lambda raw: TaskSpec(
-        id=task_id(raw["id"]),
-        description=description(raw.get("description", "")),
-        domain_markers=frozenset(markers(raw.get("domain_markers", _EMPTY))),
-        ambiguity=float(ambiguity(raw.get("ambiguity", 0.0))),
-        expected_effort=effort(raw.get("expected_effort", 0)),
-        reference_facts=frozenset(facts(raw.get("reference_facts", _EMPTY))),
-        depends_on=frozenset(deps(raw.get("depends_on", _EMPTY))),
-    )
-
-
-def _agent(checks: dict[str, Check]) -> Callable[[dict], AgentSpec]:
-    behavior, capabilities, capacity, performance, agent_id = map(checks.get, sorted(checks))
-    return lambda raw: AgentSpec(
-        id=agent_id(raw["id"]),
-        capabilities=frozenset(capabilities(raw.get("capabilities", _EMPTY))),
-        capacity=capacity(raw.get("capacity", 1)),
-        historical_performance=performance(raw.get("historical_performance", {})),
-        # a repeated (task, attempt) is reported once the whole document passes
-        behavior=dict(behavior(raw.get("behavior", _EMPTY))),
-    )
-
-
-def _row(checks: dict[str, Check]) -> Callable[[dict], tuple[tuple[str, int], BehaviorRow]]:
-    scores, attempt, content, contingent, confidence, emitted, latency, task_id = map(
-        checks.get, sorted(checks)
-    )
-
-    def build(raw: dict) -> tuple[tuple[str, int], BehaviorRow]:
-        """An absent property takes the row's default without a check call."""
-        key = (task_id(raw["task_id"]), attempt(raw["attempt"]))
-        return key, BehaviorRow(
-            content(raw["content"]),
-            emitted(raw["emitted_facts"]) if "emitted_facts" in raw else _NO_FACTS,
-            float(confidence(raw["declared_confidence"])) if "declared_confidence" in raw else 0.5,
-            float(latency(raw["latency"])) if "latency" in raw else 1.0,
-            scores(raw["annotated_scores"]) if "annotated_scores" in raw else None,
-            tuple(contingent(raw["contingent_facts"])) if "contingent_facts" in raw else (),
-        )
-
-    return build
-
-
-def _names(names: tuple[str, ...]) -> Callable[[dict[str, Check]], Callable[[dict], tuple]]:
-    """A builder of the tuple of an object's required `names`, in that order."""
-
-    def builder(checks: dict[str, Check]) -> Callable[[dict], tuple]:
-        ordered = [(name, checks[name]) for name in names]
-        return lambda raw: tuple([check(raw[name]) for name, check in ordered])
-
-    return builder
-
-
 _ROW = "#/properties/agents/items/properties/behavior/items"
-_BUILDERS = {
-    "#/properties/tasks/items": _task,
-    "#/properties/agents/items": _agent,
-    _ROW: _row,
-    _ROW + "/properties/annotated_scores": _names(_SCORE_NAMES),
-    _ROW + "/properties/contingent_facts/items": _names(_CONTINGENT_NAMES),
+# Each hot node's built form, an expression over its property names. `new(C, values)`
+# makes the record C: as a bare tuple on the fast path, whose tests cover every rule
+# C's constructor checks, and through that constructor on the slow path.
+_BUILT = {
+    "#/properties/tasks/items": "TaskSpec(id, description, frozenset(domain_markers),"
+    " float(ambiguity), expected_effort, frozenset(reference_facts), frozenset(depends_on))",
+    # a repeated (task, attempt) is reported once the whole document passes
+    "#/properties/agents/items": "AgentSpec(id, frozenset(capabilities), capacity,"
+    " historical_performance, dict(behavior))",
+    _ROW: "(task_id, attempt), new(BehaviorRow, (content, frozenset(emitted_facts),"
+    " float(declared_confidence), float(latency), annotated_scores, tuple(contingent_facts)))",
+    _ROW + "/properties/annotated_scores": ", ".join(_SCORE_NAMES),
+    _ROW + "/properties/contingent_facts/items": ", ".join(_CONTINGENT_NAMES),
 }
+_NAMES = dict(
+    inf=math.inf, _Fault=_Fault, _off=_off, TaskSpec=TaskSpec, AgentSpec=AgentSpec,
+    BehaviorRow=BehaviorRow, new=tuple.__new__, construct=lambda cls, values: cls(*values),
+)
 _check_document = _compile(_SCHEMA)
 
 

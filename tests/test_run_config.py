@@ -95,6 +95,14 @@ def test_weight_mappings_must_name_exactly_alpha_beta_gamma(weights, key):
         RunConfig().with_overrides({"domain_weights": {"risk": weights}})
 
 
+@pytest.mark.parametrize("overrides", [{"no_memory": True}, {"alpha": 0.3}, {"typo": None}])
+def test_an_unknown_override_names_its_key(overrides):
+    # a misspelt setting used to escape from dataclasses.replace as a bare TypeError
+    (key,) = overrides
+    with pytest.raises(InvalidConfigError, match=f"unknown setting {key!r}"):
+        RunConfig().with_overrides(overrides)
+
+
 def test_settings_on_their_bounds_are_accepted():
     RunConfig(theta=0.0, w1=1.0, w2=0.0, severity_threshold=1.0, fact_threshold=0.0,
               adapt_decrement=1.0, k=1, revision_budget=1)

@@ -11,6 +11,7 @@ built.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -26,9 +27,11 @@ from hypothesis import strategies as st
 from taskweave import ScenarioValidationError
 from taskweave.agents import BehaviorRow
 from taskweave.graph import TaskSpec
-from taskweave.scenario import AgentSpec, Scenario, scenario_from_dict
+from taskweave import scenario as scenario_module
+from taskweave.scenario import AgentSpec, Scenario, load_scenario, scenario_from_dict
 
 from conftest import CANONICAL_SCENARIOS
+from test_golden_digests import load_perfbench_run
 from test_scenario import MINIMAL
 
 SCHEMA = json.loads(
@@ -118,7 +121,7 @@ def reference_scenario(doc: dict) -> Scenario:
         behavior = {}
         for row in raw.get("behavior", []):
             annotated = row.get("annotated_scores")
-            behavior[(row["task_id"], row["attempt"])] = BehaviorRow(
+            behavior[(row["task_id"], int(row["attempt"]))] = BehaviorRow(
                 content=row["content"],
                 emitted_facts=frozenset(row.get("emitted_facts", [])),
                 declared_confidence=float(row.get("declared_confidence", 0.5)),
@@ -404,6 +407,11 @@ NON_FINITE = {
     "historical_performance": (
         ("agents", 0, "historical_performance"), {"legal": math.nan}, "$.agents[0]"
     ),
+    "annotated_scores": (
+        ("agents", 0, "behavior", 0, "annotated_scores"),
+        {"coherence": math.nan, "factuality": 0.5, "relevance": 0.5},
+        "$.agents[0].behavior[0]",
+    ),
 }
 
 
@@ -417,6 +425,178 @@ def test_nan_the_schema_admits_is_still_a_validation_error(field):
     with pytest.raises(ScenarioValidationError) as exc:
         scenario_from_dict(doc)
     assert exc.value.path == path
+
+
+# Non-finite numbers a bound refuses: jsonschema's verdict, on the slow path.
+REFUSED_NON_FINITE = {
+    "ambiguity-infinity": (("tasks", 0, "ambiguity"), math.inf, "$.tasks[0].ambiguity"),
+    "latency-minus-infinity": (
+        ("agents", 0, "behavior", 0, "latency"), -math.inf, "$.agents[0].behavior[0].latency"
+    ),
+}
+
+
+@pytest.mark.parametrize("field", list(REFUSED_NON_FINITE))
+def test_non_finite_numbers_a_bound_refuses_get_jsonschemas_verdict(field):
+    location, value, path = REFUSED_NON_FINITE[field]
+    doc = apply(MINIMAL, location, value)
+    verdict = schema_verdict(doc)
+    assert verdict is not None and verdict[0] == path
+    assert builder_verdict(doc) == verdict
+
+
+@pytest.mark.parametrize(
+    "literal,path",
+    [
+        ("NaN", "$.agents[0].behavior[0]"),
+        ("Infinity", "$.agents[0].behavior[0]"),
+        ("1e400", "$.agents[0].behavior[0]"),
+        ("-Infinity", "$.agents[0].behavior[0].latency"),
+        ("1" + "0" * 400, "$.agents[0].behavior[0]"),
+    ],
+    ids=["nan", "infinity", "1e400", "minus-infinity", "int-past-float"],
+)
+def test_the_loader_rejects_non_finite_latency_literals(tmp_path, literal, path):
+    # json reads NaN, Infinity and 1e400 (as inf); only -Infinity breaks a bound.
+    # An int past the float range is finite, but no float holds it.
+    text = json.dumps(MINIMAL).replace('"latency": 1', f'"latency": {literal}')
+    file = tmp_path / "latency.json"
+    file.write_text(text, encoding="utf-8")
+    with pytest.raises(ScenarioValidationError) as exc:
+        load_scenario(file)
+    assert exc.value.path == path
+
+
+def test_validate_under_python_O_exits_two_on_an_infinite_latency(tmp_path):
+    file = tmp_path / "latency.json"
+    file.write_text(json.dumps(MINIMAL).replace('"latency": 1', '"latency": 1e400'))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "taskweave.cli", "validate", str(file)],
+        env=dict(os.environ), capture_output=True, text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "$.agents[0].behavior[0]" in proc.stderr and "latency" in proc.stderr
+
+
+# -- valid documents: the generated fast path against the reference ------------------
+
+
+def typed(value):
+    """`value` as nested (type name, parts), so that 1, 1.0, -0.0 and True all differ."""
+    if dataclasses.is_dataclass(value):
+        fields = dataclasses.fields(value)
+        return (type(value).__name__, tuple(typed(getattr(value, f.name)) for f in fields))
+    if isinstance(value, dict):
+        return ("dict", frozenset((typed(key), typed(each)) for key, each in value.items()))
+    if isinstance(value, frozenset):
+        return ("frozenset", frozenset(typed(each) for each in value))
+    if isinstance(value, (tuple, list)):
+        return (type(value).__name__, tuple(typed(each) for each in value))
+    return (type(value).__name__, repr(value))
+
+
+TEXT = st.text(max_size=6)  # empty and non-ASCII strings included
+NAME = st.text(min_size=1, max_size=6)
+EDGES = [0, 1, 0.0, -0.0, 1e-300]
+
+
+def unit():
+    return st.sampled_from([*EDGES, 1.0, 0.5]) | st.floats(0, 1) | st.integers(0, 1)
+
+
+def nonnegative():
+    return st.sampled_from([*EDGES, 2, 1e300]) | st.floats(0, 1e9) | st.integers(0, 10**12)
+
+
+def integer(low: int):
+    """An int, or the integral float jsonschema also takes, which must build an int."""
+    return st.integers(low, low + 10**6).flatmap(lambda n: st.sampled_from([n, float(n)]))
+
+
+def scores():
+    names = ("coherence", "factuality", "relevance")
+    return st.fixed_dictionaries({name: unit() for name in names})
+
+
+@st.composite
+def valid_documents(draw):
+    ids = draw(st.lists(NAME, min_size=1, max_size=4, unique=True))
+    tasks = []
+    for i, task_id in enumerate(ids):
+        optional = {
+            "description": TEXT,
+            "domain_markers": st.lists(TEXT, max_size=3),
+            "ambiguity": unit(),
+            "expected_effort": integer(0),
+            "reference_facts": st.lists(TEXT, max_size=3),
+            "depends_on": st.lists(st.sampled_from(ids[:i]), max_size=2) if i else st.just([]),
+        }
+        tasks.append(draw(st.fixed_dictionaries({"id": st.just(task_id)}, optional=optional)))
+    agent_ids = draw(st.lists(NAME, min_size=1, max_size=3, unique=True))
+    agents = []
+    for agent_id in agent_ids:
+        key = st.tuples(st.sampled_from(ids), st.integers(0, 3))
+        keys = draw(st.lists(key, max_size=4, unique=True))
+        rows = [
+            draw(st.fixed_dictionaries(
+                {"task_id": st.just(task_id), "attempt": st.sampled_from([attempt, float(attempt)]),
+                 "content": TEXT},
+                optional={
+                    "emitted_facts": st.lists(TEXT, max_size=3),
+                    "declared_confidence": unit(),
+                    "latency": nonnegative(),
+                    "annotated_scores": scores(),
+                    "contingent_facts": st.lists(
+                        st.fixed_dictionaries({"if_visible": NAME, "emit": NAME}), max_size=2
+                    ),
+                },
+            ))
+            for task_id, attempt in keys
+        ]
+        optional = {
+            "capabilities": st.lists(TEXT, max_size=3),
+            "capacity": integer(1),
+            "historical_performance": st.dictionaries(TEXT, unit(), max_size=3),
+            "behavior": st.just(rows),
+        }
+        agents.append(draw(st.fixed_dictionaries({"id": st.just(agent_id)}, optional=optional)))
+    optional = {
+        "name": TEXT,
+        "description": TEXT,
+        "contradiction_pairs": st.lists(st.lists(NAME, min_size=2, max_size=2), max_size=2),
+        "gold_answers": st.dictionaries(st.sampled_from(ids), NAME, max_size=2),
+        "static_assignments": st.dictionaries(st.sampled_from(ids), st.sampled_from(agent_ids)),
+        "defaults": st.just(RICH["defaults"]),
+    }
+    top = {"schema_version": st.just(1), "tasks": st.just(tasks), "agents": st.just(agents)}
+    return draw(st.fixed_dictionaries(top, optional=optional))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(valid_documents())
+def test_valid_documents_build_the_reference_scenario_with_exact_types(doc):
+    assert schema_verdict(doc) is None
+    assert typed(scenario_from_dict(doc)) == typed(reference_scenario(doc))
+
+
+def test_valid_documents_stay_on_the_fast_path(monkeypatch):
+    # every typed node off its fast path enters _held_to_rules; enum and const
+    # nodes (schema_version, scorer, scorer_fallback) have no other path
+    entered = []
+    held_to_rules = scenario_module._held_to_rules
+
+    def spy(schema, value):
+        entered.append(schema)
+        return held_to_rules(schema, value)
+
+    monkeypatch.setattr(scenario_module, "_held_to_rules", spy)
+    bench = load_perfbench_run()
+    docs = [RICH] + [json.loads(path.read_text()) for path in CANONICAL_SCENARIOS]
+    docs += [bench.synth.generate(shape.scaled(30), 1) for shape in bench.SHAPES.values()]
+    for doc in docs:
+        scenario_from_dict(doc)
+    assert len(docs) == 7 and [schema for schema in entered if "type" in schema] == []
+    assert entered  # the spy sees the const and enum nodes
 
 
 def test_cli_import_leaves_jsonschema_out():

@@ -32,6 +32,12 @@ ROW_KEYS = {
     "orchestrate_gc_s",
     "orchestrate_gc_raw_s",
     "load_peak_bytes",
+    "parse_s",
+    "parse_raw_s",
+    "parse_repeats",
+    "parse_gc_collections",
+    "parse_gc_s",
+    "parse_gc_raw_s",
 }
 
 
@@ -57,7 +63,9 @@ def test_sweep_writes_every_size_of_every_shape(tmp_path):
             assert set(row) == ROW_KEYS
             assert row["orchestrate_s"] > 0 and row["orchestrate_peak_bytes"] > 0
             assert row["to_jsonl_s"] > 0 and row["load_peak_bytes"] > 0
-            for name in ("load", "orchestrate", "to_jsonl"):
+            # the load parses the same text and then builds from it
+            assert 0 < row["parse_s"] < row["load_s"]
+            for name in ("load", "parse", "orchestrate", "to_jsonl"):
                 collections = row[f"{name}_gc_collections"]
                 assert len(collections) == 3 and all(n >= 0 for n in collections)
                 assert row[f"{name}_gc_s"] >= 0 and row[f"{name}_gc_raw_s"] >= 0

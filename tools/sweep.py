@@ -8,11 +8,13 @@ from the shape in `perfbench/run.py` `SHAPES`, scaled with `Shape.scaled`,
 and records:
 
 - `load_s`: `load_scenario` of the written file;
+- `parse_s`: `json.loads` of the file's text, with the collector paused as
+  `load_scenario` pauses it, so `load_s / parse_s` is the ingest ratio;
 - `orchestrate_s`: `orchestrate` of the loaded scenario, configured as the
   benchmark configures its full variant;
 - `to_jsonl_s`: `RunLog.to_jsonl` of that run's log;
 - `load_gc_collections`, `load_gc_s`, `load_gc_raw_s` (and the same for
-  `orchestrate` and `to_jsonl`): the cyclic collector's share of the timed
+  `parse`, `orchestrate` and `to_jsonl`): the cyclic collector's share of the timed
   calls, as the collections it ran per generation (0, 1, 2) and the seconds
   spent inside them, read through `gc.callbacks` during those same calls;
 - `load_peak_bytes`, `orchestrate_peak_bytes`: the `tracemalloc` peak of one
@@ -76,6 +78,7 @@ def measure(repo: Path, shape_name: str, tasks: int, work: Path) -> dict:
     import run  # puts <repo>/src first on sys.path and imports the package from there
     import synth
     from reference import Scaler
+    from taskweave._collector import collector_paused
     from taskweave.orchestrator import orchestrate
     from taskweave.scenario import load_scenario
 
@@ -130,6 +133,7 @@ def measure(repo: Path, shape_name: str, tasks: int, work: Path) -> dict:
     # scenario during the load, no run log during the orchestrate.
     load = partial(load_scenario, path)
     row = {**timed("load", load), **peak("load", load)}
+    row.update(timed("parse", collector_paused(partial(json.loads, path.read_text(encoding="utf-8")))))
     scenario = load()
     config = run.make_item(path, scenario, "full").config
     run_once = partial(orchestrate, scenario, config)
