@@ -7,13 +7,14 @@ An optional JSON-lines audit file receives one line per store and per commit.
 
 from __future__ import annotations
 
-import json
+import weakref
 from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from pathlib import Path
 
 from .agents import CandidateOutput
 from .errors import DuplicateKeyError, UnknownEntryError
+from .runlog import dumps_payload
 from .scoring import ScoreBreakdown
 
 EntryKey = tuple[str, str, int]
@@ -84,9 +85,10 @@ class SharedMemory:
         self._committed: dict[str, MemoryEntry] = {}
         self._commits: list[tuple[MemoryEntry, MemoryEntry | None]] = []
         self._fact_counts: dict[str, int] = {}
-        self._audit_path = Path(audit_path) if audit_path is not None else None
-        if self._audit_path is not None:
-            self._audit_path.write_text("", encoding="utf-8")
+        self._audit = None
+        if audit_path is not None:
+            self._audit = open(audit_path, "w", encoding="utf-8")
+            weakref.finalize(self, self._audit.close)
 
     def store(self, output: CandidateOutput) -> int:
         """Store a candidate under its own key and a fresh version; keys are never overwritten."""
@@ -158,8 +160,11 @@ class SharedMemory:
     def __len__(self) -> int:
         return len(self._by_key)
 
+    def close(self) -> None:
+        """Flush and close the audit file, if any; until then its last lines may sit in a buffer."""
+        if self._audit is not None:
+            self._audit.close()
+
     def _write_audit(self, entry: MemoryEntry) -> None:
-        if self._audit_path is None:
-            return
-        with self._audit_path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry.to_audit_dict(), sort_keys=True) + "\n")
+        if self._audit is not None:
+            self._audit.write(dumps_payload("store", entry.to_audit_dict()) + "\n")

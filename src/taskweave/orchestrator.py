@@ -244,40 +244,43 @@ class Orchestrator:
 
     @collector_paused
     def run(self) -> RunResult:
-        """Execute the full loop with the cyclic collector paused; return (document, log, report)."""
-        while True:
-            assignable = self.graph.ready_tasks()
-            if not assignable:
-                if self.graph.all_committed():
-                    break
-                raise DeadlockError(
-                    "uncommitted tasks remain but none are assignable"
-                )
-            committed = self._run_wave(sorted(assignable))
-            if not committed:
-                raise DeadlockError(
-                    "no agent has spare capacity for any assignable task"
-                )
-            self._waves += 1
-            if self.config.static:
-                self._static_quality_gate(committed)
-            elif not self.config.no_feedback:
-                self._review_and_process_feedback()
+        """Execute the loop with the collector paused, then close any memory audit file; return the result."""
+        try:
+            while True:
+                assignable = self.graph.ready_tasks()
+                if not assignable:
+                    if self.graph.all_committed():
+                        break
+                    raise DeadlockError(
+                        "uncommitted tasks remain but none are assignable"
+                    )
+                committed = self._run_wave(sorted(assignable))
+                if not committed:
+                    raise DeadlockError(
+                        "no agent has spare capacity for any assignable task"
+                    )
+                self._waves += 1
+                if self.config.static:
+                    self._static_quality_gate(committed)
+                elif not self.config.no_feedback:
+                    self._review_and_process_feedback()
 
-        bound = len(self.graph.tasks) * (1 + self.config.revision_budget) * self.config.k
-        if self._dispatches > bound:
-            raise InvariantError(f"dispatch bound violated: {self._dispatches} > {bound}")
-        self.log.append(
-            "terminate",
-            self._clock,
-            {"reason": "completed", "waves": self._waves, "dispatches": self._dispatches},
-        )
-        document = compile_final_output(self.memory, self.graph)
-        for agent in self.agents.values():
-            if agent.profile.load != 0:
-                raise InvariantError(f"agent {agent.profile.id} still loaded at the end of the run")
-        report = build_report(self.log, self.scenario)
-        return RunResult(document=document, log=self.log, report=report)
+            bound = len(self.graph.tasks) * (1 + self.config.revision_budget) * self.config.k
+            if self._dispatches > bound:
+                raise InvariantError(f"dispatch bound violated: {self._dispatches} > {bound}")
+            self.log.append(
+                "terminate",
+                self._clock,
+                {"reason": "completed", "waves": self._waves, "dispatches": self._dispatches},
+            )
+            document = compile_final_output(self.memory, self.graph)
+            for agent in self.agents.values():
+                if agent.profile.load != 0:
+                    raise InvariantError(f"agent {agent.profile.id} still loaded at the end of the run")
+            report = build_report(self.log, self.scenario)
+            return RunResult(document=document, log=self.log, report=report)
+        finally:
+            self.memory.close()
 
     # -- wave mechanics -----------------------------------------------------
 

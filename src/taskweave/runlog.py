@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _str
+from math import isfinite
 from pathlib import Path
 from typing import NamedTuple
 
@@ -27,25 +29,85 @@ class RunEvent(NamedTuple):
         return {"virtual_time": self.virtual_time, "kind": self.kind, "payload": self.payload}
 
 
+# Templates for the payloads that make up nearly all of a log, writing the bytes
+# `_ENCODE` writes with what `json` itself uses: `_str` and the int and float
+# reprs. A payload fits if it is a dict with exactly the template's key count
+# and keys (else KeyError) and values of exactly the written types (else
+# TypeError): ints that are not bools, finite floats, a list of strings.
+_KEY_COUNTS = {"dispatch": 5, "store": 8, "commit": 5}
+
+
+def _num(v: object, kind: type) -> str:
+    """`repr(v)` if `v` is exactly a `kind` (so a bool is no int) and finite."""
+    if type(v) is not kind or kind is float and not isfinite(v):
+        raise TypeError
+    return repr(v)
+
+
+def _score(s: object) -> str:
+    if type(s) is not dict or len(s) != 4:
+        raise TypeError
+    return (
+        f'{{"coherence": {_num(s["coherence"], float)}, "composite": {_num(s["composite"], float)}, '
+        f'"factuality": {_num(s["factuality"], float)}, "relevance": {_num(s["relevance"], float)}}}'
+    )
+
+
+def dumps_payload(kind: str, p: dict) -> str:
+    """`json.dumps(p, sort_keys=True)`; the store template also takes a memory audit line's score."""
+    if type(p) is dict and len(p) == _KEY_COUNTS.get(kind):
+        try:
+            head = f'{{"agent_id": {_str(p["agent_id"])}, "attempt": {_num(p["attempt"], int)}, '
+            if kind == "dispatch":
+                mode, task_id, wave = _str(p["mode"]), _str(p["task_id"]), _num(p["wave"], int)
+                return f'{head}"mode": {mode}, "task_id": {task_id}, "wave": {wave}}}'
+            tail = f'"task_id": {_str(p["task_id"])}, "version": {_num(p["version"], int)}}}'
+            if kind == "commit":
+                return f'{head}"score": {_score(p["score"])}, {tail}'
+            committed, facts, score = p["committed"], p["emitted_facts"], p["score"]
+            if type(committed) is bool and type(facts) is list:
+                return (
+                    f'{head}"committed": {"true" if committed else "false"}, '
+                    f'"declared_confidence": {_num(p["declared_confidence"], float)}, '
+                    f'"emitted_facts": [{", ".join(map(_str, facts))}], '
+                    f'"score": {"null" if score is None else _score(score)}, {tail}'
+                )
+        except (KeyError, TypeError):
+            pass
+    return _ENCODE(p)
+
+
 @dataclass
 class RunLog:
     events: list[RunEvent] = field(default_factory=list)
+    _kinds: dict[str, list[RunEvent]] = field(init=False, repr=False, compare=False)  # events by kind, in order
+
+    def __post_init__(self) -> None:
+        self._kinds = {kind: [e for e in self.events if e.kind == kind] for kind in EVENT_KINDS}
 
     def append(self, kind: str, virtual_time: float, payload: dict) -> RunEvent:
-        if kind not in EVENT_KINDS:
+        same_kind = self._kinds.get(kind)
+        if same_kind is None:
             raise ValueError(f"unknown event kind {kind!r}")
         if self.events and virtual_time < self.events[-1].virtual_time:
             raise ValueError("virtual_time must be nondecreasing")
         event = RunEvent(virtual_time, kind, payload)
         self.events.append(event)
+        same_kind.append(event)
         return event
 
     def by_kind(self, kind: str) -> list[RunEvent]:
-        return [e for e in self.events if e.kind == kind]
+        """A new list of the events of one kind, in log order."""
+        return list(self._kinds.get(kind, ()))
 
     def to_jsonl(self) -> str:
         """One `json.dumps(event.to_dict(), sort_keys=True)` line per event."""
-        lines = [_ENCODE(e.to_dict()) for e in self.events]
+        lines = [
+            f'{{"kind": {_str(kind)}, "payload": {dumps_payload(kind, p)}, "virtual_time": {t!r}}}'
+            if type(t) is float and isfinite(t)
+            else _ENCODE({"virtual_time": t, "kind": kind, "payload": p})
+            for t, kind, p in self.events
+        ]
         lines.append("")
         return "\n".join(lines)
 

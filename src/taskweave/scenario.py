@@ -17,6 +17,7 @@ import math
 import re
 from dataclasses import dataclass, field, fields
 from functools import cache, reduce
+from operator import itemgetter
 from pathlib import Path
 from types import CodeType
 from typing import Any, Callable
@@ -488,10 +489,9 @@ def _check_cross_references(scenario: Scenario) -> None:
             raise ScenarioValidationError(f"$.tasks[{i}].id", f"duplicate task id {task.id!r}")
         task_ids.add(task.id)
     for i, task in enumerate(scenario.tasks):
-        unknown = task.depends_on - task_ids
-        if unknown:
+        if not task.depends_on <= task_ids:
             raise ScenarioValidationError(
-                f"$.tasks[{i}].depends_on", f"unknown task id {min(unknown)!r}"
+                f"$.tasks[{i}].depends_on", f"unknown task id {min(task.depends_on - task_ids)!r}"
             )
 
     agent_ids: set[str] = set()
@@ -501,26 +501,22 @@ def _check_cross_references(scenario: Scenario) -> None:
                 f"$.agents[{i}].id", f"duplicate agent id {agent.id!r}"
             )
         agent_ids.add(agent.id)
-        unknown = {task_id for task_id, _ in agent.behavior if task_id not in task_ids}
-        if unknown:
+        if not task_ids.issuperset(map(itemgetter(0), agent.behavior)):
+            unknown = min(task_id for task_id, _ in agent.behavior if task_id not in task_ids)
             raise ScenarioValidationError(
-                f"$.agents[{i}].behavior",
-                f"behavior row references unknown task {min(unknown)!r}",
+                f"$.agents[{i}].behavior", f"behavior row references unknown task {unknown!r}"
             )
 
-    for task_id, agent_id in sorted(scenario.static_assignments.items()):
-        if task_id not in task_ids:
-            raise ScenarioValidationError(
-                "$.static_assignments", f"unknown task id {task_id!r}"
-            )
-        if agent_id not in agent_ids:
-            raise ScenarioValidationError(
-                "$.static_assignments", f"unknown agent id {agent_id!r}"
-            )
-
-    for task_id in sorted(scenario.gold_answers):
-        if task_id not in task_ids:
-            raise ScenarioValidationError("$.gold_answers", f"unknown task id {task_id!r}")
+    static = scenario.static_assignments
+    if not (static.keys() <= task_ids and agent_ids.issuperset(static.values())):
+        for task_id, agent_id in sorted(static.items()):  # sorted to name the first fault
+            if task_id not in task_ids:
+                raise ScenarioValidationError("$.static_assignments", f"unknown task id {task_id!r}")
+            if agent_id not in agent_ids:
+                raise ScenarioValidationError("$.static_assignments", f"unknown agent id {agent_id!r}")
+    if not scenario.gold_answers.keys() <= task_ids:
+        unknown = min(scenario.gold_answers.keys() - task_ids)
+        raise ScenarioValidationError("$.gold_answers", f"unknown task id {unknown!r}")
 
     cycle = find_cycle({task.id: task for task in scenario.tasks})
     if cycle:

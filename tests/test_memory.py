@@ -175,6 +175,7 @@ def test_audit_log_write_through(tmp_path):
     key = ("t1", "a", 0)
     memory.store(output(facts={"f2", "f1"}, conf=0.9))
     memory.commit("t1", key)
+    memory.close()  # the file is buffered; closing flushes it
 
     lines = [json.loads(line) for line in audit.read_text().splitlines()]
     assert len(lines) == 2

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import json
+import warnings
+
 import pytest
 
 from taskweave import (
@@ -17,6 +21,7 @@ from taskweave import (
     compile_final_output,
     orchestrate,
 )
+from taskweave import scoring
 from taskweave.evaluator import Evaluator
 
 from conftest import make_agent, make_row, make_scenario, make_task
@@ -339,6 +344,59 @@ def test_memory_audit_file_written_during_run(tmp_path):
         "declared_confidence",
         "score",
     } == set(lines[0])
+
+
+class FailingScorer:
+    """Scores every output 0.5, and fails on task `t2`."""
+
+    def components(self, output, task):
+        if task.id == "t2":
+            raise RuntimeError("scorer failure mid-run")
+        return (0.5, 0.5, 0.5)
+
+
+def chain_scenario():
+    """Two tasks in a row: `t1` is stored and committed before `t2` is scored."""
+    return make_scenario(
+        tasks=[make_task("t1", reference={"f1"}), make_task("t2", reference={"f2"}, deps={"t1"})],
+        agents=[make_agent("a1", rows={("t1", 0): make_row({"f1"}), ("t2", 0): make_row({"f2"})})],
+    )
+
+
+def audit_lines(path):
+    text = path.read_text(encoding="utf-8")
+    assert text.endswith("\n")
+    return [json.loads(line) for line in text.splitlines()]
+
+
+def test_memory_audit_file_is_complete_when_the_run_returns_or_raises(tmp_path, monkeypatch):
+    monkeypatch.setitem(scoring._SCORERS, "failing", FailingScorer)
+    audit = tmp_path / "memory.jsonl"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        orch = Orchestrator(chain_scenario(), RunConfig(no_feedback=True), memory_audit_path=audit)
+        result = orch.run()
+        # complete while the orchestrator is alive: the run closed the file
+        lines = audit_lines(audit)
+        assert len(lines) == len(result.log.by_kind("store")) + len(result.log.by_kind("commit")) == 4
+        assert lines[0] == result.log.by_kind("store")[0].payload
+
+        config = RunConfig(scorer="failing", no_feedback=True)
+        failing = Orchestrator(chain_scenario(), config, memory_audit_path=audit)
+        with pytest.raises(RuntimeError, match="scorer failure mid-run"):
+            failing.run()
+        # every line up to the fault: t1 stored and committed, t2 stored
+        lines = audit_lines(audit)
+        assert [(line["task_id"], line["committed"]) for line in lines] == [
+            ("t1", False), ("t1", True), ("t2", False)
+        ]
+        assert lines == [
+            failing.memory.entry(("t1", "a1", 0)).to_audit_dict() | {"committed": False, "score": None},
+            failing.memory.entry(("t1", "a1", 0)).to_audit_dict(),
+            failing.memory.entry(("t2", "a1", 0)).to_audit_dict(),
+        ]
+        del orch, result, failing
+        gc.collect()
 
 
 def test_reproducibility_same_seed_same_bytes():

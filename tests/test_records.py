@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from taskweave import BehaviorRow, CandidateOutput, RunEvent, RunLog
+from taskweave import BehaviorRow, CandidateOutput, Orchestrator, RunEvent, RunLog
+from taskweave import runlog
 from taskweave.orchestrator import DocumentSection
+from taskweave.runlog import EVENT_KINDS, dumps_payload
+from taskweave.scenario import load_scenario
 from taskweave.scoring import ScoreBreakdown
+
+from conftest import CANONICAL_SCENARIOS
+from test_golden_digests import load_perfbench_run
 
 RECORDS = [
     RunEvent(1.5, "store", {"task_id": "t1", "emitted_facts": ["f1"]}),
@@ -83,3 +91,174 @@ def test_to_jsonl_matches_per_event_dumps_on_awkward_values():
     log.append("terminate", 2.0, {"reason": "completed", "big": 10**30})
     assert log.to_jsonl() == per_event_lines(log)
     assert RunLog().to_jsonl() == ""
+
+
+# -- the per-kind templates, against json.dumps --------------------------------------
+
+HOT_KINDS = ("dispatch", "store", "commit")
+
+TEXT = (
+    st.sampled_from(["", "naïve – ✓", "“quoted”", '"', "\\", "\x00\x1f\x7f\n", "\ud800", "a\udfffb"])
+    | st.text(st.characters(exclude_categories=()), max_size=6)  # lone surrogates included
+)
+INTS = st.sampled_from([0, -1, 10**30, -(10**30)]) | st.integers()
+FLOATS = (
+    st.sampled_from([1e-7, 1e16, -0.0, 0.1 + 0.2, 1e300, 5e-324])
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
+# What may stand where the run puts a string, an int, a float, a bool or a list.
+OFF_TYPE = st.sampled_from([True, False, None, 0, 1, 1.0, 10**30, "1", math.nan, math.inf, -math.inf, [], {}])
+SCORE_NAMES = ("coherence", "factuality", "relevance", "composite")
+SCORE = st.fixed_dictionaries({name: FLOATS for name in SCORE_NAMES})
+PAYLOADS = {  # the payloads the run writes; a store payload with a score is a memory audit line
+    "dispatch": st.fixed_dictionaries(
+        {"task_id": TEXT, "agent_id": TEXT, "attempt": INTS, "mode": TEXT, "wave": INTS}
+    ),
+    "store": st.fixed_dictionaries(
+        {"task_id": TEXT, "agent_id": TEXT, "attempt": INTS, "version": INTS, "committed": st.booleans(),
+         "emitted_facts": st.lists(TEXT, max_size=3), "declared_confidence": FLOATS,
+         "score": st.none() | SCORE}
+    ),
+    "commit": st.fixed_dictionaries(
+        {"task_id": TEXT, "agent_id": TEXT, "attempt": INTS, "version": INTS, "score": SCORE}
+    ),
+}
+CHANGES = [None, None, None, "value", "time", "score value", "score key", "facts", "extra key", "missing key",
+           "renamed key"]
+
+
+@st.composite
+def hot_events(draw):
+    """A dispatch, store or commit event of the run's shape, or one with a value, type or key off."""
+    kind = draw(st.sampled_from(HOT_KINDS))
+    payload = draw(PAYLOADS[kind])
+    virtual_time = draw(FLOATS)
+    score = payload.get("score")
+    change = draw(st.sampled_from(CHANGES))
+    if change == "value":
+        payload[draw(st.sampled_from(sorted(payload)))] = draw(OFF_TYPE)
+    elif change == "time":
+        virtual_time = draw(OFF_TYPE)
+    elif change == "score value" and score is not None:
+        score[draw(st.sampled_from(SCORE_NAMES))] = draw(OFF_TYPE)
+    elif change == "score key" and score is not None:
+        if draw(st.booleans()):
+            score["extra"] = 0.5
+        else:
+            del score[draw(st.sampled_from(SCORE_NAMES))]
+    elif change == "facts" and kind == "store":
+        facts = payload["emitted_facts"]
+        payload["emitted_facts"] = draw(st.sampled_from([tuple(facts), set(facts), [*facts, 1], [*facts, None]]))
+    elif change == "extra key":
+        payload[draw(TEXT | st.just(1))] = draw(INTS)
+    elif change in ("missing key", "renamed key"):
+        value = payload.pop(draw(st.sampled_from(sorted(payload))))
+        if change == "renamed key":
+            payload[draw(TEXT)] = value
+    return virtual_time, kind, payload
+
+
+def outcome(encode, *args):
+    """What `encode(*args)` returns, or the type of the exception it raises."""
+    try:
+        return encode(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+DUMPS = functools.partial(json.dumps, sort_keys=True)
+
+
+@settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(hot_events())
+def test_each_hot_event_encodes_as_json_dumps(event):
+    virtual_time, kind, payload = event
+    log = RunLog()
+    log.append(kind, virtual_time, payload)
+    expected = outcome(DUMPS, log.events[0].to_dict())
+    assert outcome(log.to_jsonl) == (expected + "\n" if isinstance(expected, str) else expected)
+    assert outcome(dumps_payload, kind, payload) == outcome(DUMPS, payload)
+
+
+def test_awkward_values_in_the_run_shape_take_the_templates(monkeypatch):
+    payloads = {
+        "dispatch": {"task_id": "t\u00e9", "agent_id": 'a"1', "attempt": 10**30, "mode": "parallel", "wave": 0},
+        "store": {"task_id": "t\x00", "agent_id": "a1", "attempt": 0, "version": 1, "committed": False,
+                  "emitted_facts": ["\ud800", "f\\2", "✓"], "declared_confidence": 1e-7, "score": None},
+        "commit": {"task_id": "t1", "agent_id": "a1", "attempt": 0, "version": 1,
+                   "score": {"coherence": -0.0, "factuality": 1e16, "relevance": 0.1 + 0.2, "composite": 0.5}},
+    }
+    expected = {kind: DUMPS(payload) for kind, payload in payloads.items()}
+    monkeypatch.setattr(runlog, "_ENCODE", None)  # the fallback is not reached
+    assert {kind: dumps_payload(kind, payload) for kind, payload in payloads.items()} == expected
+
+
+def bundled_and_bench_runs(tmp_path):
+    """(scenario, config) of the bundled scenarios and the bench shapes at 30 tasks, under every variant."""
+    bench = load_perfbench_run()
+    paths = list(CANONICAL_SCENARIOS)
+    for name, shape in bench.SHAPES.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(bench.synth.dumps(bench.synth.generate(shape.scaled(30), 1)), encoding="utf-8")
+        paths.append(path)
+    for path in paths:
+        scenario = load_scenario(path)
+        for variant in bench.VARIANTS:
+            yield scenario, bench.make_item(path, scenario, variant).config
+
+
+def test_no_hot_event_of_the_bundled_or_bench_runs_takes_the_fallback(monkeypatch, tmp_path):
+    fallback = []
+    encode = runlog._ENCODE
+    monkeypatch.setattr(runlog, "_ENCODE", lambda obj: fallback.append(obj) or encode(obj))
+    runs = 0
+    for scenario, config in bundled_and_bench_runs(tmp_path):
+        audited = Orchestrator(scenario, config, memory_audit_path=tmp_path / "audit.jsonl")
+        log = audited.run().log
+        assert fallback == []  # every memory audit line took the store template
+        text = log.to_jsonl()
+        assert len(fallback) == sum(e.kind not in HOT_KINDS for e in log.events)  # one per cold event
+        assert text == per_event_lines(log)
+        assert {e.kind for e in log.events} >= set(HOT_KINDS)
+        fallback.clear()
+        runs += 1
+    assert runs == 6 * 5
+
+
+# -- the per-kind event lists, against a scan of the log -----------------------------------
+
+APPENDS = st.lists(
+    st.tuples(
+        st.sampled_from([*EVENT_KINDS, "bogus"]),
+        st.integers(0, 3).map(float),  # times repeat and step back
+        st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    ),
+    max_size=30,
+)
+
+
+@given(APPENDS)
+def test_by_kind_is_the_log_filtered_by_kind_after_every_append(appends):
+    log = RunLog()
+    for kind, virtual_time, payload in appends:
+        try:
+            log.append(kind, virtual_time, payload)
+        except ValueError:  # an unknown kind or a time going backwards
+            pass
+        for k in (*EVENT_KINDS, "bogus"):
+            assert log.by_kind(k) == [e for e in log.events if e.kind == k]
+    rebuilt = RunLog(events=list(log.events))
+    for k in EVENT_KINDS:
+        assert rebuilt.by_kind(k) == log.by_kind(k)
+
+
+def test_the_list_by_kind_returns_is_the_callers_own():
+    log = RunLog()
+    log.append("dispatch", 0.0, {"task_id": "t1"})
+    log.append("store", 1.0, {"task_id": "t1"})
+    mine = log.by_kind("dispatch")
+    mine.append(mine[0])
+    mine.clear()
+    assert log.by_kind("dispatch") == [log.events[0]] and len(log.events) == 2
+    log.append("dispatch", 2.0, {"task_id": "t2"})
+    assert mine == []

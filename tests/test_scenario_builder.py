@@ -610,3 +610,81 @@ def test_cli_import_leaves_jsonschema_out():
 
 def test_shipped_schema_is_a_valid_draft_2020_12_schema():
     jsonschema.Draft202012Validator.check_schema(SCHEMA)
+
+
+# -- cross-references: subset tests against the per-item scans they replaced ----------
+
+
+def scanned_cross_references(scenario: Scenario) -> None:
+    """The cross-reference check as a set difference per task and per agent, over sorted maps."""
+    task_ids: set[str] = set()
+    for i, task in enumerate(scenario.tasks):
+        if task.id in task_ids:
+            raise ScenarioValidationError(f"$.tasks[{i}].id", f"duplicate task id {task.id!r}")
+        task_ids.add(task.id)
+    for i, task in enumerate(scenario.tasks):
+        unknown = task.depends_on - task_ids
+        if unknown:
+            raise ScenarioValidationError(f"$.tasks[{i}].depends_on", f"unknown task id {min(unknown)!r}")
+    agent_ids: set[str] = set()
+    for i, agent in enumerate(scenario.agents):
+        if agent.id in agent_ids:
+            raise ScenarioValidationError(f"$.agents[{i}].id", f"duplicate agent id {agent.id!r}")
+        agent_ids.add(agent.id)
+        unknown = {task_id for task_id, _ in agent.behavior if task_id not in task_ids}
+        if unknown:
+            raise ScenarioValidationError(
+                f"$.agents[{i}].behavior", f"behavior row references unknown task {min(unknown)!r}"
+            )
+    for task_id, agent_id in sorted(scenario.static_assignments.items()):
+        if task_id not in task_ids:
+            raise ScenarioValidationError("$.static_assignments", f"unknown task id {task_id!r}")
+        if agent_id not in agent_ids:
+            raise ScenarioValidationError("$.static_assignments", f"unknown agent id {agent_id!r}")
+    for task_id in sorted(scenario.gold_answers):
+        if task_id not in task_ids:
+            raise ScenarioValidationError("$.gold_answers", f"unknown task id {task_id!r}")
+    cycle = scenario_module.find_cycle({task.id: task for task in scenario.tasks})
+    if cycle:
+        raise ScenarioValidationError("$.tasks", str(scenario_module.CycleError(cycle)))
+
+
+@st.composite
+def cross_referenced_scenarios(draw):
+    """Scenarios whose ids may repeat and whose references may name no task or agent."""
+    task_ids = draw(st.lists(st.sampled_from(["t1", "t2", "t3"]), min_size=1, max_size=3, unique=True))
+    # References mostly name a task or agent of the scenario; none is named ghost, zz or nobody.
+    task_refs = st.sampled_from(task_ids * 6 + ["ghost", "zz"])
+    agent_refs = st.sampled_from(["a1", "a2"] * 6 + ["nobody"])
+    task_ids += draw(st.sampled_from([[]] * 6 + [task_ids[:1]]))  # sometimes a duplicate id
+    tasks = [
+        TaskSpec(id=task_id, description="", depends_on=frozenset(draw(st.lists(task_refs, max_size=1))))
+        for task_id in task_ids
+    ]
+    row = BehaviorRow("text")
+    agents = [
+        AgentSpec(id=agent_id, behavior={(task_id, 0): row for task_id in draw(st.lists(task_refs, max_size=3))})
+        for agent_id in draw(st.sampled_from([["a1", "a2"]] * 6 + [["a1", "a1"]]))
+    ]
+    return Scenario(
+        tasks=tuple(tasks),
+        agents=tuple(agents),
+        static_assignments=draw(st.dictionaries(task_refs, agent_refs, max_size=3)),
+        gold_answers=draw(st.dictionaries(task_refs, st.just("f"), max_size=3)),
+    )
+
+
+def cross_reference_verdict(check, scenario):
+    try:
+        check(scenario)
+    except ScenarioValidationError as exc:
+        return exc.path, exc.message
+    return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(cross_referenced_scenarios())
+def test_cross_references_report_the_fault_the_scans_reported(scenario):
+    assert cross_reference_verdict(scenario_module._check_cross_references, scenario) == (
+        cross_reference_verdict(scanned_cross_references, scenario)
+    )

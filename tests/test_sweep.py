@@ -19,6 +19,12 @@ ROW_KEYS = {
     "orchestrate_raw_s",
     "orchestrate_repeats",
     "orchestrate_peak_bytes",
+    "orchestrate_audit_s",
+    "orchestrate_audit_raw_s",
+    "orchestrate_audit_repeats",
+    "orchestrate_audit_gc_collections",
+    "orchestrate_audit_gc_s",
+    "orchestrate_audit_gc_raw_s",
     "to_jsonl_s",
     "to_jsonl_raw_s",
     "to_jsonl_repeats",
@@ -65,7 +71,8 @@ def test_sweep_writes_every_size_of_every_shape(tmp_path):
             assert row["to_jsonl_s"] > 0 and row["load_peak_bytes"] > 0
             # the load parses the same text and then builds from it
             assert 0 < row["parse_s"] < row["load_s"]
-            for name in ("load", "parse", "orchestrate", "to_jsonl"):
+            assert row["orchestrate_audit_s"] > 0
+            for name in ("load", "parse", "orchestrate", "orchestrate_audit", "to_jsonl"):
                 collections = row[f"{name}_gc_collections"]
                 assert len(collections) == 3 and all(n >= 0 for n in collections)
                 assert row[f"{name}_gc_s"] >= 0 and row[f"{name}_gc_raw_s"] >= 0

@@ -12,11 +12,14 @@ and records:
   `load_scenario` pauses it, so `load_s / parse_s` is the ingest ratio;
 - `orchestrate_s`: `orchestrate` of the loaded scenario, configured as the
   benchmark configures its full variant;
-- `to_jsonl_s`: `RunLog.to_jsonl` of that run's log;
+- `orchestrate_audit_s`: the same run with a memory audit file, built and run
+  with the collector paused as `orchestrate` pauses it;
+- `to_jsonl_s`: `RunLog.to_jsonl` of the log of the run without the file;
 - `load_gc_collections`, `load_gc_s`, `load_gc_raw_s` (and the same for
-  `parse`, `orchestrate` and `to_jsonl`): the cyclic collector's share of the timed
-  calls, as the collections it ran per generation (0, 1, 2) and the seconds
-  spent inside them, read through `gc.callbacks` during those same calls;
+  `parse`, `orchestrate`, `orchestrate_audit` and `to_jsonl`): the cyclic
+  collector's share of the timed calls, as the collections it ran per
+  generation (0, 1, 2) and the seconds spent inside them, read through
+  `gc.callbacks` during those same calls;
 - `load_peak_bytes`, `orchestrate_peak_bytes`: the `tracemalloc` peak of one
   more call.
 
@@ -79,7 +82,7 @@ def measure(repo: Path, shape_name: str, tasks: int, work: Path) -> dict:
     import synth
     from reference import Scaler
     from taskweave._collector import collector_paused
-    from taskweave.orchestrator import orchestrate
+    from taskweave.orchestrator import Orchestrator, orchestrate
     from taskweave.scenario import load_scenario
 
     path = work / f"{shape_name}-{tasks}.json"
@@ -138,8 +141,11 @@ def measure(repo: Path, shape_name: str, tasks: int, work: Path) -> dict:
     config = run.make_item(path, scenario, "full").config
     run_once = partial(orchestrate, scenario, config)
     row.update(timed("orchestrate", run_once), **peak("orchestrate", run_once))
+    audit = work / f"{shape_name}-{tasks}.audit.jsonl"
+    row.update(timed("orchestrate_audit", collector_paused(lambda: Orchestrator(scenario, config, audit).run())))
     row.update(timed("to_jsonl", run_once().log.to_jsonl))
     path.unlink()
+    audit.unlink()
     return row
 
 
