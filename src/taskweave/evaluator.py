@@ -50,6 +50,7 @@ class Evaluator:
         self._holders: dict[str, dict[str, int]] = {
             fact: {} for pair in self.contradiction_pairs for fact in pair
         }
+        self._pair_facts = frozenset(self._holders)
 
     def weights_for(self, task: TaskSpec) -> ScoringWeights:
         """Per-domain weights when a marker has an override, defaults otherwise."""
@@ -93,7 +94,8 @@ class Evaluator:
         """
         self._read_commits()
         messages: list[FeedbackMessage] = []
-        due = [e for e in self._unchecked.values() if graph.status(e.task_id) is TaskStatus.COMMITTED]
+        status, committed = graph.status, TaskStatus.COMMITTED
+        due = [e for e in self._unchecked.values() if status(e.task_id) is committed]
         for entry in sorted(due, key=lambda e: e.version):
             del self._unchecked[entry.task_id]
             breakdown = self.score_entry(entry, graph.task(entry.task_id))
@@ -106,6 +108,8 @@ class Evaluator:
                 )
 
         for fact_a, fact_b in self.contradiction_pairs:
+            if not self._holders[fact_a] or not self._holders[fact_b]:
+                continue
             holders_a = self._committed_holders(fact_a, graph)
             holders_b = self._committed_holders(fact_b, graph)
             holders = {**holders_a, **holders_b}
@@ -124,15 +128,17 @@ class Evaluator:
     def _read_commits(self) -> None:
         """Bring the unchecked winners and the holders index up to the commit record."""
         commits = self.memory.commits_since(self._commits_read)
+        pair_facts = self._pair_facts
         # a later commit of the same task overwrites what an earlier one set
         for rank, (entry, demoted) in enumerate(commits, self._commits_read):
             task_id = entry.task_id
             self._unchecked[task_id] = entry
-            if demoted is not None:
-                for fact in demoted.output.emitted_facts & self._holders.keys():
+            if demoted is not None and not pair_facts.isdisjoint(demoted.output.emitted_facts):
+                for fact in demoted.output.emitted_facts & pair_facts:
                     del self._holders[fact][task_id]
-            for fact in entry.output.emitted_facts & self._holders.keys():
-                self._holders[fact][task_id] = rank
+            if not pair_facts.isdisjoint(entry.output.emitted_facts):
+                for fact in entry.output.emitted_facts & pair_facts:
+                    self._holders[fact][task_id] = rank
         self._commits_read += len(commits)
 
     def _committed_holders(self, fact: str, graph: TaskGraph) -> dict[str, int]:

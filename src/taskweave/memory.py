@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .agents import CandidateOutput
 from .errors import DuplicateKeyError, UnknownEntryError
-from .runlog import dumps_payload
+from .runlog import RunLog, dumps_payload
 from .scoring import ScoreBreakdown
 
 EntryKey = tuple[str, str, int]
@@ -42,15 +42,17 @@ class MemoryEntry:
 
     def to_audit_dict(self) -> dict:
         """Serialize with the exact audit-log field names."""
+        task_id, agent_id, attempt = self.key
+        output, score = self.output, self.score
         return {
-            "task_id": self.task_id,
-            "agent_id": self.agent_id,
-            "attempt": self.attempt,
+            "task_id": task_id,
+            "agent_id": agent_id,
+            "attempt": attempt,
             "version": self.version,
             "committed": self.committed,
-            "emitted_facts": sorted(self.output.emitted_facts),
-            "declared_confidence": self.output.declared_confidence,
-            "score": self.score.to_dict() if self.score is not None else None,
+            "emitted_facts": sorted(output.emitted_facts),
+            "declared_confidence": output.declared_confidence,
+            "score": score.to_dict() if score is not None else None,
         }
 
 
@@ -90,15 +92,25 @@ class SharedMemory:
             self._audit = open(audit_path, "w", encoding="utf-8")
             weakref.finalize(self, self._audit.close)
 
-    def store(self, output: CandidateOutput) -> int:
-        """Store a candidate under its own key and a fresh version; keys are never overwritten."""
+    def store(self, output: CandidateOutput, log: RunLog | None = None) -> int:
+        """Store a candidate under its own key and a fresh version; keys are never overwritten.
+
+        With a run log, also append the entry's `store` event at `output.produced_at`:
+        the dict `to_audit_dict` builds, built once for the event and the audit line.
+        """
+        by_key = self._by_key
         key = output.key
-        if key in self._by_key:
+        if key in by_key:
             raise DuplicateKeyError(f"memory key {key!r} already stored")
-        entry = MemoryEntry(key=key, output=output, version=len(self._by_key) + 1)
-        self._by_key[key] = entry
-        self._write_audit(entry)
-        return entry.version
+        version = len(by_key) + 1
+        entry = by_key[key] = MemoryEntry(key, output, version)
+        if self._audit is not None or log is not None:
+            record = entry.to_audit_dict()
+            if self._audit is not None:
+                self._audit.write(dumps_payload("store", record) + "\n")
+            if log is not None:
+                log.append("store", output.produced_at, record)
+        return version
 
     def candidates(self, task_id: str) -> list[MemoryEntry]:
         """All entries for a task, committed or not, in version order."""
@@ -123,7 +135,8 @@ class SharedMemory:
         self._commits.append((entry, previous))
         for fact in entry.output.emitted_facts:
             counts[fact] = counts.get(fact, 0) + 1
-        self._write_audit(entry)
+        if self._audit is not None:
+            self._audit.write(dumps_payload("store", entry.to_audit_dict()) + "\n")
         return entry
 
     def committed_entry(self, task_id: str) -> MemoryEntry | None:
@@ -164,7 +177,3 @@ class SharedMemory:
         """Flush and close the audit file, if any; until then its last lines may sit in a buffer."""
         if self._audit is not None:
             self._audit.close()
-
-    def _write_audit(self, entry: MemoryEntry) -> None:
-        if self._audit is not None:
-            self._audit.write(dumps_payload("store", entry.to_audit_dict()) + "\n")

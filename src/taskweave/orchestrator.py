@@ -44,7 +44,7 @@ from .routing import (
     DEFAULT_PERF_WEIGHT,
     DEFAULT_THETA,
     Router,
-    RoutingDecision,
+    mode_value,
 )
 from .runlog import RunLog
 from .scenario import Scenario
@@ -286,94 +286,89 @@ class Orchestrator:
 
     def _run_wave(self, assignable: list[str]) -> list[str]:
         """Dispatch, store and commit one wave; returns the committed task ids in id order."""
-        wave_start = self._clock
-        view = (
-            self.memory.empty_view()
-            if self.config.no_memory_sharing
-            else self.memory.view()
-        )
-        # One group of (output, seeded tiebreak) per dispatched task, in task id order.
-        groups: list[tuple[TaskSpec, list[tuple[CandidateOutput, float]]]] = []
+        wave_start, wave = self._clock, self._waves
+        graph, agents, memory, log = self.graph, self.agents, self.memory, self.log
+        view = memory.empty_view() if self.config.no_memory_sharing else memory.view()
+        static, tiebreak = self.config.static, self._rng.random
+        # The outputs of each dispatched task, in task id order; and per execution
+        # (completion time, seeded tiebreak, dispatch index, output), whose index
+        # keeps an exact tie in dispatch order, as a stable sort on the first two would.
+        groups: list[tuple[TaskSpec, list[CandidateOutput]]] = []
+        executions: list[tuple[float, float, int, CandidateOutput]] = []
         agent_cursor: dict[str, float] = {}
         for task_id in assignable:
-            task = self.graph.task(task_id)
-            decision = self._decide(task)
-            if not decision.assignees:
+            task = graph.tasks[task_id]
+            assignees = self._decide(task)
+            if not assignees:
                 continue
-            self.graph.mark_in_progress(task_id)
+            graph.mark_in_progress(task_id)
             attempt = self._revisions[task_id]
-            group = []
-            for agent_id in decision.assignees:
-                agent = self.agents[agent_id]
+            mode = mode_value(len(assignees))
+            outputs = []
+            for agent_id in assignees:
+                agent = agents[agent_id]
                 agent.profile.load += 1
                 start = wave_start
-                if self.config.static:
+                if static:
                     # Fixed-role agents work their wave queue one task at a time.
                     start = wave_start + agent_cursor.get(agent_id, 0.0)
                     latency = agent.latency(task, attempt)
                     agent_cursor[agent_id] = (start - wave_start) + latency
                 output = agent.execute(task, view, attempt, start)
-                group.append((output, self._rng.random()))
-                self._dispatches += 1
-                self.log.append(
+                outputs.append(output)
+                executions.append((output.produced_at, tiebreak(), len(executions), output))
+                log.append(
                     "dispatch",
                     wave_start,
-                    {
-                        "task_id": task_id,
-                        "agent_id": agent_id,
-                        "attempt": attempt,
-                        "mode": decision.mode.value,
-                        "wave": self._waves,
-                    },
+                    {"task_id": task_id, "agent_id": agent_id, "attempt": attempt, "mode": mode, "wave": wave},
                 )
-            groups.append((task, group))
+            groups.append((task, outputs))
         if not groups:
             return []
-
-        executions = [ex for _, group in groups for ex in group]
-        wave_end = max(output.produced_at for output, _ in executions)
+        self._dispatches += len(executions)
 
         # Versions follow completion time; simultaneous completions are ordered
         # by the seeded tiebreak so replay of one seed is exact.
-        for output, _ in sorted(executions, key=lambda ex: (ex[0].produced_at, ex[1])):
-            self.memory.store(output)
-            entry = self.memory.entry(output.key)
-            self.log.append("store", output.produced_at, entry.to_audit_dict())
+        executions.sort()
+        wave_end = executions[-1][0]
+        for _, _, _, output in executions:
+            memory.store(output, log)
 
-        for task, group in groups:
-            keys = [output.key for output, _ in group]
-            if len(keys) > 1:
-                winner_key = self.evaluator.select_best(keys, self.graph)
+        for task, outputs in groups:
+            if len(outputs) > 1:
+                key = self.evaluator.select_best([output.key for output in outputs], graph)
             else:
-                winner_key = keys[0]
-            entry = self.memory.entry(winner_key)
+                key = outputs[0].key
+            entry = memory.entry(key)
             score = self.evaluator.score_entry(entry, task)
-            self.memory.commit(task.id, winner_key)
-            self.graph.mark_committed(task.id)
-            self.log.append(
+            memory.commit(task.id, key)
+            graph.mark_committed(task.id)
+            _, agent_id, attempt = key
+            log.append(
                 "commit",
                 wave_end,
                 {
                     "task_id": task.id,
-                    "agent_id": entry.agent_id,
-                    "attempt": entry.attempt,
+                    "agent_id": agent_id,
+                    "attempt": attempt,
                     "version": entry.version,
                     "score": score.to_dict(),
                 },
             )
 
-        for output, _ in executions:
-            self.agents[output.agent_id].profile.load -= 1
+        for _, _, _, output in executions:
+            agents[output.agent_id].profile.load -= 1
         self._clock = wave_end
         return [task.id for task, _ in groups]
 
-    def _decide(self, task: TaskSpec) -> RoutingDecision:
+    def _decide(self, task: TaskSpec) -> tuple[str, ...]:
+        """The agents to dispatch the task to; none defers it."""
         if self.config.static:
-            return RoutingDecision(task.id, (self.scenario.static_assignments[task.id],))
+            return (self.scenario.static_assignments[task.id],)
         pinned = self._pinned.pop(task.id, None)
         if pinned is not None and self.agents[pinned].profile.has_spare_capacity:
-            return RoutingDecision(task.id, (pinned,))
-        return self.router.route(task, allow_parallel=not self.config.no_parallel)
+            return (pinned,)
+        return self.router.route(task, allow_parallel=not self.config.no_parallel).assignees
 
     # -- feedback processing --------------------------------------------------
 

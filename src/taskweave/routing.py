@@ -6,8 +6,8 @@ deterministic; ties always break on agent id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .agents import UNSEEN_MARKER_PERFORMANCE, AgentProfile, ScriptedAgent
 from .errors import UnknownAgentError
@@ -25,17 +25,21 @@ class RouteMode(str, Enum):
     DEFER = "defer"
 
 
-@dataclass(frozen=True)
-class RoutingDecision:
+_MODE_VALUES = tuple(mode.value for mode in (RouteMode.DEFER, RouteMode.SINGLE, RouteMode.PARALLEL))
+
+
+def mode_value(assignees: int) -> str:
+    """The mode's value: DEFER with no assignee, SINGLE with one, PARALLEL with two or more."""
+    return _MODE_VALUES[min(assignees, 2)]
+
+
+class RoutingDecision(NamedTuple):
     task_id: str
     assignees: tuple[str, ...]
 
     @property
     def mode(self) -> RouteMode:
-        """DEFER with no assignee, SINGLE with one, PARALLEL with two or more."""
-        if not self.assignees:
-            return RouteMode.DEFER
-        return RouteMode.SINGLE if len(self.assignees) == 1 else RouteMode.PARALLEL
+        return RouteMode(mode_value(len(self.assignees)))
 
 
 def suitability(
@@ -49,13 +53,20 @@ def suitability(
     Markers the agent has never been scored on count as 0.5, as does a task with
     no markers at all.
     """
-    if task.domain_markers:
+    # sorted iteration keeps float summation order stable across processes
+    return _suitability(profile, sorted(task.domain_markers), perf_weight, capacity_weight)
+
+
+def _suitability(
+    profile: AgentProfile, markers: list[str], perf_weight: float, capacity_weight: float
+) -> float:
+    """`suitability` of a task whose markers are `markers`, given in sorted order."""
+    if markers:
         history = profile.historical_performance
         total = 0.0
-        # sorted iteration keeps float summation order stable across processes
-        for marker in sorted(task.domain_markers):
+        for marker in markers:
             total += history.get(marker, UNSEEN_MARKER_PERFORMANCE)
-        perf = total / len(task.domain_markers)
+        perf = total / len(markers)
     else:
         perf = UNSEEN_MARKER_PERFORMANCE
     spare = 1.0 - profile.load / profile.capacity
@@ -85,13 +96,14 @@ class Router:
         An agent is capable when its capabilities cover every domain marker of
         the task; with no capable agents the confidence branch trivially fires.
         """
-        if task.ambiguity >= self.theta:
+        theta = self.theta
+        if task.ambiguity >= theta:
             return True
-        best_confidence = 0.0
+        # Past this point theta > 0, so one capable agent at theta settles it.
         for agent in self.agents.values():
-            if task.domain_markers <= agent.profile.capabilities:
-                best_confidence = max(best_confidence, agent.declared_confidence(task))
-        return best_confidence < self.theta
+            if task.domain_markers <= agent.profile.capabilities and agent.declared_confidence(task) >= theta:
+                return False
+        return True
 
     def route(self, task: TaskSpec, allow_parallel: bool = True) -> RoutingDecision:
         """Decide how to dispatch one assignable task.
@@ -122,13 +134,10 @@ class Router:
 
     def _ranked_available(self, task: TaskSpec) -> list[str]:
         """Agents with spare capacity, best suitability first, ties by id."""
+        markers = sorted(task.domain_markers)
+        perf_weight, capacity_weight = self.perf_weight, self.capacity_weight
         scored = [
-            (
-                -suitability(
-                    agent.profile, task, self.perf_weight, self.capacity_weight
-                ),
-                agent_id,
-            )
+            (-_suitability(agent.profile, markers, perf_weight, capacity_weight), agent_id)
             for agent_id, agent in self.agents.items()
             if agent.profile.has_spare_capacity
         ]

@@ -15,6 +15,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 EVENT_KINDS = ("dispatch", "store", "commit", "feedback", "reassign", "terminate")
+_INF = float("inf")
+_new_tuple = tuple.__new__
 
 # The encoder `json.dumps(obj, sort_keys=True)` builds on every call, built once.
 _ENCODE = json.JSONEncoder(sort_keys=True).encode
@@ -89,10 +91,12 @@ class RunLog:
         same_kind = self._kinds.get(kind)
         if same_kind is None:
             raise ValueError(f"unknown event kind {kind!r}")
-        if self.events and virtual_time < self.events[-1].virtual_time:
-            raise ValueError("virtual_time must be nondecreasing")
-        event = RunEvent(virtual_time, kind, payload)
-        self.events.append(event)
+        events = self.events
+        # a NaN fails every comparison
+        if not (events[-1].virtual_time <= virtual_time < _INF if events else -_INF < virtual_time < _INF):
+            raise ValueError(f"virtual_time must be finite and nondecreasing, got {virtual_time!r}")
+        event = _new_tuple(RunEvent, (virtual_time, kind, payload))
+        events.append(event)
         same_kind.append(event)
         return event
 

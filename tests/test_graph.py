@@ -420,3 +420,68 @@ def test_find_cycle_matches_the_graph_walk_it_replaced(tasks):
     assert cycle_verdict(find_cycle, tasks) == expected
     if not isinstance(expected, str):
         assert TaskGraph(tasks).find_cycle() == expected
+
+
+class StatusScan:
+    """The lifecycle as a scan over a status map: every check reads statuses only."""
+
+    def __init__(self, specs):
+        self.deps = {spec.id: spec.depends_on for spec in specs}
+        self.status = dict.fromkeys(self.deps, "ready")
+
+    def assignable(self) -> set[str]:
+        return {tid for tid in self.deps if self.status[tid] in ("ready", "needs_revision") and self._deps_committed(tid)}
+
+    def mark_in_progress(self, tid):
+        self._expect(tid, ("ready", "needs_revision"), "ready or needs_revision")
+        if not self._deps_committed(tid):
+            raise InvalidTransitionError(f"task {tid!r} has uncommitted dependencies")
+        self.status[tid] = "in_progress"
+
+    def mark_committed(self, tid):
+        self._expect(tid, ("in_progress",), "in_progress")
+        self.status[tid] = "committed"
+
+    def mark_needs_revision(self, tid):
+        self._expect(tid, ("committed",), "committed")
+        self.status[tid] = "needs_revision"
+        return {t for t, deps in self.deps.items() if tid in deps and self.status[t] == "committed"}
+
+    def _deps_committed(self, tid):
+        return all(self.status[d] == "committed" for d in self.deps[tid])
+
+    def _expect(self, tid, allowed, expected):
+        if tid not in self.status:
+            raise InvalidTransitionError(f"unknown task {tid!r}")
+        if self.status[tid] not in allowed:
+            raise InvalidTransitionError(f"task {tid!r} is {self.status[tid]}, expected {expected}")
+
+
+def outcome(fn, *args):
+    """What `fn(*args)` returns, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except InvalidTransitionError as exc:
+        return (InvalidTransitionError, str(exc))
+
+
+TRANSITIONS = ("mark_in_progress", "mark_committed", "mark_needs_revision")
+NEXT = {"in_progress": "mark_committed", "committed": "mark_needs_revision"}  # the legal move out of a status
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.data())
+def test_transitions_match_a_status_scan_legal_or_not(seed, n_nodes, data):
+    specs = random_dag(random.Random(seed), n_nodes)
+    graph, scan = build_graph(specs), StatusScan(specs)
+    ids = [*sorted(scan.deps), "ghost"]
+    for _ in range(data.draw(st.integers(0, 6 * n_nodes), label="steps")):
+        legal = [("mark_in_progress", tid) for tid in sorted(scan.assignable())]
+        legal += [(NEXT[s], tid) for tid, s in scan.status.items() if s in NEXT]
+        if legal and data.draw(st.booleans(), label="legal"):
+            move, task_id = data.draw(st.sampled_from(legal))
+        else:
+            move, task_id = data.draw(st.sampled_from(TRANSITIONS)), data.draw(st.sampled_from(ids))
+        assert outcome(getattr(graph, move), task_id) == outcome(getattr(scan, move), task_id)
+        assert {tid: graph.status(tid).value for tid in scan.deps} == scan.status
+        assert graph.ready_tasks() == scan.assignable()
+    assert graph.all_committed() is all(s == "committed" for s in scan.status.values())

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from taskweave import CandidateOutput, DuplicateKeyError, SharedMemory, UnknownEntryError
+from taskweave import CandidateOutput, DuplicateKeyError, RunLog, SharedMemory, UnknownEntryError
+from taskweave.memory import MemoryEntry
+from taskweave.runlog import dumps_payload
 
 
 def output(task="t1", agent="a", attempt=0, facts=(), conf=0.5, at=0.0):
@@ -192,3 +194,26 @@ def test_audit_log_write_through(tmp_path):
     }
     assert commit_line["committed"] is True
     assert commit_line["version"] == 1
+
+
+@pytest.mark.parametrize("audited", [False, True])
+def test_store_with_a_run_log_appends_its_event_from_the_audit_lines_dict(tmp_path, monkeypatch, audited):
+    built = []
+    to_audit_dict = MemoryEntry.to_audit_dict
+    monkeypatch.setattr(MemoryEntry, "to_audit_dict", lambda entry: built.append(to_audit_dict(entry)) or built[-1])
+    audit = tmp_path / "memory.jsonl"
+    memory = SharedMemory(audit_path=audit if audited else None)
+    log = RunLog()
+    assert memory.store(output(facts={"f2", "f1"}, conf=0.9, at=2.5), log) == 1
+    assert memory.store(output(agent="b"), None) == 2  # no log, no event
+    memory.close()
+
+    # one dict for the first store's event and audit line; the second builds one for its line only
+    assert len(built) == 1 + audited
+    (event,) = log.events
+    assert event.payload is built[0]
+    assert event == (2.5, "store", memory.entry(("t1", "a", 0)).to_audit_dict())
+    if audited:
+        lines = audit.read_text().splitlines()
+        assert lines[0] == dumps_payload("store", event.payload)
+        assert log.to_jsonl() == f'{{"kind": "store", "payload": {lines[0]}, "virtual_time": 2.5}}\n'

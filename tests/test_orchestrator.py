@@ -23,8 +23,11 @@ from taskweave import (
 )
 from taskweave import scoring
 from taskweave.evaluator import Evaluator
+from taskweave.memory import MemoryEntry
+from taskweave.runlog import dumps_payload
+from taskweave.scenario import load_scenario
 
-from conftest import make_agent, make_row, make_scenario, make_task
+from conftest import CANONICAL_SCENARIOS, make_agent, make_row, make_scenario, make_task
 
 
 def solo_scenario():
@@ -397,6 +400,22 @@ def test_memory_audit_file_is_complete_when_the_run_returns_or_raises(tmp_path, 
         ]
         del orch, result, failing
         gc.collect()
+
+
+@pytest.mark.parametrize("path", CANONICAL_SCENARIOS, ids=lambda p: p.stem)
+def test_an_audited_run_builds_each_audit_dict_once_for_both_files(tmp_path, monkeypatch, path):
+    built = []
+    to_audit_dict = MemoryEntry.to_audit_dict
+    monkeypatch.setattr(MemoryEntry, "to_audit_dict", lambda entry: built.append(entry) or to_audit_dict(entry))
+    audit = tmp_path / "memory.jsonl"
+    log = Orchestrator(load_scenario(path), RunConfig(), memory_audit_path=audit).run().log
+    stores, commits = log.by_kind("store"), log.by_kind("commit")
+    assert len(built) == len(stores) + len(commits)
+    lines = audit.read_text(encoding="utf-8").splitlines()
+    # a store's line is its event's payload, byte for byte; a commit's line says committed
+    assert [line for line in lines if '"committed": false' in line] == [
+        dumps_payload("store", event.payload) for event in stores
+    ]
 
 
 def test_reproducibility_same_seed_same_bytes():

@@ -174,9 +174,13 @@ DUMPS = functools.partial(json.dumps, sort_keys=True)
 def test_each_hot_event_encodes_as_json_dumps(event):
     virtual_time, kind, payload = event
     log = RunLog()
-    log.append(kind, virtual_time, payload)
-    expected = outcome(DUMPS, log.events[0].to_dict())
-    assert outcome(log.to_jsonl) == (expected + "\n" if isinstance(expected, str) else expected)
+    if isinstance(virtual_time, (int, float)) and math.isfinite(virtual_time):
+        log.append(kind, virtual_time, payload)
+        expected = outcome(DUMPS, log.events[0].to_dict())
+        assert outcome(log.to_jsonl) == (expected + "\n" if isinstance(expected, str) else expected)
+    else:  # NaN and ±inf are refused, and a time that is no number does not compare
+        with pytest.raises(ValueError if isinstance(virtual_time, float) else TypeError):
+            log.append(kind, virtual_time, payload)
     assert outcome(dumps_payload, kind, payload) == outcome(DUMPS, payload)
 
 
@@ -250,6 +254,30 @@ def test_by_kind_is_the_log_filtered_by_kind_after_every_append(appends):
     rebuilt = RunLog(events=list(log.events))
     for k in EVENT_KINDS:
         assert rebuilt.by_kind(k) == log.by_kind(k)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("earlier", [[], [0.0], [5.0, 5.0]])
+def test_append_refuses_a_time_that_is_not_finite(bad, earlier):
+    log = RunLog()
+    for virtual_time in earlier:
+        log.append("dispatch", virtual_time, {})
+    with pytest.raises(ValueError, match="finite and nondecreasing"):
+        log.append("store", bad, {})
+    assert [e.virtual_time for e in log.events] == earlier
+    log.append("commit", 6.0, {})  # a NaN let through would have let any time follow
+    with pytest.raises(ValueError, match="nondecreasing"):
+        log.append("commit", 1.0, {})
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("position", [0, 2])
+def test_from_jsonl_refuses_a_line_whose_time_is_not_finite(token, position):
+    lines = [f'{{"kind": "dispatch", "payload": {{}}, "virtual_time": {t}}}' for t in ("0.0", "1.0", "2.0")]
+    assert len(RunLog.from_jsonl("\n".join(lines)).events) == 3
+    lines[position] = lines[position].replace(f"{position}.0", token)
+    with pytest.raises(ValueError, match="finite and nondecreasing"):
+        RunLog.from_jsonl("\n".join(lines))
 
 
 def test_the_list_by_kind_returns_is_the_callers_own():

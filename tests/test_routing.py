@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from taskweave import (
     RouteMode,
@@ -210,3 +212,87 @@ def test_reassign_unknown_agent_and_task():
     router = Router(pool(make_agent("a1")))
     with pytest.raises(UnknownAgentError):
         router.reassign("ghost", "t")
+
+
+# -- the router against the per-agent scan it replaced ------------------------------
+
+
+def spec_suitability(profile, task, perf_weight, capacity_weight):
+    """The formula with the markers sorted on every call."""
+    if task.domain_markers:
+        total = 0.0
+        for marker in sorted(task.domain_markers):
+            total += profile.historical_performance.get(marker, 0.5)
+        perf = total / len(task.domain_markers)
+    else:
+        perf = 0.5
+    return perf_weight * perf + capacity_weight * (1.0 - profile.load / profile.capacity)
+
+
+def spec_is_ambiguous(agents, task, theta):
+    """The max over every capable agent's declared confidence."""
+    if task.ambiguity >= theta:
+        return True
+    best = 0.0
+    for agent in agents.values():
+        if task.domain_markers <= agent.profile.capabilities:
+            best = max(best, agent.declared_confidence(task))
+    return best < theta
+
+
+def spec_route(agents, task, theta, k, w1, w2, allow_parallel):
+    scored = sorted(
+        (-spec_suitability(agent.profile, task, w1, w2), agent_id)
+        for agent_id, agent in agents.items()
+        if agent.profile.load < agent.profile.capacity
+    )
+    ranked = [agent_id for _, agent_id in scored]
+    if not ranked:
+        return ()
+    if allow_parallel and k >= 2 and spec_is_ambiguous(agents, task, theta):
+        if len(ranked[:k]) >= 2:
+            return tuple(ranked[:k])
+    return (ranked[0],)
+
+
+MARKERS = ("m0", "m1", "m2")
+UNIT = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def routing_cases(draw):
+    """A pool, a task and settings: full agents, unseen and empty marker sets, agents
+    without a (task, 0) row or without the task's markers, theta at 0 and 1."""
+    theta = draw(st.sampled_from([0.0, 1.0]) | UNIT)
+    markers = draw(st.sets(st.sampled_from([*MARKERS, "unseen"])))
+    task = make_task("t", markers=markers, ambiguity=draw(st.sampled_from([theta]) | UNIT))
+    agents = {}
+    for i in range(draw(st.integers(1, 4))):
+        capacity = draw(st.integers(1, 3))
+        rows = {}
+        for attempt in draw(st.sets(st.integers(0, 1))):
+            rows[("t", attempt)] = make_row(confidence=draw(st.sampled_from([theta]) | UNIT))
+        spec = make_agent(
+            f"a{draw(st.integers(0, 9))}{i}",
+            caps=draw(st.sets(st.sampled_from([*MARKERS, "unseen"]))),
+            capacity=capacity,
+            perf=draw(st.dictionaries(st.sampled_from(MARKERS), UNIT)),
+            rows=rows,
+        )
+        agent = spec.build()
+        agent.profile.load = draw(st.integers(0, capacity))
+        agents[spec.id] = agent
+    k = draw(st.integers(1, 4))
+    return agents, task, theta, k, draw(UNIT), draw(UNIT), draw(st.booleans())
+
+
+@given(routing_cases())
+def test_router_matches_the_per_agent_scan(case):
+    agents, task, theta, k, w1, w2, allow_parallel = case
+    router = Router(agents, theta=theta, k=k, perf_weight=w1, capacity_weight=w2)
+    for agent in agents.values():
+        assert suitability(agent.profile, task, w1, w2) == spec_suitability(agent.profile, task, w1, w2)
+    assert router.is_ambiguous(task) is spec_is_ambiguous(agents, task, theta)
+    decision = router.route(task, allow_parallel=allow_parallel)
+    assert decision.assignees == spec_route(agents, task, theta, k, w1, w2, allow_parallel)
+    assert decision.mode is {0: RouteMode.DEFER, 1: RouteMode.SINGLE}.get(len(decision.assignees), RouteMode.PARALLEL)
