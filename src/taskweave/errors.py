@@ -60,7 +60,7 @@ class InvalidConfigError(OrchestrationError, ValueError):
 
 
 class InvariantError(OrchestrationError):
-    """A bound the run loop guarantees does not hold: a defect, not bad input."""
+    """A bound the run loop relies on does not hold, such as the dispatch bound or a finite clock."""
 
 
 class DeadlockError(OrchestrationError):

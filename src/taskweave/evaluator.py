@@ -133,12 +133,11 @@ class Evaluator:
         for rank, (entry, demoted) in enumerate(commits, self._commits_read):
             task_id = entry.task_id
             self._unchecked[task_id] = entry
-            if demoted is not None and not pair_facts.isdisjoint(demoted.output.emitted_facts):
+            if demoted is not None:
                 for fact in demoted.output.emitted_facts & pair_facts:
                     del self._holders[fact][task_id]
-            if not pair_facts.isdisjoint(entry.output.emitted_facts):
-                for fact in entry.output.emitted_facts & pair_facts:
-                    self._holders[fact][task_id] = rank
+            for fact in entry.output.emitted_facts & pair_facts:
+                self._holders[fact][task_id] = rank
         self._commits_read += len(commits)
 
     def _committed_holders(self, fact: str, graph: TaskGraph) -> dict[str, int]:

@@ -28,7 +28,9 @@ class TaskStatus(str, Enum):
 
 
 # The members as globals: a global costs a fraction of an Enum class attribute lookup.
-_READY, _IN_PROGRESS, _COMMITTED, _NEEDS_REVISION = TaskStatus
+_READY, _IN_PROGRESS, _COMMITTED, _NEEDS_REVISION = (
+    TaskStatus.READY, TaskStatus.IN_PROGRESS, TaskStatus.COMMITTED, TaskStatus.NEEDS_REVISION
+)
 
 
 @dataclass(frozen=True)

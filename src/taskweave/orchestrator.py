@@ -61,6 +61,7 @@ from .scoring import (
 logger = logging.getLogger(__name__)
 
 DEFAULT_REVISION_BUDGET = 3
+_INF = float("inf")
 
 # Settings that must lie in [0, 1], as the scenario schema's `defaults` states.
 _UNIT_SETTINGS = ("theta", "w1", "w2", "severity_threshold", "fact_threshold", "adapt_decrement")
@@ -331,6 +332,12 @@ class Orchestrator:
         # by the seeded tiebreak so replay of one seed is exact.
         executions.sort()
         wave_end = executions[-1][0]
+        if wave_end == _INF:  # finite latencies can still sum past the largest float
+            output = next(output for produced_at, _, _, output in executions if produced_at == _INF)
+            raise InvariantError(
+                f"virtual time overflows at task {output.task_id!r} (agent {output.agent_id!r}, "
+                f"attempt {output.attempt}): its latencies sum past the largest float"
+            )
         for _, _, _, output in executions:
             memory.store(output, log)
 

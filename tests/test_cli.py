@@ -249,6 +249,30 @@ def test_out_of_range_scenario_default_exits_two(runner, tmp_path):
     assert "$.defaults.theta" in result.output
 
 
+def test_latencies_that_sum_past_the_largest_float_exit_one(runner, tmp_path):
+    row = {"attempt": 0, "content": "c", "declared_confidence": 0.9, "latency": 1e308}
+    doc = {
+        "schema_version": 1,
+        "tasks": [{"id": "t1", "reference_facts": ["f1"]}, {"id": "t2", "reference_facts": ["f2"], "depends_on": ["t1"]}],
+        "agents": [
+            {
+                "id": "a1",
+                "behavior": [
+                    {**row, "task_id": "t1", "emitted_facts": ["f1"]},
+                    {**row, "task_id": "t2", "emitted_facts": ["f2"]},
+                ],
+            }
+        ],
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    assert runner.invoke(main, ["validate", str(path)]).exit_code == 0
+    result = runner.invoke(main, ["run", str(path), "--log", str(tmp_path / "run.jsonl")])
+    assert result.exit_code == 1
+    assert "run failed: virtual time overflows at task 't2'" in result.output
+    assert not (tmp_path / "run.jsonl").exists()
+
+
 def test_nan_in_scenario_exits_two(runner, tmp_path):
     # json reads NaN and the schema's range checks admit it; the task spec does not
     path = tmp_path / "nan.json"

@@ -481,6 +481,27 @@ def test_agent_left_loaded_is_an_invariant_error(monkeypatch):
         orch.run()
 
 
+@pytest.mark.parametrize("static", [False, True], ids=["dependent-waves", "static-queue"])
+def test_a_clock_that_overflows_is_an_invariant_error_before_the_wave_stores(tmp_path, static):
+    # each latency is finite, as the schema requires, but t1's and t2's sum is not
+    rows = {("t1", 0): make_row({"f1"}, latency=1e308), ("t2", 0): make_row({"f2"}, latency=1e308)}
+    scenario = make_scenario(
+        tasks=[make_task("t1", reference={"f1"}), make_task("t2", reference={"f2"}, deps=() if static else {"t1"})],
+        agents=[make_agent("a1", rows=rows)],
+        static_assignments={"t1": "a1", "t2": "a1"},
+    )
+    audit = tmp_path / "memory.jsonl"
+    orch = Orchestrator(scenario, RunConfig(static=static), memory_audit_path=audit)
+    with pytest.raises(InvariantError, match="virtual time overflows at task 't2' \\(agent 'a1', attempt 0\\)"):
+        orch.run()
+    # the audit file and the run log agree: no store of the overflowing wave reached either
+    stored = [] if static else ["t1"]
+    assert [event.payload["task_id"] for event in orch.log.by_kind("store")] == stored
+    lines = [json.loads(line) for line in audit.read_text(encoding="utf-8").splitlines()]
+    assert [line["task_id"] for line in lines if not line["committed"]] == stored
+    assert all(event.virtual_time < float("inf") for event in orch.log.events)
+
+
 def test_invariants_hold_under_python_O(tmp_path):
     # the checks are exceptions, so -O, which strips asserts, keeps them
     import os
