@@ -1,0 +1,25 @@
+"""Writing a whole file over an older one in place.
+
+Opening a file that holds data with `O_TRUNC` frees its blocks, and on ext4
+(`auto_da_alloc`, the default) closing it then starts writeback of the new
+data: rewriting a CLI call's report and log that way cost more than its load.
+"""
+
+from __future__ import annotations
+
+import os
+import stat
+from pathlib import Path
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write `text` to `path` as UTF-8, leaving the bytes and mode `Path.write_text` leaves.
+
+    An existing file is written over and then cut to the new length, so a
+    process killed mid-write can leave old bytes after the new ones.
+    """
+    data = text.encode("utf-8")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as file:
+        file.write(data)
+        if stat.S_ISREG(os.fstat(file.fileno()).st_mode):  # a device or FIFO cannot be cut
+            file.truncate(len(data))

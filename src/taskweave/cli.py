@@ -1,18 +1,18 @@
 """Command-line runner: load a scenario, apply overrides, run, write outputs.
 
-Exit codes: 0 success, 1 runtime failure, 2 invalid scenario or run setting,
-3 deadlock.
+Exit codes: 0 success, 1 runtime failure or an output file that cannot be
+written, 2 invalid scenario or run setting, 3 deadlock.
 """
 
 from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from pathlib import Path
 from typing import Iterator
 
 import click
 
+from ._files import write_text
 from .errors import DeadlockError, InvalidConfigError, OrchestrationError, ScenarioError
 from .orchestrator import RunConfig, orchestrate
 from .scenario import load_scenario
@@ -24,6 +24,7 @@ _EXITS = (
     (InvalidConfigError, 2, "invalid setting"),
     (DeadlockError, 3, "deadlock"),
     ((OrchestrationError, ValueError), 1, "run failed"),
+    (OSError, 1, "cannot write"),  # a scenario that cannot be read is a ScenarioError above
 )
 
 
@@ -80,12 +81,11 @@ def run(scenario_path: str, report_path: str | None, log_path: str | None, **set
             .with_overrides({**settings, "weights": weights})
         )
         result = orchestrate(scenario, config)
-
-    report_json = result.report.to_json()
-    if report_path is not None:
-        Path(report_path).write_text(report_json, encoding="utf-8")
-    if log_path is not None:
-        result.log.write(log_path)
+        report_json = result.report.to_json()
+        if report_path is not None:
+            write_text(report_path, report_json)
+        if log_path is not None:
+            result.log.write(log_path)
     click.echo(report_json, nl=False)
 
 

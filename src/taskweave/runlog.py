@@ -14,6 +14,8 @@ from math import isfinite
 from pathlib import Path
 from typing import NamedTuple
 
+from ._files import write_text
+
 EVENT_KINDS = ("dispatch", "store", "commit", "feedback", "reassign", "terminate")
 _INF = float("inf")
 _new_tuple = tuple.__new__
@@ -116,7 +118,7 @@ class RunLog:
         return "\n".join(lines)
 
     def write(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_jsonl(), encoding="utf-8")
+        write_text(path, self.to_jsonl())
 
     @classmethod
     def from_jsonl(cls, text: str) -> RunLog:

@@ -23,6 +23,7 @@ from types import CodeType
 from typing import Any, Callable
 
 from ._collector import collector_paused
+from ._files import write_text
 from .agents import AgentProfile, BehaviorRow, ScriptedAgent
 from .errors import CycleError, ScenarioParseError, ScenarioValidationError
 from .graph import TaskGraph, TaskSpec, build_graph, find_cycle
@@ -525,7 +526,4 @@ def _check_cross_references(scenario: Scenario) -> None:
 
 def dump_scenario(scenario: Scenario, path: str | Path) -> None:
     """Write a scenario back to disk in canonical form."""
-    Path(path).write_text(
-        json.dumps(scenario.to_dict(), indent=2, sort_keys=False) + "\n",
-        encoding="utf-8",
-    )
+    write_text(path, json.dumps(scenario.to_dict(), indent=2, sort_keys=False) + "\n")

@@ -391,6 +391,48 @@ def test_each_run_option_gives_the_library_run_it_names(runner, tmp_path, flags,
     assert expected != orchestrate(scenario, config).log.to_jsonl()
 
 
+# Run one after the other over the same --report and --log paths: the two runs'
+# reports and logs differ in length, so the two orders rewrite each file both
+# shorter and longer.
+RERUNS = [(CANONICAL_SCENARIOS[0], [], {}), (REVIEW, ["--static"], {"static": True})]
+
+
+@pytest.mark.parametrize("order", [RERUNS, RERUNS[::-1]], ids=["filing-then-review", "review-then-filing"])
+def test_a_rerun_over_the_same_paths_leaves_the_second_runs_outputs(runner, tmp_path, order):
+    report_path, log_path = tmp_path / "report.json", tmp_path / "run.jsonl"
+    sizes = []
+    for path, flags, override in order:
+        result = runner.invoke(main, ["run", str(path), *flags, "--report", str(report_path), "--log", str(log_path)])
+        assert result.exit_code == 0, result.output
+        sizes.append((report_path.stat().st_size, log_path.stat().st_size))
+    assert sizes[0][0] != sizes[1][0] and sizes[0][1] != sizes[1][1]
+    scenario = load_scenario(path)
+    config = RunConfig().with_overrides(scenario.defaults).with_overrides(override)
+    assert report_path.read_text(encoding="utf-8") == result.stdout
+    assert log_path.read_bytes() == orchestrate(scenario, config).log.to_jsonl().encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "option,name,error",
+    [("--log", "missing/run.jsonl", "No such file or directory"), ("--report", ".", "Is a directory")],
+    ids=["log-in-a-missing-directory", "report-at-a-directory"],
+)
+def test_an_output_path_that_cannot_be_written_exits_one(tmp_path, option, name, error):
+    import subprocess
+    import sys
+
+    path = tmp_path / name
+    proc = subprocess.run(
+        [sys.executable, "-m", "taskweave.cli", "run", str(REVIEW), option, str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("cannot write: ") and error in proc.stderr and str(path) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_every_run_parameter_is_a_run_config_field():
     own = {"scenario_path", "report_path", "log_path", "alpha", "beta", "gamma"}
     fields = {field.name for field in dataclasses.fields(RunConfig)}

@@ -31,6 +31,9 @@ ROW_KEYS = {
     "to_jsonl_gc_collections",
     "to_jsonl_gc_s",
     "to_jsonl_gc_raw_s",
+    "write_s",
+    "write_raw_s",
+    "write_repeats",
     "load_gc_collections",
     "load_gc_s",
     "load_gc_raw_s",
@@ -69,6 +72,7 @@ def test_sweep_writes_every_size_of_every_shape(tmp_path):
             assert set(row) == ROW_KEYS
             assert row["orchestrate_s"] > 0 and row["orchestrate_peak_bytes"] > 0
             assert row["to_jsonl_s"] > 0 and row["load_peak_bytes"] > 0
+            assert row["write_s"] > 0 and row["write_repeats"] >= 1
             # the load parses the same text and then builds from it
             assert 0 < row["parse_s"] < row["load_s"]
             assert row["orchestrate_audit_s"] > 0

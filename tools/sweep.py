@@ -15,6 +15,9 @@ and records:
 - `orchestrate_audit_s`: the same run with a memory audit file, built and run
   with the collector paused as `orchestrate` pauses it;
 - `to_jsonl_s`: `RunLog.to_jsonl` of the log of the run without the file;
+- `write_s`, `write_raw_s`, `write_repeats`: `RunLog.write` of that log over
+  a file that already holds it, as a rerun of the CLI with the same `--log`
+  writes it;
 - `load_gc_collections`, `load_gc_s`, `load_gc_raw_s` (and the same for
   `parse`, `orchestrate`, `orchestrate_audit` and `to_jsonl`): the cyclic
   collector's share of the timed calls, as the collections it ran per
@@ -143,9 +146,14 @@ def measure(repo: Path, shape_name: str, tasks: int, work: Path) -> dict:
     row.update(timed("orchestrate", run_once), **peak("orchestrate", run_once))
     audit = work / f"{shape_name}-{tasks}.audit.jsonl"
     row.update(timed("orchestrate_audit", collector_paused(lambda: Orchestrator(scenario, config, audit).run())))
-    row.update(timed("to_jsonl", run_once().log.to_jsonl))
-    path.unlink()
-    audit.unlink()
+    log = run_once().log
+    row.update(timed("to_jsonl", log.to_jsonl))
+    written = work / f"{shape_name}-{tasks}.jsonl"
+    log.write(written)
+    write = timed("write", partial(log.write, written))
+    row.update((key, write[key]) for key in ("write_s", "write_raw_s", "write_repeats"))
+    for made in (path, audit, written):
+        made.unlink()
     return row
 
 
