@@ -1,4 +1,4 @@
-"""Writing a whole file over an older one in place.
+"""Writing a whole file over an older one in place, and checking beforehand that it can be.
 
 Opening a file that holds data with `O_TRUNC` frees its blocks, and on ext4
 (`auto_da_alloc`, the default) closing it then starts writeback of the new
@@ -7,6 +7,7 @@ data: rewriting a CLI call's report and log that way cost more than its load.
 
 from __future__ import annotations
 
+import errno
 import os
 import stat
 from pathlib import Path
@@ -23,3 +24,17 @@ def write_text(path: str | Path, text: str) -> None:
         file.write(data)
         if stat.S_ISREG(os.fstat(file.fileno()).st_mode):  # a device or FIFO cannot be cut
             file.truncate(len(data))
+
+
+def check_writable(path: str | Path) -> None:
+    """Raise the OSError `write_text(path, ...)` would raise for a missing directory, a
+    directory or no write permission, without creating a file."""
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:  # a missing file is made in its directory, if that exists and is writable
+        parent = os.path.dirname(os.path.abspath(path))
+        code = errno.ENOENT if not os.path.isdir(parent) else 0 if os.access(parent, os.W_OK) else errno.EACCES
+    else:
+        code = errno.EISDIR if stat.S_ISDIR(mode) else 0 if os.access(path, os.W_OK) else errno.EACCES
+    if code:
+        raise OSError(code, os.strerror(code), str(path))

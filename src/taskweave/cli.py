@@ -12,7 +12,7 @@ from typing import Iterator
 
 import click
 
-from ._files import write_text
+from ._files import check_writable, write_text
 from .errors import DeadlockError, InvalidConfigError, OrchestrationError, ScenarioError
 from .orchestrator import RunConfig, orchestrate
 from .scenario import load_scenario
@@ -74,6 +74,9 @@ def run(scenario_path: str, report_path: str | None, log_path: str | None, **set
     # An unset value option is None, which with_overrides skips; an unset flag is
     # False, the RunConfig default, and a scenario's defaults cannot set a flag.
     with _exit_on_error():
+        for path in (report_path, log_path):
+            if path is not None:
+                check_writable(path)  # before a load and run that a failed write would waste
         scenario = load_scenario(scenario_path)
         config = (
             RunConfig()

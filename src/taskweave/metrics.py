@@ -9,10 +9,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .errors import EmptyReferenceError, NoTerminateError
-from .runlog import RunLog
+from .errors import EmptyReferenceError, NoTerminateError, UnknownEntryError
+from .runlog import RunEvent, RunLog
 from .scenario import Scenario
 
 REPORT_SCHEMA_VERSION = 1
@@ -49,10 +50,10 @@ class RunReport:
 
 def factual_coverage(emitted: Iterable[str], reference: Iterable[str]) -> float:
     """Fraction of the reference fact set present in the emitted union."""
-    reference_set = set(reference)
+    reference_set = reference if isinstance(reference, (set, frozenset)) else set(reference)
     if not reference_set:
         raise EmptyReferenceError("reference fact set is empty")
-    return len(set(emitted) & reference_set) / len(reference_set)
+    return len(reference_set.intersection(emitted)) / len(reference_set)
 
 
 def compliance_accuracy(
@@ -82,26 +83,19 @@ def redundancy_penalty(
     realized when both facts appear somewhere in the committed union. Clamped
     to [0, 1]; an empty committed state scores 0.
     """
-    total = sum(len(facts) for facts in committed_fact_sets)
+    total = sum(map(len, committed_fact_sets))
     if total == 0:
         return 0.0
-    seen: set[str] = set()
-    duplicates = 0
-    for facts in committed_fact_sets:
-        for fact in facts:
-            if fact in seen:
-                duplicates += 1
-        seen |= facts
+    seen = set().union(*committed_fact_sets)
     realized = sum(1 for a, b in contradiction_pairs if a in seen and b in seen)
-    return min(1.0, (duplicates + 2 * realized) / total)
+    # each distinct fact's first emission is the only one that is no duplicate
+    return min(1.0, (total - len(seen) + 2 * realized) / total)
 
 
 def revision_rate(log: RunLog) -> float:
     """Reassign events per task (task count taken from the dispatch trail)."""
-    task_ids = {e.payload["task_id"] for e in log.by_kind("dispatch")}
-    if not task_ids:
-        return 0.0
-    return len(log.by_kind("reassign")) / len(task_ids)
+    tasks, _ = _dispatch_trail(log.by_kind("dispatch"))
+    return len(log.by_kind("reassign")) / tasks if tasks else 0.0
 
 
 def completion_time(log: RunLog) -> float:
@@ -115,69 +109,66 @@ def completion_time(log: RunLog) -> float:
     return terminates[-1].virtual_time - dispatches[0].virtual_time
 
 
-def committed_state(log: RunLog) -> list[dict]:
-    """Replay the log into the final committed entries, commit-version order.
+def _dispatch_trail(dispatches: list[RunEvent]) -> tuple[int, int]:
+    """(distinct tasks, parallel fan-out groups) of the dispatch events, in one pass."""
+    tasks: set[str] = set()
+    fanouts: set[tuple[str, int]] = set()
+    for event in dispatches:
+        payload = event.payload
+        tasks.add(payload["task_id"])
+        if payload["mode"] == "parallel":
+            fanouts.add((payload["task_id"], payload["attempt"]))
+    return len(tasks), len(fanouts)
 
-    Each item carries the commit payload plus the emitted_facts recorded by the
-    matching store event.
+
+def committed_state(log: RunLog) -> list[tuple[str, frozenset[str], dict | None]]:
+    """Replay the log into (task id, emitted facts, score) of each final winner, in version order.
+
+    Store versions are dense and in log order, so a commit's winner is the
+    `version`-th store event; its task, agent and attempt must match the commit.
     """
-    stores = {
-        (e.payload["task_id"], e.payload["agent_id"], e.payload["attempt"]): e.payload
-        for e in log.by_kind("store")
-    }
-    final: dict[str, dict] = {}
-    for event in log.by_kind("commit"):
-        payload = dict(event.payload)
-        key = (payload["task_id"], payload["agent_id"], payload["attempt"])
-        payload["emitted_facts"] = frozenset(stores[key]["emitted_facts"])
-        final[payload["task_id"]] = payload
-    return sorted(final.values(), key=lambda p: p["version"])
-
-
-def parallel_fanouts(log: RunLog) -> int:
-    """Number of parallel routing decisions (distinct fan-out groups)."""
-    groups = {
-        (e.payload["task_id"], e.payload["attempt"])
-        for e in log.by_kind("dispatch")
-        if e.payload["mode"] == "parallel"
-    }
-    return len(groups)
+    stores = log.by_kind("store")
+    final = {event.payload["task_id"]: event.payload for event in log.by_kind("commit")}
+    winners = []
+    for commit in sorted(final.values(), key=itemgetter("version")):
+        task_id, version = commit["task_id"], commit["version"]
+        store = stores[version - 1].payload if type(version) is int and 0 < version <= len(stores) else {}
+        key = (task_id, commit["agent_id"], commit["attempt"])
+        if (store.get("task_id"), store.get("agent_id"), store.get("attempt")) != key:
+            raise UnknownEntryError(
+                f"commit of task {task_id!r} names version {version!r}, but no matching store event has it"
+            )
+        winners.append((task_id, frozenset(store["emitted_facts"]), commit.get("score")))
+    return winners
 
 
 def build_report(log: RunLog, scenario: Scenario) -> RunReport:
     """Compute the full measurement suite for one completed run."""
     committed = committed_state(log)
-    fact_sets = [entry["emitted_facts"] for entry in committed]
-    union: set[str] = set()
-    for facts in fact_sets:
-        union |= facts
-
+    fact_sets = [facts for _, facts, _ in committed]
     reference = scenario.reference_facts()
-    coverage = factual_coverage(union, reference) if reference else 0.0
+    coverage = factual_coverage(set().union(*fact_sets), reference) if reference else 0.0
     compliance = compliance_accuracy(
-        {entry["task_id"]: entry["emitted_facts"] for entry in committed},
-        scenario.gold_answers,
+        {task_id: facts for task_id, facts, _ in committed}, scenario.gold_answers
     )
-    scores = [entry["score"] for entry in committed if entry.get("score")]
-    coherence_mean = (
-        sum(s["coherence"] for s in scores) / len(scores) if scores else 0.0
-    )
-    relevance_mean = (
-        sum(s["relevance"] for s in scores) / len(scores) if scores else 0.0
-    )
+    scores = [score for _, _, score in committed if score]
+    coherence_mean = sum(map(itemgetter("coherence"), scores)) / len(scores) if scores else 0.0
+    relevance_mean = sum(map(itemgetter("relevance"), scores)) / len(scores) if scores else 0.0
+    dispatches = log.by_kind("dispatch")
+    tasks, fanouts = _dispatch_trail(dispatches)
 
     return RunReport(
         factual_coverage=coverage,
         compliance_accuracy=compliance,
         redundancy_penalty=redundancy_penalty(fact_sets, scenario.contradiction_pairs),
-        revision_rate=revision_rate(log),
+        revision_rate=len(log.by_kind("reassign")) / tasks if tasks else 0.0,
         coherence_mean=coherence_mean,
         relevance_mean=relevance_mean,
         completion_time=completion_time(log),
         counts={
             "tasks": len(scenario.tasks),
-            "dispatches": len(log.by_kind("dispatch")),
-            "parallel_fanouts": parallel_fanouts(log),
+            "dispatches": len(dispatches),
+            "parallel_fanouts": fanouts,
             "feedback_messages": len(log.by_kind("feedback")),
         },
     )

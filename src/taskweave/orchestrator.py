@@ -21,6 +21,7 @@ import dataclasses
 import logging
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, NamedTuple
 
 from ._collector import collector_paused
@@ -191,9 +192,15 @@ def compile_final_output(memory: SharedMemory, graph: TaskGraph) -> FinalDocumen
 
 @dataclass(frozen=True)
 class RunResult:
-    document: FinalDocument
     log: RunLog
     report: RunReport
+    memory: SharedMemory = field(repr=False, compare=False)
+    graph: TaskGraph = field(repr=False, compare=False)
+
+    @cached_property
+    def document(self) -> FinalDocument:
+        """The final document, compiled on first read."""
+        return compile_final_output(self.memory, self.graph)
 
 
 class Orchestrator:
@@ -274,12 +281,15 @@ class Orchestrator:
                 self._clock,
                 {"reason": "completed", "waves": self._waves, "dispatches": self._dispatches},
             )
-            document = compile_final_output(self.memory, self.graph)
+            # The loop ends with every task committed; memory must hold a winner for each.
+            winners, tasks = self.memory.committed_count(), len(self.graph.tasks)
+            if winners != tasks:
+                raise MissingCommitError(f"memory holds {winners} committed entries for {tasks} tasks")
             for agent in self.agents.values():
                 if agent.profile.load != 0:
                     raise InvariantError(f"agent {agent.profile.id} still loaded at the end of the run")
             report = build_report(self.log, self.scenario)
-            return RunResult(document=document, log=self.log, report=report)
+            return RunResult(self.log, report, self.memory, self.graph)
         finally:
             self.memory.close()
 

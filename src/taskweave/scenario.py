@@ -77,10 +77,7 @@ class Scenario:
 
     def reference_facts(self) -> frozenset[str]:
         """Union of every task's reference facts: the run-level coverage target."""
-        facts: set[str] = set()
-        for task in self.tasks:
-            facts |= task.reference_facts
-        return frozenset(facts)
+        return frozenset().union(*(task.reference_facts for task in self.tasks))
 
     def annotations(self) -> dict[tuple[str, str, int], tuple[float, float, float]]:
         """Annotated score triples keyed by (task_id, agent_id, attempt)."""

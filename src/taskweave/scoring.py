@@ -59,7 +59,8 @@ class ScoreBreakdown(NamedTuple):
     composite: float
 
     def to_dict(self) -> dict:
-        return self._asdict()
+        coherence, factuality, relevance, composite = self
+        return {"coherence": coherence, "factuality": factuality, "relevance": relevance, "composite": composite}
 
 
 def combine(

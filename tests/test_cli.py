@@ -438,3 +438,33 @@ def test_every_run_parameter_is_a_run_config_field():
     fields = {field.name for field in dataclasses.fields(RunConfig)}
     settings = {param.name for param in run.params} - own
     assert settings <= fields, f"not RunConfig fields: {sorted(settings - fields)}"
+
+
+@pytest.mark.parametrize(
+    "option,name,error",
+    [("--log", "missing/run.jsonl", "No such file or directory"), ("--report", ".", "Is a directory")],
+    ids=["log-in-a-missing-directory", "report-at-a-directory"],
+)
+def test_an_output_path_that_cannot_be_written_stops_the_run_before_the_load(
+    runner, tmp_path, monkeypatch, option, name, error
+):
+    loads = []
+    monkeypatch.setattr("taskweave.cli.load_scenario", loads.append)
+    result = runner.invoke(main, ["run", str(REVIEW), option, str(tmp_path / name)])
+    assert result.exit_code == 1
+    assert "cannot write: " in result.output and error in result.output
+    assert loads == []
+
+
+def test_a_log_that_cannot_be_written_leaves_no_report_file(runner, tmp_path):
+    report = tmp_path / "report.json"
+    result = runner.invoke(main, ["run", str(REVIEW), "--report", str(report), "--log", str(tmp_path / "missing" / "run.jsonl")])
+    assert result.exit_code == 1
+    assert not report.exists()
+
+
+def test_an_existing_output_file_and_a_new_one_in_an_existing_directory_can_be_written(runner, tmp_path):
+    report, log = tmp_path / "report.json", tmp_path / "run.jsonl"
+    report.write_text("old", encoding="utf-8")
+    assert runner.invoke(main, ["run", str(REVIEW), "--report", str(report), "--log", str(log)]).exit_code == 0
+    assert json.loads(report.read_text(encoding="utf-8")) and log.read_text(encoding="utf-8")

@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from taskweave import RunConfig, load_scenario, orchestrate
-from taskweave._files import write_text
+from taskweave._files import check_writable, write_text
 from taskweave.cli import main
 from taskweave.scenario import dump_scenario
 
@@ -130,3 +130,25 @@ def test_every_file_the_package_writes_is_opened_without_truncation(tmp_path, mo
     for name, flags in opened:
         assert flags & os.O_TRUNC == 0, name
         assert flags & (os.O_WRONLY | os.O_CREAT) == os.O_WRONLY | os.O_CREAT, name
+
+
+def oserror_of(fn, *args) -> str | None:
+    """`str` of the OSError `fn(*args)` raises, or None."""
+    try:
+        fn(*args)
+    except OSError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+@pytest.mark.parametrize("name", ["new.txt", "file", "dir", "missing/new.txt", "file/new.txt"])
+def test_check_writable_raises_what_the_write_would_without_creating_a_file(tmp_path, name):
+    (tmp_path / "file").write_text("old", encoding="utf-8")
+    (tmp_path / "dir").mkdir()
+    path = str(tmp_path / name)
+    before = sorted(tmp_path.rglob("*"))
+    checked = oserror_of(check_writable, path)
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "file").read_text(encoding="utf-8") == "old"
+    assert checked == oserror_of(write_text, path, "new")
+    assert (checked is None) == (name in ("new.txt", "file"))

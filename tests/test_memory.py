@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskweave import CandidateOutput, DuplicateKeyError, RunLog, SharedMemory, UnknownEntryError
 from taskweave.memory import MemoryEntry
 from taskweave.runlog import dumps_payload
+from taskweave.scoring import ScoreBreakdown
 
 
 def output(task="t1", agent="a", attempt=0, facts=(), conf=0.5, at=0.0):
@@ -208,8 +210,8 @@ def test_store_with_a_run_log_appends_its_event_from_the_audit_lines_dict(tmp_pa
     assert memory.store(output(agent="b"), None) == 2  # no log, no event
     memory.close()
 
-    # one dict for the first store's event and audit line; the second builds one for its line only
-    assert len(built) == 1 + audited
+    # one dict, for the first store's event; an audit line is encoded without one
+    assert len(built) == 1
     (event,) = log.events
     assert event.payload is built[0]
     assert event == (2.5, "store", memory.entry(("t1", "a", 0)).to_audit_dict())
@@ -217,3 +219,23 @@ def test_store_with_a_run_log_appends_its_event_from_the_audit_lines_dict(tmp_pa
         lines = audit.read_text().splitlines()
         assert lines[0] == dumps_payload("store", event.payload)
         assert log.to_jsonl() == f'{{"kind": "store", "payload": {lines[0]}, "virtual_time": 2.5}}\n'
+
+
+SCORES = st.none() | st.builds(ScoreBreakdown, *[st.sampled_from([0.5, 1.0, -0.0, 1e-7, 1, True, math.nan, None])] * 4)
+ODD = st.sampled_from(["a", 0, 1, 0.5, 1e16, True, None, math.inf, "\ud800"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(ODD, ODD, st.sets(st.sampled_from(["f1", "f\"2", "\u00e9"]), max_size=3), ODD, SCORES)
+def test_each_audit_line_is_json_dumps_of_the_entrys_audit_dict_at_that_moment(tmp_path_factory, agent, attempt, facts, conf, score):
+    """Store, score and commit an entry whose values may be off the types the templates write."""
+    audit = tmp_path_factory.mktemp("audit") / "memory.jsonl"
+    memory = SharedMemory(audit_path=audit)
+    key = ("t1", agent, attempt)
+    memory.store(output(agent=agent, attempt=attempt, facts=facts, conf=conf))
+    stored = json.dumps(memory.entry(key).to_audit_dict(), sort_keys=True)
+    memory.entry(key).score = score
+    memory.commit("t1", key)
+    memory.close()
+    committed = json.dumps(memory.entry(key).to_audit_dict(), sort_keys=True)
+    assert audit.read_text(encoding="utf-8").splitlines() == [stored, committed]

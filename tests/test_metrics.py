@@ -17,6 +17,8 @@ from taskweave import (
     Orchestrator,
     RunConfig,
     RunLog,
+    RunReport,
+    UnknownEntryError,
     build_report,
     completion_time,
     compliance_accuracy,
@@ -261,7 +263,116 @@ def test_report_recomputed_from_a_written_log_is_the_run_report(shape, seed, dat
         result = orchestrate(scenario, dataclasses.replace(base, **flags))
         replayed = RunLog.from_jsonl(result.log.to_jsonl())
         assert build_report(replayed, scenario) == result.report
+        assert reference_build_report(replayed, scenario) == result.report
 
         unterminated = RunLog(events=[e for e in result.log.events if e.kind != "terminate"])
         with pytest.raises(NoTerminateError):
             build_report(unterminated, scenario)
+
+
+# -- the version-indexed replay against the dict replay it replaced --------------------------
+
+
+def reference_committed_state(log: RunLog) -> list[dict]:
+    """The dict replay: every store indexed by (task, agent, attempt), every commit payload copied."""
+    stores = {
+        (e.payload["task_id"], e.payload["agent_id"], e.payload["attempt"]): e.payload
+        for e in log.by_kind("store")
+    }
+    final: dict[str, dict] = {}
+    for event in log.by_kind("commit"):
+        payload = dict(event.payload)
+        key = (payload["task_id"], payload["agent_id"], payload["attempt"])
+        payload["emitted_facts"] = frozenset(stores[key]["emitted_facts"])
+        final[payload["task_id"]] = payload
+    return sorted(final.values(), key=lambda p: p["version"])
+
+
+def reference_build_report(log: RunLog, scenario) -> RunReport:
+    """`build_report` as it was before the version index, with its helpers inlined as they were."""
+    committed = reference_committed_state(log)
+    fact_sets = [entry["emitted_facts"] for entry in committed]
+    union: set[str] = set()
+    for facts in fact_sets:
+        union |= facts
+
+    reference = set(scenario.reference_facts())
+    coverage = len(set(union) & reference) / len(reference) if reference else 0.0
+    compliance = compliance_accuracy(
+        {entry["task_id"]: entry["emitted_facts"] for entry in committed},
+        scenario.gold_answers,
+    )
+    scores = [entry["score"] for entry in committed if entry.get("score")]
+    coherence_mean = sum(s["coherence"] for s in scores) / len(scores) if scores else 0.0
+    relevance_mean = sum(s["relevance"] for s in scores) / len(scores) if scores else 0.0
+
+    task_ids = {e.payload["task_id"] for e in log.by_kind("dispatch")}
+    terminates = log.by_kind("terminate")
+    if not terminates:
+        raise NoTerminateError("run log has no terminate event")
+    dispatches = log.by_kind("dispatch")
+    fanouts = {
+        (e.payload["task_id"], e.payload["attempt"])
+        for e in log.by_kind("dispatch")
+        if e.payload["mode"] == "parallel"
+    }
+    return RunReport(
+        factual_coverage=coverage,
+        compliance_accuracy=compliance,
+        redundancy_penalty=redundancy_penalty(fact_sets, scenario.contradiction_pairs),
+        revision_rate=len(log.by_kind("reassign")) / len(task_ids) if task_ids else 0.0,
+        coherence_mean=coherence_mean,
+        relevance_mean=relevance_mean,
+        completion_time=terminates[-1].virtual_time - dispatches[0].virtual_time if dispatches else 0.0,
+        counts={
+            "tasks": len(scenario.tasks),
+            "dispatches": len(log.by_kind("dispatch")),
+            "parallel_fanouts": len(fanouts),
+            "feedback_messages": len(log.by_kind("feedback")),
+        },
+    )
+
+
+def bundled_runs():
+    """(scenario, log) of the bundled scenarios under every variant and seeds 0 and 7."""
+    for path in CANONICAL_SCENARIOS:
+        scenario = load_scenario(path)
+        base = RunConfig().with_overrides(scenario.defaults)
+        for flags in VARIANT_FLAGS:
+            for seed in (0, 7):
+                yield scenario, orchestrate(scenario, dataclasses.replace(base, seed=seed, **flags)).log
+
+
+def test_report_of_every_bundled_run_equals_the_dict_replay():
+    runs = 0
+    for scenario, log in bundled_runs():
+        assert build_report(log, scenario) == reference_build_report(log, scenario)
+        runs += 1
+    assert runs == 3 * 5 * 2
+
+
+def first_winner(log: RunLog) -> tuple[int, str]:
+    """(version, task id) of the final winner with the lowest store version."""
+    final = {e.payload["task_id"]: e.payload["version"] for e in log.by_kind("commit")}
+    return min((version, task_id) for task_id, version in final.items())
+
+
+def test_a_log_missing_a_store_event_names_the_commit_it_cannot_replay():
+    for scenario, log in bundled_runs():
+        first = log.by_kind("store")[0]
+        dropped = RunLog(events=[e for e in log.events if e is not first])
+        version, task_id = first_winner(log)
+        with pytest.raises(UnknownEntryError, match=f"commit of task {task_id!r} names version {version},"):
+            build_report(dropped, scenario)
+
+
+def test_a_log_with_two_store_events_swapped_names_the_commit_it_cannot_replay():
+    for scenario, log in bundled_runs():
+        version, task_id = first_winner(log)
+        stores = log.by_kind("store")
+        winner = stores[version - 1]
+        # no winner has a lower version, so the first mismatch the replay meets is the winner's
+        other = next(e for e in stores if e.payload["task_id"] != task_id)
+        swapped = RunLog(events=[other if e is winner else winner if e is other else e for e in log.events])
+        with pytest.raises(UnknownEntryError, match=f"commit of task {task_id!r} names version {version},"):
+            build_report(swapped, scenario)

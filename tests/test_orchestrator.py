@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 import warnings
@@ -17,11 +18,12 @@ from taskweave import (
     RunConfig,
     ScenarioValidationError,
     SharedMemory,
+    TaskGraph,
     build_graph,
     compile_final_output,
     orchestrate,
 )
-from taskweave import scoring
+from taskweave import orchestrator, scoring
 from taskweave.evaluator import Evaluator
 from taskweave.memory import MemoryEntry
 from taskweave.runlog import dumps_payload
@@ -408,13 +410,19 @@ def test_an_audited_run_builds_each_audit_dict_once_for_both_files(tmp_path, mon
     to_audit_dict = MemoryEntry.to_audit_dict
     monkeypatch.setattr(MemoryEntry, "to_audit_dict", lambda entry: built.append(entry) or to_audit_dict(entry))
     audit = tmp_path / "memory.jsonl"
-    log = Orchestrator(load_scenario(path), RunConfig(), memory_audit_path=audit).run().log
+    orch = Orchestrator(load_scenario(path), RunConfig(), memory_audit_path=audit)
+    log = orch.run().log
     stores, commits = log.by_kind("store"), log.by_kind("commit")
-    assert len(built) == len(stores) + len(commits)
+    # a store's dict serves its event and its line; a commit's line is encoded without one
+    assert len(built) == len(stores)
     lines = audit.read_text(encoding="utf-8").splitlines()
     # a store's line is its event's payload, byte for byte; a commit's line says committed
     assert [line for line in lines if '"committed": false' in line] == [
         dumps_payload("store", event.payload) for event in stores
+    ]
+    winners = [orch.memory.entry((e.payload["task_id"], e.payload["agent_id"], e.payload["attempt"])) for e in commits]
+    assert [line for line in lines if '"committed": true' in line] == [
+        json.dumps(to_audit_dict(entry) | {"committed": True}, sort_keys=True) for entry in winners
     ]
 
 
@@ -651,3 +659,47 @@ def test_compile_requires_every_commit():
     graph = build_graph([make_task("a")])
     with pytest.raises(MissingCommitError):
         compile_final_output(SharedMemory(), graph)
+
+
+# -- the end of a run: the winner count check and the document compiled on first read ------------
+
+VARIANT_FLAGS = ({}, {"static": True}, {"no_parallel": True}, {"no_feedback": True}, {"no_memory_sharing": True})
+
+
+@pytest.mark.parametrize("path", CANONICAL_SCENARIOS, ids=lambda p: p.stem)
+def test_the_document_is_the_compiled_final_output(path):
+    scenario = load_scenario(path)
+    base = RunConfig().with_overrides(scenario.defaults)
+    for flags in VARIANT_FLAGS:
+        for seed in (0, 7):
+            orch = Orchestrator(scenario, dataclasses.replace(base, seed=seed, **flags))
+            result = orch.run()
+            assert result.document == compile_final_output(orch.memory, orch.graph)
+            assert result.document is result.document  # compiled once
+
+
+def test_a_run_compiles_the_document_only_when_it_is_read(monkeypatch):
+    calls = []
+    for owner, name in ((orchestrator, "compile_final_output"), (TaskGraph, "topological_order")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, name=name, original=original: calls.append(name) or original(*args))
+    scenario = load_scenario(CANONICAL_SCENARIOS[0])
+    result = orchestrate(scenario, RunConfig().with_overrides(scenario.defaults))
+    assert calls == []
+    assert result.document.sections
+    assert result.document.sections
+    assert calls == ["compile_final_output", "topological_order"]
+
+
+def test_a_run_whose_memory_misses_a_winner_raises(monkeypatch):
+    commit = SharedMemory.commit
+
+    def commit_then_forget_t2(memory, task_id, key):
+        entry = commit(memory, task_id, key)
+        if task_id == "t2":
+            del memory._committed[task_id]
+        return entry
+
+    monkeypatch.setattr(SharedMemory, "commit", commit_then_forget_t2)
+    with pytest.raises(MissingCommitError, match="1 committed entries for 2 tasks"):
+        orchestrate(chain_scenario(), RunConfig(no_feedback=True))

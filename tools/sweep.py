@@ -15,6 +15,9 @@ and records:
 - `orchestrate_audit_s`: the same run with a memory audit file, built and run
   with the collector paused as `orchestrate` pauses it;
 - `to_jsonl_s`: `RunLog.to_jsonl` of the log of the run without the file;
+- `report_s`, `report_raw_s`, `report_repeats`: `build_report` of that log,
+  the end-of-run pass that recomputes the report from the log, with the
+  collector paused as `Orchestrator.run` pauses it around that call;
 - `write_s`, `write_raw_s`, `write_repeats`: `RunLog.write` of that log over
   a file that already holds it, as a rerun of the CLI with the same `--log`
   writes it;
@@ -85,6 +88,7 @@ def measure(repo: Path, shape_name: str, tasks: int, work: Path) -> dict:
     import synth
     from reference import Scaler
     from taskweave._collector import collector_paused
+    from taskweave.metrics import build_report
     from taskweave.orchestrator import Orchestrator, orchestrate
     from taskweave.scenario import load_scenario
 
@@ -148,6 +152,8 @@ def measure(repo: Path, shape_name: str, tasks: int, work: Path) -> dict:
     row.update(timed("orchestrate_audit", collector_paused(lambda: Orchestrator(scenario, config, audit).run())))
     log = run_once().log
     row.update(timed("to_jsonl", log.to_jsonl))
+    report = timed("report", collector_paused(partial(build_report, log, scenario)))
+    row.update((key, report[key]) for key in ("report_s", "report_raw_s", "report_repeats"))
     written = work / f"{shape_name}-{tasks}.jsonl"
     log.write(written)
     write = timed("write", partial(log.write, written))
