@@ -28,13 +28,13 @@ def write_text(path: str | Path, text: str) -> None:
 
 def check_writable(path: str | Path) -> None:
     """Raise the OSError `write_text(path, ...)` would raise for a missing directory, a
-    directory or no write permission, without creating a file."""
+    directory, no write permission or a read-only filesystem, without creating a file."""
     try:
-        mode = os.stat(path).st_mode
-    except FileNotFoundError:  # a missing file is made in its directory, if that exists and is writable
-        parent = os.path.dirname(os.path.abspath(path))
-        code = errno.ENOENT if not os.path.isdir(parent) else 0 if os.access(parent, os.W_OK) else errno.EACCES
-    else:
-        code = errno.EISDIR if stat.S_ISDIR(mode) else 0 if os.access(path, os.W_OK) else errno.EACCES
+        target, code = path, errno.EISDIR if stat.S_ISDIR(os.stat(path).st_mode) else 0
+    except FileNotFoundError:  # a missing file, or a dangling link's target, is made in its directory
+        target = os.path.dirname(os.path.realpath(path))
+        code = 0 if os.path.isdir(target) else errno.ENOENT
+    if not code and not os.access(target, os.W_OK):
+        code = errno.EROFS if os.statvfs(target).f_flag & os.ST_RDONLY else errno.EACCES
     if code:
         raise OSError(code, os.strerror(code), str(path))

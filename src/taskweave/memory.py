@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .agents import CandidateOutput
 from .errors import DuplicateKeyError, UnknownEntryError
-from .runlog import RunLog, dumps_payload, dumps_score, entry_parts
+from .runlog import RunLog, dumps_entry, dumps_payload, dumps_score
 from .scoring import ScoreBreakdown
 
 EntryKey = tuple[str, str, int]
@@ -79,7 +79,7 @@ class SharedMemory:
     `_committed` maps each task to its winner, in commit order. `_commits` records every
     commit call's entry and the winner it demoted (None for a task's first commit), in call
     order. `_fact_counts` counts the winners emitting each fact; a fact no winner emits has
-    no key. `_audit_parts` keeps the audit line parts of each entry stored but not yet committed.
+    no key.
     """
 
     def __init__(self, audit_path: str | Path | None = None) -> None:
@@ -88,7 +88,6 @@ class SharedMemory:
         self._commits: list[tuple[MemoryEntry, MemoryEntry | None]] = []
         self._fact_counts: dict[str, int] = {}
         self._audit = None
-        self._audit_parts: dict[EntryKey, tuple[str, str, str]] = {}
         if audit_path is not None:
             self._audit = open(audit_path, "w", encoding="utf-8")
             weakref.finalize(self, self._audit.close)
@@ -96,8 +95,8 @@ class SharedMemory:
     def store(self, output: CandidateOutput, log: RunLog | None = None) -> int:
         """Store a candidate under its own key and a fresh version; keys are never overwritten.
 
-        With a run log, also append the entry's `store` event at `output.produced_at`,
-        whose payload is the dict `to_audit_dict` builds.
+        With a run log, also append the entry's `store` event at `output.produced_at`:
+        the dict `to_audit_dict` builds, built once for the event and the audit line.
         """
         by_key = self._by_key
         key = output.key
@@ -105,24 +104,22 @@ class SharedMemory:
             raise DuplicateKeyError(f"memory key {key!r} already stored")
         version = len(by_key) + 1
         entry = by_key[key] = MemoryEntry(key, output, version)
-        if self._audit is not None:
-            self._write_audit(entry)
-        if log is not None:
-            log.append("store", output.produced_at, entry.to_audit_dict())
+        if self._audit is not None or log is not None:
+            record = entry.to_audit_dict()
+            if self._audit is not None:
+                self._audit.write(dumps_payload("store", record) + "\n")
+            if log is not None:
+                log.append("store", output.produced_at, record)
         return version
 
-    def _write_audit(self, entry: MemoryEntry) -> None:
-        """Write `dumps_payload("store", entry.to_audit_dict())` without the dict: the parts
-        around `committed` and `score` are kept from the entry's store to its commit."""
-        key, output, score = entry.key, entry.output, entry.score
+    def _write_commit_audit(self, entry: MemoryEntry) -> None:
+        """Write `dumps_payload("store", entry.to_audit_dict())` without building the dict,
+        which a commit, unlike a store, builds for nothing else."""
+        output, score = entry.output, entry.score
         try:
-            head, middle, tail = self._audit_parts.pop(key, None) or entry_parts(
-                *key, entry.version, sorted(output.emitted_facts), output.declared_confidence
-            )
-            if not entry.committed:
-                self._audit_parts[key] = head, middle, tail
             score = "null" if score is None else dumps_score(*score)
-            line = f'{head}{"true" if entry.committed else "false"}{middle}{score}{tail}'
+            facts = sorted(output.emitted_facts)
+            line = dumps_entry(*entry.key, entry.version, entry.committed, facts, output.declared_confidence, score)
         except TypeError:
             line = dumps_payload("store", entry.to_audit_dict())
         self._audit.write(line + "\n")
@@ -151,7 +148,7 @@ class SharedMemory:
         for fact in entry.output.emitted_facts:
             counts[fact] = counts.get(fact, 0) + 1
         if self._audit is not None:
-            self._write_audit(entry)
+            self._write_commit_audit(entry)
         return entry
 
     def committed_entry(self, task_id: str) -> MemoryEntry | None:

@@ -92,9 +92,10 @@ def redundancy_penalty(
     return min(1.0, (total - len(seen) + 2 * realized) / total)
 
 
-def revision_rate(log: RunLog) -> float:
-    """Reassign events per task (task count taken from the dispatch trail)."""
-    tasks, _ = _dispatch_trail(log.by_kind("dispatch"))
+def revision_rate(log: RunLog, tasks: int | None = None) -> float:
+    """Reassign events per task (task count taken from the dispatch trail unless given)."""
+    if tasks is None:
+        tasks, _ = _dispatch_trail(log.by_kind("dispatch"))
     return len(log.by_kind("reassign")) / tasks if tasks else 0.0
 
 
@@ -161,7 +162,7 @@ def build_report(log: RunLog, scenario: Scenario) -> RunReport:
         factual_coverage=coverage,
         compliance_accuracy=compliance,
         redundancy_penalty=redundancy_penalty(fact_sets, scenario.contradiction_pairs),
-        revision_rate=len(log.by_kind("reassign")) / tasks if tasks else 0.0,
+        revision_rate=revision_rate(log, tasks),
         coherence_mean=coherence_mean,
         relevance_mean=relevance_mean,
         completion_time=completion_time(log),

@@ -194,12 +194,14 @@ def compile_final_output(memory: SharedMemory, graph: TaskGraph) -> FinalDocumen
 class RunResult:
     log: RunLog
     report: RunReport
-    memory: SharedMemory = field(repr=False, compare=False)
-    graph: TaskGraph = field(repr=False, compare=False)
+    # the run's memory and graph, kept for `document`; keyword-only
+    memory: SharedMemory = field(repr=False, compare=False, kw_only=True)
+    graph: TaskGraph = field(repr=False, compare=False, kw_only=True)
 
     @cached_property
+    @collector_paused
     def document(self) -> FinalDocument:
-        """The final document, compiled on first read."""
+        """The final document, compiled on first read with the collector paused, as the run was."""
         return compile_final_output(self.memory, self.graph)
 
 
@@ -289,7 +291,7 @@ class Orchestrator:
                 if agent.profile.load != 0:
                     raise InvariantError(f"agent {agent.profile.id} still loaded at the end of the run")
             report = build_report(self.log, self.scenario)
-            return RunResult(self.log, report, self.memory, self.graph)
+            return RunResult(self.log, report, memory=self.memory, graph=self.graph)
         finally:
             self.memory.close()
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _str
 from math import isfinite
 from operator import itemgetter
@@ -41,7 +40,9 @@ class RunEvent(NamedTuple):
 # and keys (else KeyError) and values of exactly the written types (else
 # TypeError): ints that are not bools, finite floats, a list of strings.
 _KEY_COUNTS = {"dispatch": 5, "store": 8, "commit": 5}
-_entry_values = itemgetter("task_id", "agent_id", "attempt", "version", "emitted_facts", "declared_confidence")
+_entry_values = itemgetter(
+    "task_id", "agent_id", "attempt", "version", "committed", "emitted_facts", "declared_confidence"
+)
 
 
 def _num(v: object, kind: type) -> str:
@@ -59,31 +60,26 @@ def _score(s: object) -> str:
 
 def dumps_score(coherence: object, factuality: object, relevance: object, composite: object) -> str:
     """`json.dumps` of a score dict from its values (a `ScoreBreakdown` in field order); TypeError
-    unless all are finite floats. A run repeats few scores, so lines of floats are cached, but not
-    those with a zero: the cache cannot tell 0.0 from -0.0."""
-    floats = type(coherence) is type(factuality) is type(relevance) is type(composite) is float
-    cached = floats and coherence and factuality and relevance and composite
-    return (_dumps_score if cached else _dumps_score.__wrapped__)(coherence, factuality, relevance, composite)
-
-
-@lru_cache(maxsize=256)
-def _dumps_score(coherence: object, factuality: object, relevance: object, composite: object) -> str:
+    unless all are finite floats."""
     return (
         f'{{"coherence": {_num(coherence, float)}, "composite": {_num(composite, float)}, '
         f'"factuality": {_num(factuality, float)}, "relevance": {_num(relevance, float)}}}'
     )
 
 
-def entry_parts(task_id, agent_id, attempt, version, emitted_facts, declared_confidence) -> tuple[str, str, str]:
-    """(head, middle, tail) of a `store` payload's line, a memory audit line: the line is head,
-    `committed`, middle, `score`, tail. TypeError where the template does not fit."""
-    if type(emitted_facts) is not list:
+def dumps_entry(
+    task_id, agent_id, attempt, version, committed, emitted_facts, declared_confidence, score: str
+) -> str:
+    """A `store` payload's line, which is also a memory audit line, given its encoded score.
+    TypeError where the template does not fit."""
+    if type(committed) is not bool or type(emitted_facts) is not list:
         raise TypeError
     return (
-        f'{{"agent_id": {_str(agent_id)}, "attempt": {_num(attempt, int)}, "committed": ',
-        f', "declared_confidence": {_num(declared_confidence, float)}, '
-        f'"emitted_facts": [{", ".join(map(_str, emitted_facts))}], "score": ',
-        f', "task_id": {_str(task_id)}, "version": {_num(version, int)}}}',
+        f'{{"agent_id": {_str(agent_id)}, "attempt": {_num(attempt, int)}, '
+        f'"committed": {"true" if committed else "false"}, '
+        f'"declared_confidence": {_num(declared_confidence, float)}, '
+        f'"emitted_facts": [{", ".join(map(_str, emitted_facts))}], "score": {score}, '
+        f'"task_id": {_str(task_id)}, "version": {_num(version, int)}}}'
     )
 
 
@@ -92,12 +88,8 @@ def dumps_payload(kind: str, p: dict) -> str:
     if type(p) is dict and len(p) == _KEY_COUNTS.get(kind):
         try:
             if kind == "store":
-                committed, score = p["committed"], p["score"]
-                if type(committed) is not bool:
-                    raise TypeError
-                head, middle, tail = entry_parts(*_entry_values(p))
-                score = "null" if score is None else _score(score)
-                return f'{head}{"true" if committed else "false"}{middle}{score}{tail}'
+                score = p["score"]
+                return dumps_entry(*_entry_values(p), "null" if score is None else _score(score))
             head = f'{{"agent_id": {_str(p["agent_id"])}, "attempt": {_num(p["attempt"], int)}, '
             if kind == "dispatch":
                 mode, task_id, wave = _str(p["mode"]), _str(p["task_id"]), _num(p["wave"], int)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import os
 import stat
 import tempfile
@@ -141,14 +142,26 @@ def oserror_of(fn, *args) -> str | None:
     return None
 
 
-@pytest.mark.parametrize("name", ["new.txt", "file", "dir", "missing/new.txt", "file/new.txt"])
+@pytest.mark.parametrize(
+    "name", ["new.txt", "file", "dir", "missing/new.txt", "file/new.txt", "link_to_new", "link_into_missing"]
+)
 def test_check_writable_raises_what_the_write_would_without_creating_a_file(tmp_path, name):
     (tmp_path / "file").write_text("old", encoding="utf-8")
     (tmp_path / "dir").mkdir()
+    (tmp_path / "link_to_new").symlink_to(tmp_path / "dir" / "new.txt")  # dangling, its directory exists
+    (tmp_path / "link_into_missing").symlink_to(tmp_path / "missing" / "new.txt")
     path = str(tmp_path / name)
     before = sorted(tmp_path.rglob("*"))
     checked = oserror_of(check_writable, path)
     assert sorted(tmp_path.rglob("*")) == before
     assert (tmp_path / "file").read_text(encoding="utf-8") == "old"
     assert checked == oserror_of(write_text, path, "new")
-    assert (checked is None) == (name in ("new.txt", "file"))
+    assert (checked is None) == (name in ("new.txt", "file", "link_to_new"))
+
+
+def test_check_writable_on_a_read_only_filesystem_raises_erofs(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    monkeypatch.setattr(os, "statvfs", lambda path: os.statvfs_result((0,) * 8 + (os.ST_RDONLY, 0)))
+    with pytest.raises(OSError) as raised:
+        check_writable(tmp_path / "new.txt")
+    assert raised.value.errno == errno.EROFS

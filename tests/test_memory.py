@@ -210,8 +210,8 @@ def test_store_with_a_run_log_appends_its_event_from_the_audit_lines_dict(tmp_pa
     assert memory.store(output(agent="b"), None) == 2  # no log, no event
     memory.close()
 
-    # one dict, for the first store's event; an audit line is encoded without one
-    assert len(built) == 1
+    # one dict for the first store's event and audit line; the second builds one for its line only
+    assert len(built) == 1 + audited
     (event,) = log.events
     assert event.payload is built[0]
     assert event == (2.5, "store", memory.entry(("t1", "a", 0)).to_audit_dict())
