@@ -5,9 +5,11 @@ bundled ones never do: spent revision budgets, pins that fall back to routing,
 and one entry holding both facts of a contradiction pair, plus one sha256 over
 the logs of the benchmark's generated shapes under every variant, which carry
 the static variant and a DAG hundreds of waves deep through the run loop.
+The memory audit file of each of those bundled and benchmark runs is pinned
+the same way, beside its log.
 
-A change that alters a single log byte fails here. When a change alters the
-log on purpose, regenerate the table with
+A change that alters a single log or audit byte fails here. When a change
+alters them on purpose, regenerate the tables with
 `PYTHONPATH=src python tests/test_golden_digests.py` and list the new
 digests in CHANGES.md.
 """
@@ -25,18 +27,19 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from taskweave import orchestrate
+from taskweave import Orchestrator, RunConfig, orchestrate
 from taskweave.cli import main
 from taskweave.scenario import load_scenario
 
 from conftest import CANONICAL_SCENARIOS, REPO_ROOT, random_adversarial_scenario
 
+# variant: (CLI flags, the settings they give)
 VARIANTS = {
-    "full": (),
-    "static": ("--static",),
-    "no_parallel": ("--no-parallel",),
-    "no_feedback": ("--no-feedback",),
-    "no_memory": ("--no-memory",),
+    "full": ((), {}),
+    "static": (("--static",), {"static": True}),
+    "no_parallel": (("--no-parallel",), {"no_parallel": True}),
+    "no_feedback": (("--no-feedback",), {"no_feedback": True}),
+    "no_memory": (("--no-memory",), {"no_memory_sharing": True}),
 }
 SEEDS = (0, 7)
 
@@ -73,6 +76,41 @@ GOLDEN = {
     "compliance_audit/no_memory/seed7": "edf3b47c280270a22eb7ff4c62ddbd1b4d773dfef959687981fd5a0ff16c934b",
 }
 
+# sha256 of the memory audit file of each GOLDEN case, run by an `Orchestrator`
+# configured as the CLI configures it.
+AUDIT_GOLDEN = {
+    "filing_risk_deep_dive/full/seed0": "66a8389ef0c1c572a2b084974c0463c367c28b1ed99cafb51841994ca29491ac",
+    "filing_risk_deep_dive/full/seed7": "4249e3701e05d73c1c55192e8125dc0e15be36a6b6a56ea7d8dd8ca354fadc9a",
+    "filing_risk_deep_dive/static/seed0": "0716b5d192a798e36e8646ae81363c4c4e55f9b6fd84cc11e05b2baf16ddd54f",
+    "filing_risk_deep_dive/static/seed7": "2a4047420e6bcfc774436f3077a88bed6b365e6a4beaa87a23dea8b863870e32",
+    "filing_risk_deep_dive/no_parallel/seed0": "c382e5bbed6f44c556edd9bc53edb312c56a4b1d0667e712e02a132ff90860d1",
+    "filing_risk_deep_dive/no_parallel/seed7": "c382e5bbed6f44c556edd9bc53edb312c56a4b1d0667e712e02a132ff90860d1",
+    "filing_risk_deep_dive/no_feedback/seed0": "ae7f21ce482fecefb7dbe5a5f6468223514e57590c59ac618ba4bc463fedc982",
+    "filing_risk_deep_dive/no_feedback/seed7": "0e33252868493c0f7b82cdd2f13ccc094b020540de07e9312fbd9ea6b91fb268",
+    "filing_risk_deep_dive/no_memory/seed0": "17455f90b01b17931667cccda925886b7596a6ad982ae5dee8a267d71f870b13",
+    "filing_risk_deep_dive/no_memory/seed7": "e7192e181070903b90f318fb777c099c7f0b3993b40ba55f3e1b4664b60dbeab",
+    "performance_review/full/seed0": "6c502fb60380d3c0980ac1d364acb8b1fe37a52ff0607711c1208852e726d6f0",
+    "performance_review/full/seed7": "6c502fb60380d3c0980ac1d364acb8b1fe37a52ff0607711c1208852e726d6f0",
+    "performance_review/static/seed0": "345135d3574bea9196535ac3acad6ab5fd369d9e594555edd20f28aa9a4fced3",
+    "performance_review/static/seed7": "345135d3574bea9196535ac3acad6ab5fd369d9e594555edd20f28aa9a4fced3",
+    "performance_review/no_parallel/seed0": "0e999bf83698b08c9022970d1da1753e448240f9be632f80607b2ecf8a20e2c5",
+    "performance_review/no_parallel/seed7": "0e999bf83698b08c9022970d1da1753e448240f9be632f80607b2ecf8a20e2c5",
+    "performance_review/no_feedback/seed0": "4ff574b73f34223e684d7da69fde25a05dafbd1470f3f99a58385dc2c3ae2015",
+    "performance_review/no_feedback/seed7": "4ff574b73f34223e684d7da69fde25a05dafbd1470f3f99a58385dc2c3ae2015",
+    "performance_review/no_memory/seed0": "474ecaaa913408acc015741ef1db2ab018056a6d5d2b9a704970950d33ea6379",
+    "performance_review/no_memory/seed7": "474ecaaa913408acc015741ef1db2ab018056a6d5d2b9a704970950d33ea6379",
+    "compliance_audit/full/seed0": "22ba43c22e882ac265afa5c144e55aeb109e95285ede5d73e4d85347f6da52c5",
+    "compliance_audit/full/seed7": "95c300f3dbc4a62f3d850ab2e7d6fecc4aba66230b6f519ad5cec453ad541b59",
+    "compliance_audit/static/seed0": "96b7898fda5f965f9e5e8c41a4e8990bbfc8e9e114ee33c61ab9f137f2170ca4",
+    "compliance_audit/static/seed7": "a4466440e258c279265e60992d9d29ff54bd51c938bb459a9397d4dbe222301f",
+    "compliance_audit/no_parallel/seed0": "1f7a0df7205a8d9fcfd65fee2f3d0f31ccb6d7438a0d2caa006df4665663e968",
+    "compliance_audit/no_parallel/seed7": "1f7a0df7205a8d9fcfd65fee2f3d0f31ccb6d7438a0d2caa006df4665663e968",
+    "compliance_audit/no_feedback/seed0": "8cfb037d6f296cb03c0cb936f213848baea84a7c14f5110cc97819744e79cc96",
+    "compliance_audit/no_feedback/seed7": "b47692151d348b012f202cba8a0a63f9dc10c66df5e4bfe9e2b25791af08e85f",
+    "compliance_audit/no_memory/seed0": "fee5b73aec8be8f865692dfb14a18d331e84fc34a417d26c350c6af6a6ea8755",
+    "compliance_audit/no_memory/seed7": "8ae540249a49dd66ba731f81ba37979c8e2a0b929f9bc0b38d0af4053cf37e5f",
+}
+
 SYNTHETIC_SEED = 777
 SYNTHETIC_SCENARIOS = 300
 SYNTHETIC_VARIANTS = {
@@ -85,10 +123,11 @@ SYNTHETIC_GOLDEN = "051dd77a995b36cc959af161ab0d345e10410eff2a44e7eb4527a9346f34
 
 BENCH_SEED = 1
 BENCH_GOLDEN = "b60050e6269358b7ed967cea531feed721f216fa5a3a7d98c1c2c5d0107acdad"
+BENCH_AUDIT_GOLDEN = "ed8b9c6e50234da9adc96dc0eae373eb3068d4cfba524c4bda1a2f4b0060aa13"
 
 
 def log_digest(scenario: Path, variant: str, seed: int, log_path: Path) -> str:
-    args = ["run", str(scenario), *VARIANTS[variant], "--seed", str(seed), "--log", str(log_path)]
+    args = ["run", str(scenario), *VARIANTS[variant][0], "--seed", str(seed), "--log", str(log_path)]
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 0, result.output
     return hashlib.sha256(log_path.read_bytes()).hexdigest()
@@ -111,6 +150,23 @@ def case_id(path: Path, variant: str, seed: int) -> str:
 def test_run_log_digest_is_golden(path, variant, seed, tmp_path):
     digest = log_digest(path, variant, seed, tmp_path / "run.jsonl")
     assert digest == GOLDEN[case_id(path, variant, seed)]
+
+
+def audited_digests(path: Path, variant: str, seed: int, audit_path: Path) -> tuple[str, str]:
+    """sha256 of the run log and of the memory audit file of one case, run by an `Orchestrator`
+    configured as the CLI configures it."""
+    scenario = load_scenario(path)
+    settings = {**VARIANTS[variant][1], "seed": seed}
+    config = RunConfig().with_overrides(scenario.defaults).with_overrides(settings)
+    log = Orchestrator(scenario, config, memory_audit_path=audit_path).run().log
+    return hashlib.sha256(log.to_jsonl().encode("utf-8")).hexdigest(), hashlib.sha256(audit_path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("path,variant,seed", cases(), ids=[case_id(*c) for c in cases()])
+def test_memory_audit_digest_is_golden(path, variant, seed, tmp_path):
+    # the log's digest shows that the audited run is the one GOLDEN pins
+    case = case_id(path, variant, seed)
+    assert audited_digests(path, variant, seed, tmp_path / "memory.jsonl") == (GOLDEN[case], AUDIT_GOLDEN[case])
 
 
 def synthetic_digest() -> str:
@@ -143,31 +199,49 @@ def load_perfbench_run():
     return module
 
 
-def bench_digest(work: Path) -> str:
-    """sha256 over the logs of every benchmark shape (generated at BENCH_SEED) and variant,
-    each configured as the benchmark configures it."""
+def bench_digests(work: Path) -> tuple[str, str]:
+    """sha256 over the logs, and over the memory audit files, of every benchmark shape
+    (generated at BENCH_SEED) and variant, each configured as the benchmark configures it."""
     bench = load_perfbench_run()
-    digest = hashlib.sha256()
+    logs, audits = hashlib.sha256(), hashlib.sha256()
+    audit = work / "memory.jsonl"
     for name, shape in bench.SHAPES.items():
         path = work / f"{name}.json"
         path.write_text(bench.synth.dumps(bench.synth.generate(shape, BENCH_SEED)), encoding="utf-8")
         scenario = load_scenario(path)
         for variant in bench.VARIANTS:
             config = bench.make_item(path, scenario, variant).config
-            digest.update(orchestrate(scenario, config).log.to_jsonl().encode("utf-8"))
-    return digest.hexdigest()
+            logs.update(Orchestrator(scenario, config, memory_audit_path=audit).run().log.to_jsonl().encode("utf-8"))
+            audits.update(audit.read_bytes())
+    return logs.hexdigest(), audits.hexdigest()
 
 
-def test_bench_shape_run_log_digest_is_golden(tmp_path):
-    assert bench_digest(tmp_path) == BENCH_GOLDEN
+@pytest.fixture(scope="module")
+def bench_shape_digests(tmp_path_factory) -> tuple[str, str]:
+    return bench_digests(tmp_path_factory.mktemp("bench"))
+
+
+def test_bench_shape_run_log_digest_is_golden(bench_shape_digests):
+    assert bench_shape_digests[0] == BENCH_GOLDEN
+
+
+def test_bench_shape_memory_audit_digest_is_golden(bench_shape_digests):
+    assert bench_shape_digests[1] == BENCH_AUDIT_GOLDEN
 
 
 if __name__ == "__main__":
-    # Print the table for GOLDEN and the values of SYNTHETIC_GOLDEN and BENCH_GOLDEN
-    # from the current code.
+    # Print the tables for GOLDEN and AUDIT_GOLDEN and the values of SYNTHETIC_GOLDEN,
+    # BENCH_GOLDEN and BENCH_AUDIT_GOLDEN from the current code.
     with tempfile.TemporaryDirectory() as tmp:
+        sys.stdout.write("GOLDEN = {\n")
         for case in cases():
             digest = log_digest(*case, Path(tmp) / "run.jsonl")
             sys.stdout.write(f'    "{case_id(*case)}": "{digest}",\n')
+        sys.stdout.write("}\nAUDIT_GOLDEN = {\n")
+        for case in cases():
+            _, digest = audited_digests(*case, Path(tmp) / "memory.jsonl")
+            sys.stdout.write(f'    "{case_id(*case)}": "{digest}",\n')
+        sys.stdout.write("}\n")
         sys.stdout.write(f'SYNTHETIC_GOLDEN = "{synthetic_digest()}"\n')
-        sys.stdout.write(f'BENCH_GOLDEN = "{bench_digest(Path(tmp))}"\n')
+        bench_log, bench_audit = bench_digests(Path(tmp))
+        sys.stdout.write(f'BENCH_GOLDEN = "{bench_log}"\nBENCH_AUDIT_GOLDEN = "{bench_audit}"\n')
