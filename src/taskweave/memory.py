@@ -2,19 +2,18 @@
 
 Every stored output stays retrievable for the whole run (losing parallel
 candidates included); at most one entry per task is committed at any instant.
-An optional JSON-lines audit file receives one line per store and per commit.
+The store writes no file: with a run log, each store appends its `store` event,
+and the memory audit file is derived from the log (`RunLog.memory_audit_text`).
 """
 
 from __future__ import annotations
 
-import weakref
 from collections.abc import Mapping, Set
 from dataclasses import dataclass
-from pathlib import Path
 
 from .agents import CandidateOutput
 from .errors import DuplicateKeyError, UnknownEntryError
-from .runlog import RunLog, dumps_entry, dumps_payload, dumps_score
+from .runlog import RunLog
 from .scoring import ScoreBreakdown
 
 EntryKey = tuple[str, str, int]
@@ -82,21 +81,17 @@ class SharedMemory:
     no key.
     """
 
-    def __init__(self, audit_path: str | Path | None = None) -> None:
+    def __init__(self) -> None:
         self._by_key: dict[EntryKey, MemoryEntry] = {}
         self._committed: dict[str, MemoryEntry] = {}
         self._commits: list[tuple[MemoryEntry, MemoryEntry | None]] = []
         self._fact_counts: dict[str, int] = {}
-        self._audit = None
-        if audit_path is not None:
-            self._audit = open(audit_path, "w", encoding="utf-8")
-            weakref.finalize(self, self._audit.close)
 
     def store(self, output: CandidateOutput, log: RunLog | None = None) -> int:
         """Store a candidate under its own key and a fresh version; keys are never overwritten.
 
-        With a run log, also append the entry's `store` event at `output.produced_at`:
-        the dict `to_audit_dict` builds, built once for the event and the audit line.
+        With a run log, also append the entry's `store` event at `output.produced_at`,
+        whose payload is the dict `to_audit_dict` builds.
         """
         by_key = self._by_key
         key = output.key
@@ -104,25 +99,9 @@ class SharedMemory:
             raise DuplicateKeyError(f"memory key {key!r} already stored")
         version = len(by_key) + 1
         entry = by_key[key] = MemoryEntry(key, output, version)
-        if self._audit is not None or log is not None:
-            record = entry.to_audit_dict()
-            if self._audit is not None:
-                self._audit.write(dumps_payload("store", record) + "\n")
-            if log is not None:
-                log.append("store", output.produced_at, record)
+        if log is not None:
+            log.append("store", output.produced_at, entry.to_audit_dict())
         return version
-
-    def _write_commit_audit(self, entry: MemoryEntry) -> None:
-        """Write `dumps_payload("store", entry.to_audit_dict())` without building the dict,
-        which a commit, unlike a store, builds for nothing else."""
-        output, score = entry.output, entry.score
-        try:
-            score = "null" if score is None else dumps_score(*score)
-            facts = sorted(output.emitted_facts)
-            line = dumps_entry(*entry.key, entry.version, entry.committed, facts, output.declared_confidence, score)
-        except TypeError:
-            line = dumps_payload("store", entry.to_audit_dict())
-        self._audit.write(line + "\n")
 
     def candidates(self, task_id: str) -> list[MemoryEntry]:
         """All entries for a task, committed or not, in version order."""
@@ -147,8 +126,6 @@ class SharedMemory:
         self._commits.append((entry, previous))
         for fact in entry.output.emitted_facts:
             counts[fact] = counts.get(fact, 0) + 1
-        if self._audit is not None:
-            self._write_commit_audit(entry)
         return entry
 
     def committed_entry(self, task_id: str) -> MemoryEntry | None:
@@ -187,8 +164,3 @@ class SharedMemory:
 
     def __len__(self) -> int:
         return len(self._by_key)
-
-    def close(self) -> None:
-        """Flush and close the audit file, if any; until then its last lines may sit in a buffer."""
-        if self._audit is not None:
-            self._audit.close()

@@ -12,7 +12,7 @@ from datetime import datetime, timezone
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .errors import EmptyReferenceError, NoTerminateError, UnknownEntryError
+from .errors import EmptyReferenceError, NoTerminateError
 from .runlog import RunEvent, RunLog
 from .scenario import Scenario
 
@@ -125,22 +125,13 @@ def _dispatch_trail(dispatches: list[RunEvent]) -> tuple[int, int]:
 def committed_state(log: RunLog) -> list[tuple[str, frozenset[str], dict | None]]:
     """Replay the log into (task id, emitted facts, score) of each final winner, in version order.
 
-    Store versions are dense and in log order, so a commit's winner is the
-    `version`-th store event; its task, agent and attempt must match the commit.
+    Each winner's store event is the one `RunLog.committed_store` finds.
     """
-    stores = log.by_kind("store")
     final = {event.payload["task_id"]: event.payload for event in log.by_kind("commit")}
-    winners = []
-    for commit in sorted(final.values(), key=itemgetter("version")):
-        task_id, version = commit["task_id"], commit["version"]
-        store = stores[version - 1].payload if type(version) is int and 0 < version <= len(stores) else {}
-        key = (task_id, commit["agent_id"], commit["attempt"])
-        if (store.get("task_id"), store.get("agent_id"), store.get("attempt")) != key:
-            raise UnknownEntryError(
-                f"commit of task {task_id!r} names version {version!r}, but no matching store event has it"
-            )
-        winners.append((task_id, frozenset(store["emitted_facts"]), commit.get("score")))
-    return winners
+    return [
+        (commit["task_id"], frozenset(log.committed_store(commit)["emitted_facts"]), commit.get("score"))
+        for commit in sorted(final.values(), key=itemgetter("version"))
+    ]
 
 
 def build_report(log: RunLog, scenario: Scenario) -> RunReport:

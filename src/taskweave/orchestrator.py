@@ -25,6 +25,7 @@ from functools import cached_property
 from typing import Mapping, NamedTuple
 
 from ._collector import collector_paused
+from ._files import check_writable, write_text
 from .agents import DEFAULT_ADAPT_DECREMENT, CandidateOutput, adapt_strategy
 from .errors import (
     DeadlockError,
@@ -214,11 +215,14 @@ class Orchestrator:
         config: RunConfig | None = None,
         memory_audit_path: str | None = None,
     ) -> None:
+        if memory_audit_path is not None:
+            check_writable(memory_audit_path)  # before a run that a failed write would waste
         self.scenario = scenario
         self.config = config if config is not None else RunConfig()
+        self.memory_audit_path = memory_audit_path
         self.graph = scenario.build_graph()
         self.agents = scenario.build_agents()
-        self.memory = SharedMemory(audit_path=memory_audit_path)
+        self.memory = SharedMemory()
         self.bus = FeedbackBus(self.memory)
         self.router = Router(
             self.agents,
@@ -254,7 +258,8 @@ class Orchestrator:
 
     @collector_paused
     def run(self) -> RunResult:
-        """Execute the loop with the collector paused, then close any memory audit file; return the result."""
+        """Execute the loop with the collector paused and return the result; write any memory
+        audit file from the log as the run returns or raises, with every store and commit made."""
         try:
             while True:
                 assignable = self.graph.ready_tasks()
@@ -293,7 +298,8 @@ class Orchestrator:
             report = build_report(self.log, self.scenario)
             return RunResult(self.log, report, memory=self.memory, graph=self.graph)
         finally:
-            self.memory.close()
+            if self.memory_audit_path is not None:
+                write_text(self.memory_audit_path, self.log.memory_audit_text())
 
     # -- wave mechanics -----------------------------------------------------
 

@@ -11,11 +11,11 @@ import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _str
 from math import isfinite
-from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
 from ._files import write_text
+from .errors import UnknownEntryError
 
 EVENT_KINDS = ("dispatch", "store", "commit", "feedback", "reassign", "terminate")
 _INF = float("inf")
@@ -40,9 +40,6 @@ class RunEvent(NamedTuple):
 # and keys (else KeyError) and values of exactly the written types (else
 # TypeError): ints that are not bools, finite floats, a list of strings.
 _KEY_COUNTS = {"dispatch": 5, "store": 8, "commit": 5}
-_entry_values = itemgetter(
-    "task_id", "agent_id", "attempt", "version", "committed", "emitted_facts", "declared_confidence"
-)
 
 
 def _num(v: object, kind: type) -> str:
@@ -55,47 +52,31 @@ def _num(v: object, kind: type) -> str:
 def _score(s: object) -> str:
     if type(s) is not dict or len(s) != 4:
         raise TypeError
-    return dumps_score(s["coherence"], s["factuality"], s["relevance"], s["composite"])
-
-
-def dumps_score(coherence: object, factuality: object, relevance: object, composite: object) -> str:
-    """`json.dumps` of a score dict from its values (a `ScoreBreakdown` in field order); TypeError
-    unless all are finite floats."""
     return (
-        f'{{"coherence": {_num(coherence, float)}, "composite": {_num(composite, float)}, '
-        f'"factuality": {_num(factuality, float)}, "relevance": {_num(relevance, float)}}}'
-    )
-
-
-def dumps_entry(
-    task_id, agent_id, attempt, version, committed, emitted_facts, declared_confidence, score: str
-) -> str:
-    """A `store` payload's line, which is also a memory audit line, given its encoded score.
-    TypeError where the template does not fit."""
-    if type(committed) is not bool or type(emitted_facts) is not list:
-        raise TypeError
-    return (
-        f'{{"agent_id": {_str(agent_id)}, "attempt": {_num(attempt, int)}, '
-        f'"committed": {"true" if committed else "false"}, '
-        f'"declared_confidence": {_num(declared_confidence, float)}, '
-        f'"emitted_facts": [{", ".join(map(_str, emitted_facts))}], "score": {score}, '
-        f'"task_id": {_str(task_id)}, "version": {_num(version, int)}}}'
+        f'{{"coherence": {_num(s["coherence"], float)}, "composite": {_num(s["composite"], float)}, '
+        f'"factuality": {_num(s["factuality"], float)}, "relevance": {_num(s["relevance"], float)}}}'
     )
 
 
 def dumps_payload(kind: str, p: dict) -> str:
-    """`json.dumps(p, sort_keys=True)`; the store template also takes a memory audit line."""
+    """`json.dumps(p, sort_keys=True)`; the store template also writes the memory audit lines."""
     if type(p) is dict and len(p) == _KEY_COUNTS.get(kind):
         try:
-            if kind == "store":
-                score = p["score"]
-                return dumps_entry(*_entry_values(p), "null" if score is None else _score(score))
             head = f'{{"agent_id": {_str(p["agent_id"])}, "attempt": {_num(p["attempt"], int)}, '
             if kind == "dispatch":
                 mode, task_id, wave = _str(p["mode"]), _str(p["task_id"]), _num(p["wave"], int)
                 return f'{head}"mode": {mode}, "task_id": {task_id}, "wave": {wave}}}'
             tail = f'"task_id": {_str(p["task_id"])}, "version": {_num(p["version"], int)}}}'
-            return f'{head}"score": {_score(p["score"])}, {tail}'
+            if kind == "commit":
+                return f'{head}"score": {_score(p["score"])}, {tail}'
+            committed, facts, score = p["committed"], p["emitted_facts"], p["score"]
+            if type(committed) is bool and type(facts) is list:
+                return (
+                    f'{head}"committed": {"true" if committed else "false"}, '
+                    f'"declared_confidence": {_num(p["declared_confidence"], float)}, '
+                    f'"emitted_facts": [{", ".join(map(_str, facts))}], '
+                    f'"score": {"null" if score is None else _score(score)}, {tail}'
+                )
         except (KeyError, TypeError):
             pass
     return _ENCODE(p)
@@ -125,6 +106,37 @@ class RunLog:
     def by_kind(self, kind: str) -> list[RunEvent]:
         """A new list of the events of one kind, in log order."""
         return list(self._kinds.get(kind, ()))
+
+    def committed_store(self, commit: dict) -> dict:
+        """The payload of the store event a commit payload names by version.
+
+        Store versions are dense and in log order, so it is the `version`-th store
+        event; UnknownEntryError unless its task, agent and attempt match the commit.
+        """
+        stores, version = self._kinds["store"], commit["version"]
+        store = stores[version - 1].payload if type(version) is int and 0 < version <= len(stores) else {}
+        key = (commit["task_id"], commit["agent_id"], commit["attempt"])
+        if (store.get("task_id"), store.get("agent_id"), store.get("attempt")) != key:
+            raise UnknownEntryError(
+                f"commit of task {key[0]!r} names version {version!r}, but no matching store event has it"
+            )
+        return store
+
+    def memory_audit_text(self) -> str:
+        """The memory audit file, one line per store and commit event, in log order.
+
+        A store's line is its payload; a commit's line is the payload of the store
+        it commits, with `committed` true and the commit's score.
+        """
+        lines = []
+        for _, kind, p in self.events:
+            if kind == "store":
+                lines.append(dumps_payload(kind, p))
+            elif kind == "commit":
+                line = {**self.committed_store(p), "committed": True, "score": p["score"]}
+                lines.append(dumps_payload("store", line))
+        lines.append("")
+        return "\n".join(lines)
 
     def to_jsonl(self) -> str:
         """One `json.dumps(event.to_dict(), sort_keys=True)` line per event."""

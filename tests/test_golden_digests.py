@@ -159,7 +159,8 @@ def audited_digests(path: Path, variant: str, seed: int, audit_path: Path) -> tu
     settings = {**VARIANTS[variant][1], "seed": seed}
     config = RunConfig().with_overrides(scenario.defaults).with_overrides(settings)
     log = Orchestrator(scenario, config, memory_audit_path=audit_path).run().log
-    return hashlib.sha256(log.to_jsonl().encode("utf-8")).hexdigest(), hashlib.sha256(audit_path.read_bytes()).hexdigest()
+    audit = audit_path.read_bytes()
+    return hashlib.sha256(log.to_jsonl().encode("utf-8")).hexdigest(), hashlib.sha256(audit).hexdigest()
 
 
 @pytest.mark.parametrize("path,variant,seed", cases(), ids=[case_id(*c) for c in cases()])
@@ -211,7 +212,8 @@ def bench_digests(work: Path) -> tuple[str, str]:
         scenario = load_scenario(path)
         for variant in bench.VARIANTS:
             config = bench.make_item(path, scenario, variant).config
-            logs.update(Orchestrator(scenario, config, memory_audit_path=audit).run().log.to_jsonl().encode("utf-8"))
+            log = Orchestrator(scenario, config, memory_audit_path=audit).run().log
+            logs.update(log.to_jsonl().encode("utf-8"))
             audits.update(audit.read_bytes())
     return logs.hexdigest(), audits.hexdigest()
 

@@ -173,15 +173,23 @@ def test_a_held_view_reads_the_union_of_the_current_winners(ops):
     assert memory.empty_view().committed_facts() == frozenset()
 
 
-def test_audit_log_write_through(tmp_path):
-    audit = tmp_path / "memory.jsonl"
-    memory = SharedMemory(audit_path=audit)
-    key = ("t1", "a", 0)
-    memory.store(output(facts={"f2", "f1"}, conf=0.9))
-    memory.commit("t1", key)
-    memory.close()  # the file is buffered; closing flushes it
+def commit_with_event(memory, log, key):
+    """Commit `key` and append its `commit` event, as the run does."""
+    entry = memory.commit(key[0], key)
+    task_id, agent_id, attempt = key
+    score = None if entry.score is None else entry.score.to_dict()
+    payload = {"task_id": task_id, "agent_id": agent_id, "attempt": attempt, "version": entry.version}
+    log.append("commit", log.events[-1].virtual_time, {**payload, "score": score})
 
-    lines = [json.loads(line) for line in audit.read_text().splitlines()]
+
+def test_audit_log_write_through():
+    # the audit file is derived from the run log: one line per store and per commit event
+    memory, log = SharedMemory(), RunLog()
+    key = ("t1", "a", 0)
+    memory.store(output(facts={"f2", "f1"}, conf=0.9), log)
+    commit_with_event(memory, log, key)
+
+    lines = [json.loads(line) for line in log.memory_audit_text().splitlines()]
     assert len(lines) == 2
     store_line, commit_line = lines
     assert store_line == {
@@ -199,26 +207,23 @@ def test_audit_log_write_through(tmp_path):
 
 
 @pytest.mark.parametrize("audited", [False, True])
-def test_store_with_a_run_log_appends_its_event_from_the_audit_lines_dict(tmp_path, monkeypatch, audited):
+def test_store_with_a_run_log_appends_its_event_from_the_audit_lines_dict(monkeypatch, audited):
     built = []
     to_audit_dict = MemoryEntry.to_audit_dict
     monkeypatch.setattr(MemoryEntry, "to_audit_dict", lambda entry: built.append(to_audit_dict(entry)) or built[-1])
-    audit = tmp_path / "memory.jsonl"
-    memory = SharedMemory(audit_path=audit if audited else None)
-    log = RunLog()
+    memory, log = SharedMemory(), RunLog()
     assert memory.store(output(facts={"f2", "f1"}, conf=0.9, at=2.5), log) == 1
     assert memory.store(output(agent="b"), None) == 2  # no log, no event
-    memory.close()
+    audit = log.memory_audit_text() if audited else None
 
-    # one dict for the first store's event and audit line; the second builds one for its line only
-    assert len(built) == 1 + audited
+    # one dict for the first store's event, which the audit line is derived from; none for the second
+    assert len(built) == 1
     (event,) = log.events
     assert event.payload is built[0]
     assert event == (2.5, "store", memory.entry(("t1", "a", 0)).to_audit_dict())
     if audited:
-        lines = audit.read_text().splitlines()
-        assert lines[0] == dumps_payload("store", event.payload)
-        assert log.to_jsonl() == f'{{"kind": "store", "payload": {lines[0]}, "virtual_time": 2.5}}\n'
+        assert audit == dumps_payload("store", event.payload) + "\n"
+        assert log.to_jsonl() == f'{{"kind": "store", "payload": {audit[:-1]}, "virtual_time": 2.5}}\n'
 
 
 SCORES = st.none() | st.builds(ScoreBreakdown, *[st.sampled_from([0.5, 1.0, -0.0, 1e-7, 1, True, math.nan, None])] * 4)
@@ -227,15 +232,14 @@ ODD = st.sampled_from(["a", 0, 1, 0.5, 1e16, True, None, math.inf, "\ud800"])
 
 @settings(max_examples=300, deadline=None)
 @given(ODD, ODD, st.sets(st.sampled_from(["f1", "f\"2", "\u00e9"]), max_size=3), ODD, SCORES)
-def test_each_audit_line_is_json_dumps_of_the_entrys_audit_dict_at_that_moment(tmp_path_factory, agent, attempt, facts, conf, score):
-    """Store, score and commit an entry whose values may be off the types the templates write."""
-    audit = tmp_path_factory.mktemp("audit") / "memory.jsonl"
-    memory = SharedMemory(audit_path=audit)
+def test_each_audit_line_is_json_dumps_of_the_entrys_audit_dict_at_that_moment(agent, attempt, facts, conf, score):
+    """Store, score and commit an entry whose values may be off the types the templates write;
+    the audit file derived from the log holds the entry as it was at its store and at its commit."""
+    memory, log = SharedMemory(), RunLog()
     key = ("t1", agent, attempt)
-    memory.store(output(agent=agent, attempt=attempt, facts=facts, conf=conf))
+    memory.store(output(agent=agent, attempt=attempt, facts=facts, conf=conf), log)
     stored = json.dumps(memory.entry(key).to_audit_dict(), sort_keys=True)
     memory.entry(key).score = score
-    memory.commit("t1", key)
-    memory.close()
+    commit_with_event(memory, log, key)
     committed = json.dumps(memory.entry(key).to_audit_dict(), sort_keys=True)
-    assert audit.read_text(encoding="utf-8").splitlines() == [stored, committed]
+    assert log.memory_audit_text().splitlines() == [stored, committed]

@@ -351,28 +351,43 @@ def test_report_of_every_bundled_run_equals_the_dict_replay():
     assert runs == 3 * 5 * 2
 
 
-def first_winner(log: RunLog) -> tuple[int, str]:
-    """(version, task id) of the final winner with the lowest store version."""
-    final = {e.payload["task_id"]: e.payload["version"] for e in log.by_kind("commit")}
-    return min((version, task_id) for task_id, version in final.items())
+# The two readers of the log that look a commit's store event up by its version.
+REPLAYS = {
+    "build_report": build_report,
+    "memory_audit_text": lambda log, scenario: log.memory_audit_text(),
+}
 
 
-def test_a_log_missing_a_store_event_names_the_commit_it_cannot_replay():
+def first_lookup(log: RunLog, replay: str, versions) -> tuple[int, str]:
+    """(version, task id) of the first commit `replay` looks up whose version is in `versions`:
+    the report looks up each final winner in version order, the audit file every commit in log order."""
+    commits = [event.payload for event in log.by_kind("commit")]
+    if replay == "build_report":
+        commits = sorted({c["task_id"]: c for c in commits}.values(), key=lambda c: c["version"])
+    return next((c["version"], c["task_id"]) for c in commits if c["version"] in versions)
+
+
+@pytest.mark.parametrize("replay", REPLAYS)
+def test_a_log_missing_a_store_event_names_the_commit_it_cannot_replay(replay):
     for scenario, log in bundled_runs():
-        first = log.by_kind("store")[0]
-        dropped = RunLog(events=[e for e in log.events if e is not first])
-        version, task_id = first_winner(log)
-        with pytest.raises(UnknownEntryError, match=f"commit of task {task_id!r} names version {version},"):
-            build_report(dropped, scenario)
-
-
-def test_a_log_with_two_store_events_swapped_names_the_commit_it_cannot_replay():
-    for scenario, log in bundled_runs():
-        version, task_id = first_winner(log)
         stores = log.by_kind("store")
+        dropped = RunLog(events=[e for e in log.events if e is not stores[0]])
+        # every version now names the store event after its own, or none
+        version, task_id = first_lookup(log, replay, range(1, len(stores) + 1))
+        with pytest.raises(UnknownEntryError, match=f"commit of task {task_id!r} names version {version},"):
+            REPLAYS[replay](dropped, scenario)
+
+
+@pytest.mark.parametrize("replay", REPLAYS)
+def test_a_log_with_two_store_events_swapped_names_the_commit_it_cannot_replay(replay):
+    for scenario, log in bundled_runs():
+        stores = log.by_kind("store")
+        # the final winner with the lowest version, and a store event of another task
+        version, task_id = first_lookup(log, "build_report", range(1, len(stores) + 1))
         winner = stores[version - 1]
-        # no winner has a lower version, so the first mismatch the replay meets is the winner's
         other = next(e for e in stores if e.payload["task_id"] != task_id)
         swapped = RunLog(events=[other if e is winner else winner if e is other else e for e in log.events])
+        # a commit naming either version now finds the other task's store event
+        version, task_id = first_lookup(log, replay, {version, other.payload["version"]})
         with pytest.raises(UnknownEntryError, match=f"commit of task {task_id!r} names version {version},"):
-            build_report(swapped, scenario)
+            REPLAYS[replay](swapped, scenario)

@@ -404,6 +404,16 @@ def test_memory_audit_file_is_complete_when_the_run_returns_or_raises(tmp_path, 
         gc.collect()
 
 
+@pytest.mark.parametrize("name", ["missing/memory.jsonl", ""], ids=["missing-directory", "directory"])
+def test_an_audit_path_that_cannot_be_written_fails_before_the_run(tmp_path, name):
+    with pytest.raises((FileNotFoundError, IsADirectoryError)):
+        Orchestrator(chain_scenario(), RunConfig(), memory_audit_path=tmp_path / name)
+    assert list(tmp_path.iterdir()) == []
+    # a path that can be written is written by the run, not by building the orchestrator
+    Orchestrator(chain_scenario(), RunConfig(), memory_audit_path=tmp_path / "memory.jsonl")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("path", CANONICAL_SCENARIOS, ids=lambda p: p.stem)
 def test_an_audited_run_builds_each_audit_dict_once_for_both_files(tmp_path, monkeypatch, path):
     built = []

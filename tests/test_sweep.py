@@ -25,6 +25,7 @@ ROW_KEYS = {
     "orchestrate_audit_gc_collections",
     "orchestrate_audit_gc_s",
     "orchestrate_audit_gc_raw_s",
+    "orchestrate_audit_ratio",
     "to_jsonl_s",
     "to_jsonl_raw_s",
     "to_jsonl_repeats",
@@ -79,7 +80,9 @@ def test_sweep_writes_every_size_of_every_shape(tmp_path):
             assert row["report_s"] > 0 and row["report_repeats"] >= 1
             # the load parses the same text and then builds from it
             assert 0 < row["parse_s"] < row["load_s"]
-            assert row["orchestrate_audit_s"] > 0
+            assert row["orchestrate_audit_s"] > 0 and row["orchestrate_audit_ratio"] > 0
+            # the plain and audited runs are timed in pairs
+            assert row["orchestrate_repeats"] == row["orchestrate_audit_repeats"]
             for name in ("load", "parse", "orchestrate", "orchestrate_audit", "to_jsonl"):
                 collections = row[f"{name}_gc_collections"]
                 assert len(collections) == 3 and all(n >= 0 for n in collections)

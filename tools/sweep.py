@@ -13,7 +13,10 @@ and records:
 - `orchestrate_s`: `orchestrate` of the loaded scenario, configured as the
   benchmark configures its full variant;
 - `orchestrate_audit_s`: the same run with a memory audit file, built and run
-  with the collector paused as `orchestrate` pauses it;
+  with the collector paused as `orchestrate` pauses it; its repeats alternate
+  with those of `orchestrate_s`, one plain and one audited run at a time;
+- `orchestrate_audit_ratio`: the median over those pairs of the audited run's
+  raw time over the plain run's, so host drift between pairs does not move it;
 - `to_jsonl_s`: `RunLog.to_jsonl` of the log of the run without the file;
 - `report_s`, `report_raw_s`, `report_repeats`: `build_report` of that log,
   the end-of-run pass that recomputes the report from the log, with the
@@ -96,8 +99,9 @@ def measure(repo: Path, shape_name: str, tasks: int, work: Path) -> dict:
     path.write_text(synth.dumps(synth.generate(run.SHAPES[shape_name].scaled(tasks), SEED)), encoding="utf-8")
     scaler = Scaler()
 
-    def timed(name: str, fn) -> dict:
-        """Median time of `fn()` over the repeats, and the collector's work inside the same calls."""
+    def sample(fn) -> tuple[float, float, float, float, list[int]]:
+        """One call of `fn`: its scaled and raw seconds, and the collector's scaled and raw
+        seconds and collections per generation inside it."""
         collections = [0, 0, 0]
         inside = started = 0.0
 
@@ -116,12 +120,19 @@ def measure(repo: Path, shape_name: str, tasks: int, work: Path) -> dict:
             finally:
                 gc.callbacks.remove(callback)
 
-        samples = []
-        while len(samples) < REPEATS and sum(raw for _, raw, *_ in samples) < BUDGET_S:
-            collections[:] = [0, 0, 0]
-            inside = 0.0
-            scaled, raw = scaler.wrap(op)()
-            samples.append((scaled, raw, inside * scaled / raw, inside, list(collections)))
+        scaled, raw = scaler.wrap(op)()
+        return scaled, raw, inside * scaled / raw, inside, collections
+
+    def repeated(*fns) -> list[tuple]:
+        """Samples of the `fns` in turn, one call of each per repeat, so a drift in host speed
+        reaches each alike; up to REPEATS, or until the calls add up to BUDGET_S per fn."""
+        rounds = []
+        while len(rounds) < REPEATS and sum(s[1] for r in rounds for s in r) < BUDGET_S * len(fns):
+            rounds.append(tuple(sample(fn) for fn in fns))
+        return rounds
+
+    def summary(name: str, samples: list[tuple]) -> dict:
+        """Median time of the samples, and the collector's work inside the same calls."""
         return {
             f"{name}_s": statistics.median(s[0] for s in samples),
             f"{name}_raw_s": statistics.median(s[1] for s in samples),
@@ -130,6 +141,9 @@ def measure(repo: Path, shape_name: str, tasks: int, work: Path) -> dict:
             f"{name}_gc_raw_s": statistics.median(s[3] for s in samples),
             f"{name}_gc_collections": [statistics.median(s[4][g] for s in samples) for g in range(3)],
         }
+
+    def timed(name: str, fn) -> dict:
+        return summary(name, [s for s, in repeated(fn)])
 
     def peak(name: str, fn) -> dict[str, int]:
         tracemalloc.start()
@@ -147,9 +161,11 @@ def measure(repo: Path, shape_name: str, tasks: int, work: Path) -> dict:
     scenario = load()
     config = run.make_item(path, scenario, "full").config
     run_once = partial(orchestrate, scenario, config)
-    row.update(timed("orchestrate", run_once), **peak("orchestrate", run_once))
     audit = work / f"{shape_name}-{tasks}.audit.jsonl"
-    row.update(timed("orchestrate_audit", collector_paused(lambda: Orchestrator(scenario, config, audit).run())))
+    pairs = repeated(run_once, collector_paused(lambda: Orchestrator(scenario, config, audit).run()))
+    row.update(summary("orchestrate", [plain for plain, _ in pairs]), **peak("orchestrate", run_once))
+    row.update(summary("orchestrate_audit", [audited for _, audited in pairs]))
+    row["orchestrate_audit_ratio"] = statistics.median(audited[1] / plain[1] for plain, audited in pairs)
     log = run_once().log
     row.update(timed("to_jsonl", log.to_jsonl))
     report = timed("report", collector_paused(partial(build_report, log, scenario)))
