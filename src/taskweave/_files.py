@@ -27,14 +27,20 @@ def write_text(path: str | Path, text: str) -> None:
 
 
 def check_writable(path: str | Path) -> None:
-    """Raise the OSError `write_text(path, ...)` would raise for a missing directory, a
-    directory, no write permission or a read-only filesystem, without creating a file."""
+    """Raise the OSError `write_text(path, ...)` would raise for an empty path, a missing
+    directory, a directory, a name ending in a slash, no write permission or a read-only
+    filesystem, without creating a file."""
+    name = os.fspath(path)
     try:
-        target, code = path, errno.EISDIR if stat.S_ISDIR(os.stat(path).st_mode) else 0
+        if name.endswith(os.sep):  # open(2) walks to the directory, then refuses the slash
+            os.stat(os.path.join(os.path.dirname(name.rstrip(os.sep)) or os.curdir, ""))
+        target, code = name, errno.EISDIR if name.endswith(os.sep) or stat.S_ISDIR(os.stat(name).st_mode) else 0
     except FileNotFoundError:  # a missing file, or a dangling link's target, is made in its directory
-        target = os.path.dirname(os.path.realpath(path))
-        code = 0 if os.path.isdir(target) else errno.ENOENT
+        target = os.path.dirname(os.path.realpath(name))
+        code = 0 if name and os.path.isdir(target) else errno.ENOENT
+    except NotADirectoryError:  # a file on the way to the name
+        code = errno.ENOTDIR
     if not code and not os.access(target, os.W_OK):
         code = errno.EROFS if os.statvfs(target).f_flag & os.ST_RDONLY else errno.EACCES
     if code:
-        raise OSError(code, os.strerror(code), str(path))
+        raise OSError(code, os.strerror(code), name)

@@ -2,8 +2,6 @@
 
 Every stored output stays retrievable for the whole run (losing parallel
 candidates included); at most one entry per task is committed at any instant.
-The store writes no file: with a run log, each store appends its `store` event,
-and the memory audit file is derived from the log (`RunLog.memory_audit_text`).
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ from dataclasses import dataclass
 
 from .agents import CandidateOutput
 from .errors import DuplicateKeyError, UnknownEntryError
-from .runlog import RunLog
 from .scoring import ScoreBreakdown
 
 EntryKey = tuple[str, str, int]
@@ -38,21 +35,6 @@ class MemoryEntry:
     @property
     def attempt(self) -> int:
         return self.key[2]
-
-    def to_audit_dict(self) -> dict:
-        """Serialize with the exact audit-log field names."""
-        task_id, agent_id, attempt = self.key
-        output, score = self.output, self.score
-        return {
-            "task_id": task_id,
-            "agent_id": agent_id,
-            "attempt": attempt,
-            "version": self.version,
-            "committed": self.committed,
-            "emitted_facts": sorted(output.emitted_facts),
-            "declared_confidence": output.declared_confidence,
-            "score": score.to_dict() if score is not None else None,
-        }
 
 
 class MemoryView:
@@ -87,20 +69,14 @@ class SharedMemory:
         self._commits: list[tuple[MemoryEntry, MemoryEntry | None]] = []
         self._fact_counts: dict[str, int] = {}
 
-    def store(self, output: CandidateOutput, log: RunLog | None = None) -> int:
-        """Store a candidate under its own key and a fresh version; keys are never overwritten.
-
-        With a run log, also append the entry's `store` event at `output.produced_at`,
-        whose payload is the dict `to_audit_dict` builds.
-        """
+    def store(self, output: CandidateOutput) -> int:
+        """Store a candidate under its own key and a fresh version; keys are never overwritten."""
         by_key = self._by_key
         key = output.key
         if key in by_key:
             raise DuplicateKeyError(f"memory key {key!r} already stored")
         version = len(by_key) + 1
-        entry = by_key[key] = MemoryEntry(key, output, version)
-        if log is not None:
-            log.append("store", output.produced_at, entry.to_audit_dict())
+        by_key[key] = MemoryEntry(key, output, version)
         return version
 
     def candidates(self, task_id: str) -> list[MemoryEntry]:

@@ -357,7 +357,21 @@ class Orchestrator:
                 f"attempt {output.attempt}): its latencies sum past the largest float"
             )
         for _, _, _, output in executions:
-            memory.store(output, log)
+            task_id, agent_id, attempt = output.key
+            log.append(
+                "store",
+                output.produced_at,
+                {
+                    "task_id": task_id,
+                    "agent_id": agent_id,
+                    "attempt": attempt,
+                    "version": memory.store(output),  # raises on a duplicate key before the append
+                    "committed": False,
+                    "emitted_facts": sorted(output.emitted_facts),
+                    "declared_confidence": output.declared_confidence,
+                    "score": None,
+                },
+            )
 
         for task, outputs in groups:
             if len(outputs) > 1:

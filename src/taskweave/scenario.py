@@ -515,6 +515,9 @@ def _check_cross_references(scenario: Scenario) -> None:
     if not scenario.gold_answers.keys() <= task_ids:
         unknown = min(scenario.gold_answers.keys() - task_ids)
         raise ScenarioValidationError("$.gold_answers", f"unknown task id {unknown!r}")
+    for i, (fact, other) in enumerate(scenario.contradiction_pairs):
+        if fact == other:  # review never critiques a pair within one fact; the report would count it
+            raise ScenarioValidationError(f"$.contradiction_pairs[{i}]", f"pair names fact {fact!r} twice")
 
     cycle = find_cycle({task.id: task for task in scenario.tasks})
     if cycle:

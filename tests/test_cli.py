@@ -143,6 +143,17 @@ def test_invalid_scenario_exits_two(runner, tmp_path):
     assert "invalid scenario" in result.output
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_contradiction_pair_naming_one_fact_twice_exits_two(runner, tmp_path, command):
+    doc = json.loads(CANONICAL_SCENARIOS[2].read_text(encoding="utf-8"))
+    doc["contradiction_pairs"].append(["scope_fy25", "scope_fy25"])
+    path = tmp_path / "self_pair.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    result = runner.invoke(main, [command, str(path)])
+    assert result.exit_code == 2
+    assert result.output == "invalid scenario: $.contradiction_pairs[1]: pair names fact 'scope_fy25' twice\n"
+
+
 def test_deadlock_exits_three(runner, tmp_path):
     doc = {
         "schema_version": 1,
@@ -442,18 +453,25 @@ def test_every_run_parameter_is_a_run_config_field():
 
 @pytest.mark.parametrize(
     "option,name,error",
-    [("--log", "missing/run.jsonl", "No such file or directory"), ("--report", ".", "Is a directory")],
-    ids=["log-in-a-missing-directory", "report-at-a-directory"],
+    [
+        ("--log", "missing/run.jsonl", "No such file or directory"),
+        ("--report", ".", "Is a directory"),
+        ("--log", "", "No such file or directory"),
+        ("--report", "", "No such file or directory"),
+        ("--log", "newdir/", "Is a directory"),
+    ],
+    ids=["log-in-a-missing-directory", "report-at-a-directory", "log-empty", "report-empty", "log-ending-in-a-slash"],
 )
 def test_an_output_path_that_cannot_be_written_stops_the_run_before_the_load(
     runner, tmp_path, monkeypatch, option, name, error
 ):
+    monkeypatch.chdir(tmp_path)  # the name is passed as it is: a joined path drops a trailing slash
     loads = []
     monkeypatch.setattr("taskweave.cli.load_scenario", loads.append)
-    result = runner.invoke(main, ["run", str(REVIEW), option, str(tmp_path / name)])
+    result = runner.invoke(main, ["run", str(REVIEW), option, name])
     assert result.exit_code == 1
     assert "cannot write: " in result.output and error in result.output
-    assert loads == []
+    assert loads == [] and list(tmp_path.iterdir()) == []
 
 
 def test_a_log_that_cannot_be_written_leaves_no_report_file(runner, tmp_path):

@@ -142,15 +142,24 @@ def oserror_of(fn, *args) -> str | None:
     return None
 
 
+# names passed as they are, relative to the directory, since a joined path drops a trailing slash
+LITERAL_NAMES = ("", "newdir/", "file/", "dir/", "link_to_new/", "file/new.txt/", "missing/new/")
+
+
 @pytest.mark.parametrize(
-    "name", ["new.txt", "file", "dir", "missing/new.txt", "file/new.txt", "link_to_new", "link_into_missing"]
+    "name",
+    [
+        "new.txt", "file", "dir", "missing/new.txt", "file/new.txt", "link_to_new", "link_into_missing",
+        pytest.param("", id="empty"), *LITERAL_NAMES[1:],
+    ],
 )
-def test_check_writable_raises_what_the_write_would_without_creating_a_file(tmp_path, name):
+def test_check_writable_raises_what_the_write_would_without_creating_a_file(tmp_path, monkeypatch, name):
     (tmp_path / "file").write_text("old", encoding="utf-8")
     (tmp_path / "dir").mkdir()
     (tmp_path / "link_to_new").symlink_to(tmp_path / "dir" / "new.txt")  # dangling, its directory exists
     (tmp_path / "link_into_missing").symlink_to(tmp_path / "missing" / "new.txt")
-    path = str(tmp_path / name)
+    monkeypatch.chdir(tmp_path)
+    path = name if name in LITERAL_NAMES else str(tmp_path / name)
     before = sorted(tmp_path.rglob("*"))
     checked = oserror_of(check_writable, path)
     assert sorted(tmp_path.rglob("*")) == before

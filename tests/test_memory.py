@@ -11,8 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskweave import CandidateOutput, DuplicateKeyError, RunLog, SharedMemory, UnknownEntryError
-from taskweave.memory import MemoryEntry
-from taskweave.runlog import dumps_payload
 from taskweave.scoring import ScoreBreakdown
 
 
@@ -173,21 +171,35 @@ def test_a_held_view_reads_the_union_of_the_current_winners(ops):
     assert memory.empty_view().committed_facts() == frozenset()
 
 
-def commit_with_event(memory, log, key):
-    """Commit `key` and append its `commit` event, as the run does."""
-    entry = memory.commit(key[0], key)
+def store_event(log, key, facts=(), conf=0.5, at=0.0, version=1):
+    """Append the `store` event the run appends for a fresh entry; return its payload."""
     task_id, agent_id, attempt = key
-    score = None if entry.score is None else entry.score.to_dict()
-    payload = {"task_id": task_id, "agent_id": agent_id, "attempt": attempt, "version": entry.version}
+    payload = {
+        "task_id": task_id,
+        "agent_id": agent_id,
+        "attempt": attempt,
+        "version": version,
+        "committed": False,
+        "emitted_facts": sorted(facts),
+        "declared_confidence": conf,
+        "score": None,
+    }
+    log.append("store", at, payload)
+    return payload
+
+
+def commit_event(log, store, score):
+    """Append the `commit` event the run appends for the entry of a store payload."""
+    payload = {k: store[k] for k in ("task_id", "agent_id", "attempt", "version")}
     log.append("commit", log.events[-1].virtual_time, {**payload, "score": score})
 
 
 def test_audit_log_write_through():
     # the audit file is derived from the run log: one line per store and per commit event
-    memory, log = SharedMemory(), RunLog()
-    key = ("t1", "a", 0)
-    memory.store(output(facts={"f2", "f1"}, conf=0.9), log)
-    commit_with_event(memory, log, key)
+    log = RunLog()
+    store = store_event(log, ("t1", "a", 0), facts={"f2", "f1"}, conf=0.9)
+    score = {"coherence": 0.5, "composite": 0.5, "factuality": 0.5, "relevance": 0.5}
+    commit_event(log, store, score)
 
     lines = [json.loads(line) for line in log.memory_audit_text().splitlines()]
     assert len(lines) == 2
@@ -202,28 +214,7 @@ def test_audit_log_write_through():
         "declared_confidence": 0.9,
         "score": None,
     }
-    assert commit_line["committed"] is True
-    assert commit_line["version"] == 1
-
-
-@pytest.mark.parametrize("audited", [False, True])
-def test_store_with_a_run_log_appends_its_event_from_the_audit_lines_dict(monkeypatch, audited):
-    built = []
-    to_audit_dict = MemoryEntry.to_audit_dict
-    monkeypatch.setattr(MemoryEntry, "to_audit_dict", lambda entry: built.append(to_audit_dict(entry)) or built[-1])
-    memory, log = SharedMemory(), RunLog()
-    assert memory.store(output(facts={"f2", "f1"}, conf=0.9, at=2.5), log) == 1
-    assert memory.store(output(agent="b"), None) == 2  # no log, no event
-    audit = log.memory_audit_text() if audited else None
-
-    # one dict for the first store's event, which the audit line is derived from; none for the second
-    assert len(built) == 1
-    (event,) = log.events
-    assert event.payload is built[0]
-    assert event == (2.5, "store", memory.entry(("t1", "a", 0)).to_audit_dict())
-    if audited:
-        assert audit == dumps_payload("store", event.payload) + "\n"
-        assert log.to_jsonl() == f'{{"kind": "store", "payload": {audit[:-1]}, "virtual_time": 2.5}}\n'
+    assert commit_line == store_line | {"committed": True, "score": score}
 
 
 SCORES = st.none() | st.builds(ScoreBreakdown, *[st.sampled_from([0.5, 1.0, -0.0, 1e-7, 1, True, math.nan, None])] * 4)
@@ -232,14 +223,15 @@ ODD = st.sampled_from(["a", 0, 1, 0.5, 1e16, True, None, math.inf, "\ud800"])
 
 @settings(max_examples=300, deadline=None)
 @given(ODD, ODD, st.sets(st.sampled_from(["f1", "f\"2", "\u00e9"]), max_size=3), ODD, SCORES)
-def test_each_audit_line_is_json_dumps_of_the_entrys_audit_dict_at_that_moment(agent, attempt, facts, conf, score):
-    """Store, score and commit an entry whose values may be off the types the templates write;
-    the audit file derived from the log holds the entry as it was at its store and at its commit."""
-    memory, log = SharedMemory(), RunLog()
-    key = ("t1", agent, attempt)
-    memory.store(output(agent=agent, attempt=attempt, facts=facts, conf=conf), log)
-    stored = json.dumps(memory.entry(key).to_audit_dict(), sort_keys=True)
-    memory.entry(key).score = score
-    commit_with_event(memory, log, key)
-    committed = json.dumps(memory.entry(key).to_audit_dict(), sort_keys=True)
-    assert log.memory_audit_text().splitlines() == [stored, committed]
+def test_each_audit_line_is_json_dumps_of_the_store_payload_at_that_moment(agent, attempt, facts, conf, score):
+    """Store and commit an entry whose values may be off the types the templates write; the
+    audit file derived from the log holds the store payload as it was at its store and at its
+    commit."""
+    log = RunLog()
+    store = store_event(log, ("t1", agent, attempt), facts=facts, conf=conf)
+    score = None if score is None else score.to_dict()
+    commit_event(log, store, score)
+    assert log.memory_audit_text().splitlines() == [
+        json.dumps(store, sort_keys=True),
+        json.dumps(store | {"committed": True, "score": score}, sort_keys=True),
+    ]

@@ -5,12 +5,15 @@ from __future__ import annotations
 import dataclasses
 import gc
 import json
+import sys
 import warnings
 
 import pytest
 
 from taskweave import (
+    CandidateOutput,
     DeadlockError,
+    DuplicateKeyError,
     InvariantError,
     MissingCommitError,
     NoScriptedBehaviorError,
@@ -25,11 +28,11 @@ from taskweave import (
 )
 from taskweave import orchestrator, scoring
 from taskweave.evaluator import Evaluator
-from taskweave.memory import MemoryEntry
-from taskweave.runlog import dumps_payload
+from taskweave.runlog import RunLog, dumps_payload
 from taskweave.scenario import load_scenario
 
 from conftest import CANONICAL_SCENARIOS, make_agent, make_row, make_scenario, make_task
+from test_golden_digests import VARIANTS, load_perfbench_run
 
 
 def solo_scenario():
@@ -395,10 +398,19 @@ def test_memory_audit_file_is_complete_when_the_run_returns_or_raises(tmp_path, 
         assert [(line["task_id"], line["committed"]) for line in lines] == [
             ("t1", False), ("t1", True), ("t2", False)
         ]
+        t1, t2 = (failing.memory.entry((task_id, "a1", 0)) for task_id in ("t1", "t2"))
         assert lines == [
-            failing.memory.entry(("t1", "a1", 0)).to_audit_dict() | {"committed": False, "score": None},
-            failing.memory.entry(("t1", "a1", 0)).to_audit_dict(),
-            failing.memory.entry(("t2", "a1", 0)).to_audit_dict(),
+            {
+                "task_id": entry.task_id,
+                "agent_id": "a1",
+                "attempt": 0,
+                "version": entry.version,
+                "committed": committed,
+                "emitted_facts": sorted(entry.output.emitted_facts),
+                "declared_confidence": entry.output.declared_confidence,
+                "score": entry.score.to_dict() if committed else None,
+            }
+            for entry, committed in ((t1, False), (t1, True), (t2, False))
         ]
         del orch, result, failing
         gc.collect()
@@ -415,24 +427,20 @@ def test_an_audit_path_that_cannot_be_written_fails_before_the_run(tmp_path, nam
 
 
 @pytest.mark.parametrize("path", CANONICAL_SCENARIOS, ids=lambda p: p.stem)
-def test_an_audited_run_builds_each_audit_dict_once_for_both_files(tmp_path, monkeypatch, path):
-    built = []
-    to_audit_dict = MemoryEntry.to_audit_dict
-    monkeypatch.setattr(MemoryEntry, "to_audit_dict", lambda entry: built.append(entry) or to_audit_dict(entry))
+def test_an_audited_run_builds_each_audit_dict_once_for_both_files(tmp_path, path):
     audit = tmp_path / "memory.jsonl"
-    orch = Orchestrator(load_scenario(path), RunConfig(), memory_audit_path=audit)
-    log = orch.run().log
+    log = Orchestrator(load_scenario(path), RunConfig(), memory_audit_path=audit).run().log
     stores, commits = log.by_kind("store"), log.by_kind("commit")
-    # a store's dict serves its event and its line; a commit's line is encoded without one
-    assert len(built) == len(stores)
     lines = audit.read_text(encoding="utf-8").splitlines()
-    # a store's line is its event's payload, byte for byte; a commit's line says committed
+    # a store's line is its event's payload, byte for byte; a commit's line is the payload of
+    # the store it commits, with committed true and the commit's score
     assert [line for line in lines if '"committed": false' in line] == [
         dumps_payload("store", event.payload) for event in stores
     ]
-    winners = [orch.memory.entry((e.payload["task_id"], e.payload["agent_id"], e.payload["attempt"])) for e in commits]
+    by_version = {event.payload["version"]: event.payload for event in stores}
     assert [line for line in lines if '"committed": true' in line] == [
-        json.dumps(to_audit_dict(entry) | {"committed": True}, sort_keys=True) for entry in winners
+        json.dumps(by_version[e.payload["version"]] | {"committed": True, "score": e.payload["score"]}, sort_keys=True)
+        for e in commits
     ]
 
 
@@ -442,6 +450,60 @@ def test_reproducibility_same_seed_same_bytes():
     assert first.log.to_jsonl() == second.log.to_jsonl()
     stamp = "fixed"
     assert first.report.to_json(stamp) == second.report.to_json(stamp)
+
+
+def test_a_stored_key_raises_before_its_store_event_is_appended():
+    orch = Orchestrator(solo_scenario())
+    orch.memory.store(CandidateOutput("t1", "solo", 0, "", frozenset(), 0.5, 0.0))
+    with pytest.raises(DuplicateKeyError):
+        orch.run()
+    assert [event.kind for event in orch.log.events] == ["dispatch"]
+
+
+def layering_runs(work):
+    """(scenario, config) of every bundled scenario and of one small benchmark shape, under
+    every variant, each configured as the CLI configures it."""
+    bench = load_perfbench_run()
+    small = work / "deep_dag.json"
+    small.write_text(bench.synth.dumps(bench.synth.generate(bench.SHAPES["deep_dag"].scaled(40), 1)), encoding="utf-8")
+    for path in (*CANONICAL_SCENARIOS, small):
+        scenario = load_scenario(path)
+        for _, settings in VARIANTS.values():
+            yield scenario, RunConfig().with_overrides(scenario.defaults).with_overrides(settings)
+
+
+def test_only_the_orchestrator_appends_run_log_events_and_a_store_payload_is_its_entry(tmp_path, monkeypatch):
+    appended = []  # (calling module, kind, payload, a copy of the payload as appended)
+    append = RunLog.append
+
+    def spy(log, kind, virtual_time, payload):
+        appended.append((sys._getframe(1).f_globals["__name__"], kind, payload, dict(payload)))
+        return append(log, kind, virtual_time, payload)
+
+    monkeypatch.setattr(RunLog, "append", spy)
+    runs = 0
+    for scenario, config in layering_runs(tmp_path):
+        appended.clear()
+        orch = Orchestrator(scenario, config)
+        log = orch.run().log
+        runs += 1
+        assert {module for module, _, _, _ in appended} == {"taskweave.orchestrator"}
+        assert [payload for _, _, payload, _ in appended] == [event.payload for event in log.events]
+        stores = [(payload, as_appended) for _, kind, payload, as_appended in appended if kind == "store"]
+        assert stores
+        for payload, as_appended in stores:
+            entry = orch.memory.entry((payload["task_id"], payload["agent_id"], payload["attempt"]))
+            assert payload == as_appended == {
+                "task_id": entry.task_id,
+                "agent_id": entry.agent_id,
+                "attempt": entry.attempt,
+                "version": entry.version,
+                "committed": False,
+                "emitted_facts": sorted(entry.output.emitted_facts),
+                "declared_confidence": entry.output.declared_confidence,
+                "score": None,
+            }
+    assert runs == (len(CANONICAL_SCENARIOS) + 1) * len(VARIANTS)
 
 
 def test_every_commit_references_a_prior_store():

@@ -563,7 +563,7 @@ def valid_documents(draw):
     optional = {
         "name": TEXT,
         "description": TEXT,
-        "contradiction_pairs": st.lists(st.lists(NAME, min_size=2, max_size=2), max_size=2),
+        "contradiction_pairs": st.lists(st.lists(NAME, min_size=2, max_size=2, unique=True), max_size=2),
         "gold_answers": st.dictionaries(st.sampled_from(ids), NAME, max_size=2),
         "static_assignments": st.dictionaries(st.sampled_from(ids), st.sampled_from(agent_ids)),
         "defaults": st.just(RICH["defaults"]),
@@ -644,6 +644,9 @@ def scanned_cross_references(scenario: Scenario) -> None:
     for task_id in sorted(scenario.gold_answers):
         if task_id not in task_ids:
             raise ScenarioValidationError("$.gold_answers", f"unknown task id {task_id!r}")
+    for i, pair in enumerate(scenario.contradiction_pairs):
+        if len(set(pair)) == 1:
+            raise ScenarioValidationError(f"$.contradiction_pairs[{i}]", f"pair names fact {pair[0]!r} twice")
     cycle = scenario_module.find_cycle({task.id: task for task in scenario.tasks})
     if cycle:
         raise ScenarioValidationError("$.tasks", str(scenario_module.CycleError(cycle)))
@@ -651,11 +654,13 @@ def scanned_cross_references(scenario: Scenario) -> None:
 
 @st.composite
 def cross_referenced_scenarios(draw):
-    """Scenarios whose ids may repeat and whose references may name no task or agent."""
+    """Scenarios whose ids may repeat, whose references may name no task or agent, and whose
+    contradiction pairs may name one fact twice."""
     task_ids = draw(st.lists(st.sampled_from(["t1", "t2", "t3"]), min_size=1, max_size=3, unique=True))
     # References mostly name a task or agent of the scenario; none is named ghost, zz or nobody.
     task_refs = st.sampled_from(task_ids * 6 + ["ghost", "zz"])
     agent_refs = st.sampled_from(["a1", "a2"] * 6 + ["nobody"])
+    facts = st.sampled_from(["f1", "f2", "f3"])  # a pair sometimes names one fact twice
     task_ids += draw(st.sampled_from([[]] * 6 + [task_ids[:1]]))  # sometimes a duplicate id
     tasks = [
         TaskSpec(id=task_id, description="", depends_on=frozenset(draw(st.lists(task_refs, max_size=1))))
@@ -671,6 +676,7 @@ def cross_referenced_scenarios(draw):
         agents=tuple(agents),
         static_assignments=draw(st.dictionaries(task_refs, agent_refs, max_size=3)),
         gold_answers=draw(st.dictionaries(task_refs, st.just("f"), max_size=3)),
+        contradiction_pairs=tuple(draw(st.lists(st.tuples(facts, facts), max_size=3))),
     )
 
 
