@@ -44,3 +44,12 @@ def check_writable(path: str | Path) -> None:
         code = errno.EROFS if os.statvfs(target).f_flag & os.ST_RDONLY else errno.EACCES
     if code:
         raise OSError(code, os.strerror(code), name)
+
+
+def file_identity(path: str | Path) -> tuple[int, int] | str:
+    """What paths to one file share: its device and inode if it exists, else the resolved path."""
+    try:
+        info = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return (info.st_dev, info.st_ino)

@@ -135,14 +135,9 @@ class ScriptedAgent:
             fired = {fact for trigger, fact in row.contingent_facts if trigger in visible}
             if fired:
                 facts = facts | fired
-        return CandidateOutput(  # by position: a call by keyword costs a third of the execute
-            task.id,
-            self.profile.id,
-            attempt,
-            row.content,
-            facts,
-            row.declared_confidence,
-            start + row.latency,
+        return _new_tuple(  # by position and without the constructor's Python frame
+            CandidateOutput,
+            (task.id, self.profile.id, attempt, row.content, facts, row.declared_confidence, start + row.latency),
         )
 
     def declared_confidence(self, task: TaskSpec) -> float:

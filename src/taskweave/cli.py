@@ -12,7 +12,8 @@ from typing import Iterator
 
 import click
 
-from ._files import check_writable, write_text
+from ._collector import collector_paused
+from ._files import check_writable, file_identity, write_text
 from .errors import DeadlockError, InvalidConfigError, OrchestrationError, ScenarioError
 from .orchestrator import RunConfig, orchestrate
 from .scenario import load_scenario
@@ -63,6 +64,7 @@ def main() -> None:
 @click.option("--w2", type=float, default=None, help="Suitability spare-capacity weight.")
 @click.option("--report", "report_path", type=click.Path(), default=None, help="Write the report JSON here.")
 @click.option("--log", "log_path", type=click.Path(), default=None, help="Write the run log (JSON lines) here.")
+@collector_paused  # once over the command: the load and run nested in it skip their exit collections
 def run(scenario_path: str, report_path: str | None, log_path: str | None, **settings) -> None:
     """Run SCENARIO_PATH and print the metrics report to stdout."""
     weights = {key: settings.pop(key) for key in WEIGHT_KEYS}
@@ -77,6 +79,13 @@ def run(scenario_path: str, report_path: str | None, log_path: str | None, **set
         for path in (report_path, log_path):
             if path is not None:
                 check_writable(path)  # before a load and run that a failed write would waste
+        seen: dict[tuple[int, int] | str, str] = {}
+        for name, path in (("the scenario", scenario_path), ("--report", report_path), ("--log", log_path)):
+            if path is not None:
+                identity = file_identity(path)
+                if identity in seen:  # a write would replace the scenario or the other output
+                    raise InvalidConfigError(f"{name} {path!r} names the same file as {seen[identity]}")
+                seen[identity] = name
         scenario = load_scenario(scenario_path)
         config = (
             RunConfig()

@@ -8,8 +8,9 @@ once per (referenced version, note).
 
 Review is a delta over the memory's commit record, as in semi-naive
 evaluation: factuality is checked for the winners committed since the
-previous review only, and contradiction pairs read an index of the winners
-holding each fact a pair names.
+previous review that are unscored or scored below the threshold, the only
+ones it can critique, so it sends the critiques a check of every winner would.
+Contradiction pairs read an index of the winners holding each fact a pair names.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ class Evaluator:
         self.fact_threshold = fact_threshold
         self.contradiction_pairs = list(contradiction_pairs or [])
         self._sent: set[tuple[int, str]] = set()
-        # Replay state over memory.commits_since: how many commits were read, the
-        # winners read but not yet checked while committed, and for each fact a
-        # pair names, its holders' tasks mapped to the rank of their latest commit.
+        # Replay state over memory.commits_since: how many commits were read, the winners
+        # read but not yet checked while committed (only those unscored or failing), and for
+        # each fact a pair names, its holders' tasks mapped to the rank of their latest commit.
         self._commits_read = 0
         self._unchecked: dict[str, MemoryEntry] = {}
         self._holders: dict[str, dict[str, int]] = {
@@ -94,18 +95,19 @@ class Evaluator:
         """
         self._read_commits()
         messages: list[FeedbackMessage] = []
-        status, committed = graph.status, TaskStatus.COMMITTED
-        due = [e for e in self._unchecked.values() if status(e.task_id) is committed]
-        for entry in sorted(due, key=lambda e: e.version):
-            del self._unchecked[entry.task_id]
-            breakdown = self.score_entry(entry, graph.task(entry.task_id))
-            if breakdown.factuality < self.fact_threshold:
-                self._revision_request(
-                    messages,
-                    entry,
-                    severity=1.0 - breakdown.factuality,
-                    note=f"factuality {breakdown.factuality:.3f} below threshold",
-                )
+        if self._unchecked:
+            status, committed = graph.status, TaskStatus.COMMITTED
+            due = [e for e in self._unchecked.values() if status(e.task_id) is committed]
+            for entry in sorted(due, key=lambda e: e.version):
+                del self._unchecked[entry.task_id]
+                breakdown = self.score_entry(entry, graph.task(entry.task_id))
+                if breakdown.factuality < self.fact_threshold:
+                    self._revision_request(
+                        messages,
+                        entry,
+                        severity=1.0 - breakdown.factuality,
+                        note=f"factuality {breakdown.factuality:.3f} below threshold",
+                    )
 
         for fact_a, fact_b in self.contradiction_pairs:
             if not self._holders[fact_a] or not self._holders[fact_b]:
@@ -128,16 +130,20 @@ class Evaluator:
     def _read_commits(self) -> None:
         """Bring the unchecked winners and the holders index up to the commit record."""
         commits = self.memory.commits_since(self._commits_read)
-        pair_facts = self._pair_facts
+        pair_facts, threshold, unchecked = self._pair_facts, self.fact_threshold, self._unchecked
         # a later commit of the same task overwrites what an earlier one set
         for rank, (entry, demoted) in enumerate(commits, self._commits_read):
-            task_id = entry.task_id
-            self._unchecked[task_id] = entry
-            if demoted is not None:
+            task_id, score = entry.key[0], entry.score
+            if score is None or score.factuality < threshold:
+                unchecked[task_id] = entry
+            else:  # a passing winner replaces a failing one read before it
+                unchecked.pop(task_id, None)
+            if demoted is not None and not pair_facts.isdisjoint(demoted.output.emitted_facts):
                 for fact in demoted.output.emitted_facts & pair_facts:
                     del self._holders[fact][task_id]
-            for fact in entry.output.emitted_facts & pair_facts:
-                self._holders[fact][task_id] = rank
+            if not pair_facts.isdisjoint(entry.output.emitted_facts):
+                for fact in entry.output.emitted_facts & pair_facts:
+                    self._holders[fact][task_id] = rank
         self._commits_read += len(commits)
 
     def _committed_holders(self, fact: str, graph: TaskGraph) -> dict[str, int]:

@@ -67,6 +67,8 @@ class FeedbackBus:
 
     def drain(self) -> list[FeedbackMessage]:
         """Remove and return every pending message, by target, publish order within one."""
+        if not self._pending:
+            return []
         drained = sorted(self._pending, key=lambda msg: msg.target)
         self._pending.clear()
         return drained

@@ -86,7 +86,7 @@ class SharedMemory:
     def commit(self, task_id: str, key: EntryKey) -> MemoryEntry:
         """Mark one entry as the task's committed output, demoting any previous winner."""
         entry = self._by_key.get(key)
-        if entry is None or entry.task_id != task_id:
+        if entry is None or entry.key[0] != task_id:
             raise UnknownEntryError(f"no entry {key!r} for task {task_id!r}")
         previous = self._committed.pop(task_id, None)
         counts = self._fact_counts

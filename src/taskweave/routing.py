@@ -17,6 +17,7 @@ DEFAULT_THETA = 0.7
 DEFAULT_K = 3
 DEFAULT_PERF_WEIGHT = 0.7
 DEFAULT_CAPACITY_WEIGHT = 0.3
+_new_tuple = tuple.__new__  # builds a decision on the route path without the constructor's frame
 
 
 class RouteMode(str, Enum):
@@ -115,12 +116,12 @@ class Router:
         """
         ranked = self._ranked_available(task)
         if not ranked:
-            return RoutingDecision(task.id, ())
+            return _new_tuple(RoutingDecision, (task.id, ()))
         if allow_parallel and self.k >= 2 and self.is_ambiguous(task):
             fanout = ranked[: min(self.k, len(ranked))]
             if len(fanout) >= 2:
-                return RoutingDecision(task.id, tuple(fanout))
-        return RoutingDecision(task.id, (ranked[0],))
+                return _new_tuple(RoutingDecision, (task.id, tuple(fanout)))
+        return _new_tuple(RoutingDecision, (task.id, (ranked[0],)))
 
     def reassign(self, target_agent_id: str, task_id: str) -> RoutingDecision:
         """Pin a revision to the agent the feedback names.

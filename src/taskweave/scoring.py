@@ -26,6 +26,7 @@ DEFAULT_ALPHA = 0.3
 DEFAULT_BETA = 0.4
 DEFAULT_GAMMA = 0.3
 WEIGHT_KEYS = ("alpha", "beta", "gamma")
+_new_tuple = tuple.__new__  # builds a breakdown per scored entry without the constructor's frame
 
 
 def check_unit_setting(name: str, value: object) -> None:
@@ -70,7 +71,7 @@ def combine(
     composite = (
         weights.alpha * coherence + weights.beta * factuality + weights.gamma * relevance
     )
-    return ScoreBreakdown(coherence, factuality, relevance, composite)
+    return _new_tuple(ScoreBreakdown, (coherence, factuality, relevance, composite))
 
 
 class Scorer(Protocol):

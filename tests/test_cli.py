@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 
 import pytest
 from click.testing import CliRunner
@@ -472,6 +473,38 @@ def test_an_output_path_that_cannot_be_written_stops_the_run_before_the_load(
     assert result.exit_code == 1
     assert "cannot write: " in result.output and error in result.output
     assert loads == [] and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--log", "scenario.json"], "--log 'scenario.json' names the same file as the scenario"),
+        (["--report", "./scenario.json"], "--report './scenario.json' names the same file as the scenario"),
+        (["--report", "symlink.json"], "--report 'symlink.json' names the same file as the scenario"),
+        (["--log", "hard_link.json"], "--log 'hard_link.json' names the same file as the scenario"),
+        (["--report", "out.json", "--log", "out.json"], "--log 'out.json' names the same file as --report"),
+        (["--report", "out.json", "--log", "sub/../out.json"], "--log 'sub/../out.json' names the same file as --report"),
+    ],
+    ids=["log-is-the-scenario", "report-is-the-scenario-respelled", "report-is-a-symlink-to-the-scenario",
+         "log-is-a-hard-link-to-the-scenario", "report-and-log-are-one-path", "report-and-log-are-one-file"],
+)
+def test_an_output_path_that_names_the_scenario_or_the_other_output_exits_two_before_the_load(
+    runner, tmp_path, monkeypatch, args, message
+):
+    monkeypatch.chdir(tmp_path)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_bytes(REVIEW.read_bytes())
+    (tmp_path / "symlink.json").symlink_to(scenario)
+    os.link(scenario, tmp_path / "hard_link.json")
+    (tmp_path / "sub").mkdir()
+    files = sorted(tmp_path.iterdir())
+    loads = []
+    monkeypatch.setattr("taskweave.cli.load_scenario", lambda path: loads.append(path) or load_scenario(path))
+    result = runner.invoke(main, ["run", "scenario.json", *args])
+    assert result.exit_code == 2, result.output
+    assert f"invalid setting: {message}\n" == result.output
+    assert loads == []
+    assert scenario.read_bytes() == REVIEW.read_bytes() and sorted(tmp_path.iterdir()) == files
 
 
 def test_a_log_that_cannot_be_written_leaves_no_report_file(runner, tmp_path):

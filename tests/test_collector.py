@@ -8,8 +8,10 @@ garbage would pile up for the length of every pause.
 from __future__ import annotations
 
 import gc
+import weakref
 
 import pytest
+from click.testing import CliRunner
 
 from taskweave import (
     OrchestrationError,
@@ -22,6 +24,7 @@ from taskweave import (
 )
 from taskweave import scoring
 from taskweave._collector import collector_paused
+from taskweave.cli import main, run
 
 from conftest import CANONICAL_SCENARIOS, make_agent, make_row, make_scenario, make_task
 from test_golden_digests import load_perfbench_run
@@ -37,11 +40,17 @@ def no_collector():
         gc.enable()
 
 
+def generated_deep_dag(tmp_path, tasks):
+    """A `deep_dag` scenario file of about `tasks` tasks, from the benchmark's generator."""
+    bench = load_perfbench_run()
+    path = tmp_path / "deep_dag.json"
+    path.write_text(bench.synth.dumps(bench.synth.generate(bench.SHAPES["deep_dag"].scaled(tasks), 1)), encoding="utf-8")
+    return path
+
+
 def test_load_and_every_variant_run_leave_no_cyclic_garbage(no_collector, tmp_path):
     bench = load_perfbench_run()
-    generated = tmp_path / "deep_dag.json"
-    shape = bench.SHAPES["deep_dag"].scaled(40)
-    generated.write_text(bench.synth.dumps(bench.synth.generate(shape, 1)), encoding="utf-8")
+    generated = generated_deep_dag(tmp_path, 40)
     gc.collect()  # what importing the bench and generating the shape left behind
     for path in (*CANONICAL_SCENARIOS, generated):
         scenario = load_scenario(path)
@@ -52,6 +61,60 @@ def test_load_and_every_variant_run_leave_no_cyclic_garbage(no_collector, tmp_pa
     assert (tmp_path / "audit.jsonl").stat().st_size > 0
     del scenario, audited
     assert gc.collect() == 0
+
+
+def test_the_run_command_leaves_no_cyclic_garbage_but_the_report_encoders(no_collector, tmp_path, capsys):
+    """What the run command makes is freed by reference counting as it returns, except the
+    closures `json.dumps(..., indent=2)` builds for the report, which refer to one another."""
+    paths = [*CANONICAL_SCENARIOS, generated_deep_dag(tmp_path, 40)]
+    defaults = {param.name: param.default for param in run.params}
+    gc.collect()  # what importing the bench and generating the shape left behind
+    orchestrate(load_scenario(paths[0])).report.to_json()
+    encoder_cycles = gc.collect()
+    assert encoder_cycles > 0
+    calls = 0
+    for path in paths:
+        for flags in ({}, {"static": True}, {"no_parallel": True}):
+            outputs = {"report_path": str(tmp_path / "report.json"), "log_path": str(tmp_path / "run.jsonl")}
+            run.callback(**{**defaults, **flags, **outputs, "scenario_path": str(path)})
+            calls += 1
+    assert capsys.readouterr().out
+    assert gc.collect() == calls * encoder_cycles
+
+
+def test_a_cli_run_collects_nothing_while_its_scenario_is_alive(tmp_path, monkeypatch):
+    """The run command pauses the collector once, so the load and run nested in it skip their
+    exit collections. The one collection it may start comes as it returns, once reference
+    counting has freed the scenario and the run: it walks only what outlives the command."""
+    path = generated_deep_dag(tmp_path, 200)
+    loading, scenario = False, None  # scenario: a weak reference to the loaded scenario
+    alive_at_start = []  # per collection started: whether the scenario was being loaded or alive
+
+    def load(scenario_path):
+        nonlocal loading, scenario
+        loading = True
+        loaded = load_scenario(scenario_path)
+        loading, scenario = False, weakref.ref(loaded)
+        return loaded
+
+    def callback(phase, info):
+        if phase == "start":
+            alive_at_start.append(loading or scenario is not None and scenario() is not None)
+
+    monkeypatch.setattr("taskweave.cli.load_scenario", load)
+    runner, enabled = CliRunner(), gc.isenabled()
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(callback)
+    try:
+        result = runner.invoke(main, ["run", str(path), "--log", str(tmp_path / "run.jsonl")])
+    finally:
+        gc.callbacks.remove(callback)
+        if not enabled:
+            gc.disable()
+    assert result.exit_code == 0, result.output
+    assert scenario is not None and scenario() is None
+    assert alive_at_start in ([], [False])
 
 
 class Probe:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from taskweave import (
@@ -357,25 +357,42 @@ STEP = st.tuples(
     st.sets(st.sampled_from("abcd"), max_size=3),  # facts of a stored entry
     st.sampled_from(["0.2", "0.5", "0.9"]),  # factuality of a stored entry
     st.integers(0, 2**16),  # which stored entry a commit picks
+    st.booleans(),  # score the entry a commit picks before the commit, as a run does
     st.booleans(),  # review after the step
 )
 
 
+def store(task_n, facts, factuality):
+    return ("store", task_n, set(facts), factuality, 0, False, False)
+
+
+def commit(task_n, pick=0, score_first=True):
+    return ("commit", task_n, set(), "", pick, score_first, False)
+
+
+# Histories that random steps seldom reach, each reviewed once at its end.
 @given(st.lists(STEP, max_size=40))
+@example([store(0, "", "0.2"), commit(0, score_first=False)])  # an unscored failing winner
+@example([store(0, "", "0.2"), store(0, "", "0.9"), commit(0, 0, score_first=False), commit(0, 1)])  # passing replaces failing
+@example([store(0, "a", "0.9"), commit(0), store(1, "b", "0.9"), commit(1)])  # a pair across two tasks
+@example([store(0, "a", "0.9"), commit(0), store(0, "", "0.9"), commit(0, 1), store(1, "b", "0.9"), commit(1)])  # a demoted holder
 def test_delta_review_matches_a_full_scan_with_send_once(steps):
     pairs = [("a", "b"), ("b", "c"), ("c", "d"), ("a", "b")]
     tasks = [make_task(f"t{i}") for i in range(4)]
     graph, memory, evaluator = build_world(tasks, FactualityInContent(), contradiction_pairs=pairs)
     oracle = ScanReview(memory, pairs)
     stored = {f"t{i}": [] for i in range(4)}
-    for op, task_n, facts, factuality, pick, review in steps + [("review", 0, set(), "", 0, True)]:
+    for op, task_n, facts, factuality, pick, score_first, review in steps + [("review", 0, set(), "", 0, False, True)]:
         task_id = f"t{task_n}"
         if op == "store":
             key = put(memory, task=task_id, attempt=len(stored[task_id]), facts=facts, content=factuality)
             stored[task_id].append(key)
         elif op == "commit" and stored[task_id]:
             # a commit may re-commit the winner or an older candidate
-            memory.commit(task_id, stored[task_id][pick % len(stored[task_id])])
+            key = stored[task_id][pick % len(stored[task_id])]
+            if score_first:  # review then files the winner only if it scored below the threshold
+                evaluator.score_entry(memory.entry(key), graph.task(task_id))
+            memory.commit(task_id, key)
             if graph.status(task_id) is not TaskStatus.COMMITTED:
                 mark_committed_in_graph(graph, task_id)
         elif op == "reopen" and graph.status(task_id) is TaskStatus.COMMITTED:
