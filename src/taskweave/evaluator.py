@@ -15,7 +15,7 @@ Contradiction pairs read an index of the winners holding each fact a pair names.
 
 from __future__ import annotations
 
-from .errors import EmptyCandidateSetError
+from .errors import EmptyCandidateSetError, ScorerUnavailableError
 from .feedback import FeedbackMessage
 from .graph import TaskGraph, TaskSpec, TaskStatus
 from .memory import EntryKey, MemoryEntry, SharedMemory
@@ -63,9 +63,13 @@ class Evaluator:
         return self.weights
 
     def score_entry(self, entry: MemoryEntry, task: TaskSpec) -> ScoreBreakdown:
-        """Score a stored candidate, caching the breakdown on the entry."""
+        """Score a stored candidate, caching the breakdown on the entry; a component that is
+        NaN or outside [0, 1] raises ScorerUnavailableError."""
         if entry.score is None:
             coherence, factuality, relevance = self.scorer.components(entry.output, task)
+            if not (0.0 <= coherence <= 1.0 and 0.0 <= factuality <= 1.0 and 0.0 <= relevance <= 1.0):
+                triple = (coherence, factuality, relevance)
+                raise ScorerUnavailableError(f"scorer gave {entry.key!r} components {triple!r} outside [0, 1]")
             entry.score = combine(coherence, factuality, relevance, self.weights_for(task))
         return entry.score
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
+from math import fsum
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -144,8 +145,8 @@ def build_report(log: RunLog, scenario: Scenario) -> RunReport:
         {task_id: facts for task_id, facts, _ in committed}, scenario.gold_answers
     )
     scores = [score for _, _, score in committed if score]
-    coherence_mean = sum(map(itemgetter("coherence"), scores)) / len(scores) if scores else 0.0
-    relevance_mean = sum(map(itemgetter("relevance"), scores)) / len(scores) if scores else 0.0
+    coherence_mean = fsum(map(itemgetter("coherence"), scores)) / len(scores) if scores else 0.0
+    relevance_mean = fsum(map(itemgetter("relevance"), scores)) / len(scores) if scores else 0.0
     dispatches = log.by_kind("dispatch")
     tasks, fanouts = _dispatch_trail(dispatches)
 

@@ -10,7 +10,7 @@ Variants:
   static            pinned assignments, no bus feedback, no fan-outs; a
                     bus-less quality gate re-runs low-factuality commits
                     (same agent, next attempt) within the revision budget
-  no_parallel       routing and feedback, every dispatch single
+  no_parallel       routing and feedback, every dispatch single (the router's k is 1)
   no_feedback       review is never called
   no_memory_sharing agents execute against an empty memory view
 """
@@ -25,7 +25,6 @@ from functools import cached_property
 from typing import Mapping, NamedTuple
 
 from ._collector import collector_paused
-from ._files import check_writable, write_text
 from .agents import DEFAULT_ADAPT_DECREMENT, CandidateOutput, adapt_strategy
 from .errors import (
     DeadlockError,
@@ -209,17 +208,9 @@ class RunResult:
 class Orchestrator:
     """Runs one scenario to completion under one configuration."""
 
-    def __init__(
-        self,
-        scenario: Scenario,
-        config: RunConfig | None = None,
-        memory_audit_path: str | None = None,
-    ) -> None:
-        if memory_audit_path is not None:
-            check_writable(memory_audit_path)  # before a run that a failed write would waste
+    def __init__(self, scenario: Scenario, config: RunConfig | None = None) -> None:
         self.scenario = scenario
         self.config = config if config is not None else RunConfig()
-        self.memory_audit_path = memory_audit_path
         self.graph = scenario.build_graph()
         self.agents = scenario.build_agents()
         self.memory = SharedMemory()
@@ -227,7 +218,7 @@ class Orchestrator:
         self.router = Router(
             self.agents,
             theta=self.config.theta,
-            k=self.config.k,
+            k=1 if self.config.no_parallel else self.config.k,
             perf_weight=self.config.w1,
             capacity_weight=self.config.w2,
         )
@@ -258,48 +249,43 @@ class Orchestrator:
 
     @collector_paused
     def run(self) -> RunResult:
-        """Execute the loop with the collector paused and return the result; write any memory
-        audit file from the log as the run returns or raises, with every store and commit made."""
-        try:
-            while True:
-                assignable = self.graph.ready_tasks()
-                if not assignable:
-                    if self.graph.all_committed():
-                        break
-                    raise DeadlockError(
-                        "uncommitted tasks remain but none are assignable"
-                    )
-                committed = self._run_wave(sorted(assignable))
-                if not committed:
-                    raise DeadlockError(
-                        "no agent has spare capacity for any assignable task"
-                    )
-                self._waves += 1
-                if self.config.static:
-                    self._static_quality_gate(committed)
-                elif not self.config.no_feedback:
-                    self._review_and_process_feedback()
+        """Execute the loop with the collector paused and return the result."""
+        while True:
+            assignable = self.graph.ready_tasks()
+            if not assignable:
+                if self.graph.all_committed():
+                    break
+                raise DeadlockError(
+                    "uncommitted tasks remain but none are assignable"
+                )
+            committed = self._run_wave(sorted(assignable))
+            if not committed:
+                raise DeadlockError(
+                    "no agent has spare capacity for any assignable task"
+                )
+            self._waves += 1
+            if self.config.static:
+                self._static_quality_gate(committed)
+            elif not self.config.no_feedback:
+                self._review_and_process_feedback()
 
-            bound = len(self.graph.tasks) * (1 + self.config.revision_budget) * self.config.k
-            if self._dispatches > bound:
-                raise InvariantError(f"dispatch bound violated: {self._dispatches} > {bound}")
-            self.log.append(
-                "terminate",
-                self._clock,
-                {"reason": "completed", "waves": self._waves, "dispatches": self._dispatches},
-            )
-            # The loop ends with every task committed; memory must hold a winner for each.
-            winners, tasks = self.memory.committed_count(), len(self.graph.tasks)
-            if winners != tasks:
-                raise MissingCommitError(f"memory holds {winners} committed entries for {tasks} tasks")
-            for agent in self.agents.values():
-                if agent.profile.load != 0:
-                    raise InvariantError(f"agent {agent.profile.id} still loaded at the end of the run")
-            report = build_report(self.log, self.scenario)
-            return RunResult(self.log, report, memory=self.memory, graph=self.graph)
-        finally:
-            if self.memory_audit_path is not None:
-                write_text(self.memory_audit_path, self.log.memory_audit_text())
+        bound = len(self.graph.tasks) * (1 + self.config.revision_budget) * self.config.k
+        if self._dispatches > bound:
+            raise InvariantError(f"dispatch bound violated: {self._dispatches} > {bound}")
+        self.log.append(
+            "terminate",
+            self._clock,
+            {"reason": "completed", "waves": self._waves, "dispatches": self._dispatches},
+        )
+        # The loop ends with every task committed; memory must hold a winner for each.
+        winners, tasks = self.memory.committed_count(), len(self.graph.tasks)
+        if winners != tasks:
+            raise MissingCommitError(f"memory holds {winners} committed entries for {tasks} tasks")
+        for agent in self.agents.values():
+            if agent.profile.load != 0:
+                raise InvariantError(f"agent {agent.profile.id} still loaded at the end of the run")
+        report = build_report(self.log, self.scenario)
+        return RunResult(self.log, report, memory=self.memory, graph=self.graph)
 
     # -- wave mechanics -----------------------------------------------------
 
@@ -407,7 +393,7 @@ class Orchestrator:
         pinned = self._pinned.pop(task.id, None)
         if pinned is not None and self.agents[pinned].profile.has_spare_capacity:
             return (pinned,)
-        return self.router.route(task, allow_parallel=not self.config.no_parallel).assignees
+        return self.router.route(task).assignees
 
     # -- feedback processing --------------------------------------------------
 

@@ -106,7 +106,7 @@ class Router:
                 return False
         return True
 
-    def route(self, task: TaskSpec, allow_parallel: bool = True) -> RoutingDecision:
+    def route(self, task: TaskSpec) -> RoutingDecision:
         """Decide how to dispatch one assignable task.
 
         No spare capacity anywhere defers the task. Ambiguous tasks fan out to
@@ -117,7 +117,7 @@ class Router:
         ranked = self._ranked_available(task)
         if not ranked:
             return _new_tuple(RoutingDecision, (task.id, ()))
-        if allow_parallel and self.k >= 2 and self.is_ambiguous(task):
+        if self.k >= 2 and self.is_ambiguous(task):
             fanout = ranked[: min(self.k, len(ranked))]
             if len(fanout) >= 2:
                 return _new_tuple(RoutingDecision, (task.id, tuple(fanout)))

@@ -519,3 +519,31 @@ def test_an_existing_output_file_and_a_new_one_in_an_existing_directory_can_be_w
     report.write_text("old", encoding="utf-8")
     assert runner.invoke(main, ["run", str(REVIEW), "--report", str(report), "--log", str(log)]).exit_code == 0
     assert json.loads(report.read_text(encoding="utf-8")) and log.read_text(encoding="utf-8")
+
+
+def test_the_runtime_needs_only_click():
+    # the test-only packages are blocked, so an import of any of them fails as it would
+    # in an install without the `test` extra
+    import subprocess
+    import sys
+
+    from conftest import REPO_ROOT
+
+    code = (
+        "import sys\n"
+        "for name in ('jsonschema', 'hypothesis', 'pytest'):\n"
+        "    sys.modules[name] = None\n"
+        "from click.testing import CliRunner\n"
+        "from taskweave.cli import main\n"
+        "for path in sys.argv[1:]:\n"
+        "    for command in ('validate', 'run'):\n"
+        "        result = CliRunner().invoke(main, [command, path])\n"
+        "        print(command, path, result.exit_code, repr(result.exception))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    paths = [str(path) for path in CANONICAL_SCENARIOS]
+    proc = subprocess.run([sys.executable, "-c", code, *paths], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"{command} {path} 0 None" for path in paths for command in ("validate", "run")
+    ]

@@ -56,10 +56,9 @@ def test_load_and_every_variant_run_leave_no_cyclic_garbage(no_collector, tmp_pa
         scenario = load_scenario(path)
         for variant in bench.VARIANTS:
             orchestrate(scenario, bench.make_item(path, scenario, variant).config)
-    audited = Orchestrator(scenario, RunConfig(), memory_audit_path=tmp_path / "audit.jsonl")
-    audited.run()
-    assert (tmp_path / "audit.jsonl").stat().st_size > 0
-    del scenario, audited
+    orch = Orchestrator(scenario, RunConfig())
+    assert orch.run().log.memory_audit_text()
+    del scenario, orch
     assert gc.collect() == 0
 
 

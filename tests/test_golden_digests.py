@@ -5,10 +5,11 @@ bundled ones never do: spent revision budgets, pins that fall back to routing,
 and one entry holding both facts of a contradiction pair, plus one sha256 over
 the logs of the benchmark's generated shapes under every variant, which carry
 the static variant and a DAG hundreds of waves deep through the run loop.
-The memory audit file of each of those bundled and benchmark runs is pinned
-the same way, beside its log.
+The memory audit text of each of those bundled and benchmark runs, read from
+its log, is pinned the same way, beside the log, and so is the report of each
+bundled run.
 
-A change that alters a single log or audit byte fails here. When a change
+A change that alters a single log, audit or report byte fails here. When a change
 alters them on purpose, regenerate the tables with
 `PYTHONPATH=src python tests/test_golden_digests.py` and list the new
 digests in CHANGES.md.
@@ -27,7 +28,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from taskweave import Orchestrator, RunConfig, orchestrate
+from taskweave import RunConfig, RunResult, orchestrate
 from taskweave.cli import main
 from taskweave.scenario import load_scenario
 
@@ -76,8 +77,7 @@ GOLDEN = {
     "compliance_audit/no_memory/seed7": "edf3b47c280270a22eb7ff4c62ddbd1b4d773dfef959687981fd5a0ff16c934b",
 }
 
-# sha256 of the memory audit file of each GOLDEN case, run by an `Orchestrator`
-# configured as the CLI configures it.
+# sha256 of the memory audit text of each GOLDEN case's log, run as the CLI configures it.
 AUDIT_GOLDEN = {
     "filing_risk_deep_dive/full/seed0": "66a8389ef0c1c572a2b084974c0463c367c28b1ed99cafb51841994ca29491ac",
     "filing_risk_deep_dive/full/seed7": "4249e3701e05d73c1c55192e8125dc0e15be36a6b6a56ea7d8dd8ca354fadc9a",
@@ -109,6 +109,40 @@ AUDIT_GOLDEN = {
     "compliance_audit/no_feedback/seed7": "b47692151d348b012f202cba8a0a63f9dc10c66df5e4bfe9e2b25791af08e85f",
     "compliance_audit/no_memory/seed0": "fee5b73aec8be8f865692dfb14a18d331e84fc34a417d26c350c6af6a6ea8755",
     "compliance_audit/no_memory/seed7": "8ae540249a49dd66ba731f81ba37979c8e2a0b929f9bc0b38d0af4053cf37e5f",
+}
+
+# sha256 of the report of each GOLDEN case, `generated_at` empty, run as the CLI configures it.
+REPORT_GOLDEN = {
+    "filing_risk_deep_dive/full/seed0": "ab1726fe5445ffd68e1c8303d471b07ee4407ff97acd2849c692c389ab41ed16",
+    "filing_risk_deep_dive/full/seed7": "ab1726fe5445ffd68e1c8303d471b07ee4407ff97acd2849c692c389ab41ed16",
+    "filing_risk_deep_dive/static/seed0": "796965ae03da36caf47c5e8b9cf5ac5d2720c2647b3c17680570b9fcf4cf7d3c",
+    "filing_risk_deep_dive/static/seed7": "796965ae03da36caf47c5e8b9cf5ac5d2720c2647b3c17680570b9fcf4cf7d3c",
+    "filing_risk_deep_dive/no_parallel/seed0": "4d609b22a486efbbc369fc2f2f69f4f906fed43251fd3e03f131e3411ee788c9",
+    "filing_risk_deep_dive/no_parallel/seed7": "4d609b22a486efbbc369fc2f2f69f4f906fed43251fd3e03f131e3411ee788c9",
+    "filing_risk_deep_dive/no_feedback/seed0": "82e278b0b74e8659e99bfafc129222bd3852ea06a4abde20e3d4dc437a7dd54f",
+    "filing_risk_deep_dive/no_feedback/seed7": "82e278b0b74e8659e99bfafc129222bd3852ea06a4abde20e3d4dc437a7dd54f",
+    "filing_risk_deep_dive/no_memory/seed0": "8fcf0c221290a587bbd440af47b79aa0ee0cfb813e2a444daa550828aa9c0cbb",
+    "filing_risk_deep_dive/no_memory/seed7": "8fcf0c221290a587bbd440af47b79aa0ee0cfb813e2a444daa550828aa9c0cbb",
+    "performance_review/full/seed0": "7e48addf235ff89f9a8b5d26abbdb242d01b1c596c60832a647f871c8d0d9817",
+    "performance_review/full/seed7": "7e48addf235ff89f9a8b5d26abbdb242d01b1c596c60832a647f871c8d0d9817",
+    "performance_review/static/seed0": "34f6aa11db3a2e7c3760ae43dd63676e84e1a123f84e848224e47d4e58d981a6",
+    "performance_review/static/seed7": "34f6aa11db3a2e7c3760ae43dd63676e84e1a123f84e848224e47d4e58d981a6",
+    "performance_review/no_parallel/seed0": "42e96ed6fe5c26fa22f7aa6663b282d596846aef278138172e6eccdb34d25c5e",
+    "performance_review/no_parallel/seed7": "42e96ed6fe5c26fa22f7aa6663b282d596846aef278138172e6eccdb34d25c5e",
+    "performance_review/no_feedback/seed0": "6c32f3c34e584110e9fcdbcb7229a4709b0b29724320147b519e18c6f17a3360",
+    "performance_review/no_feedback/seed7": "6c32f3c34e584110e9fcdbcb7229a4709b0b29724320147b519e18c6f17a3360",
+    "performance_review/no_memory/seed0": "cd997fd473cffce22710ad983238815bd81cd2c79a05a70b5226bfb6e071df94",
+    "performance_review/no_memory/seed7": "cd997fd473cffce22710ad983238815bd81cd2c79a05a70b5226bfb6e071df94",
+    "compliance_audit/full/seed0": "61feb8556bcfa9ee42e52fb4a19e75dff320d8cfbc585b5845ab2e897ad5bdaf",
+    "compliance_audit/full/seed7": "61feb8556bcfa9ee42e52fb4a19e75dff320d8cfbc585b5845ab2e897ad5bdaf",
+    "compliance_audit/static/seed0": "1cd5921631d5d78e75dc259d9b9ea508d81962092b9a333e57ae96f558113d4d",
+    "compliance_audit/static/seed7": "1cd5921631d5d78e75dc259d9b9ea508d81962092b9a333e57ae96f558113d4d",
+    "compliance_audit/no_parallel/seed0": "6f93a21eb7b13e32c35ac869b5462920052e1d3ed554698c73267fc9eff89963",
+    "compliance_audit/no_parallel/seed7": "6f93a21eb7b13e32c35ac869b5462920052e1d3ed554698c73267fc9eff89963",
+    "compliance_audit/no_feedback/seed0": "3364d591be12450c10f27db42d6dac3faef0a51b9a3aa64d40cd7834bbb01c11",
+    "compliance_audit/no_feedback/seed7": "3364d591be12450c10f27db42d6dac3faef0a51b9a3aa64d40cd7834bbb01c11",
+    "compliance_audit/no_memory/seed0": "486054556f5850a8fb1a54c0bbea69b5dc7de45758fb8cd4c6368eaa27307e40",
+    "compliance_audit/no_memory/seed7": "486054556f5850a8fb1a54c0bbea69b5dc7de45758fb8cd4c6368eaa27307e40",
 }
 
 SYNTHETIC_SEED = 777
@@ -152,22 +186,39 @@ def test_run_log_digest_is_golden(path, variant, seed, tmp_path):
     assert digest == GOLDEN[case_id(path, variant, seed)]
 
 
-def audited_digests(path: Path, variant: str, seed: int, audit_path: Path) -> tuple[str, str]:
-    """sha256 of the run log and of the memory audit file of one case, run by an `Orchestrator`
-    configured as the CLI configures it."""
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def library_run(path: Path, variant: str, seed: int) -> RunResult:
+    """One case run through `orchestrate`, configured as the CLI configures it."""
     scenario = load_scenario(path)
     settings = {**VARIANTS[variant][1], "seed": seed}
-    config = RunConfig().with_overrides(scenario.defaults).with_overrides(settings)
-    log = Orchestrator(scenario, config, memory_audit_path=audit_path).run().log
-    audit = audit_path.read_bytes()
-    return hashlib.sha256(log.to_jsonl().encode("utf-8")).hexdigest(), hashlib.sha256(audit).hexdigest()
+    return orchestrate(scenario, RunConfig().with_overrides(scenario.defaults).with_overrides(settings))
+
+
+def audited_digests(path: Path, variant: str, seed: int) -> tuple[str, str]:
+    """sha256 of the run log of one case and of the memory audit text read from it."""
+    log = library_run(path, variant, seed).log
+    return sha256(log.to_jsonl()), sha256(log.memory_audit_text())
+
+
+def report_digest(path: Path, variant: str, seed: int) -> str:
+    """sha256 of the report of one case, with `generated_at` empty."""
+    return sha256(library_run(path, variant, seed).report.to_json(timestamp=""))
 
 
 @pytest.mark.parametrize("path,variant,seed", cases(), ids=[case_id(*c) for c in cases()])
-def test_memory_audit_digest_is_golden(path, variant, seed, tmp_path):
-    # the log's digest shows that the audited run is the one GOLDEN pins
+def test_memory_audit_digest_is_golden(path, variant, seed):
+    # the log's digest shows that the run is the one GOLDEN pins
     case = case_id(path, variant, seed)
-    assert audited_digests(path, variant, seed, tmp_path / "memory.jsonl") == (GOLDEN[case], AUDIT_GOLDEN[case])
+    assert audited_digests(path, variant, seed) == (GOLDEN[case], AUDIT_GOLDEN[case])
+
+
+@pytest.mark.parametrize("path,variant,seed", cases(), ids=[case_id(*c) for c in cases()])
+def test_report_digest_is_golden(path, variant, seed):
+    # the means are exact sums, so the report is the same bytes on every Python version
+    assert report_digest(path, variant, seed) == REPORT_GOLDEN[case_id(path, variant, seed)]
 
 
 def synthetic_digest() -> str:
@@ -201,20 +252,19 @@ def load_perfbench_run():
 
 
 def bench_digests(work: Path) -> tuple[str, str]:
-    """sha256 over the logs, and over the memory audit files, of every benchmark shape
-    (generated at BENCH_SEED) and variant, each configured as the benchmark configures it."""
+    """sha256 over the logs, and over the memory audit texts read from them, of every benchmark
+    shape (generated at BENCH_SEED) and variant, each configured as the benchmark configures it."""
     bench = load_perfbench_run()
     logs, audits = hashlib.sha256(), hashlib.sha256()
-    audit = work / "memory.jsonl"
     for name, shape in bench.SHAPES.items():
         path = work / f"{name}.json"
         path.write_text(bench.synth.dumps(bench.synth.generate(shape, BENCH_SEED)), encoding="utf-8")
         scenario = load_scenario(path)
         for variant in bench.VARIANTS:
             config = bench.make_item(path, scenario, variant).config
-            log = Orchestrator(scenario, config, memory_audit_path=audit).run().log
+            log = orchestrate(scenario, config).log
             logs.update(log.to_jsonl().encode("utf-8"))
-            audits.update(audit.read_bytes())
+            audits.update(log.memory_audit_text().encode("utf-8"))
     return logs.hexdigest(), audits.hexdigest()
 
 
@@ -232,8 +282,8 @@ def test_bench_shape_memory_audit_digest_is_golden(bench_shape_digests):
 
 
 if __name__ == "__main__":
-    # Print the tables for GOLDEN and AUDIT_GOLDEN and the values of SYNTHETIC_GOLDEN,
-    # BENCH_GOLDEN and BENCH_AUDIT_GOLDEN from the current code.
+    # Print the tables for GOLDEN, AUDIT_GOLDEN and REPORT_GOLDEN and the values of
+    # SYNTHETIC_GOLDEN, BENCH_GOLDEN and BENCH_AUDIT_GOLDEN from the current code.
     with tempfile.TemporaryDirectory() as tmp:
         sys.stdout.write("GOLDEN = {\n")
         for case in cases():
@@ -241,8 +291,11 @@ if __name__ == "__main__":
             sys.stdout.write(f'    "{case_id(*case)}": "{digest}",\n')
         sys.stdout.write("}\nAUDIT_GOLDEN = {\n")
         for case in cases():
-            _, digest = audited_digests(*case, Path(tmp) / "memory.jsonl")
+            _, digest = audited_digests(*case)
             sys.stdout.write(f'    "{case_id(*case)}": "{digest}",\n')
+        sys.stdout.write("}\nREPORT_GOLDEN = {\n")
+        for case in cases():
+            sys.stdout.write(f'    "{case_id(*case)}": "{report_digest(*case)}",\n')
         sys.stdout.write("}\n")
         sys.stdout.write(f'SYNTHETIC_GOLDEN = "{synthetic_digest()}"\n')
         bench_log, bench_audit = bench_digests(Path(tmp))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib.util
+import math
 import random
 import sys
 
@@ -303,8 +304,8 @@ def reference_build_report(log: RunLog, scenario) -> RunReport:
         scenario.gold_answers,
     )
     scores = [entry["score"] for entry in committed if entry.get("score")]
-    coherence_mean = sum(s["coherence"] for s in scores) / len(scores) if scores else 0.0
-    relevance_mean = sum(s["relevance"] for s in scores) / len(scores) if scores else 0.0
+    coherence_mean = math.fsum(s["coherence"] for s in scores) / len(scores) if scores else 0.0
+    relevance_mean = math.fsum(s["relevance"] for s in scores) / len(scores) if scores else 0.0
 
     task_ids = {e.payload["task_id"] for e in log.by_kind("dispatch")}
     terminates = log.by_kind("terminate")

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
-import gc
 import json
+import math
+import re
 import sys
-import warnings
 
 import pytest
 
@@ -20,6 +20,7 @@ from taskweave import (
     Orchestrator,
     RunConfig,
     ScenarioValidationError,
+    ScorerUnavailableError,
     SharedMemory,
     TaskGraph,
     build_graph,
@@ -31,7 +32,7 @@ from taskweave.evaluator import Evaluator
 from taskweave.runlog import RunLog, dumps_payload
 from taskweave.scenario import load_scenario
 
-from conftest import CANONICAL_SCENARIOS, make_agent, make_row, make_scenario, make_task
+from conftest import CANONICAL_SCENARIOS, SCENARIO_DIR, make_agent, make_row, make_scenario, make_task
 from test_golden_digests import VARIANTS, load_perfbench_run
 
 
@@ -333,13 +334,9 @@ def test_no_memory_sharing_blinds_contingent_facts():
     assert "derived" not in blind.memory.committed_entry("down").output.emitted_facts
 
 
-def test_memory_audit_file_written_during_run(tmp_path):
-    import json
-
-    audit = tmp_path / "memory.jsonl"
-    orch = Orchestrator(ambiguous_scenario(), RunConfig(k=3), memory_audit_path=str(audit))
-    orch.run()
-    lines = [json.loads(line) for line in audit.read_text().splitlines()]
+def test_memory_audit_file_written_during_run():
+    result = Orchestrator(ambiguous_scenario(), RunConfig(k=3)).run()
+    lines = [json.loads(line) for line in result.log.memory_audit_text().splitlines()]
     assert len(lines) == 4  # 3 stores + 1 commit
     assert sum(1 for line in lines if line["committed"]) == 1
     assert {
@@ -371,67 +368,50 @@ def chain_scenario():
     )
 
 
-def audit_lines(path):
-    text = path.read_text(encoding="utf-8")
+def audit_lines(log):
+    text = log.memory_audit_text()
     assert text.endswith("\n")
     return [json.loads(line) for line in text.splitlines()]
 
 
-def test_memory_audit_file_is_complete_when_the_run_returns_or_raises(tmp_path, monkeypatch):
+def test_memory_audit_file_is_complete_when_the_run_returns_or_raises(monkeypatch):
     monkeypatch.setitem(scoring._SCORERS, "failing", FailingScorer)
-    audit = tmp_path / "memory.jsonl"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", ResourceWarning)
-        orch = Orchestrator(chain_scenario(), RunConfig(no_feedback=True), memory_audit_path=audit)
-        result = orch.run()
-        # complete while the orchestrator is alive: the run closed the file
-        lines = audit_lines(audit)
-        assert len(lines) == len(result.log.by_kind("store")) + len(result.log.by_kind("commit")) == 4
-        assert lines[0] == result.log.by_kind("store")[0].payload
+    orch = Orchestrator(chain_scenario(), RunConfig(no_feedback=True))
+    result = orch.run()
+    lines = audit_lines(result.log)
+    assert len(lines) == len(result.log.by_kind("store")) + len(result.log.by_kind("commit")) == 4
+    assert lines[0] == result.log.by_kind("store")[0].payload
 
-        config = RunConfig(scorer="failing", no_feedback=True)
-        failing = Orchestrator(chain_scenario(), config, memory_audit_path=audit)
-        with pytest.raises(RuntimeError, match="scorer failure mid-run"):
-            failing.run()
-        # every line up to the fault: t1 stored and committed, t2 stored
-        lines = audit_lines(audit)
-        assert [(line["task_id"], line["committed"]) for line in lines] == [
-            ("t1", False), ("t1", True), ("t2", False)
-        ]
-        t1, t2 = (failing.memory.entry((task_id, "a1", 0)) for task_id in ("t1", "t2"))
-        assert lines == [
-            {
-                "task_id": entry.task_id,
-                "agent_id": "a1",
-                "attempt": 0,
-                "version": entry.version,
-                "committed": committed,
-                "emitted_facts": sorted(entry.output.emitted_facts),
-                "declared_confidence": entry.output.declared_confidence,
-                "score": entry.score.to_dict() if committed else None,
-            }
-            for entry, committed in ((t1, False), (t1, True), (t2, False))
-        ]
-        del orch, result, failing
-        gc.collect()
-
-
-@pytest.mark.parametrize("name", ["missing/memory.jsonl", ""], ids=["missing-directory", "directory"])
-def test_an_audit_path_that_cannot_be_written_fails_before_the_run(tmp_path, name):
-    with pytest.raises((FileNotFoundError, IsADirectoryError)):
-        Orchestrator(chain_scenario(), RunConfig(), memory_audit_path=tmp_path / name)
-    assert list(tmp_path.iterdir()) == []
-    # a path that can be written is written by the run, not by building the orchestrator
-    Orchestrator(chain_scenario(), RunConfig(), memory_audit_path=tmp_path / "memory.jsonl")
-    assert list(tmp_path.iterdir()) == []
+    config = RunConfig(scorer="failing", no_feedback=True)
+    failing = Orchestrator(chain_scenario(), config)
+    with pytest.raises(RuntimeError, match="scorer failure mid-run"):
+        failing.run()
+    # the log of the run that raised holds every line up to the fault: t1 stored and committed, t2 stored
+    lines = audit_lines(failing.log)
+    assert [(line["task_id"], line["committed"]) for line in lines] == [
+        ("t1", False), ("t1", True), ("t2", False)
+    ]
+    t1, t2 = (failing.memory.entry((task_id, "a1", 0)) for task_id in ("t1", "t2"))
+    assert lines == [
+        {
+            "task_id": entry.task_id,
+            "agent_id": "a1",
+            "attempt": 0,
+            "version": entry.version,
+            "committed": committed,
+            "emitted_facts": sorted(entry.output.emitted_facts),
+            "declared_confidence": entry.output.declared_confidence,
+            "score": entry.score.to_dict() if committed else None,
+        }
+        for entry, committed in ((t1, False), (t1, True), (t2, False))
+    ]
 
 
 @pytest.mark.parametrize("path", CANONICAL_SCENARIOS, ids=lambda p: p.stem)
-def test_an_audited_run_builds_each_audit_dict_once_for_both_files(tmp_path, path):
-    audit = tmp_path / "memory.jsonl"
-    log = Orchestrator(load_scenario(path), RunConfig(), memory_audit_path=audit).run().log
+def test_an_audited_run_builds_each_audit_dict_once_for_both_files(path):
+    log = Orchestrator(load_scenario(path), RunConfig()).run().log
     stores, commits = log.by_kind("store"), log.by_kind("commit")
-    lines = audit.read_text(encoding="utf-8").splitlines()
+    lines = log.memory_audit_text().splitlines()
     # a store's line is its event's payload, byte for byte; a commit's line is the payload of
     # the store it commits, with committed true and the commit's score
     assert [line for line in lines if '"committed": false' in line] == [
@@ -442,6 +422,64 @@ def test_an_audited_run_builds_each_audit_dict_once_for_both_files(tmp_path, pat
         json.dumps(by_version[e.payload["version"]] | {"committed": True, "score": e.payload["score"]}, sort_keys=True)
         for e in commits
     ]
+
+
+def no_parallel_runs(work):
+    """(case, no_parallel config) of the bundled scenarios and the bench shapes at 30 tasks,
+    seeds 0 and 7, each configured as the CLI configures it."""
+    bench = load_perfbench_run()
+    paths = list(CANONICAL_SCENARIOS)
+    for name, shape in bench.SHAPES.items():
+        path = work / f"{name}.json"
+        path.write_text(bench.synth.dumps(bench.synth.generate(shape.scaled(30), 1)), encoding="utf-8")
+        paths.append(path)
+    for path in paths:
+        scenario = load_scenario(path)
+        for seed in (0, 7):
+            yield f"{path.stem}/seed{seed}", scenario, bench.make_item(path, scenario, "no-parallel", seed).config
+
+
+def test_no_parallel_is_a_router_of_k_one(tmp_path):
+    runs = 0
+    for case, scenario, config in no_parallel_runs(tmp_path):
+        assert config.no_parallel and config.k > 1
+        single = dataclasses.replace(config, no_parallel=False, k=1)
+        assert orchestrate(scenario, config).log.to_jsonl() == orchestrate(scenario, single).log.to_jsonl(), case
+        runs += 1
+    assert runs == (len(CANONICAL_SCENARIOS) + len(load_perfbench_run().SHAPES)) * 2
+
+
+class OutOfRangeScorer(scoring.LexicalScorer):
+    """The lexical scorer, but task `q5_memo` gets the triple it was built with."""
+
+    def __init__(self, triple):
+        self.triple = triple
+
+    def components(self, output, task):
+        return self.triple if task.id == "q5_memo" else super().components(output, task)
+
+
+@pytest.mark.parametrize(
+    "triple",
+    [(1.0, math.nan, 1.5), (1.0, 1.0, 1.5), (-0.25, 1.0, 1.0), (1.0, 1.0, math.nan)],
+    ids=["nan-factuality", "relevance-above-one", "negative-coherence", "nan-relevance"],
+)
+def test_a_scorer_component_that_is_nan_or_outside_the_unit_interval_stops_the_run(monkeypatch, triple):
+    monkeypatch.setitem(scoring._SCORERS, "out_of_range", lambda: OutOfRangeScorer(triple))
+    scenario = load_scenario(SCENARIO_DIR / "compliance_audit.json")
+    config = RunConfig().with_overrides(scenario.defaults).with_overrides({"scorer": "out_of_range"})
+    named = re.escape("('q5_memo', ") + ".*" + re.escape(f"components {triple!r} outside [0, 1]")
+    with pytest.raises(ScorerUnavailableError, match=named):
+        orchestrate(scenario, config)
+    # the run stops before it commits the entry, and its log holds no NaN
+    orch = Orchestrator(scenario, config)
+    with pytest.raises(ScorerUnavailableError):
+        orch.run()
+    assert "q5_memo" in {event.payload["task_id"] for event in orch.log.by_kind("store")}
+    assert "q5_memo" not in {event.payload["task_id"] for event in orch.log.by_kind("commit")}
+    assert orch.memory.committed_entry("q5_memo") is None
+    assert orch.memory.committed_count() == 5
+    assert "NaN" not in orch.log.to_jsonl()
 
 
 def test_reproducibility_same_seed_same_bytes():
@@ -562,7 +600,7 @@ def test_agent_left_loaded_is_an_invariant_error(monkeypatch):
 
 
 @pytest.mark.parametrize("static", [False, True], ids=["dependent-waves", "static-queue"])
-def test_a_clock_that_overflows_is_an_invariant_error_before_the_wave_stores(tmp_path, static):
+def test_a_clock_that_overflows_is_an_invariant_error_before_the_wave_stores(static):
     # each latency is finite, as the schema requires, but t1's and t2's sum is not
     rows = {("t1", 0): make_row({"f1"}, latency=1e308), ("t2", 0): make_row({"f2"}, latency=1e308)}
     scenario = make_scenario(
@@ -570,15 +608,11 @@ def test_a_clock_that_overflows_is_an_invariant_error_before_the_wave_stores(tmp
         agents=[make_agent("a1", rows=rows)],
         static_assignments={"t1": "a1", "t2": "a1"},
     )
-    audit = tmp_path / "memory.jsonl"
-    orch = Orchestrator(scenario, RunConfig(static=static), memory_audit_path=audit)
+    orch = Orchestrator(scenario, RunConfig(static=static))
     with pytest.raises(InvariantError, match="virtual time overflows at task 't2' \\(agent 'a1', attempt 0\\)"):
         orch.run()
-    # the audit file and the run log agree: no store of the overflowing wave reached either
-    stored = [] if static else ["t1"]
-    assert [event.payload["task_id"] for event in orch.log.by_kind("store")] == stored
-    lines = [json.loads(line) for line in audit.read_text(encoding="utf-8").splitlines()]
-    assert [line["task_id"] for line in lines if not line["committed"]] == stored
+    # no store of the overflowing wave reached the run log
+    assert [event.payload["task_id"] for event in orch.log.by_kind("store")] == ([] if static else ["t1"])
     assert all(event.virtual_time < float("inf") for event in orch.log.events)
 
 

@@ -219,8 +219,8 @@ def test_no_hot_event_of_the_bundled_or_bench_runs_takes_the_fallback(monkeypatc
     monkeypatch.setattr(runlog, "_ENCODE", lambda obj: fallback.append(obj) or encode(obj))
     runs = 0
     for scenario, config in bundled_and_bench_runs(tmp_path):
-        audited = Orchestrator(scenario, config, memory_audit_path=tmp_path / "audit.jsonl")
-        log = audited.run().log
+        log = Orchestrator(scenario, config).run().log
+        log.memory_audit_text()
         assert fallback == []  # every memory audit line took the store template
         text = log.to_jsonl()
         assert len(fallback) == sum(e.kind not in HOT_KINDS for e in log.events)  # one per cold event

@@ -135,13 +135,6 @@ def test_route_k_below_two_never_fans_out():
     assert decision.mode is RouteMode.SINGLE
 
 
-def test_route_allow_parallel_false_degenerates_to_single():
-    agents = pool(make_agent("a1"), make_agent("a2"))
-    router = Router(agents, theta=0.0, k=3)
-    decision = router.route(make_task("t", ambiguity=1.0), allow_parallel=False)
-    assert decision.mode is RouteMode.SINGLE
-
-
 def test_theta_zero_routes_every_task_parallel():
     agents = pool(make_agent("a1"), make_agent("a2"), make_agent("a3"))
     router = Router(agents, theta=0.0, k=3)
@@ -240,7 +233,7 @@ def spec_is_ambiguous(agents, task, theta):
     return best < theta
 
 
-def spec_route(agents, task, theta, k, w1, w2, allow_parallel):
+def spec_route(agents, task, theta, k, w1, w2):
     scored = sorted(
         (-spec_suitability(agent.profile, task, w1, w2), agent_id)
         for agent_id, agent in agents.items()
@@ -249,7 +242,7 @@ def spec_route(agents, task, theta, k, w1, w2, allow_parallel):
     ranked = [agent_id for _, agent_id in scored]
     if not ranked:
         return ()
-    if allow_parallel and k >= 2 and spec_is_ambiguous(agents, task, theta):
+    if k >= 2 and spec_is_ambiguous(agents, task, theta):
         if len(ranked[:k]) >= 2:
             return tuple(ranked[:k])
     return (ranked[0],)
@@ -282,17 +275,17 @@ def routing_cases(draw):
         agent = spec.build()
         agent.profile.load = draw(st.integers(0, capacity))
         agents[spec.id] = agent
-    k = draw(st.integers(1, 4))
-    return agents, task, theta, k, draw(UNIT), draw(UNIT), draw(st.booleans())
+    k = draw(st.integers(1, 4)) if draw(st.booleans()) else 1  # a router without fan-out has k 1
+    return agents, task, theta, k, draw(UNIT), draw(UNIT)
 
 
 @given(routing_cases())
 def test_router_matches_the_per_agent_scan(case):
-    agents, task, theta, k, w1, w2, allow_parallel = case
+    agents, task, theta, k, w1, w2 = case
     router = Router(agents, theta=theta, k=k, perf_weight=w1, capacity_weight=w2)
     for agent in agents.values():
         assert suitability(agent.profile, task, w1, w2) == spec_suitability(agent.profile, task, w1, w2)
     assert router.is_ambiguous(task) is spec_is_ambiguous(agents, task, theta)
-    decision = router.route(task, allow_parallel=allow_parallel)
-    assert decision.assignees == spec_route(agents, task, theta, k, w1, w2, allow_parallel)
+    decision = router.route(task)
+    assert decision.assignees == spec_route(agents, task, theta, k, w1, w2)
     assert decision.mode is {0: RouteMode.DEFER, 1: RouteMode.SINGLE}.get(len(decision.assignees), RouteMode.PARALLEL)

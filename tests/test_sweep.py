@@ -19,13 +19,6 @@ ROW_KEYS = {
     "orchestrate_raw_s",
     "orchestrate_repeats",
     "orchestrate_peak_bytes",
-    "orchestrate_audit_s",
-    "orchestrate_audit_raw_s",
-    "orchestrate_audit_repeats",
-    "orchestrate_audit_gc_collections",
-    "orchestrate_audit_gc_s",
-    "orchestrate_audit_gc_raw_s",
-    "orchestrate_audit_ratio",
     "to_jsonl_s",
     "to_jsonl_raw_s",
     "to_jsonl_repeats",
@@ -38,6 +31,9 @@ ROW_KEYS = {
     "report_s",
     "report_raw_s",
     "report_repeats",
+    "audit_text_s",
+    "audit_text_raw_s",
+    "audit_text_repeats",
     "load_gc_collections",
     "load_gc_s",
     "load_gc_raw_s",
@@ -78,12 +74,10 @@ def test_sweep_writes_every_size_of_every_shape(tmp_path):
             assert row["to_jsonl_s"] > 0 and row["load_peak_bytes"] > 0
             assert row["write_s"] > 0 and row["write_repeats"] >= 1
             assert row["report_s"] > 0 and row["report_repeats"] >= 1
+            assert row["audit_text_s"] > 0 and row["audit_text_repeats"] >= 1
             # the load parses the same text and then builds from it
             assert 0 < row["parse_s"] < row["load_s"]
-            assert row["orchestrate_audit_s"] > 0 and row["orchestrate_audit_ratio"] > 0
-            # the plain and audited runs are timed in pairs
-            assert row["orchestrate_repeats"] == row["orchestrate_audit_repeats"]
-            for name in ("load", "parse", "orchestrate", "orchestrate_audit", "to_jsonl"):
+            for name in ("load", "parse", "orchestrate", "to_jsonl"):
                 collections = row[f"{name}_gc_collections"]
                 assert len(collections) == 3 and all(n >= 0 for n in collections)
                 assert row[f"{name}_gc_s"] >= 0 and row[f"{name}_gc_raw_s"] >= 0

@@ -12,20 +12,18 @@ and records:
   `load_scenario` pauses it, so `load_s / parse_s` is the ingest ratio;
 - `orchestrate_s`: `orchestrate` of the loaded scenario, configured as the
   benchmark configures its full variant;
-- `orchestrate_audit_s`: the same run with a memory audit file, built and run
-  with the collector paused as `orchestrate` pauses it; its repeats alternate
-  with those of `orchestrate_s`, one plain and one audited run at a time;
-- `orchestrate_audit_ratio`: the median over those pairs of the audited run's
-  raw time over the plain run's, so host drift between pairs does not move it;
-- `to_jsonl_s`: `RunLog.to_jsonl` of the log of the run without the file;
+- `to_jsonl_s`: `RunLog.to_jsonl` of the run's log;
 - `report_s`, `report_raw_s`, `report_repeats`: `build_report` of that log,
   the end-of-run pass that recomputes the report from the log, with the
   collector paused as `Orchestrator.run` pauses it around that call;
+- `audit_text_s`, `audit_text_raw_s`, `audit_text_repeats`:
+  `RunLog.memory_audit_text` of that log, the memory audit file a caller
+  derives from the run on request;
 - `write_s`, `write_raw_s`, `write_repeats`: `RunLog.write` of that log over
   a file that already holds it, as a rerun of the CLI with the same `--log`
   writes it;
 - `load_gc_collections`, `load_gc_s`, `load_gc_raw_s` (and the same for
-  `parse`, `orchestrate`, `orchestrate_audit` and `to_jsonl`): the cyclic
+  `parse`, `orchestrate` and `to_jsonl`): the cyclic
   collector's share of the timed calls, as the collections it ran per
   generation (0, 1, 2) and the seconds spent inside them, read through
   `gc.callbacks` during those same calls;
@@ -92,7 +90,7 @@ def measure(repo: Path, shape_name: str, tasks: int, work: Path) -> dict:
     from reference import Scaler
     from taskweave._collector import collector_paused
     from taskweave.metrics import build_report
-    from taskweave.orchestrator import Orchestrator, orchestrate
+    from taskweave.orchestrator import orchestrate
     from taskweave.scenario import load_scenario
 
     path = work / f"{shape_name}-{tasks}.json"
@@ -123,16 +121,12 @@ def measure(repo: Path, shape_name: str, tasks: int, work: Path) -> dict:
         scaled, raw = scaler.wrap(op)()
         return scaled, raw, inside * scaled / raw, inside, collections
 
-    def repeated(*fns) -> list[tuple]:
-        """Samples of the `fns` in turn, one call of each per repeat, so a drift in host speed
-        reaches each alike; up to REPEATS, or until the calls add up to BUDGET_S per fn."""
-        rounds = []
-        while len(rounds) < REPEATS and sum(s[1] for r in rounds for s in r) < BUDGET_S * len(fns):
-            rounds.append(tuple(sample(fn) for fn in fns))
-        return rounds
-
-    def summary(name: str, samples: list[tuple]) -> dict:
-        """Median time of the samples, and the collector's work inside the same calls."""
+    def timed(name: str, fn) -> dict:
+        """Median time of up to REPEATS calls of `fn`, fewer once they add up to BUDGET_S, and
+        the collector's work inside the same calls."""
+        samples = []
+        while len(samples) < REPEATS and sum(s[1] for s in samples) < BUDGET_S:
+            samples.append(sample(fn))
         return {
             f"{name}_s": statistics.median(s[0] for s in samples),
             f"{name}_raw_s": statistics.median(s[1] for s in samples),
@@ -141,9 +135,6 @@ def measure(repo: Path, shape_name: str, tasks: int, work: Path) -> dict:
             f"{name}_gc_raw_s": statistics.median(s[3] for s in samples),
             f"{name}_gc_collections": [statistics.median(s[4][g] for s in samples) for g in range(3)],
         }
-
-    def timed(name: str, fn) -> dict:
-        return summary(name, [s for s, in repeated(fn)])
 
     def peak(name: str, fn) -> dict[str, int]:
         tracemalloc.start()
@@ -161,20 +152,18 @@ def measure(repo: Path, shape_name: str, tasks: int, work: Path) -> dict:
     scenario = load()
     config = run.make_item(path, scenario, "full").config
     run_once = partial(orchestrate, scenario, config)
-    audit = work / f"{shape_name}-{tasks}.audit.jsonl"
-    pairs = repeated(run_once, collector_paused(lambda: Orchestrator(scenario, config, audit).run()))
-    row.update(summary("orchestrate", [plain for plain, _ in pairs]), **peak("orchestrate", run_once))
-    row.update(summary("orchestrate_audit", [audited for _, audited in pairs]))
-    row["orchestrate_audit_ratio"] = statistics.median(audited[1] / plain[1] for plain, audited in pairs)
+    row.update(timed("orchestrate", run_once), **peak("orchestrate", run_once))
     log = run_once().log
     row.update(timed("to_jsonl", log.to_jsonl))
     report = timed("report", collector_paused(partial(build_report, log, scenario)))
     row.update((key, report[key]) for key in ("report_s", "report_raw_s", "report_repeats"))
+    audit_text = timed("audit_text", log.memory_audit_text)
+    row.update((key, audit_text[key]) for key in ("audit_text_s", "audit_text_raw_s", "audit_text_repeats"))
     written = work / f"{shape_name}-{tasks}.jsonl"
     log.write(written)
     write = timed("write", partial(log.write, written))
     row.update((key, write[key]) for key in ("write_s", "write_raw_s", "write_repeats"))
-    for made in (path, audit, written):
+    for made in (path, written):
         made.unlink()
     return row
 
