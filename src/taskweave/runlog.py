@@ -38,7 +38,8 @@ class RunEvent(NamedTuple):
 # `_ENCODE` writes with what `json` itself uses: `_str` and the int and float
 # reprs. A payload fits if it is a dict with exactly the template's key count
 # and keys (else KeyError) and values of exactly the written types (else
-# TypeError): ints that are not bools, finite floats, a list of strings.
+# TypeError): ints that are not bools, finite floats, a list of strings, and a
+# store's `committed` false and `score` null, as the run writes them.
 _KEY_COUNTS = {"dispatch": 5, "store": 8, "commit": 5}
 
 
@@ -59,7 +60,7 @@ def _score(s: object) -> str:
 
 
 def dumps_payload(kind: str, p: dict) -> str:
-    """`json.dumps(p, sort_keys=True)`; the store template also writes the memory audit lines."""
+    """`json.dumps(p, sort_keys=True)`."""
     if type(p) is dict and len(p) == _KEY_COUNTS.get(kind):
         try:
             head = f'{{"agent_id": {_str(p["agent_id"])}, "attempt": {_num(p["attempt"], int)}, '
@@ -69,13 +70,11 @@ def dumps_payload(kind: str, p: dict) -> str:
             tail = f'"task_id": {_str(p["task_id"])}, "version": {_num(p["version"], int)}}}'
             if kind == "commit":
                 return f'{head}"score": {_score(p["score"])}, {tail}'
-            committed, facts, score = p["committed"], p["emitted_facts"], p["score"]
-            if type(committed) is bool and type(facts) is list:
+            facts = p["emitted_facts"]
+            if p["committed"] is False and p["score"] is None and type(facts) is list:
                 return (
-                    f'{head}"committed": {"true" if committed else "false"}, '
-                    f'"declared_confidence": {_num(p["declared_confidence"], float)}, '
-                    f'"emitted_facts": [{", ".join(map(_str, facts))}], '
-                    f'"score": {"null" if score is None else _score(score)}, {tail}'
+                    f'{head}"committed": false, "declared_confidence": {_num(p["declared_confidence"], float)}, '
+                    f'"emitted_facts": [{", ".join(map(_str, facts))}], "score": null, {tail}'
                 )
         except (KeyError, TypeError):
             pass
@@ -121,22 +120,6 @@ class RunLog:
                 f"commit of task {key[0]!r} names version {version!r}, but no matching store event has it"
             )
         return store
-
-    def memory_audit_text(self) -> str:
-        """The memory audit file, one line per store and commit event, in log order.
-
-        A store's line is its payload; a commit's line is the payload of the store
-        it commits, with `committed` true and the commit's score.
-        """
-        lines = []
-        for _, kind, p in self.events:
-            if kind == "store":
-                lines.append(dumps_payload(kind, p))
-            elif kind == "commit":
-                line = {**self.committed_store(p), "committed": True, "score": p["score"]}
-                lines.append(dumps_payload("store", line))
-        lines.append("")
-        return "\n".join(lines)
 
     def to_jsonl(self) -> str:
         """One `json.dumps(event.to_dict(), sort_keys=True)` line per event."""

@@ -57,7 +57,7 @@ def test_load_and_every_variant_run_leave_no_cyclic_garbage(no_collector, tmp_pa
         for variant in bench.VARIANTS:
             orchestrate(scenario, bench.make_item(path, scenario, variant).config)
     orch = Orchestrator(scenario, RunConfig())
-    assert orch.run().log.memory_audit_text()
+    orch.run()
     del scenario, orch
     assert gc.collect() == 0
 

@@ -2,16 +2,13 @@
 
 from __future__ import annotations
 
-import json
-import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from taskweave import CandidateOutput, DuplicateKeyError, RunLog, SharedMemory, UnknownEntryError
-from taskweave.scoring import ScoreBreakdown
+from taskweave import CandidateOutput, DuplicateKeyError, SharedMemory, UnknownEntryError
 
 
 def output(task="t1", agent="a", attempt=0, facts=(), conf=0.5, at=0.0):
@@ -169,69 +166,3 @@ def test_a_held_view_reads_the_union_of_the_current_winners(ops):
         winners = [memory.entry(k) for k in stored if memory.entry(k).committed]
         assert view.committed_facts() == frozenset().union(*(e.output.emitted_facts for e in winners))
     assert memory.empty_view().committed_facts() == frozenset()
-
-
-def store_event(log, key, facts=(), conf=0.5, at=0.0, version=1):
-    """Append the `store` event the run appends for a fresh entry; return its payload."""
-    task_id, agent_id, attempt = key
-    payload = {
-        "task_id": task_id,
-        "agent_id": agent_id,
-        "attempt": attempt,
-        "version": version,
-        "committed": False,
-        "emitted_facts": sorted(facts),
-        "declared_confidence": conf,
-        "score": None,
-    }
-    log.append("store", at, payload)
-    return payload
-
-
-def commit_event(log, store, score):
-    """Append the `commit` event the run appends for the entry of a store payload."""
-    payload = {k: store[k] for k in ("task_id", "agent_id", "attempt", "version")}
-    log.append("commit", log.events[-1].virtual_time, {**payload, "score": score})
-
-
-def test_audit_log_write_through():
-    # the audit file is derived from the run log: one line per store and per commit event
-    log = RunLog()
-    store = store_event(log, ("t1", "a", 0), facts={"f2", "f1"}, conf=0.9)
-    score = {"coherence": 0.5, "composite": 0.5, "factuality": 0.5, "relevance": 0.5}
-    commit_event(log, store, score)
-
-    lines = [json.loads(line) for line in log.memory_audit_text().splitlines()]
-    assert len(lines) == 2
-    store_line, commit_line = lines
-    assert store_line == {
-        "task_id": "t1",
-        "agent_id": "a",
-        "attempt": 0,
-        "version": 1,
-        "committed": False,
-        "emitted_facts": ["f1", "f2"],
-        "declared_confidence": 0.9,
-        "score": None,
-    }
-    assert commit_line == store_line | {"committed": True, "score": score}
-
-
-SCORES = st.none() | st.builds(ScoreBreakdown, *[st.sampled_from([0.5, 1.0, -0.0, 1e-7, 1, True, math.nan, None])] * 4)
-ODD = st.sampled_from(["a", 0, 1, 0.5, 1e16, True, None, math.inf, "\ud800"])
-
-
-@settings(max_examples=300, deadline=None)
-@given(ODD, ODD, st.sets(st.sampled_from(["f1", "f\"2", "\u00e9"]), max_size=3), ODD, SCORES)
-def test_each_audit_line_is_json_dumps_of_the_store_payload_at_that_moment(agent, attempt, facts, conf, score):
-    """Store and commit an entry whose values may be off the types the templates write; the
-    audit file derived from the log holds the store payload as it was at its store and at its
-    commit."""
-    log = RunLog()
-    store = store_event(log, ("t1", agent, attempt), facts=facts, conf=conf)
-    score = None if score is None else score.to_dict()
-    commit_event(log, store, score)
-    assert log.memory_audit_text().splitlines() == [
-        json.dumps(store, sort_keys=True),
-        json.dumps(store | {"committed": True, "score": score}, sort_keys=True),
-    ]

@@ -29,7 +29,7 @@ from taskweave import (
 )
 from taskweave import orchestrator, scoring
 from taskweave.evaluator import Evaluator
-from taskweave.runlog import RunLog, dumps_payload
+from taskweave.runlog import RunLog
 from taskweave.scenario import load_scenario
 
 from conftest import CANONICAL_SCENARIOS, SCENARIO_DIR, make_agent, make_row, make_scenario, make_task
@@ -334,23 +334,6 @@ def test_no_memory_sharing_blinds_contingent_facts():
     assert "derived" not in blind.memory.committed_entry("down").output.emitted_facts
 
 
-def test_memory_audit_file_written_during_run():
-    result = Orchestrator(ambiguous_scenario(), RunConfig(k=3)).run()
-    lines = [json.loads(line) for line in result.log.memory_audit_text().splitlines()]
-    assert len(lines) == 4  # 3 stores + 1 commit
-    assert sum(1 for line in lines if line["committed"]) == 1
-    assert {
-        "task_id",
-        "agent_id",
-        "attempt",
-        "version",
-        "committed",
-        "emitted_facts",
-        "declared_confidence",
-        "score",
-    } == set(lines[0])
-
-
 class FailingScorer:
     """Scores every output 0.5, and fails on task `t2`."""
 
@@ -368,59 +351,39 @@ def chain_scenario():
     )
 
 
-def audit_lines(log):
-    text = log.memory_audit_text()
-    assert text.endswith("\n")
-    return [json.loads(line) for line in text.splitlines()]
+def store_payload(entry):
+    """The `store` payload the run writes for a memory entry."""
+    return {
+        "task_id": entry.task_id,
+        "agent_id": entry.agent_id,
+        "attempt": entry.attempt,
+        "version": entry.version,
+        "committed": False,
+        "emitted_facts": sorted(entry.output.emitted_facts),
+        "declared_confidence": entry.output.declared_confidence,
+        "score": None,
+    }
 
 
-def test_memory_audit_file_is_complete_when_the_run_returns_or_raises(monkeypatch):
+def test_the_log_holds_every_store_and_commit_when_the_run_returns_or_raises(monkeypatch):
     monkeypatch.setitem(scoring._SCORERS, "failing", FailingScorer)
     orch = Orchestrator(chain_scenario(), RunConfig(no_feedback=True))
-    result = orch.run()
-    lines = audit_lines(result.log)
-    assert len(lines) == len(result.log.by_kind("store")) + len(result.log.by_kind("commit")) == 4
-    assert lines[0] == result.log.by_kind("store")[0].payload
+    log = orch.run().log
+    stores = [store_payload(orch.memory.entry((task_id, "a1", 0))) for task_id in ("t1", "t2")]
+    assert [e.payload for e in log.by_kind("store")] == stores
+    assert [log.committed_store(e.payload) for e in log.by_kind("commit")] == stores
 
     config = RunConfig(scorer="failing", no_feedback=True)
     failing = Orchestrator(chain_scenario(), config)
     with pytest.raises(RuntimeError, match="scorer failure mid-run"):
         failing.run()
-    # the log of the run that raised holds every line up to the fault: t1 stored and committed, t2 stored
-    lines = audit_lines(failing.log)
-    assert [(line["task_id"], line["committed"]) for line in lines] == [
-        ("t1", False), ("t1", True), ("t2", False)
-    ]
+    # the log of the run that raised holds every event up to the fault: t1 stored and committed, t2 stored
+    events = [(e.kind, e.payload) for e in failing.log.events if e.kind in ("store", "commit")]
     t1, t2 = (failing.memory.entry((task_id, "a1", 0)) for task_id in ("t1", "t2"))
-    assert lines == [
-        {
-            "task_id": entry.task_id,
-            "agent_id": "a1",
-            "attempt": 0,
-            "version": entry.version,
-            "committed": committed,
-            "emitted_facts": sorted(entry.output.emitted_facts),
-            "declared_confidence": entry.output.declared_confidence,
-            "score": entry.score.to_dict() if committed else None,
-        }
-        for entry, committed in ((t1, False), (t1, True), (t2, False))
-    ]
-
-
-@pytest.mark.parametrize("path", CANONICAL_SCENARIOS, ids=lambda p: p.stem)
-def test_an_audited_run_builds_each_audit_dict_once_for_both_files(path):
-    log = Orchestrator(load_scenario(path), RunConfig()).run().log
-    stores, commits = log.by_kind("store"), log.by_kind("commit")
-    lines = log.memory_audit_text().splitlines()
-    # a store's line is its event's payload, byte for byte; a commit's line is the payload of
-    # the store it commits, with committed true and the commit's score
-    assert [line for line in lines if '"committed": false' in line] == [
-        dumps_payload("store", event.payload) for event in stores
-    ]
-    by_version = {event.payload["version"]: event.payload for event in stores}
-    assert [line for line in lines if '"committed": true' in line] == [
-        json.dumps(by_version[e.payload["version"]] | {"committed": True, "score": e.payload["score"]}, sort_keys=True)
-        for e in commits
+    assert events == [
+        ("store", store_payload(t1)),
+        ("commit", {"task_id": "t1", "agent_id": "a1", "attempt": 0, "version": t1.version, "score": t1.score.to_dict()}),
+        ("store", store_payload(t2)),
     ]
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 
@@ -31,9 +32,6 @@ ROW_KEYS = {
     "report_s",
     "report_raw_s",
     "report_repeats",
-    "audit_text_s",
-    "audit_text_raw_s",
-    "audit_text_repeats",
     "load_gc_collections",
     "load_gc_s",
     "load_gc_raw_s",
@@ -63,7 +61,8 @@ def test_sweep_writes_every_size_of_every_shape(tmp_path):
     doc = json.loads(out.read_text(encoding="utf-8"))
     assert set(doc["runs"]) == {"change", "other"}
     run = doc["runs"]["change"]
-    assert {"commit", "dirty", "python", "machine", "seed", "cap_s", "shapes"} <= set(run)
+    assert {"commit", "dirty", "src_digest", "python", "machine", "seed", "cap_s", "shapes"} <= set(run)
+    assert run["src_digest"] == load_sweep().src_digest(REPO_ROOT)
     assert set(run["shapes"]) == {"deep_dag", "fanout_revise"}
     assert set(run["shapes"]["deep_dag"]["sizes"]) == {"8", "16"}
     assert set(run["shapes"]["deep_dag"]["orchestrate_growth"]) == {"8->16"}
@@ -74,7 +73,6 @@ def test_sweep_writes_every_size_of_every_shape(tmp_path):
             assert row["to_jsonl_s"] > 0 and row["load_peak_bytes"] > 0
             assert row["write_s"] > 0 and row["write_repeats"] >= 1
             assert row["report_s"] > 0 and row["report_repeats"] >= 1
-            assert row["audit_text_s"] > 0 and row["audit_text_repeats"] >= 1
             # the load parses the same text and then builds from it
             assert 0 < row["parse_s"] < row["load_s"]
             for name in ("load", "parse", "orchestrate", "to_jsonl"):
@@ -89,6 +87,21 @@ def load_sweep():
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
     return sweep
+
+
+def test_the_source_digest_names_the_code_of_a_copy_outside_git(tmp_path):
+    sweep = load_sweep()
+    copies = [tmp_path / "a", tmp_path / "bb"]
+    for copy in copies:
+        shutil.copytree(REPO_ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    # the same code at another path has the same digest, and no commit names it
+    assert sweep.src_digest(copies[0]) == sweep.src_digest(copies[1]) == sweep.src_digest(REPO_ROOT)
+    assert sweep.git_state(copies[0]) == {"commit": None, "dirty": None}
+    changed = copies[1] / "src" / "taskweave" / "runlog.py"
+    data = bytearray(changed.read_bytes())
+    data[-2] ^= 1
+    changed.write_bytes(bytes(data))
+    assert sweep.src_digest(copies[1]) != sweep.src_digest(copies[0])
 
 
 def test_sweep_records_a_size_over_the_cap_as_skipped(tmp_path):

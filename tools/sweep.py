@@ -16,9 +16,6 @@ and records:
 - `report_s`, `report_raw_s`, `report_repeats`: `build_report` of that log,
   the end-of-run pass that recomputes the report from the log, with the
   collector paused as `Orchestrator.run` pauses it around that call;
-- `audit_text_s`, `audit_text_raw_s`, `audit_text_repeats`:
-  `RunLog.memory_audit_text` of that log, the memory audit file a caller
-  derives from the run on request;
 - `write_s`, `write_raw_s`, `write_repeats`: `RunLog.write` of that log over
   a file that already holds it, as a rerun of the CLI with the same `--log`
   writes it;
@@ -38,6 +35,10 @@ so one copy of this script measures any checkout, parent or change. A child
 that runs past `CAP_S` seconds is stopped and its size recorded as skipped; the
 cap covers the whole child (generation, every load and orchestrate repeat and
 the traced run), not one orchestrate.
+Each run names the code it measured: the checkout's git `commit` and whether
+it is `dirty` (null outside a git work tree, as in a `git archive` copy), and
+`src_digest`, a sha256 over the files of `<repo>/src`, which a copy outside
+git has too.
 The output file keeps the runs of other labels, so two calls with different
 labels fill one file. Nothing under `perfbench/` is written.
 """
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import json
 import os
 import platform
@@ -157,8 +159,6 @@ def measure(repo: Path, shape_name: str, tasks: int, work: Path) -> dict:
     row.update(timed("to_jsonl", log.to_jsonl))
     report = timed("report", collector_paused(partial(build_report, log, scenario)))
     row.update((key, report[key]) for key in ("report_s", "report_raw_s", "report_repeats"))
-    audit_text = timed("audit_text", log.memory_audit_text)
-    row.update((key, audit_text[key]) for key in ("audit_text_s", "audit_text_raw_s", "audit_text_repeats"))
     written = work / f"{shape_name}-{tasks}.jsonl"
     log.write(written)
     write = timed("write", partial(log.write, written))
@@ -181,6 +181,17 @@ def git_state(repo: Path) -> dict:
     except (OSError, subprocess.CalledProcessError):
         return {"commit": None, "dirty": None}
     return {"commit": head, "dirty": bool(status.strip())}
+
+
+def src_digest(repo: Path) -> str:
+    """sha256 over each `*.py` and `*.json` file under `<repo>/src`, in sorted path order: its
+    path relative to `src`, its length and its bytes."""
+    src = repo / "src"
+    digest = hashlib.sha256()
+    for name in sorted(path.relative_to(src).as_posix() for glob in ("*.py", "*.json") for path in src.rglob(glob)):
+        data = (src / name).read_bytes()
+        digest.update(f"{name}\0{len(data)}\0".encode("utf-8") + data)
+    return digest.hexdigest()
 
 
 def sweep(repo: Path, sizes: dict[str, tuple[int, ...]], cap: float, work: Path) -> dict:
@@ -247,6 +258,7 @@ def main(argv: list[str] | None = None) -> int:
     doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     doc.setdefault("runs", {})[args.label] = {
         **git_state(repo),
+        "src_digest": src_digest(repo),
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
         "seed": SEED,
