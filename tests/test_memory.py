@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import json
+import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taskweave import CandidateOutput, DuplicateKeyError, SharedMemory, UnknownEntryError
+from taskweave import CandidateOutput, DuplicateKeyError, RunLog, SharedMemory, UnknownEntryError
+from taskweave.scoring import ScoreBreakdown
 
 
 def output(task="t1", agent="a", attempt=0, facts=(), conf=0.5, at=0.0):
@@ -166,3 +169,74 @@ def test_a_held_view_reads_the_union_of_the_current_winners(ops):
         winners = [memory.entry(k) for k in stored if memory.entry(k).committed]
         assert view.committed_facts() == frozenset().union(*(e.output.emitted_facts for e in winners))
     assert memory.empty_view().committed_facts() == frozenset()
+
+
+def store_event(log, key, facts=(), conf=0.5, at=0.0, version=1):
+    """Append the `store` event the run appends for a fresh entry; return its payload."""
+    task_id, agent_id, attempt = key
+    payload = {
+        "task_id": task_id,
+        "agent_id": agent_id,
+        "attempt": attempt,
+        "version": version,
+        "committed": False,
+        "emitted_facts": sorted(facts),
+        "declared_confidence": conf,
+        "score": None,
+    }
+    log.append("store", at, payload)
+    return payload
+
+
+def commit_event(log, store, score):
+    """Append the `commit` event the run appends for the entry of a store payload; return its payload."""
+    payload = {k: store[k] for k in ("task_id", "agent_id", "attempt", "version")} | {"score": score}
+    log.append("commit", log.events[-1].virtual_time, payload)
+    return payload
+
+
+def test_a_commit_replays_to_the_store_event_it_names():
+    # an entry's history in the log: its store line, then each commit naming that store by version
+    log = RunLog()
+    store = store_event(log, ("t1", "a", 0), facts={"f2", "f1"}, conf=0.9)
+    score = {"coherence": 0.5, "composite": 0.5, "factuality": 0.5, "relevance": 0.5}
+    commit = commit_event(log, store, score)
+
+    assert store == {
+        "task_id": "t1",
+        "agent_id": "a",
+        "attempt": 0,
+        "version": 1,
+        "committed": False,
+        "emitted_facts": ["f1", "f2"],
+        "declared_confidence": 0.9,
+        "score": None,
+    }
+    assert commit == {"task_id": "t1", "agent_id": "a", "attempt": 0, "version": 1, "score": score}
+    assert log.committed_store(commit) is store
+    read = RunLog.from_jsonl(log.to_jsonl())
+    assert read.committed_store(read.by_kind("commit")[0].payload) == store
+
+
+SCORES = st.none() | st.builds(ScoreBreakdown, *[st.sampled_from([0.5, 1.0, -0.0, 1e-7, 1, True, math.nan, None])] * 4)
+ODD = st.sampled_from(["a", 0, 1, 0.5, 1e16, True, None, math.inf, "\ud800"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(ODD, ODD, st.sets(st.sampled_from(["f1", "f\"2", "\u00e9"]), max_size=3), ODD, SCORES)
+def test_a_written_log_replays_each_commit_to_the_store_payload_at_that_moment(agent, attempt, facts, conf, score):
+    """Store and commit an entry whose values may be off the types the templates write; the log
+    written and read back holds the store payload as it was at its store, and its commit names it."""
+    log = RunLog()
+    store = store_event(log, ("t1", agent, attempt), facts=facts, conf=conf)
+    score = None if score is None else score.to_dict()
+    commit = commit_event(log, store, score)
+    read = RunLog.from_jsonl(log.to_jsonl())
+    # NaN is not equal to itself, so compare the JSON text
+    assert [json.dumps(e.payload, sort_keys=True) for e in read.events] == [
+        json.dumps(store, sort_keys=True),
+        json.dumps(commit, sort_keys=True),
+    ]
+    assert json.dumps(read.committed_store(read.by_kind("commit")[0].payload), sort_keys=True) == json.dumps(
+        store, sort_keys=True
+    )

@@ -352,33 +352,49 @@ def test_report_of_every_bundled_run_equals_the_dict_replay():
     assert runs == 3 * 5 * 2
 
 
-def first_lookup(log: RunLog, versions) -> tuple[int, str]:
-    """(version, task id) of the first commit `build_report` looks up whose version is in
-    `versions`: it looks up each final winner in version order."""
-    winners = {event.payload["task_id"]: event.payload for event in log.by_kind("commit")}.values()
-    winners = sorted(winners, key=lambda c: c["version"])
-    return next((c["version"], c["task_id"]) for c in winners if c["version"] in versions)
+def replay_every_commit(log: RunLog, scenario) -> list[dict]:
+    """The store payload of every commit, looked up in log order."""
+    return [log.committed_store(event.payload) for event in log.by_kind("commit")]
 
 
-def test_a_log_missing_a_store_event_names_the_commit_it_cannot_replay():
+# The two readers of the log that look a commit's store event up by its version.
+REPLAYS = {
+    "build_report": build_report,
+    "committed_store": replay_every_commit,
+}
+
+
+def first_lookup(log: RunLog, replay: str, versions) -> tuple[int, str]:
+    """(version, task id) of the first commit `replay` looks up whose version is in `versions`:
+    the report looks up each final winner in version order, `replay_every_commit` every commit
+    in log order."""
+    commits = [event.payload for event in log.by_kind("commit")]
+    if replay == "build_report":
+        commits = sorted({c["task_id"]: c for c in commits}.values(), key=lambda c: c["version"])
+    return next((c["version"], c["task_id"]) for c in commits if c["version"] in versions)
+
+
+@pytest.mark.parametrize("replay", REPLAYS)
+def test_a_log_missing_a_store_event_names_the_commit_it_cannot_replay(replay):
     for scenario, log in bundled_runs():
         stores = log.by_kind("store")
         dropped = RunLog(events=[e for e in log.events if e is not stores[0]])
         # every version now names the store event after its own, or none
-        version, task_id = first_lookup(log, range(1, len(stores) + 1))
+        version, task_id = first_lookup(log, replay, range(1, len(stores) + 1))
         with pytest.raises(UnknownEntryError, match=f"commit of task {task_id!r} names version {version},"):
-            build_report(dropped, scenario)
+            REPLAYS[replay](dropped, scenario)
 
 
-def test_a_log_with_two_store_events_swapped_names_the_commit_it_cannot_replay():
+@pytest.mark.parametrize("replay", REPLAYS)
+def test_a_log_with_two_store_events_swapped_names_the_commit_it_cannot_replay(replay):
     for scenario, log in bundled_runs():
         stores = log.by_kind("store")
         # the final winner with the lowest version, and a store event of another task
-        version, task_id = first_lookup(log, range(1, len(stores) + 1))
+        version, task_id = first_lookup(log, "build_report", range(1, len(stores) + 1))
         winner = stores[version - 1]
         other = next(e for e in stores if e.payload["task_id"] != task_id)
         swapped = RunLog(events=[other if e is winner else winner if e is other else e for e in log.events])
         # a commit naming either version now finds the other task's store event
-        version, task_id = first_lookup(log, {version, other.payload["version"]})
+        version, task_id = first_lookup(log, replay, {version, other.payload["version"]})
         with pytest.raises(UnknownEntryError, match=f"commit of task {task_id!r} names version {version},"):
-            build_report(swapped, scenario)
+            REPLAYS[replay](swapped, scenario)

@@ -365,6 +365,16 @@ def store_payload(entry):
     }
 
 
+def test_a_fanout_logs_each_candidate_store_and_the_winner_commit():
+    orch = Orchestrator(ambiguous_scenario(), RunConfig(k=3))
+    log = orch.run().log
+    entries = sorted(orch.memory.candidates("amb"), key=lambda e: e.version)
+    assert [e.payload for e in log.by_kind("store")] == [store_payload(e) for e in entries]
+    (commit,) = log.by_kind("commit")
+    assert log.committed_store(commit.payload) == store_payload(orch.memory.committed_entry("amb"))
+    assert commit.payload["agent_id"] == "a2"
+
+
 def test_the_log_holds_every_store_and_commit_when_the_run_returns_or_raises(monkeypatch):
     monkeypatch.setitem(scoring._SCORERS, "failing", FailingScorer)
     orch = Orchestrator(chain_scenario(), RunConfig(no_feedback=True))
@@ -772,3 +782,19 @@ def test_a_run_whose_memory_misses_a_winner_raises(monkeypatch):
     monkeypatch.setattr(SharedMemory, "commit", commit_then_forget_t2)
     with pytest.raises(MissingCommitError, match="1 committed entries for 2 tasks"):
         orchestrate(chain_scenario(), RunConfig(no_feedback=True))
+
+
+@pytest.mark.parametrize("path", CANONICAL_SCENARIOS, ids=lambda p: p.stem)
+def test_each_store_of_a_bundled_run_is_uncommitted_and_each_commit_names_one(path):
+    log = Orchestrator(load_scenario(path), RunConfig()).run().log
+    stores, commits = log.by_kind("store"), log.by_kind("commit")
+    # a store payload's `committed` is always false and its `score` null; a winner's score is on its commit
+    assert [(e.payload["committed"], e.payload["score"]) for e in stores] == [(False, None)] * len(stores)
+    assert [e.payload["version"] for e in stores] == list(range(1, len(stores) + 1))
+    assert all(type(e.payload["score"]) is dict for e in commits)
+    # each commit names by version a store event that precedes it in the log
+    position = {id(e): i for i, e in enumerate(log.events)}
+    for commit in commits:
+        store = stores[commit.payload["version"] - 1]
+        assert log.committed_store(commit.payload) is store.payload
+        assert position[id(store)] < position[id(commit)]
