@@ -31,7 +31,7 @@ from .errors import (
     UnknownEntryError,
 )
 from .evaluator import Evaluator
-from .feedback import FeedbackBus, FeedbackMessage, requires_revision
+from .feedback import FeedbackBus, FeedbackMessage
 from .graph import TaskGraph, TaskSpec, TaskStatus, build_graph
 from .memory import MemoryEntry, MemoryView, SharedMemory
 from .metrics import (
@@ -129,7 +129,6 @@ __all__ = [
     "orchestrate",
     "redundancy_penalty",
     "register_scorer",
-    "requires_revision",
     "revision_rate",
     "suitability",
 ]

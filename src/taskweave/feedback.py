@@ -42,13 +42,6 @@ class FeedbackMessage:
         }
 
 
-def requires_revision(
-    msg: FeedbackMessage, threshold: float = DEFAULT_SEVERITY_THRESHOLD
-) -> bool:
-    """True iff the message's severity is at or above the threshold."""
-    return msg.severity >= threshold
-
-
 class FeedbackBus:
     """Pending messages over shared memory references."""
 

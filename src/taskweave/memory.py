@@ -21,7 +21,6 @@ class MemoryEntry:
     key: EntryKey
     output: CandidateOutput
     version: int
-    committed: bool = False
     score: ScoreBreakdown | None = None
 
     @property
@@ -91,13 +90,11 @@ class SharedMemory:
         previous = self._committed.pop(task_id, None)
         counts = self._fact_counts
         if previous is not None:
-            previous.committed = False
             for fact in previous.output.emitted_facts:
                 if counts[fact] == 1:
                     del counts[fact]
                 else:
                     counts[fact] -= 1
-        entry.committed = True
         self._committed[task_id] = entry
         self._commits.append((entry, previous))
         for fact in entry.output.emitted_facts:

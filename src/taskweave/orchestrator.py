@@ -35,7 +35,7 @@ from .errors import (
     ScorerUnavailableError,
 )
 from .evaluator import DEFAULT_FACT_THRESHOLD, Evaluator
-from .feedback import DEFAULT_SEVERITY_THRESHOLD, FeedbackBus, requires_revision
+from .feedback import DEFAULT_SEVERITY_THRESHOLD, FeedbackBus
 from .graph import TaskGraph, TaskSpec, TaskStatus
 from .memory import SharedMemory
 from .metrics import RunReport, build_report
@@ -269,7 +269,7 @@ class Orchestrator:
             elif not self.config.no_feedback:
                 self._review_and_process_feedback()
 
-        bound = len(self.graph.tasks) * (1 + self.config.revision_budget) * self.config.k
+        bound = len(self.graph.tasks) * (1 + self.config.revision_budget) * self.router.k
         if self._dispatches > bound:
             raise InvariantError(f"dispatch bound violated: {self._dispatches} > {bound}")
         self.log.append(
@@ -404,7 +404,7 @@ class Orchestrator:
             self.log.append("feedback", self._clock, msg.to_dict())
 
         for msg in self.bus.drain():
-            if not requires_revision(msg, self.config.severity_threshold):
+            if msg.severity < self.config.severity_threshold:  # a critique at the threshold reopens
                 continue
             # Review only critiques committed tasks; one reopened earlier in
             # this drain is no longer committed.

@@ -59,6 +59,13 @@ def _score(s: object) -> str:
     )
 
 
+def _finite(token: str) -> float:
+    """A JSON float, or the `NaN` and `Infinity` tokens `json` reads, if finite."""
+    if not isfinite(value := float(token)):
+        raise ValueError(f"non-finite number {token} in a run log")
+    return value
+
+
 def dumps_payload(kind: str, p: dict) -> str:
     """`json.dumps(p, sort_keys=True)`."""
     if type(p) is dict and len(p) == _KEY_COUNTS.get(kind):
@@ -141,6 +148,6 @@ class RunLog:
         for line in text.splitlines():
             if not line.strip():
                 continue
-            doc = json.loads(line)
+            doc = json.loads(line, parse_constant=_finite, parse_float=_finite)
             log.append(doc["kind"], doc["virtual_time"], doc["payload"])
         return log

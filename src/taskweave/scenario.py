@@ -190,7 +190,8 @@ def scenario_from_dict(doc: object) -> Scenario:
 # inside its bounds and ±inf, so NaN, ±inf and bools never pass. Any other
 # value takes the slow path: each rule of the node in keyword order, with
 # jsonschema's message, then each property's check, then the spec
-# constructors, which reject the NaN and inf the schema admits. A fault
+# constructors, which reject the NaN and inf the schema admits. A closed object
+# runs its rules only if its key-set test, which covers them all, fails. A fault
 # collects its keys as it unwinds, so only a reported fault gets a path. A
 # closed object that holds a fault is walked again in property-name order, the
 # order of jsonschema's errors sorted by path; arrays and maps report their
@@ -319,8 +320,9 @@ def _compile(schema: dict, at: str = "#") -> Check:
     build = None  # a hot node's build from checked values, generated below
 
     def walk(value: object) -> object:
-        """The slow path of a closed object: its rules, then each property's check."""
-        slow(value)
+        """A closed object: its rules if its key set fails, then each property's check."""
+        if not (type(value) is dict and required <= value.keys() <= allowed):
+            slow(value)
         try:
             checked = {key: checks[key](each) for key, each in value.items()}
             return build(checked) if build else checked
@@ -341,17 +343,7 @@ def _compile(schema: dict, at: str = "#") -> Check:
         exec(_source(schema, at), namespace)
         build = namespace["build"]
         return namespace["fast"]
-
-    def check(value: object) -> dict:
-        """A closed object with no built form: the dict of its checked values."""
-        if type(value) is dict and required <= value.keys() <= allowed:
-            try:
-                return {key: checks[key](each) for key, each in value.items()}
-            except _Fault:
-                pass
-        return walk(value)
-
-    return check
+    return walk
 
 
 def _test(schema: dict, x: str) -> str | None:

@@ -359,8 +359,8 @@ def test_criterion_9_audit_guarantee():
                 ]
                 assert {e.agent_id for e in entries} == agent_ids
                 assert len(agent_ids) >= 2
-                committed_for_task = [
-                    e for e in orch.memory.candidates(task_id) if e.committed
-                ]
-                assert len(committed_for_task) == 1
+                candidates = orch.memory.candidates(task_id)
+                winner = orch.memory.committed_entry(task_id)
+                losers = [e for e in candidates if e is not winner]
+                assert len(losers) == len(candidates) - 1
         assert fanouts_seen >= 2

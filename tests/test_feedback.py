@@ -1,4 +1,4 @@
-"""Feedback bus ordering, reference validation, and revision gating."""
+"""Feedback bus ordering, reference validation, and severity range."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from taskweave import (
     FeedbackBus,
     FeedbackMessage,
     SharedMemory,
-    requires_revision,
 )
 
 
@@ -89,16 +88,6 @@ def test_fifo_per_target_under_any_publish_interleaving(items):
     expected_ids = [msg_id for target in sorted(published) for msg_id in published[target]]
     assert [m.id for m in bus.drain()] == expected_ids
     assert bus.drain() == []
-
-
-def test_requires_revision_true_for_severe_revision_request():
-    assert requires_revision(message(severity=0.9)) is True
-
-
-def test_requires_revision_threshold_is_inclusive():
-    msg = message(severity=0.5)
-    assert requires_revision(msg, threshold=0.5) is True
-    assert requires_revision(message(severity=0.49999), threshold=0.5) is False
 
 
 def test_severity_out_of_range_rejected():

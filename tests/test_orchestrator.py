@@ -79,13 +79,12 @@ def test_parallel_fanout_stores_all_commits_argmax():
     result = orch.run()
     entries = orch.memory.candidates("amb")
     assert len(entries) == 3
-    committed = [e for e in entries if e.committed]
-    assert len(committed) == 1
-    assert committed[0].agent_id == "a2"
+    winner = orch.memory.committed_entry("amb")
+    assert winner.agent_id == "a2"
     assert result.report.counts["parallel_fanouts"] == 1
     assert result.report.counts["dispatches"] == 3
     # losing candidates retained with their stored outputs
-    losers = {e.agent_id for e in entries if not e.committed}
+    losers = {e.agent_id for e in entries if e is not winner}
     assert losers == {"a1", "a3"}
 
 
@@ -126,6 +125,21 @@ def test_low_factuality_commit_triggers_exactly_one_revision():
     final = orch.memory.committed_entry("t1")
     assert final.attempt == 1
     assert final.score.factuality == 0.9
+
+
+@pytest.mark.parametrize(
+    "threshold, revisions",
+    [(0.75, 1), (math.nextafter(0.75, 1.0), 0)],
+    ids=["critique-at", "critique-just-below"],
+)
+def test_a_critique_at_the_severity_threshold_reopens_its_task(threshold, revisions):
+    # factuality 0.25 is critiqued at severity 0.75; only a critique at or above the threshold reopens
+    scenario, config = revision_scenario([0.25, 0.9])
+    orch = Orchestrator(scenario, dataclasses.replace(config, severity_threshold=threshold))
+    orch.run()
+    assert [event.payload["severity"] for event in orch.log.by_kind("feedback")] == [0.75]
+    assert len(orch.log.by_kind("reassign")) == revisions
+    assert orch.memory.committed_entry("t1").attempt == revisions
 
 
 def test_revision_budget_exhaustion_suppresses_further_rounds():
@@ -544,13 +558,19 @@ def test_loads_return_to_zero_after_run():
     assert all(agent.profile.load == 0 for agent in orch.agents.values())
 
 
-def test_dispatch_bound_breach_is_an_invariant_error(monkeypatch):
-    orch = Orchestrator(solo_scenario())
+@pytest.mark.parametrize(
+    "config, extra",
+    # one task, budget 3: a bound of 1 * 4 * 3 at k = 3, and of 1 * 4 * 1 for the router of k = 1
+    [(RunConfig(), 100), (RunConfig(no_parallel=True), 4)],
+    ids=["default", "no_parallel"],
+)
+def test_dispatch_bound_breach_is_an_invariant_error(monkeypatch, config, extra):
+    orch = Orchestrator(solo_scenario(), config)
     run_wave = orch._run_wave
 
     def overcounting_wave(assignable):
         executed = run_wave(assignable)
-        orch._dispatches += 100
+        orch._dispatches += extra
         return executed
 
     monkeypatch.setattr(orch, "_run_wave", overcounting_wave)

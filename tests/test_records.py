@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -276,8 +277,26 @@ def test_from_jsonl_refuses_a_line_whose_time_is_not_finite(token, position):
     lines = [f'{{"kind": "dispatch", "payload": {{}}, "virtual_time": {t}}}' for t in ("0.0", "1.0", "2.0")]
     assert len(RunLog.from_jsonl("\n".join(lines)).events) == 3
     lines[position] = lines[position].replace(f"{position}.0", token)
-    with pytest.raises(ValueError, match="finite and nondecreasing"):
+    with pytest.raises(ValueError, match=f"non-finite number {re.escape(token)}"):
         RunLog.from_jsonl("\n".join(lines))
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
+def test_from_jsonl_refuses_a_commit_whose_score_is_not_finite(token):
+    # `to_jsonl` would write such a number back as a token that is not JSON
+    score = {"coherence": 0.5, "composite": 0.5, "factuality": 0.5, "relevance": 0.5}
+    payload = {"agent_id": "a", "attempt": 0, "score": score, "task_id": "t1", "version": 1}
+    line = json.dumps({"kind": "commit", "payload": payload, "virtual_time": 0.0}, sort_keys=True)
+    assert RunLog.from_jsonl(line).events[0].payload == payload
+    with pytest.raises(ValueError, match=f"non-finite number {re.escape(token)}"):
+        RunLog.from_jsonl(line.replace('"factuality": 0.5', f'"factuality": {token}'))
+
+
+@pytest.mark.parametrize("path", CANONICAL_SCENARIOS, ids=lambda p: p.stem)
+def test_a_written_log_of_a_bundled_run_reads_back_equal(path, tmp_path):
+    log = Orchestrator(load_scenario(path)).run().log
+    log.write(tmp_path / "run.jsonl")
+    assert RunLog.from_jsonl((tmp_path / "run.jsonl").read_text(encoding="utf-8")) == log
 
 
 def test_the_list_by_kind_returns_is_the_callers_own():
