@@ -1,8 +1,8 @@
 """Task decomposition as a directed acyclic dependency graph with per-task lifecycle.
 
-The graph shape is frozen at construction; only task statuses mutate afterwards,
-and only through the transition methods below. A single writer (the orchestrator)
-is assumed for mutation; reads are safe from anywhere.
+The graph shape is frozen at construction; only task statuses (ready, committed,
+needs_revision) mutate afterwards, and only through the transition methods below.
+A single writer (the orchestrator) is assumed for mutation; reads are safe anywhere.
 """
 
 from __future__ import annotations
@@ -22,15 +22,12 @@ from .errors import (
 
 class TaskStatus(str, Enum):
     READY = "ready"
-    IN_PROGRESS = "in_progress"
     COMMITTED = "committed"
     NEEDS_REVISION = "needs_revision"
 
 
 # The members as globals: a global costs a fraction of an Enum class attribute lookup.
-_READY, _IN_PROGRESS, _COMMITTED, _NEEDS_REVISION = (
-    TaskStatus.READY, TaskStatus.IN_PROGRESS, TaskStatus.COMMITTED, TaskStatus.NEEDS_REVISION
-)
+_READY, _COMMITTED, _NEEDS_REVISION = TaskStatus.READY, TaskStatus.COMMITTED, TaskStatus.NEEDS_REVISION
 
 
 @dataclass(frozen=True)
@@ -59,11 +56,11 @@ class TaskGraph:
     """Dependency DAG over TaskSpecs; a task consumes the output of each task
     its `depends_on` names.
 
-    Every task starts ready; `_blocked` counts each task's dependencies that are
-    not committed. `_ready` holds the assignable tasks: ready or needs_revision
-    with no blocked dependency; the transition methods keep it, as Kahn's
-    algorithm keeps its ready set. A dependency on an id outside the graph
-    raises UnknownDependencyError.
+    Each task is ready, committed or needs_revision, and starts ready; `_blocked`
+    counts its dependencies that are not committed. `_ready` holds the assignable
+    tasks: ready or needs_revision with no blocked dependency, kept as Kahn's
+    algorithm keeps its ready set. A dependency on an id outside the graph raises
+    UnknownDependencyError; a dependency cycle raises CycleError.
     """
 
     tasks: dict[str, TaskSpec] = field(default_factory=dict)
@@ -77,6 +74,9 @@ class TaskGraph:
         self._blocked = {tid: len(task.depends_on) for tid, task in self.tasks.items()}
         self._ready = {tid for tid, blocked in self._blocked.items() if not blocked}
         self._consumers = {tid: tuple(ids) for tid, ids in _consumer_index(self.tasks).items()}
+        cycle = _first_cycle(self._consumers)
+        if cycle:
+            raise CycleError(cycle)
 
     def task(self, task_id: str) -> TaskSpec:
         return self.tasks[task_id]
@@ -99,28 +99,21 @@ class TaskGraph:
     def all_committed(self) -> bool:
         return all(s is TaskStatus.COMMITTED for s in self._status.values())
 
-    def mark_in_progress(self, task_id: str) -> None:
-        """Transition an assignable task to in_progress (dispatch bookkeeping)."""
-        current = self._status.get(task_id)
-        if current is not _READY and current is not _NEEDS_REVISION:
-            raise _transition_error(task_id, current, "ready or needs_revision")
-        if self._blocked[task_id]:
-            raise InvalidTransitionError(f"task {task_id!r} has uncommitted dependencies")
-        self._status[task_id] = _IN_PROGRESS
-        self._ready.discard(task_id)
-
     def mark_committed(self, task_id: str) -> None:
-        """Commit an in_progress task; each dependent has one uncommitted dependency less."""
-        status = self._status
-        current = status.get(task_id)
-        if current is not _IN_PROGRESS:
-            raise _transition_error(task_id, current, "in_progress")
+        """Commit an assignable task; each dependent has one uncommitted dependency less."""
+        status, ready = self._status, self._ready
+        if task_id not in ready:
+            current = status.get(task_id)
+            if current is not _READY and current is not _NEEDS_REVISION:
+                raise _transition_error(task_id, current, "ready or needs_revision")
+            raise InvalidTransitionError(f"task {task_id!r} has uncommitted dependencies")
+        ready.remove(task_id)
         status[task_id] = _COMMITTED
         blocked = self._blocked
         for dep_id in self._consumers[task_id]:
             blocked[dep_id] -= 1
-            if not blocked[dep_id] and (status[dep_id] is _READY or status[dep_id] is _NEEDS_REVISION):
-                self._ready.add(dep_id)
+            if not blocked[dep_id] and status[dep_id] is not _COMMITTED:
+                ready.add(dep_id)
 
     def mark_needs_revision(self, task_id: str) -> set[str]:
         """Reopen a committed task for revision.
@@ -156,13 +149,7 @@ class TaskGraph:
                 indegree[dep_id] -= 1
                 if indegree[dep_id] == 0:
                     heapq.heappush(ready, dep_id)
-        if len(order) != len(self.tasks):
-            raise CycleError(self.find_cycle())
         return tuple(order)
-
-    def find_cycle(self) -> tuple[str, ...]:
-        """Return one dependency cycle as a closed path, or () when acyclic."""
-        return _first_cycle(self._consumers)
 
 
 def _transition_error(task_id: str, current: TaskStatus | None, expected: str) -> InvalidTransitionError:
@@ -184,15 +171,11 @@ def build_graph(specs: Iterable[TaskSpec]) -> TaskGraph:
             raise DuplicateIdError(f"duplicate task id {spec.id!r}")
         tasks[spec.id] = spec
 
-    graph = TaskGraph(tasks=tasks)
-    cycle = graph.find_cycle()
-    if cycle:
-        raise CycleError(cycle)
-    return graph
+    return TaskGraph(tasks=tasks)
 
 
 def find_cycle(tasks: Mapping[str, TaskSpec]) -> tuple[str, ...]:
-    """TaskGraph.find_cycle over tasks that may not form a DAG, without building the graph.
+    """One dependency cycle as a closed path, or () when acyclic, without building a graph.
 
     Raises UnknownDependencyError as TaskGraph does.
     """

@@ -1,7 +1,8 @@
 """Main coordination loop: dispatch waves, competitive fan-out, commits, feedback.
 
-Execution is wave-based on a virtual clock. Each wave dispatches every
-assignable task, gathers all results, commits winners, then reviews. Within a
+Execution is wave-based on a virtual clock. Each wave takes the graph's ready
+tasks, routes each (a revision to the agent its critique named, if that agent
+has room), executes, stores and commits winners, then reviews. Within a
 wave, executions on distinct agents overlap (the wave costs the longest
 latency); the static variant instead serializes each agent's queue, which is
 what makes an overloaded fixed-role pipeline slow.
@@ -236,7 +237,6 @@ class Orchestrator:
         self._waves = 0
         self._dispatches = 0
         self._revisions: dict[str, int] = {t.id: 0 for t in scenario.tasks}
-        self._pinned: dict[str, str] = {}
         if self.config.static:
             missing = sorted(
                 t.id for t in scenario.tasks if t.id not in scenario.static_assignments
@@ -295,6 +295,7 @@ class Orchestrator:
         graph, agents, memory, log = self.graph, self.agents, self.memory, self.log
         view = memory.empty_view() if self.config.no_memory_sharing else memory.view()
         static, tiebreak = self.config.static, self._rng.random
+        static_assignments, route = self.scenario.static_assignments, self.router.route
         # The outputs of each dispatched task, in task id order; and per execution
         # (completion time, seeded tiebreak, dispatch index, output), whose index
         # keeps an exact tie in dispatch order, as a stable sort on the first two would.
@@ -303,10 +304,9 @@ class Orchestrator:
         agent_cursor: dict[str, float] = {}
         for task_id in assignable:
             task = graph.tasks[task_id]
-            assignees = self._decide(task)
+            assignees = (static_assignments[task_id],) if static else route(task).assignees
             if not assignees:
                 continue
-            graph.mark_in_progress(task_id)
             attempt = self._revisions[task_id]
             mode = mode_value(len(assignees))
             outputs = []
@@ -386,15 +386,6 @@ class Orchestrator:
         self._clock = wave_end
         return [task.id for task, _ in groups]
 
-    def _decide(self, task: TaskSpec) -> tuple[str, ...]:
-        """The agents to dispatch the task to; none defers it."""
-        if self.config.static:
-            return (self.scenario.static_assignments[task.id],)
-        pinned = self._pinned.pop(task.id, None)
-        if pinned is not None and self.agents[pinned].profile.has_spare_capacity:
-            return (pinned,)
-        return self.router.route(task).assignees
-
     # -- feedback processing --------------------------------------------------
 
     def _review_and_process_feedback(self) -> None:
@@ -412,7 +403,7 @@ class Orchestrator:
                 continue
             if not self._reopen(msg.task_id, msg.target, "revision_request"):
                 continue
-            self._pinned[msg.task_id] = self.router.reassign(msg.target, msg.task_id).assignees[0]
+            self.router.reassign(msg.target, msg.task_id)
             adapt_strategy(
                 self.agents[msg.target].profile,
                 self.graph.task(msg.task_id).domain_markers,

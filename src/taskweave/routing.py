@@ -1,7 +1,7 @@
 """Dispatch decisions: single assignment, k-way parallel fan-out, or deferral.
 
-Decisions are pure functions of agent-profile snapshots, so routing is
-deterministic; ties always break on agent id.
+Decisions are functions of agent-profile snapshots and the router's revision
+pins, so routing is deterministic; ties always break on agent id.
 """
 
 from __future__ import annotations
@@ -90,6 +90,7 @@ class Router:
         self.k = k
         self.perf_weight = perf_weight
         self.capacity_weight = capacity_weight
+        self._pinned: dict[str, str] = {}  # task id -> the agent its revision is pinned to
 
     def is_ambiguous(self, task: TaskSpec) -> bool:
         """High inherent ambiguity, or no capable agent confident enough.
@@ -109,11 +110,15 @@ class Router:
     def route(self, task: TaskSpec) -> RoutingDecision:
         """Decide how to dispatch one assignable task.
 
-        No spare capacity anywhere defers the task. Ambiguous tasks fan out to
-        the min(k, available) most suitable agents when that leaves at least two,
-        otherwise (and for straightforward tasks) the suitability argmax gets it
-        alone.
+        A revision pin is spent first: the pinned agent gets the task alone if it
+        has spare capacity, else the task is ranked as usual. No spare capacity
+        anywhere defers the task. Ambiguous tasks fan out to the min(k, available)
+        most suitable agents when that leaves at least two, otherwise (and for
+        straightforward tasks) the suitability argmax gets it alone.
         """
+        pinned = self._pinned.pop(task.id, None)
+        if pinned is not None and self.agents[pinned].profile.has_spare_capacity:
+            return _new_tuple(RoutingDecision, (task.id, (pinned,)))
         ranked = self._ranked_available(task)
         if not ranked:
             return _new_tuple(RoutingDecision, (task.id, ()))
@@ -124,13 +129,14 @@ class Router:
         return _new_tuple(RoutingDecision, (task.id, (ranked[0],)))
 
     def reassign(self, target_agent_id: str, task_id: str) -> RoutingDecision:
-        """Pin a revision to the agent the feedback names.
+        """Pin a revision to the agent the feedback names, until the task's next route.
 
         Review runs between waves, when no agent holds load, so the pin needs no
-        capacity check here; the orchestrator checks capacity when it uses it.
+        capacity check here; `route` checks capacity when it spends the pin.
         """
         if target_agent_id not in self.agents:
             raise UnknownAgentError(f"unknown agent {target_agent_id!r}")
+        self._pinned[task_id] = target_agent_id
         return RoutingDecision(task_id, (target_agent_id,))
 
     def _ranked_available(self, task: TaskSpec) -> list[str]:

@@ -5,7 +5,7 @@ the agent pool with scripted behavior tables, contradiction pairs, gold
 answers for compliance tasks, static-variant assignments, and config defaults.
 `schemas/scenario.schema.json` is the published contract for the format and
 the one place its rules are written: the loader generates checks from it at
-import that build the specs as they check them, then checks cross-references.
+import that build the specs as they check them; a Scenario checks its cross-references.
 Every error carries a JSON path and jsonschema's message for the fault; the
 test suite holds the loader to the schema, with jsonschema as the oracle.
 """
@@ -68,6 +68,9 @@ class Scenario:
     gold_answers: dict[str, str] = field(default_factory=dict)
     static_assignments: dict[str, str] = field(default_factory=dict)
     defaults: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        _check_cross_references(self)
 
     def build_graph(self) -> TaskGraph:
         return build_graph(self.tasks)
@@ -163,7 +166,8 @@ def scenario_from_dict(doc: object) -> Scenario:
         top = _check_document(doc)
     except _Fault as fault:
         raise ScenarioValidationError(reduce(_at, reversed(fault.keys), "$"), str(fault)) from None
-    scenario = Scenario(
+    _check_duplicate_rows(doc, top["agents"])
+    return Scenario(
         name=top.get("name", ""),
         description=top.get("description", ""),
         tasks=tuple(top["tasks"]),
@@ -173,9 +177,6 @@ def scenario_from_dict(doc: object) -> Scenario:
         static_assignments=top.get("static_assignments", {}),
         defaults=top.get("defaults", {}),
     )
-    _check_duplicate_rows(doc, scenario.agents)
-    _check_cross_references(scenario)
-    return scenario
 
 
 # -- the schema, compiled ---------------------------------------------------------
@@ -460,7 +461,7 @@ _NAMES = dict(
 _check_document = _compile(_SCHEMA)
 
 
-def _check_duplicate_rows(doc: dict, agents: tuple[AgentSpec, ...]) -> None:
+def _check_duplicate_rows(doc: dict, agents: list[AgentSpec]) -> None:
     """No agent has two behavior rows for one (task, attempt); `doc` has passed the schema."""
     for i, (raw, agent) in enumerate(zip(doc["agents"], agents)):
         rows = raw.get("behavior", _EMPTY)

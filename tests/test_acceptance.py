@@ -201,8 +201,6 @@ def test_criterion_3_dag_correctness():
             while not graph.all_committed():
                 assert graph.ready_tasks() == brute_force(graph)
                 task_id = rng.choice(sorted(graph.ready_tasks()))
-                graph.mark_in_progress(task_id)
-                assert graph.ready_tasks() == brute_force(graph)
                 graph.mark_committed(task_id)
             assert graph.ready_tasks() == set()
 

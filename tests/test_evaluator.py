@@ -46,7 +46,6 @@ def put(memory, task="t1", agent="a", attempt=0, facts=(), content="text", commi
 
 
 def mark_committed_in_graph(graph, task_id):
-    graph.mark_in_progress(task_id)
     graph.mark_committed(task_id)
 
 

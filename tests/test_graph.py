@@ -89,7 +89,6 @@ def test_ready_tasks_linear_chain():
     graph = build_graph(
         [make_task("a"), make_task("b", deps=["a"]), make_task("c", deps=["b"])]
     )
-    graph.mark_in_progress("a")
     graph.mark_committed("a")
     assert graph.ready_tasks() == {"b"}
 
@@ -103,7 +102,6 @@ def test_ready_tasks_diamond_matches_brute_force():
             make_task("d", deps=["b", "c"]),
         ]
     )
-    graph.mark_in_progress("a")
     graph.mark_committed("a")
     assert graph.ready_tasks() == {"b", "c"}
     assert graph.ready_tasks() == brute_force_assignable(graph)
@@ -112,35 +110,35 @@ def test_ready_tasks_diamond_matches_brute_force():
 def test_ready_tasks_empty_when_all_committed():
     graph = build_graph([make_task("a"), make_task("b", deps=["a"])])
     for task_id in ("a", "b"):
-        graph.mark_in_progress(task_id)
         graph.mark_committed(task_id)
     assert graph.ready_tasks() == set()
     assert graph.all_committed()
 
 
-def test_mark_in_progress_requires_committed_dependencies():
+def test_mark_committed_requires_committed_dependencies():
     graph = build_graph([make_task("a"), make_task("b", deps=["a"])])
     with pytest.raises(InvalidTransitionError, match="uncommitted dependencies"):
-        graph.mark_in_progress("b")
+        graph.mark_committed("b")
     for task_id in ("a", "b"):
-        graph.mark_in_progress(task_id)
         graph.mark_committed(task_id)
     graph.mark_needs_revision("b")
     graph.mark_needs_revision("a")
     with pytest.raises(InvalidTransitionError, match="uncommitted dependencies"):
-        graph.mark_in_progress("b")
+        graph.mark_committed("b")
 
 
-def test_mark_committed_requires_in_progress():
+def test_mark_committed_rejects_a_committed_or_unknown_task():
     graph = build_graph([make_task("a")])
-    with pytest.raises(InvalidTransitionError):
+    graph.mark_committed("a")
+    with pytest.raises(InvalidTransitionError, match="task 'a' is committed, expected ready or needs_revision"):
         graph.mark_committed("a")
+    with pytest.raises(InvalidTransitionError, match="unknown task 'ghost'"):
+        graph.mark_committed("ghost")
 
 
 def test_mark_needs_revision_flags_committed_dependent():
     graph = build_graph([make_task("a"), make_task("b", deps=["a"])])
     for task_id in ("a", "b"):
-        graph.mark_in_progress(task_id)
         graph.mark_committed(task_id)
     stale = graph.mark_needs_revision("a")
     assert stale == {"b"}
@@ -150,14 +148,12 @@ def test_mark_needs_revision_flags_committed_dependent():
 
 def test_mark_needs_revision_ignores_uncommitted_dependent():
     graph = build_graph([make_task("a"), make_task("b", deps=["a"])])
-    graph.mark_in_progress("a")
     graph.mark_committed("a")
     assert graph.mark_needs_revision("a") == set()
 
 
 def test_mark_needs_revision_on_leaf_returns_empty():
     graph = build_graph([make_task("a")])
-    graph.mark_in_progress("a")
     graph.mark_committed("a")
     assert graph.mark_needs_revision("a") == set()
 
@@ -171,23 +167,11 @@ def test_mark_needs_revision_requires_committed():
 def test_needs_revision_task_with_reopened_dependency_not_assignable():
     graph = build_graph([make_task("a"), make_task("b", deps=["a"])])
     for task_id in ("a", "b"):
-        graph.mark_in_progress(task_id)
         graph.mark_committed(task_id)
     graph.mark_needs_revision("b")
     graph.mark_needs_revision("a")
     # b cannot be redone until its revised dependency re-commits
     assert graph.ready_tasks() == {"a"}
-
-
-def test_dependency_recommitted_under_an_in_progress_task_does_not_make_it_ready():
-    graph = build_graph([make_task("a"), make_task("b", deps=["a"])])
-    graph.mark_in_progress("a")
-    graph.mark_committed("a")
-    graph.mark_in_progress("b")
-    graph.mark_needs_revision("a")
-    graph.mark_in_progress("a")
-    graph.mark_committed("a")
-    assert graph.ready_tasks() == set() == brute_force_assignable(graph)
 
 
 def random_dag(rng: random.Random, n_nodes: int):
@@ -210,8 +194,6 @@ def test_ready_tasks_matches_brute_force_on_random_graphs():
             if not assignable:
                 break
             task_id = rng.choice(assignable)
-            graph.mark_in_progress(task_id)
-            assert graph.ready_tasks() == brute_force_assignable(graph)
             graph.mark_committed(task_id)
             remaining.discard(task_id)
         assert graph.all_committed()
@@ -229,8 +211,6 @@ def test_ready_tasks_match_brute_force_under_commits_and_reopens(seed, n_nodes, 
             break
         move, task_id = data.draw(st.sampled_from(moves))
         if move == "commit":
-            graph.mark_in_progress(task_id)
-            assert graph.ready_tasks() == brute_force_assignable(graph)
             graph.mark_committed(task_id)
         else:
             stale = {
@@ -275,10 +255,8 @@ def test_commit_promotes_only_fully_satisfied_dependents():
     graph = build_graph(
         [make_task("a"), make_task("b"), make_task("d", deps=["a", "b"])]
     )
-    graph.mark_in_progress("a")
     graph.mark_committed("a")
     assert "d" not in graph.ready_tasks()
-    graph.mark_in_progress("b")
     graph.mark_committed("b")
     assert "d" in graph.ready_tasks()
 
@@ -418,8 +396,12 @@ def random_graphs(draw):
 def test_find_cycle_matches_the_graph_walk_it_replaced(tasks):
     expected = cycle_verdict(graph_walk_find_cycle, tasks)
     assert cycle_verdict(find_cycle, tasks) == expected
-    if not isinstance(expected, str):
-        assert TaskGraph(tasks).find_cycle() == expected
+    if expected == ():
+        TaskGraph(tasks)  # an acyclic map builds
+    elif not isinstance(expected, str):
+        with pytest.raises(CycleError) as exc:
+            TaskGraph(tasks)
+        assert exc.value.cycle == find_cycle(tasks)
 
 
 class StatusScan:
@@ -432,14 +414,10 @@ class StatusScan:
     def assignable(self) -> set[str]:
         return {tid for tid in self.deps if self.status[tid] in ("ready", "needs_revision") and self._deps_committed(tid)}
 
-    def mark_in_progress(self, tid):
+    def mark_committed(self, tid):
         self._expect(tid, ("ready", "needs_revision"), "ready or needs_revision")
         if not self._deps_committed(tid):
             raise InvalidTransitionError(f"task {tid!r} has uncommitted dependencies")
-        self.status[tid] = "in_progress"
-
-    def mark_committed(self, tid):
-        self._expect(tid, ("in_progress",), "in_progress")
         self.status[tid] = "committed"
 
     def mark_needs_revision(self, tid):
@@ -465,8 +443,7 @@ def outcome(fn, *args):
         return (InvalidTransitionError, str(exc))
 
 
-TRANSITIONS = ("mark_in_progress", "mark_committed", "mark_needs_revision")
-NEXT = {"in_progress": "mark_committed", "committed": "mark_needs_revision"}  # the legal move out of a status
+TRANSITIONS = ("mark_committed", "mark_needs_revision")
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.data())
@@ -475,8 +452,8 @@ def test_transitions_match_a_status_scan_legal_or_not(seed, n_nodes, data):
     graph, scan = build_graph(specs), StatusScan(specs)
     ids = [*sorted(scan.deps), "ghost"]
     for _ in range(data.draw(st.integers(0, 6 * n_nodes), label="steps")):
-        legal = [("mark_in_progress", tid) for tid in sorted(scan.assignable())]
-        legal += [(NEXT[s], tid) for tid, s in scan.status.items() if s in NEXT]
+        legal = [("mark_committed", tid) for tid in sorted(scan.assignable())]
+        legal += [("mark_needs_revision", tid) for tid, s in scan.status.items() if s == "committed"]
         if legal and data.draw(st.booleans(), label="legal"):
             move, task_id = data.draw(st.sampled_from(legal))
         else:

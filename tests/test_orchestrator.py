@@ -714,7 +714,6 @@ def test_compile_concatenates_chain_in_order():
             ),
         )
         memory.commit(task_id, key)
-        graph.mark_in_progress(task_id)
         graph.mark_committed(task_id)
     document = compile_final_output(memory, graph)
     assert [s.task_id for s in document.sections] == ["a", "b"]
@@ -748,7 +747,6 @@ def test_compile_breaks_diamond_ties_by_id():
         )
         memory.commit(task_id, key)
     for task_id in ("a", "b", "c", "d"):
-        graph.mark_in_progress(task_id)
         graph.mark_committed(task_id)
     document = compile_final_output(memory, graph)
     assert [s.task_id for s in document.sections] == ["a", "b", "c", "d"]

@@ -255,7 +255,8 @@ UNIT = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
 @st.composite
 def routing_cases(draw):
     """A pool, a task and settings: full agents, unseen and empty marker sets, agents
-    without a (task, 0) row or without the task's markers, theta at 0 and 1."""
+    without a (task, 0) row or without the task's markers, theta at 0 and 1, and
+    sometimes an agent the task's revision is pinned to."""
     theta = draw(st.sampled_from([0.0, 1.0]) | UNIT)
     markers = draw(st.sets(st.sampled_from([*MARKERS, "unseen"])))
     task = make_task("t", markers=markers, ambiguity=draw(st.sampled_from([theta]) | UNIT))
@@ -276,16 +277,23 @@ def routing_cases(draw):
         agent.profile.load = draw(st.integers(0, capacity))
         agents[spec.id] = agent
     k = draw(st.integers(1, 4)) if draw(st.booleans()) else 1  # a router without fan-out has k 1
-    return agents, task, theta, k, draw(UNIT), draw(UNIT)
+    pinned = draw(st.none() | st.sampled_from(sorted(agents)))
+    return agents, task, theta, k, draw(UNIT), draw(UNIT), pinned
 
 
 @given(routing_cases())
 def test_router_matches_the_per_agent_scan(case):
-    agents, task, theta, k, w1, w2 = case
+    agents, task, theta, k, w1, w2, pinned = case
     router = Router(agents, theta=theta, k=k, perf_weight=w1, capacity_weight=w2)
     for agent in agents.values():
         assert suitability(agent.profile, task, w1, w2) == spec_suitability(agent.profile, task, w1, w2)
     assert router.is_ambiguous(task) is spec_is_ambiguous(agents, task, theta)
+    expected = spec_route(agents, task, theta, k, w1, w2)
+    if pinned is not None:
+        router.reassign(pinned, "t")
+        profile = agents[pinned].profile
+        decision = router.route(task)  # spends the pin whether or not the agent has room
+        assert decision.assignees == ((pinned,) if profile.load < profile.capacity else expected)
     decision = router.route(task)
-    assert decision.assignees == spec_route(agents, task, theta, k, w1, w2)
+    assert decision.assignees == expected
     assert decision.mode is {0: RouteMode.DEFER, 1: RouteMode.SINGLE}.get(len(decision.assignees), RouteMode.PARALLEL)

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from taskweave import (
+    Scenario,
     ScenarioParseError,
     ScenarioValidationError,
     dump_scenario,
@@ -14,7 +17,7 @@ from taskweave import (
 )
 from taskweave.scenario import _compile, scenario_from_dict
 
-from conftest import CANONICAL_SCENARIOS
+from conftest import CANONICAL_SCENARIOS, make_agent, make_row, make_scenario, make_task
 
 MINIMAL = {
     "schema_version": 1,
@@ -154,6 +157,37 @@ def test_gold_answer_references_checked(tmp_path):
     doc = mutated(gold_answers={"ghost": "f1"})
     with pytest.raises(ScenarioValidationError):
         load_scenario(write(tmp_path, doc))
+
+
+def built_in_code():
+    return make_scenario(
+        [make_task("t1", reference=["f1"])], [make_agent("a1", rows={("t1", 0): make_row(facts=["f1"])})]
+    )
+
+
+@pytest.mark.parametrize(
+    "changes, path, message",
+    [
+        ({"static_assignments": {"t1": "ghost"}}, "$.static_assignments", "unknown agent id 'ghost'"),
+        ({"agents": built_in_code().agents * 2}, "$.agents[1].id", "duplicate agent id 'a1'"),
+        ({"gold_answers": {"ghost": "f1"}}, "$.gold_answers", "unknown task id 'ghost'"),
+        ({"contradiction_pairs": (("f1", "f1"),)}, "$.contradiction_pairs[0]", "pair names fact 'f1' twice"),
+        (
+            {"agents": (make_agent("a1", rows={("ghost", 0): make_row()}),)},
+            "$.agents[0].behavior",
+            "behavior row references unknown task 'ghost'",
+        ),
+    ],
+    ids=["static-to-unknown-agent", "duplicate-agent", "gold-for-unknown-task", "pair-of-one-fact", "row-for-unknown-task"],
+)
+def test_a_scenario_built_in_code_is_checked_as_a_loaded_one(changes, path, message):
+    fields = {**{f.name: getattr(built_in_code(), f.name) for f in dataclasses.fields(Scenario)}, **changes}
+    with pytest.raises(ScenarioValidationError) as built:
+        Scenario(**fields)
+    # to_dict reads only the fields, so it writes the file form of ones no Scenario holds
+    with pytest.raises(ScenarioValidationError) as loaded:
+        scenario_from_dict(Scenario.to_dict(SimpleNamespace(**fields)))
+    assert (built.value.path, built.value.message) == (loaded.value.path, loaded.value.message) == (path, message)
 
 
 def test_unknown_defaults_key_rejected(tmp_path):

@@ -18,6 +18,7 @@ import os
 import subprocess
 import sys
 from importlib import resources
+from types import SimpleNamespace
 
 import jsonschema
 import pytest
@@ -615,7 +616,7 @@ def test_shipped_schema_is_a_valid_draft_2020_12_schema():
 # -- cross-references: subset tests against the per-item scans they replaced ----------
 
 
-def scanned_cross_references(scenario: Scenario) -> None:
+def scanned_cross_references(scenario) -> None:
     """The cross-reference check as a set difference per task and per agent, over sorted maps."""
     task_ids: set[str] = set()
     for i, task in enumerate(scenario.tasks):
@@ -654,8 +655,8 @@ def scanned_cross_references(scenario: Scenario) -> None:
 
 @st.composite
 def cross_referenced_scenarios(draw):
-    """Scenarios whose ids may repeat, whose references may name no task or agent, and whose
-    contradiction pairs may name one fact twice."""
+    """A Scenario's fields, whose ids may repeat, whose references may name no task or agent,
+    and whose contradiction pairs may name one fact twice; a Scenario of them may not build."""
     task_ids = draw(st.lists(st.sampled_from(["t1", "t2", "t3"]), min_size=1, max_size=3, unique=True))
     # References mostly name a task or agent of the scenario; none is named ghost, zz or nobody.
     task_refs = st.sampled_from(task_ids * 6 + ["ghost", "zz"])
@@ -671,7 +672,7 @@ def cross_referenced_scenarios(draw):
         AgentSpec(id=agent_id, behavior={(task_id, 0): row for task_id in draw(st.lists(task_refs, max_size=3))})
         for agent_id in draw(st.sampled_from([["a1", "a2"]] * 6 + [["a1", "a1"]]))
     ]
-    return Scenario(
+    return SimpleNamespace(
         tasks=tuple(tasks),
         agents=tuple(agents),
         static_assignments=draw(st.dictionaries(task_refs, agent_refs, max_size=3)),
@@ -690,7 +691,7 @@ def cross_reference_verdict(check, scenario):
 
 @settings(max_examples=500, deadline=None)
 @given(cross_referenced_scenarios())
-def test_cross_references_report_the_fault_the_scans_reported(scenario):
-    assert cross_reference_verdict(scenario_module._check_cross_references, scenario) == (
-        cross_reference_verdict(scanned_cross_references, scenario)
-    )
+def test_cross_references_report_the_fault_the_scans_reported(fields):
+    expected = cross_reference_verdict(scanned_cross_references, fields)
+    assert cross_reference_verdict(scenario_module._check_cross_references, fields) == expected
+    assert cross_reference_verdict(lambda f: Scenario(**vars(f)), fields) == expected
