@@ -48,7 +48,7 @@ class ScorerUnavailableError(OrchestrationError):
 
 
 class EmptyCandidateSetError(OrchestrationError):
-    """select_best was called with no candidates."""
+    """select_best or Evaluator.commit was called with no candidates."""
 
 
 class UnknownAgentError(OrchestrationError):

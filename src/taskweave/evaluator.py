@@ -1,4 +1,4 @@
-"""Evaluator: scores candidates, adjudicates parallel attempts, reviews committed state.
+"""Evaluator: scores candidates, commits each task's winner, reviews committed state.
 
 Scoring is cached on memory entries so identical keys are never rescored.
 Review emits revision requests for committed entries whose factuality falls
@@ -6,16 +6,17 @@ below the threshold (severity = 1 - factuality) and for realized contradiction
 pairs (severity 1.0, against the later-committed entry). Each critique is sent
 once per (referenced version, note).
 
-Review is a delta over the memory's commit record, as in semi-naive
-evaluation: factuality is checked for the winners committed since the
-previous review that are unscored or scored below the threshold, the only
-ones it can critique, so it sends the critiques a check of every winner would.
-Contradiction pairs read an index of the winners holding each fact a pair names.
+Review is a delta, as in semi-naive evaluation: `commit` files each winner as
+it commits it, and review checks only the winners filed since the previous
+review that scored below the threshold, the only ones it can critique, so it
+sends the critiques a check of every winner would. Contradiction pairs read an
+index, kept at commit too, of the winners holding each fact a pair names. A
+winner committed through `SharedMemory.commit` directly is not seen by review.
 """
 
 from __future__ import annotations
 
-from .errors import EmptyCandidateSetError, ScorerUnavailableError
+from .errors import EmptyCandidateSetError, ScorerUnavailableError, UnknownEntryError
 from .feedback import FeedbackMessage
 from .graph import TaskGraph, TaskSpec, TaskStatus
 from .memory import EntryKey, MemoryEntry, SharedMemory
@@ -43,10 +44,10 @@ class Evaluator:
         self.fact_threshold = fact_threshold
         self.contradiction_pairs = list(contradiction_pairs or [])
         self._sent: set[tuple[int, str]] = set()
-        # Replay state over memory.commits_since: how many commits were read, the winners
-        # read but not yet checked while committed (only those unscored or failing), and for
-        # each fact a pair names, its holders' tasks mapped to the rank of their latest commit.
-        self._commits_read = 0
+        # Filed at commit: how many commits were made, the failing winners not yet checked
+        # while committed, and for each fact a pair names, its holders' tasks mapped to the
+        # rank of their latest commit.
+        self._commits = 0
         self._unchecked: dict[str, MemoryEntry] = {}
         self._holders: dict[str, dict[str, int]] = {
             fact: {} for pair in self.contradiction_pairs for fact in pair
@@ -63,8 +64,11 @@ class Evaluator:
         return self.weights
 
     def score_entry(self, entry: MemoryEntry, task: TaskSpec) -> ScoreBreakdown:
-        """Score a stored candidate, caching the breakdown on the entry; a component that is
-        NaN or outside [0, 1] raises ScorerUnavailableError."""
+        """Score a stored candidate of `task`, caching the breakdown on the entry; a candidate of
+        another task raises UnknownEntryError, and a component that is NaN or outside [0, 1]
+        raises ScorerUnavailableError."""
+        if entry.task_id != task.id:  # its weights and reference would be the wrong task's
+            raise UnknownEntryError(f"no entry {entry.key!r} for task {task.id!r}")
         if entry.score is None:
             coherence, factuality, relevance = self.scorer.components(entry.output, task)
             if not (0.0 <= coherence <= 1.0 and 0.0 <= factuality <= 1.0 and 0.0 <= relevance <= 1.0):
@@ -73,7 +77,7 @@ class Evaluator:
             entry.score = combine(coherence, factuality, relevance, self.weights_for(task))
         return entry.score
 
-    def select_best(self, candidate_keys: list[EntryKey], graph: TaskGraph) -> EntryKey:
+    def select_best(self, candidate_keys: list[EntryKey], task: TaskSpec) -> EntryKey:
         """Argmax-composite winner among stored candidates.
 
         Ties break on (agent id, attempt, version) ascending, all independent of
@@ -84,10 +88,33 @@ class Evaluator:
 
         def rank(key: EntryKey) -> tuple[float, str, int, int]:
             entry = self.memory.entry(key)
-            breakdown = self.score_entry(entry, graph.task(entry.task_id))
+            breakdown = self.score_entry(entry, task)
             return (-breakdown.composite, entry.agent_id, entry.attempt, entry.version)
 
         return min(candidate_keys, key=rank)
+
+    def commit(self, task: TaskSpec, candidate_keys: list[EntryKey]) -> MemoryEntry:
+        """Commit the task's winner among the candidates and file it for review; returns its entry.
+
+        A fan-out's winner is `select_best`'s pick. Every candidate is scored before memory
+        changes, so a ScorerUnavailableError leaves memory and the filed winners as they were.
+        """
+        key = candidate_keys[0] if len(candidate_keys) == 1 else self.select_best(candidate_keys, task)
+        entry = self.memory.entry(key)
+        score = self.score_entry(entry, task)
+        demoted = self.memory.commit(task.id, key)
+        # a later commit of the same task overwrites what an earlier one filed
+        if score.factuality < self.fact_threshold:
+            self._unchecked[task.id] = entry
+        else:  # a passing winner replaces a failing one filed before it
+            self._unchecked.pop(task.id, None)
+        if demoted is not None:  # a winner committed past the evaluator was never filed
+            for fact in demoted.output.emitted_facts & self._pair_facts:
+                self._holders[fact].pop(task.id, None)
+        for fact in entry.output.emitted_facts & self._pair_facts:
+            self._holders[fact][task.id] = self._commits
+        self._commits += 1
+        return entry
 
     def review(self, graph: TaskGraph) -> list[FeedbackMessage]:
         """Inspect committed state and emit the critiques not sent before.
@@ -97,21 +124,15 @@ class Evaluator:
         flight; a winner skipped that way is checked once its task is committed
         again. Deterministic given memory contents and configuration.
         """
-        self._read_commits()
         messages: list[FeedbackMessage] = []
         if self._unchecked:
             status, committed = graph.status, TaskStatus.COMMITTED
             due = [e for e in self._unchecked.values() if status(e.task_id) is committed]
             for entry in sorted(due, key=lambda e: e.version):
                 del self._unchecked[entry.task_id]
-                breakdown = self.score_entry(entry, graph.task(entry.task_id))
-                if breakdown.factuality < self.fact_threshold:
-                    self._revision_request(
-                        messages,
-                        entry,
-                        severity=1.0 - breakdown.factuality,
-                        note=f"factuality {breakdown.factuality:.3f} below threshold",
-                    )
+                factuality = entry.score.factuality
+                note = f"factuality {factuality:.3f} below threshold"
+                self._revision_request(messages, entry, severity=1.0 - factuality, note=note)
 
         for fact_a, fact_b in self.contradiction_pairs:
             if not self._holders[fact_a] or not self._holders[fact_b]:
@@ -130,25 +151,6 @@ class Evaluator:
                 note=f"contradictory facts {fact_a!r} / {fact_b!r} across committed outputs",
             )
         return messages
-
-    def _read_commits(self) -> None:
-        """Bring the unchecked winners and the holders index up to the commit record."""
-        commits = self.memory.commits_since(self._commits_read)
-        pair_facts, threshold, unchecked = self._pair_facts, self.fact_threshold, self._unchecked
-        # a later commit of the same task overwrites what an earlier one set
-        for rank, (entry, demoted) in enumerate(commits, self._commits_read):
-            task_id, score = entry.key[0], entry.score
-            if score is None or score.factuality < threshold:
-                unchecked[task_id] = entry
-            else:  # a passing winner replaces a failing one read before it
-                unchecked.pop(task_id, None)
-            if demoted is not None and not pair_facts.isdisjoint(demoted.output.emitted_facts):
-                for fact in demoted.output.emitted_facts & pair_facts:
-                    del self._holders[fact][task_id]
-            if not pair_facts.isdisjoint(entry.output.emitted_facts):
-                for fact in entry.output.emitted_facts & pair_facts:
-                    self._holders[fact][task_id] = rank
-        self._commits_read += len(commits)
 
     def _committed_holders(self, fact: str, graph: TaskGraph) -> dict[str, int]:
         """Tasks whose winner holds `fact` and that are committed now, with their commit rank."""

@@ -2,6 +2,9 @@
 
 Every stored output stays retrievable for the whole run (losing parallel
 candidates included); at most one entry per task is committed at any instant.
+Memory keeps no record of past commits. `commit` returns the winner it
+demoted; in a run every commit is made by the evaluator, which files what
+its review needs as it commits.
 """
 
 from __future__ import annotations
@@ -56,16 +59,13 @@ class SharedMemory:
     """Versioned, append-only store of every candidate output.
 
     Versions are dense (the n-th stored entry has version n) and `_by_key` is in version order.
-    `_committed` maps each task to its winner, in commit order. `_commits` records every
-    commit call's entry and the winner it demoted (None for a task's first commit), in call
-    order. `_fact_counts` counts the winners emitting each fact; a fact no winner emits has
-    no key.
+    `_committed` maps each task to its winner, in commit order. `_fact_counts` counts the
+    winners emitting each fact; a fact no winner emits has no key.
     """
 
     def __init__(self) -> None:
         self._by_key: dict[EntryKey, MemoryEntry] = {}
         self._committed: dict[str, MemoryEntry] = {}
-        self._commits: list[tuple[MemoryEntry, MemoryEntry | None]] = []
         self._fact_counts: dict[str, int] = {}
 
     def store(self, output: CandidateOutput) -> int:
@@ -82,8 +82,8 @@ class SharedMemory:
         """All entries for a task, committed or not, in version order."""
         return [entry for entry in self._by_key.values() if entry.task_id == task_id]
 
-    def commit(self, task_id: str, key: EntryKey) -> MemoryEntry:
-        """Mark one entry as the task's committed output, demoting any previous winner."""
+    def commit(self, task_id: str, key: EntryKey) -> MemoryEntry | None:
+        """Mark one entry as the task's committed output; returns the winner it demoted, if any."""
         entry = self._by_key.get(key)
         if entry is None or entry.key[0] != task_id:
             raise UnknownEntryError(f"no entry {key!r} for task {task_id!r}")
@@ -96,10 +96,9 @@ class SharedMemory:
                 else:
                     counts[fact] -= 1
         self._committed[task_id] = entry
-        self._commits.append((entry, previous))
         for fact in entry.output.emitted_facts:
             counts[fact] = counts.get(fact, 0) + 1
-        return entry
+        return previous
 
     def committed_entry(self, task_id: str) -> MemoryEntry | None:
         return self._committed.get(task_id)
@@ -110,15 +109,6 @@ class SharedMemory:
     def committed_entries(self) -> list[MemoryEntry]:
         """Every currently committed entry, in commit order (a re-commit moves a task last)."""
         return list(self._committed.values())
-
-    def commits_since(self, start: int) -> list[tuple[MemoryEntry, MemoryEntry | None]]:
-        """(committed entry, demoted winner or None) of every commit call from the `start`-th
-        on (0-based), in call order.
-
-        A later call may have demoted an entry in the list; `committed_entry` says which
-        entry is the winner now.
-        """
-        return self._commits[start:]
 
     def entry(self, key: EntryKey) -> MemoryEntry:
         entry = self._by_key.get(key)

@@ -360,24 +360,17 @@ class Orchestrator:
             )
 
         for task, outputs in groups:
-            if len(outputs) > 1:
-                key = self.evaluator.select_best([output.key for output in outputs], graph)
-            else:
-                key = outputs[0].key
-            entry = memory.entry(key)
-            score = self.evaluator.score_entry(entry, task)
-            memory.commit(task.id, key)
+            entry = self.evaluator.commit(task, [output.key for output in outputs])
             graph.mark_committed(task.id)
-            _, agent_id, attempt = key
             log.append(
                 "commit",
                 wave_end,
                 {
                     "task_id": task.id,
-                    "agent_id": agent_id,
-                    "attempt": attempt,
+                    "agent_id": entry.agent_id,
+                    "attempt": entry.attempt,
                     "version": entry.version,
-                    "score": score.to_dict(),
+                    "score": entry.score.to_dict(),
                 },
             )
 

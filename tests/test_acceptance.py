@@ -149,7 +149,7 @@ def test_criterion_2_selection_oracle():
                     rng.randint(0, 20) / 20,
                 )
             graph, memory, evaluator, keys = selection_world(annotations)
-            winner = evaluator.select_best(keys, graph)
+            winner = evaluator.select_best(keys, graph.task("t1"))
             assert winner == brute_force_argmax([memory.entry(k) for k in keys])
 
         # scaling components by dyadic c in (0, 1] is exact in floats, so the
@@ -169,7 +169,7 @@ def test_criterion_2_selection_oracle():
             winners = []
             for table in (annotations, scaled):
                 graph, memory, evaluator, keys = selection_world(table)
-                winners.append(evaluator.select_best(keys, graph))
+                winners.append(evaluator.select_best(keys, graph.task("t1")))
             assert winners[0] == winners[1]
 
 

@@ -13,10 +13,12 @@ from taskweave import (
     EmptyCandidateSetError,
     Evaluator,
     LexicalScorer,
+    ScorerUnavailableError,
     ScoringWeights,
     ScriptedScorer,
     SharedMemory,
     TaskStatus,
+    UnknownEntryError,
     build_graph,
 )
 
@@ -29,7 +31,7 @@ def build_world(task_specs, scorer, **evaluator_kwargs):
     return graph, memory, Evaluator(memory=memory, scorer=scorer, **evaluator_kwargs)
 
 
-def put(memory, task="t1", agent="a", attempt=0, facts=(), content="text", commit=False):
+def put(memory, task="t1", agent="a", attempt=0, facts=(), content="text"):
     output = CandidateOutput(
         task_id=task,
         agent_id=agent,
@@ -40,13 +42,7 @@ def put(memory, task="t1", agent="a", attempt=0, facts=(), content="text", commi
         produced_at=0.0,
     )
     memory.store(output)
-    if commit:
-        memory.commit(task, output.key)
     return output.key
-
-
-def mark_committed_in_graph(graph, task_id):
-    graph.mark_committed(task_id)
 
 
 def test_select_best_prefers_higher_composite():
@@ -64,7 +60,7 @@ def test_select_best_prefers_higher_composite():
     s1 = weights.alpha * 0.9 + weights.beta * 0.5 + weights.gamma * 0.7
     s2 = weights.alpha * 0.6 + weights.beta * 0.9 + weights.gamma * 0.8
     assert (pytest.approx(s1), pytest.approx(s2)) == (0.68, 0.78)
-    assert evaluator.select_best([k1, k2], graph) == k2
+    assert evaluator.select_best([k1, k2], graph.task("t1")) == k2
 
 
 def test_select_best_tie_breaks_on_lower_agent_id():
@@ -75,7 +71,7 @@ def test_select_best_tie_breaks_on_lower_agent_id():
     graph, memory, evaluator = build_world([make_task("t1")], ScriptedScorer(annotations))
     k_hi = put(memory, agent="a02")
     k_lo = put(memory, agent="a01")
-    assert evaluator.select_best([k_hi, k_lo], graph) == k_lo
+    assert evaluator.select_best([k_hi, k_lo], graph.task("t1")) == k_lo
 
 
 def test_select_best_single_candidate_wins():
@@ -83,13 +79,13 @@ def test_select_best_single_candidate_wins():
         [make_task("t1", reference={"f1"})], LexicalScorer()
     )
     key = put(memory, facts={"f1"})
-    assert evaluator.select_best([key], graph) == key
+    assert evaluator.select_best([key], graph.task("t1")) == key
 
 
 def test_select_best_empty_set_rejected():
     graph, _, evaluator = build_world([make_task("t1")], LexicalScorer())
     with pytest.raises(EmptyCandidateSetError):
-        evaluator.select_best([], graph)
+        evaluator.select_best([], graph.task("t1"))
 
 
 def test_select_best_caches_breakdowns():
@@ -102,8 +98,8 @@ def test_select_best_caches_breakdowns():
 
     graph, memory, evaluator = build_world([make_task("t1")], CountingScorer())
     keys = [put(memory, agent=f"a{i}") for i in range(3)]
-    evaluator.select_best(keys, graph)
-    evaluator.select_best(keys, graph)
+    evaluator.select_best(keys, graph.task("t1"))
+    evaluator.select_best(keys, graph.task("t1"))
     assert len(calls) == 3
 
 
@@ -142,7 +138,7 @@ def test_select_best_agrees_with_brute_force_on_random_sets():
         )
         for task, agent, attempt in keys:
             put(memory, task=task, agent=agent, attempt=attempt)
-        winner = evaluator.select_best(keys, graph)
+        winner = evaluator.select_best(keys, graph.task("t1"))
         entries = [memory.entry(k) for k in keys]
         assert winner == brute_force_argmax(entries)
 
@@ -168,7 +164,7 @@ def test_argmax_invariant_under_uniform_component_scaling():
                 [make_task("t1")], ScriptedScorer(annotations)
             )
             keys = [put(memory, agent=agent) for (_, agent, _) in sorted(annotations)]
-            winners.append(evaluator.select_best(keys, graph))
+            winners.append(evaluator.select_best(keys, graph.task("t1")))
         assert winners[0] == winners[1]
 
 
@@ -177,8 +173,8 @@ def test_review_flags_low_factuality_with_complement_severity():
     graph, memory, evaluator = build_world(
         [make_task("t1")], ScriptedScorer(annotations)
     )
-    key = put(memory, commit=True)
-    mark_committed_in_graph(graph, "t1")
+    evaluator.commit(graph.task("t1"), [put(memory)])
+    graph.mark_committed("t1")
     messages = evaluator.review(graph)
     assert len(messages) == 1
     msg = messages[0]
@@ -198,8 +194,8 @@ def test_review_ignores_factuality_at_threshold():
     graph, memory, evaluator = build_world(
         [make_task("t1")], ScriptedScorer(annotations), fact_threshold=0.6
     )
-    key = put(memory, commit=True)
-    mark_committed_in_graph(graph, "t1")
+    evaluator.commit(graph.task("t1"), [put(memory)])
+    graph.mark_committed("t1")
     assert evaluator.review(graph) == []
 
 
@@ -210,10 +206,10 @@ def test_review_flags_contradiction_on_later_committed_entry():
         LexicalScorer(),
         contradiction_pairs=[("debt_low", "debt_high")],
     )
-    k1 = put(memory, task="t1", facts={"debt_low"}, commit=True)
-    mark_committed_in_graph(graph, "t1")
-    k2 = put(memory, task="t2", agent="b", facts={"debt_high"}, commit=True)
-    mark_committed_in_graph(graph, "t2")
+    evaluator.commit(graph.task("t1"), [put(memory, task="t1", facts={"debt_low"})])
+    graph.mark_committed("t1")
+    evaluator.commit(graph.task("t2"), [put(memory, task="t2", agent="b", facts={"debt_high"})])
+    graph.mark_committed("t2")
     messages = evaluator.review(graph)
     assert len(messages) == 1
     msg = messages[0]
@@ -229,8 +225,8 @@ def test_review_ignores_pair_inside_a_single_entry():
         LexicalScorer(),
         contradiction_pairs=[("debt_low", "debt_high")],
     )
-    key = put(memory, facts={"debt_low", "debt_high"}, commit=True)
-    mark_committed_in_graph(graph, "t1")
+    evaluator.commit(graph.task("t1"), [put(memory, facts={"debt_low", "debt_high"})])
+    graph.mark_committed("t1")
     assert evaluator.review(graph) == []
 
 
@@ -262,8 +258,8 @@ def test_contradiction_target_matches_crossing_list_oracle(fact_sets, data):
     keys = [put(memory, task=f"t{i}", facts=facts) for i, facts in enumerate(fact_sets)]
     commit_order = data.draw(st.permutations(range(len(keys))))
     for i in commit_order:
-        memory.commit(f"t{i}", keys[i])
-        mark_committed_in_graph(graph, f"t{i}")
+        evaluator.commit(graph.task(f"t{i}"), [keys[i]])
+        graph.mark_committed(f"t{i}")
 
     commit_rank = {f"t{i}": rank for rank, i in enumerate(commit_order)}
     expected = [
@@ -280,8 +276,8 @@ def test_review_skips_tasks_already_under_revision():
     graph, memory, evaluator = build_world(
         [make_task("t1")], ScriptedScorer(annotations)
     )
-    key = put(memory, commit=True)
-    mark_committed_in_graph(graph, "t1")
+    evaluator.commit(graph.task("t1"), [put(memory)])
+    graph.mark_committed("t1")
     graph.mark_needs_revision("t1")
     assert evaluator.review(graph) == []
 
@@ -292,16 +288,19 @@ def test_review_is_deterministic():
         ("t2", "b", 0): (1.0, 0.1, 1.0),
     }
     specs = [make_task("t1"), make_task("t2")]
-    graph, memory, evaluator = build_world(specs, ScriptedScorer(annotations))
-    for task, agent in (("t1", "a"), ("t2", "b")):
-        key = put(memory, task=task, agent=agent, commit=True)
-        mark_committed_in_graph(graph, task)
-    first = [(m.id, m.task_id, m.severity) for m in evaluator.review(graph)]
-    assert first == [("fb-1", "t1", 0.8), ("fb-2", "t2", 0.9)]
-    # each critique is sent once: nothing changed, so nothing new to say
-    assert evaluator.review(graph) == []
-    fresh = Evaluator(memory=memory, scorer=ScriptedScorer(annotations))
-    assert [(m.id, m.task_id, m.severity) for m in fresh.review(graph)] == first
+
+    def critiques():
+        graph, memory, evaluator = build_world(specs, ScriptedScorer(annotations))
+        for task, agent in (("t1", "a"), ("t2", "b")):
+            evaluator.commit(graph.task(task), [put(memory, task=task, agent=agent)])
+            graph.mark_committed(task)
+        first = [(m.id, m.task_id, m.severity) for m in evaluator.review(graph)]
+        # each critique is sent once: nothing changed, so nothing new to say
+        assert evaluator.review(graph) == []
+        return first
+
+    # a fresh evaluator making the same commits sends the same critiques
+    assert critiques() == critiques() == [("fb-1", "t1", 0.8), ("fb-2", "t2", 0.9)]
 
 
 class FactualityInContent:
@@ -356,23 +355,21 @@ STEP = st.tuples(
     st.sets(st.sampled_from("abcd"), max_size=3),  # facts of a stored entry
     st.sampled_from(["0.2", "0.5", "0.9"]),  # factuality of a stored entry
     st.integers(0, 2**16),  # which stored entry a commit picks
-    st.booleans(),  # score the entry a commit picks before the commit, as a run does
     st.booleans(),  # review after the step
 )
 
 
 def store(task_n, facts, factuality):
-    return ("store", task_n, set(facts), factuality, 0, False, False)
+    return ("store", task_n, set(facts), factuality, 0, False)
 
 
-def commit(task_n, pick=0, score_first=True):
-    return ("commit", task_n, set(), "", pick, score_first, False)
+def commit(task_n, pick=0):
+    return ("commit", task_n, set(), "", pick, False)
 
 
 # Histories that random steps seldom reach, each reviewed once at its end.
 @given(st.lists(STEP, max_size=40))
-@example([store(0, "", "0.2"), commit(0, score_first=False)])  # an unscored failing winner
-@example([store(0, "", "0.2"), store(0, "", "0.9"), commit(0, 0, score_first=False), commit(0, 1)])  # passing replaces failing
+@example([store(0, "", "0.2"), store(0, "", "0.9"), commit(0, 0), commit(0, 1)])  # passing replaces failing
 @example([store(0, "a", "0.9"), commit(0), store(1, "b", "0.9"), commit(1)])  # a pair across two tasks
 @example([store(0, "a", "0.9"), commit(0), store(0, "", "0.9"), commit(0, 1), store(1, "b", "0.9"), commit(1)])  # a demoted holder
 def test_delta_review_matches_a_full_scan_with_send_once(steps):
@@ -381,19 +378,16 @@ def test_delta_review_matches_a_full_scan_with_send_once(steps):
     graph, memory, evaluator = build_world(tasks, FactualityInContent(), contradiction_pairs=pairs)
     oracle = ScanReview(memory, pairs)
     stored = {f"t{i}": [] for i in range(4)}
-    for op, task_n, facts, factuality, pick, score_first, review in steps + [("review", 0, set(), "", 0, False, True)]:
+    for op, task_n, facts, factuality, pick, review in steps + [("review", 0, set(), "", 0, True)]:
         task_id = f"t{task_n}"
         if op == "store":
             key = put(memory, task=task_id, attempt=len(stored[task_id]), facts=facts, content=factuality)
             stored[task_id].append(key)
         elif op == "commit" and stored[task_id]:
             # a commit may re-commit the winner or an older candidate
-            key = stored[task_id][pick % len(stored[task_id])]
-            if score_first:  # review then files the winner only if it scored below the threshold
-                evaluator.score_entry(memory.entry(key), graph.task(task_id))
-            memory.commit(task_id, key)
+            evaluator.commit(graph.task(task_id), [stored[task_id][pick % len(stored[task_id])]])
             if graph.status(task_id) is not TaskStatus.COMMITTED:
-                mark_committed_in_graph(graph, task_id)
+                graph.mark_committed(task_id)
         elif op == "reopen" and graph.status(task_id) is TaskStatus.COMMITTED:
             graph.mark_needs_revision(task_id)
         if review:
@@ -408,14 +402,81 @@ def test_a_demoted_winner_stops_holding_its_facts():
     graph, memory, evaluator = build_world(
         [make_task("t0"), make_task("t1")], FactualityInContent(), contradiction_pairs=[("a", "b")]
     )
-    put(memory, task="t0", attempt=0, facts={"a"}, content="1.0", commit=True)
-    mark_committed_in_graph(graph, "t0")
+    evaluator.commit(graph.task("t0"), [put(memory, task="t0", attempt=0, facts={"a"}, content="1.0")])
+    graph.mark_committed("t0")
     assert evaluator.review(graph) == []
     # t0's new winner drops "a", so t1's "b" contradicts nothing
-    put(memory, task="t0", attempt=1, content="1.0", commit=True)
-    put(memory, task="t1", attempt=0, facts={"b"}, content="1.0", commit=True)
-    mark_committed_in_graph(graph, "t1")
+    evaluator.commit(graph.task("t0"), [put(memory, task="t0", attempt=1, content="1.0")])
+    evaluator.commit(graph.task("t1"), [put(memory, task="t1", attempt=0, facts={"b"}, content="1.0")])
+    graph.mark_committed("t1")
     assert evaluator.review(graph) == []
+
+
+def test_commit_of_no_candidates_rejected():
+    graph, _, evaluator = build_world([make_task("t1")], LexicalScorer())
+    with pytest.raises(EmptyCandidateSetError):
+        evaluator.commit(graph.task("t1"), [])
+
+
+def test_commit_of_a_single_candidate_scores_it_without_select_best(monkeypatch):
+    graph, memory, evaluator = build_world([make_task("t1")], ScriptedScorer({("t1", "a", 0): (1.0, 0.5, 0.0)}))
+    key = put(memory)
+    monkeypatch.setattr(evaluator, "select_best", lambda *args: pytest.fail("select_best called for one candidate"))
+    entry = evaluator.commit(graph.task("t1"), [key])
+    assert entry is memory.entry(key) is memory.committed_entry("t1")
+    assert entry.score[:3] == (1.0, 0.5, 0.0)
+    assert entry.score.composite == pytest.approx(0.3 * 1.0 + 0.4 * 0.5)
+
+
+def test_commit_of_a_fan_out_commits_the_key_select_best_picks(monkeypatch):
+    annotations = {("t1", "c1", 0): (0.9, 0.5, 0.7), ("t1", "c2", 0): (0.6, 0.9, 0.8)}
+    graph, memory, evaluator = build_world([make_task("t1")], ScriptedScorer(annotations))
+    keys = [put(memory, agent="c1"), put(memory, agent="c2")]
+    calls = []
+    # pick the lower composite, so a commit that ranked the candidates itself would differ
+    monkeypatch.setattr(evaluator, "select_best", lambda candidate_keys, task: calls.append(candidate_keys) or keys[0])
+    entry = evaluator.commit(graph.task("t1"), keys)
+    assert calls == [keys]
+    assert entry is memory.entry(keys[0]) is memory.committed_entry("t1")
+
+
+@pytest.mark.parametrize("contents", [["nan"], ["0.2", "nan"]], ids=["single", "fan_out"])
+def test_a_scorer_fault_at_commit_leaves_memory_and_review_as_they_were(contents):
+    graph, memory, evaluator = build_world([make_task("t1")], FactualityInContent())
+    previous = evaluator.commit(graph.task("t1"), [put(memory, content="0.9")])
+    graph.mark_committed("t1")
+    keys = [put(memory, agent=f"b{i}", content=content) for i, content in enumerate(contents)]
+    with pytest.raises(ScorerUnavailableError):
+        evaluator.commit(graph.task("t1"), keys)
+    assert memory.committed_entry("t1") is previous
+    assert evaluator.review(graph) == []
+
+
+@pytest.mark.parametrize("agents", [["a"], ["a", "b"]], ids=["single", "fan_out"])
+def test_a_candidate_of_another_task_is_rejected_unscored(agents):
+    graph, memory, evaluator = build_world([make_task("t1"), make_task("t2")], FactualityInContent())
+    keys = [put(memory, task="t2", agent=agent, content="0.9") for agent in agents]
+    with pytest.raises(UnknownEntryError):
+        evaluator.commit(graph.task("t1"), keys)
+    assert [memory.entry(key).score for key in keys] == [None] * len(keys)
+    assert memory.committed_entry("t1") is memory.committed_entry("t2") is None
+
+
+def test_a_winner_committed_past_the_evaluator_is_not_reviewed():
+    graph, memory, evaluator = build_world(
+        [make_task("t0"), make_task("t1")], FactualityInContent(), contradiction_pairs=[("a", "b")]
+    )
+    memory.commit("t0", put(memory, task="t0", facts={"a"}, content="0.2"))
+    graph.mark_committed("t0")
+    evaluator.commit(graph.task("t1"), [put(memory, task="t1", facts={"b"}, content="0.9")])
+    graph.mark_committed("t1")
+    assert evaluator.review(graph) == []  # neither t0's factuality nor the pair it completes
+    # the evaluator's own commit of t0 demotes the unfiled winner and is reviewed
+    evaluator.commit(graph.task("t0"), [put(memory, task="t0", attempt=1, facts={"a"}, content="0.9")])
+    assert [(m.task_id, m.note) for m in evaluator.review(graph)] == [
+        ("t0", "contradictory facts 'a' / 'b' across committed outputs")
+    ]
+
 
 def test_domain_weight_table_overrides_defaults():
     annotations = {("t1", "a", 0): (1.0, 0.0, 0.0)}

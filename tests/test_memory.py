@@ -73,12 +73,11 @@ def test_recommit_demotes_previous_winner():
     memory = SharedMemory()
     memory.store(output(agent="a"))
     memory.store(output(agent="a", attempt=1))
-    memory.commit("t1", ("t1", "a", 0))
-    memory.commit("t1", ("t1", "a", 1))
     old, new = memory.entry(("t1", "a", 0)), memory.entry(("t1", "a", 1))
+    assert memory.commit("t1", old.key) is None  # the task's first commit demotes nothing
+    assert memory.commit("t1", new.key) is old
     assert memory.candidates("t1") == [old, new]
     assert memory.committed_entry("t1") is new
-    assert memory.commits_since(1) == [(new, old)]
 
 
 def test_commit_unknown_key_raises():
@@ -128,22 +127,19 @@ def test_append_only_under_random_interleaving():
 def test_winner_map_matches_the_commit_log(ops):
     memory = SharedMemory()
     stored: list = []  # keys in store order, so in version order
-    commit_log: list[str] = []  # the task of every commit call
+    commit_log: list = []  # (committed entry, demoted winner it returned) of every commit call
     for is_commit, task_n, pick in ops:
         if is_commit and stored:
             key = stored[pick % len(stored)]
-            memory.commit(key[0], key)
-            commit_log.append(key[0])
+            commit_log.append((memory.entry(key), memory.commit(key[0], key)))
         else:
             key = (f"t{task_n}", "a", len(stored))
             memory.store(output(task=key[0], attempt=key[2], facts={f"f{pick % 5}"}))
             stored.append(key)
 
         # replay the commit log: each commit demotes the task's last winner and moves it last
-        commits = memory.commits_since(0)
-        assert [entry.task_id for entry, _ in commits] == commit_log
         winners: dict = {}
-        for entry, demoted in commits:
+        for entry, demoted in commit_log:
             assert winners.pop(entry.task_id, None) is demoted
             winners[entry.task_id] = entry
         entries = [memory.entry(k) for k in stored]
