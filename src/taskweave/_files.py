@@ -11,19 +11,25 @@ import errno
 import os
 import stat
 from pathlib import Path
+from typing import Iterable
+
+
+def write_blocks(path: str | Path, blocks: Iterable[str]) -> None:
+    """Write the concatenation of `blocks` to `path` as UTF-8, encoding one block at a
+    time, leaving the bytes and mode `Path.write_text` leaves.
+
+    An existing file is written over and then cut to the new length, so a process
+    killed mid-write, or a block that raises, can leave old bytes after the new ones.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as file:
+        for block in blocks:
+            file.write(block.encode("utf-8"))
+        if stat.S_ISREG(os.fstat(file.fileno()).st_mode):  # a device or FIFO cannot be cut
+            file.truncate()  # at the end of what was written
 
 
 def write_text(path: str | Path, text: str) -> None:
-    """Write `text` to `path` as UTF-8, leaving the bytes and mode `Path.write_text` leaves.
-
-    An existing file is written over and then cut to the new length, so a
-    process killed mid-write can leave old bytes after the new ones.
-    """
-    data = text.encode("utf-8")
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as file:
-        file.write(data)
-        if stat.S_ISREG(os.fstat(file.fileno()).st_mode):  # a device or FIFO cannot be cut
-            file.truncate(len(data))
+    write_blocks(path, (text,))
 
 
 def check_writable(path: str | Path) -> None:

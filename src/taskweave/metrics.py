@@ -46,7 +46,19 @@ class RunReport:
         return doc
 
     def to_json(self, timestamp: str | None = None) -> str:
-        return json.dumps(self.to_dict(timestamp), sort_keys=True, indent=2) + "\n"
+        """`json.dumps(self.to_dict(timestamp), sort_keys=True, indent=2) + "\\n"`, from leaves the C
+        encoder writes: `indent` selects the pure-Python one, which leaves a reference cycle."""
+        return _indented(self.to_dict(timestamp), "\n") + "\n"
+
+
+def _indented(doc: dict, pad: str) -> str:
+    """`json.dumps(doc, sort_keys=True, indent=2)` of nested dicts, each line after the first starting `pad`."""
+    inner = pad + "  "
+    items = ",".join(
+        f"{inner}{json.dumps(key)}: {_indented(value, inner) if isinstance(value, dict) else json.dumps(value)}"
+        for key, value in sorted(doc.items())
+    )
+    return f"{{{items}{pad}}}" if items else "{}"
 
 
 def factual_coverage(emitted: Iterable[str], reference: Iterable[str]) -> float:
@@ -84,11 +96,14 @@ def redundancy_penalty(
     realized when both facts appear somewhere in the committed union. Clamped
     to [0, 1]; an empty committed state scores 0.
     """
-    total = sum(map(len, committed_fact_sets))
+    return _redundancy(committed_fact_sets, set().union(*committed_fact_sets), contradiction_pairs)
+
+
+def _redundancy(fact_sets: Sequence[frozenset[str]], seen: set[str], pairs: Iterable[tuple[str, str]]) -> float:
+    total = sum(map(len, fact_sets))  # `seen` is the union of `fact_sets`
     if total == 0:
         return 0.0
-    seen = set().union(*committed_fact_sets)
-    realized = sum(1 for a, b in contradiction_pairs if a in seen and b in seen)
+    realized = sum(1 for a, b in pairs if a in seen and b in seen)
     # each distinct fact's first emission is the only one that is no duplicate
     return min(1.0, (total - len(seen) + 2 * realized) / total)
 
@@ -139,8 +154,9 @@ def build_report(log: RunLog, scenario: Scenario) -> RunReport:
     """Compute the full measurement suite for one completed run."""
     committed = committed_state(log)
     fact_sets = [facts for _, facts, _ in committed]
+    seen = set().union(*fact_sets)
     reference = scenario.reference_facts()
-    coverage = factual_coverage(set().union(*fact_sets), reference) if reference else 0.0
+    coverage = factual_coverage(seen, reference) if reference else 0.0
     compliance = compliance_accuracy(
         {task_id: facts for task_id, facts, _ in committed}, scenario.gold_answers
     )
@@ -153,7 +169,7 @@ def build_report(log: RunLog, scenario: Scenario) -> RunReport:
     return RunReport(
         factual_coverage=coverage,
         compliance_accuracy=compliance,
-        redundancy_penalty=redundancy_penalty(fact_sets, scenario.contradiction_pairs),
+        redundancy_penalty=_redundancy(fact_sets, seen, scenario.contradiction_pairs),
         revision_rate=revision_rate(log, tasks),
         coherence_mean=coherence_mean,
         relevance_mean=relevance_mean,

@@ -14,12 +14,13 @@ from math import isfinite
 from pathlib import Path
 from typing import NamedTuple
 
-from ._files import write_text
+from ._files import write_blocks
 from .errors import UnknownEntryError
 
 EVENT_KINDS = ("dispatch", "store", "commit", "feedback", "reassign", "terminate")
 _INF = float("inf")
 _new_tuple = tuple.__new__
+_BLOCK = 256  # events `write` encodes at a time: its memory is one block's, not the whole log's
 
 # The encoder `json.dumps(obj, sort_keys=True)` builds on every call, built once.
 _ENCODE = json.JSONEncoder(sort_keys=True).encode
@@ -128,19 +129,22 @@ class RunLog:
             )
         return store
 
-    def to_jsonl(self) -> str:
-        """One `json.dumps(event.to_dict(), sort_keys=True)` line per event."""
+    def to_jsonl(self, start: int = 0, stop: int | None = None) -> str:
+        """One `json.dumps(event.to_dict(), sort_keys=True)` line per event of `events[start:stop]`."""
         lines = [
             f'{{"kind": {_str(kind)}, "payload": {dumps_payload(kind, p)}, "virtual_time": {t!r}}}'
             if type(t) is float and isfinite(t)
             else _ENCODE({"virtual_time": t, "kind": kind, "payload": p})
-            for t, kind, p in self.events
+            for t, kind, p in self.events[start:stop]
         ]
         lines.append("")
         return "\n".join(lines)
 
     def write(self, path: str | Path) -> None:
-        write_text(path, self.to_jsonl())
+        """Write `to_jsonl()` to `path`, encoding `_BLOCK` events at a time. A payload `json` cannot
+        encode, which only a log built by hand holds, raises after the blocks before it are
+        written, so old bytes can stay after them, as after a killed write."""
+        write_blocks(path, (self.to_jsonl(i, i + _BLOCK) for i in range(0, len(self.events), _BLOCK)))
 
     @classmethod
     def from_jsonl(cls, text: str) -> RunLog:

@@ -79,8 +79,10 @@ class Scenario:
         return {spec.id: spec.build() for spec in self.agents}
 
     def reference_facts(self) -> frozenset[str]:
-        """Union of every task's reference facts: the run-level coverage target."""
-        return frozenset().union(*(task.reference_facts for task in self.tasks))
+        """Union of every task's reference facts: the run-level coverage target, built on first call."""
+        if "_reference_facts" not in self.__dict__:  # no field, so `==` and `replace` ignore it
+            object.__setattr__(self, "_reference_facts", frozenset().union(*(t.reference_facts for t in self.tasks)))
+        return self._reference_facts
 
     def annotations(self) -> dict[tuple[str, str, int], tuple[float, float, float]]:
         """Annotated score triples keyed by (task_id, agent_id, attempt)."""

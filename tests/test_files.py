@@ -14,8 +14,8 @@ from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
-from taskweave import RunConfig, load_scenario, orchestrate
-from taskweave._files import check_writable, write_text
+from taskweave import RunConfig, load_scenario, orchestrate, runlog
+from taskweave._files import check_writable, write_blocks, write_text
 from taskweave.cli import main
 from taskweave.scenario import dump_scenario
 
@@ -50,16 +50,17 @@ def rewrites(draw) -> tuple[bytes | None, str]:
     return resized(draw(TEXTS), draw(st.integers(low, high))), new
 
 
-@given(rewrites())
-def test_writes_the_bytes_and_mode_path_write_text_leaves(case):
+@given(rewrites(), st.lists(st.integers(0, 64), max_size=3))
+def test_writes_the_bytes_and_mode_path_write_text_leaves(case, cuts):
     prior, new = case
+    bounds = [0, *sorted(cuts), None]  # `new` cut into blocks, some of them empty
     with tempfile.TemporaryDirectory() as work:
         expected, written = Path(work, "expected"), Path(work, "written")
         if prior is not None:
             expected.write_bytes(prior)
             written.write_bytes(prior)
         expected.write_text(new, encoding="utf-8")
-        write_text(written, new)
+        write_blocks(written, [new[start:stop] for start, stop in zip(bounds, bounds[1:])])
         assert written.read_bytes() == expected.read_bytes() == new.encode("utf-8")
         assert written.stat().st_mode == expected.stat().st_mode
 
@@ -83,6 +84,17 @@ def test_an_existing_file_keeps_its_mode(tmp_path):
     write_text(path, "new")
     assert stat.S_IMODE(path.stat().st_mode) == 0o600
     assert path.read_text() == "new"
+
+
+def test_a_log_of_several_blocks_over_a_longer_file_leaves_its_bytes_and_the_old_mode(tmp_path, monkeypatch):
+    monkeypatch.setattr(runlog, "_BLOCK", 4)
+    log = orchestrate(load_scenario(CANONICAL_SCENARIOS[1]), RunConfig()).log
+    path = tmp_path / "run.jsonl"
+    path.write_text(log.to_jsonl() + "an older and longer log\n" * 10, encoding="utf-8")
+    path.chmod(0o600)
+    log.write(path)
+    assert path.read_bytes() == log.to_jsonl().encode("utf-8")
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
 
 
 def test_writes_the_target_of_a_symlink_and_keeps_the_link(tmp_path):
@@ -111,6 +123,8 @@ def test_writes_to_a_fifo(tmp_path):
 
 
 def test_every_file_the_package_writes_is_opened_without_truncation(tmp_path, monkeypatch):
+    """Once per file, a log of several blocks too."""
+    monkeypatch.setattr(runlog, "_BLOCK", 4)
     opened = []
     real_open = os.open
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib.util
+import json
 import math
 import random
 import sys
@@ -199,6 +200,22 @@ def test_report_ranges_are_valid():
         assert 0.0 <= report.relevance_mean <= 1.0
         if report.compliance_accuracy is not None:
             assert 0.0 <= report.compliance_accuracy <= 1.0
+
+
+REPORT_FLOATS = st.floats() | st.sampled_from([0.0, -0.0, 1e-7, 1e16, 0.1 + 0.2, 5e-324])
+
+
+@given(
+    st.tuples(*[REPORT_FLOATS] * 7),
+    st.none() | REPORT_FLOATS,
+    st.dictionaries(st.text(max_size=6), st.integers() | REPORT_FLOATS, max_size=5),
+    st.none() | st.text(max_size=8),
+)
+def test_report_json_is_json_dumps_with_indent(values, compliance, counts, timestamp):
+    coverage, redundancy, revision, coherence, relevance, completion, _ = values
+    report = RunReport(coverage, compliance, redundancy, revision, coherence, relevance, completion, counts)
+    stamp = "" if timestamp is None else timestamp
+    assert report.to_json(stamp) == json.dumps(report.to_dict(stamp), sort_keys=True, indent=2) + "\n"
 
 
 def test_report_json_omits_compliance_without_gold():

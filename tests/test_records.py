@@ -6,6 +6,7 @@ import functools
 import json
 import math
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -297,6 +298,71 @@ def test_a_written_log_of_a_bundled_run_reads_back_equal(path, tmp_path):
     log = Orchestrator(load_scenario(path)).run().log
     log.write(tmp_path / "run.jsonl")
     assert RunLog.from_jsonl((tmp_path / "run.jsonl").read_text(encoding="utf-8")) == log
+
+
+# -- the log written in blocks, against to_jsonl ----------------------------------------------
+
+B = runlog._BLOCK
+SCORE_OF_RUN = {"coherence": 0.5, "composite": 0.55, "factuality": 0.25, "relevance": 1.0}
+
+
+def run_shaped_log(size: int, fallback_at=()) -> RunLog:
+    """`size` dispatch, store and commit events of the run's shape, each encoded by its template,
+    but a feedback event, which `json` encodes, at each index in `fallback_at`."""
+    log = RunLog()
+    for i in range(size):
+        kind = "feedback" if i in fallback_at else HOT_KINDS[i % 3]
+        head = {"task_id": f"t{i // 3}", "agent_id": "a1", "attempt": 0}
+        log.append(kind, float(i // 3), {
+            "dispatch": {**head, "mode": "single", "wave": i // 3},
+            "store": {**head, "version": i // 3 + 1, "committed": False, "emitted_facts": [f"f{i}", "f0"],
+                      "declared_confidence": 0.8, "score": None},
+            "commit": {**head, "version": i // 3 + 1, "score": SCORE_OF_RUN},
+            "feedback": {"task_id": f"t{i // 3}", "note": "a critique ✓", "severity": 0.5},
+        }[kind])
+    return log
+
+
+@pytest.mark.parametrize("size", [0, 1, B - 1, B, B + 1, 2 * B + 1])
+@pytest.mark.parametrize("fallback_at", [(), (B // 2,), (B - 1, B)], ids=["templates", "fallback inside", "fallback at edge"])
+def test_write_writes_the_bytes_of_to_jsonl(tmp_path, size, fallback_at):
+    log = run_shaped_log(size, fallback_at)
+    log.write(tmp_path / "run.jsonl")
+    assert (tmp_path / "run.jsonl").read_bytes() == log.to_jsonl().encode("utf-8")
+
+
+@given(st.integers(0, 40), st.lists(st.integers(0, 45), max_size=4))
+def test_to_jsonl_of_consecutive_ranges_concatenates_to_the_whole(size, cuts):
+    log = run_shaped_log(size, fallback_at=(size // 2,))
+    bounds = [0, *sorted(cuts), None]
+    assert "".join(log.to_jsonl(start, stop) for start, stop in zip(bounds, bounds[1:])) == log.to_jsonl()
+
+
+def test_writing_a_log_holds_one_block_of_it_not_the_whole(tmp_path):
+    log = run_shaped_log(12_000, fallback_at=range(0, 12_000, 50))
+    path = tmp_path / "run.jsonl"
+    tracemalloc.start()
+    try:
+        log.write(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == log.to_jsonl().encode("utf-8")
+    assert peak < path.stat().st_size / 4
+
+
+def test_a_payload_json_cannot_encode_raises_from_write_after_the_blocks_before_it(tmp_path):
+    """Only a log built by hand holds such a payload. Its block raises after the blocks before it
+    are written and before the file is cut to length, so the old bytes after them stay."""
+    log = run_shaped_log(B + 1)
+    log.append("feedback", log.events[-1].virtual_time, {"note": object()})
+    path = tmp_path / "run.jsonl"
+    old = b"~" * (len(log.to_jsonl(0, B + 1).encode("utf-8")) + 100)
+    path.write_bytes(old)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        log.write(path)
+    first = log.to_jsonl(0, B).encode("utf-8")
+    assert path.read_bytes() == first + old[len(first):]
 
 
 def test_the_list_by_kind_returns_is_the_callers_own():

@@ -242,3 +242,7 @@ def test_reference_facts_union(tmp_path):
     doc["tasks"].append({"id": "t2", "reference_facts": ["f2", "f1"]})
     scenario = load_scenario(write(tmp_path, doc))
     assert scenario.reference_facts() == frozenset({"f1", "f2"})
+    # built once per scenario, and no field: equality and `replace` do not see it
+    assert scenario.reference_facts() is scenario.reference_facts()
+    assert scenario == load_scenario(write(tmp_path, doc))
+    assert dataclasses.replace(scenario, tasks=scenario.tasks[:1]).reference_facts() == frozenset({"f1"})

@@ -29,6 +29,7 @@ ROW_KEYS = {
     "write_s",
     "write_raw_s",
     "write_repeats",
+    "write_peak_bytes",
     "report_s",
     "report_raw_s",
     "report_repeats",
@@ -71,7 +72,7 @@ def test_sweep_writes_every_size_of_every_shape(tmp_path):
             assert set(row) == ROW_KEYS
             assert row["orchestrate_s"] > 0 and row["orchestrate_peak_bytes"] > 0
             assert row["to_jsonl_s"] > 0 and row["load_peak_bytes"] > 0
-            assert row["write_s"] > 0 and row["write_repeats"] >= 1
+            assert row["write_s"] > 0 and row["write_repeats"] >= 1 and row["write_peak_bytes"] > 0
             assert row["report_s"] > 0 and row["report_repeats"] >= 1
             # the load parses the same text and then builds from it
             assert 0 < row["parse_s"] < row["load_s"]

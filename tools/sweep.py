@@ -24,8 +24,8 @@ and records:
   collector's share of the timed calls, as the collections it ran per
   generation (0, 1, 2) and the seconds spent inside them, read through
   `gc.callbacks` during those same calls;
-- `load_peak_bytes`, `orchestrate_peak_bytes`: the `tracemalloc` peak of one
-  more call.
+- `load_peak_bytes`, `orchestrate_peak_bytes`, `write_peak_bytes`: the
+  `tracemalloc` peak of one more call (the write over the same file).
 
 Timings are medians over repeats, scaled to nominal host speed by
 `perfbench/reference.py` as the benchmark scales its own (the raw medians are
@@ -163,6 +163,7 @@ def measure(repo: Path, shape_name: str, tasks: int, work: Path) -> dict:
     log.write(written)
     write = timed("write", partial(log.write, written))
     row.update((key, write[key]) for key in ("write_s", "write_raw_s", "write_repeats"))
+    row.update(peak("write", partial(log.write, written)))
     for made in (path, written):
         made.unlink()
     return row
