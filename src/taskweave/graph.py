@@ -73,10 +73,10 @@ class TaskGraph:
         self._status = dict.fromkeys(self.tasks, TaskStatus.READY)
         self._blocked = {tid: len(task.depends_on) for tid, task in self.tasks.items()}
         self._ready = {tid for tid, blocked in self._blocked.items() if not blocked}
-        self._consumers = {tid: tuple(ids) for tid, ids in _consumer_index(self.tasks).items()}
-        cycle = _first_cycle(self._consumers)
+        cycle = find_cycle(self.tasks)
         if cycle:
             raise CycleError(cycle)
+        self._consumers = {tid: tuple(ids) for tid, ids in _consumer_index(self.tasks).items()}
 
     def task(self, task_id: str) -> TaskSpec:
         return self.tasks[task_id]
@@ -177,9 +177,16 @@ def build_graph(specs: Iterable[TaskSpec]) -> TaskGraph:
 def find_cycle(tasks: Mapping[str, TaskSpec]) -> tuple[str, ...]:
     """One dependency cycle as a closed path, or () when acyclic, without building a graph.
 
-    Raises UnknownDependencyError as TaskGraph does.
+    Raises UnknownDependencyError as TaskGraph does. When each task's
+    dependencies all come before it in `tasks` order, there is neither, and one
+    pass of subset tests shows it without the index or the walk.
     """
-    return _first_cycle(_consumer_index(tasks))
+    seen: set[str] = set()
+    for tid, task in tasks.items():
+        if not task.depends_on <= seen:
+            return _first_cycle(_consumer_index(tasks))
+        seen.add(tid)
+    return ()
 
 
 def _consumer_index(tasks: Mapping[str, TaskSpec]) -> dict[str, list[str]]:

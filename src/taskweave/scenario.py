@@ -168,6 +168,8 @@ def scenario_from_dict(doc: object) -> Scenario:
         top = _check_document(doc)
     except _Fault as fault:
         raise ScenarioValidationError(reduce(_at, reversed(fault.keys), "$"), str(fault)) from None
+    finally:
+        _POOL.clear()
     _check_duplicate_rows(doc, top["agents"])
     return Scenario(
         name=top.get("name", ""),
@@ -441,17 +443,33 @@ def _map(item: Check, slow: Check) -> Check:
     return check
 
 
+# One build's distinct names (each str keyed by itself) and fact sets (each frozenset
+# keyed by its members as listed), so a scenario holds one object per distinct value;
+# `scenario_from_dict` empties it once its check returns or raises.
+_POOL: dict = {}
+
+
+def _facts(members: list[str]) -> frozenset[str]:
+    """The build's one frozenset of `members`; a new one holds the build's one copy of each."""
+    key = tuple(members)
+    found = _POOL.get(key)
+    if found is None:
+        found = _POOL[key] = frozenset(map(_POOL.setdefault, members, members))
+    return found
+
+
 _ROW = "#/properties/agents/items/properties/behavior/items"
 # Each hot node's built form, an expression over its property names. `new(C, values)`
 # makes the record C: as a bare tuple on the fast path, whose tests cover every rule
-# C's constructor checks, and through that constructor on the slow path.
+# C's constructor checks, and through that constructor on the slow path. `_name(s, s)`
+# is the build's one copy of the name `s`.
 _BUILT = {
-    "#/properties/tasks/items": "TaskSpec(id, description, frozenset(domain_markers),"
-    " float(ambiguity), expected_effort, frozenset(reference_facts), frozenset(depends_on))",
+    "#/properties/tasks/items": "TaskSpec(_name(id, id), description, _facts(domain_markers),"
+    " float(ambiguity), expected_effort, _facts(reference_facts), _facts(depends_on))",
     # a repeated (task, attempt) is reported once the whole document passes
-    "#/properties/agents/items": "AgentSpec(id, frozenset(capabilities), capacity,"
+    "#/properties/agents/items": "AgentSpec(id, _facts(capabilities), capacity,"
     " historical_performance, dict(behavior))",
-    _ROW: "(task_id, attempt), new(BehaviorRow, (content, frozenset(emitted_facts),"
+    _ROW: "(_name(task_id, task_id), attempt), new(BehaviorRow, (content, _facts(emitted_facts),"
     " float(declared_confidence), float(latency), annotated_scores, tuple(contingent_facts)))",
     _ROW + "/properties/annotated_scores": ", ".join(_SCORE_NAMES),
     _ROW + "/properties/contingent_facts/items": ", ".join(_CONTINGENT_NAMES),
@@ -459,6 +477,7 @@ _BUILT = {
 _NAMES = dict(
     inf=math.inf, _Fault=_Fault, _off=_off, TaskSpec=TaskSpec, AgentSpec=AgentSpec,
     BehaviorRow=BehaviorRow, new=tuple.__new__, construct=lambda cls, values: cls(*values),
+    _facts=_facts, _name=_POOL.setdefault,
 )
 _check_document = _compile(_SCHEMA)
 

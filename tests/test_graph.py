@@ -19,10 +19,12 @@ from taskweave import (
     UnknownDependencyError,
     build_graph,
 )
+from taskweave import graph as graph_module
 from taskweave.graph import TaskGraph, find_cycle
-from taskweave.scenario import scenario_from_dict
+from taskweave.scenario import load_scenario, scenario_from_dict
 
-from conftest import make_task
+from conftest import CANONICAL_SCENARIOS, make_task
+from test_golden_digests import load_perfbench_run
 
 
 def brute_force_assignable(graph) -> set[str]:
@@ -379,7 +381,8 @@ def cycle_verdict(find, tasks):
 
 @st.composite
 def random_graphs(draw):
-    """A DAG in a shuffled id order, plus a few back edges (cyclic) and unknown ids."""
+    """A DAG in a shuffled id order, plus a few back edges (cyclic) and unknown ids,
+    listed in dependency order or shuffled."""
     n = draw(st.integers(1, 12))
     ids = draw(st.permutations([f"t{i}" for i in range(n)]))
     deps = [set(draw(st.sets(st.sampled_from(ids[:i])))) if i else set() for i in range(n)]
@@ -388,20 +391,46 @@ def random_graphs(draw):
         deps[i].add(ids[j])
     if draw(st.integers(0, 9)) == 0:
         deps[draw(st.integers(0, n - 1))].add(draw(st.sampled_from(["t99", "t100"])))
-    order = draw(st.permutations(range(n)))  # the mapping's order, apart from id order
+    # the mapping's order, apart from id order: without a back edge, the list order
+    # is a dependency order, which find_cycle proves acyclic without walking
+    order = range(n) if draw(st.booleans()) else draw(st.permutations(range(n)))
     return {ids[i]: make_task(ids[i], deps=deps[i]) for i in order}
+
+
+def walked(tasks) -> tuple[str, ...]:
+    """find_cycle without its dependency-order pass: the index and its walk."""
+    return graph_module._first_cycle(graph_module._consumer_index(tasks))
+
+
+def built(tasks) -> tuple[str, ...]:
+    try:
+        TaskGraph(tasks)
+    except CycleError as exc:
+        return exc.cycle
+    return ()
 
 
 @given(random_graphs())
 def test_find_cycle_matches_the_graph_walk_it_replaced(tasks):
     expected = cycle_verdict(graph_walk_find_cycle, tasks)
+    assert cycle_verdict(walked, tasks) == expected
     assert cycle_verdict(find_cycle, tasks) == expected
-    if expected == ():
-        TaskGraph(tasks)  # an acyclic map builds
-    elif not isinstance(expected, str):
-        with pytest.raises(CycleError) as exc:
-            TaskGraph(tasks)
-        assert exc.value.cycle == find_cycle(tasks)
+    assert cycle_verdict(built, tasks) == expected
+
+
+def test_graphs_in_dependency_order_are_proved_acyclic_without_the_walk(monkeypatch):
+    def walk(consumers):
+        raise AssertionError("walked a graph listed in dependency order")
+
+    bench = load_perfbench_run()
+    scenarios = [load_scenario(path) for path in CANONICAL_SCENARIOS]
+    scenarios += [scenario_from_dict(bench.synth.generate(shape.scaled(60), 1)) for shape in bench.SHAPES.values()]
+    monkeypatch.setattr(graph_module, "_first_cycle", walk)
+    for scenario in scenarios:
+        assert find_cycle({task.id: task for task in scenario.tasks}) == ()
+        scenario.build_graph()
+    with pytest.raises(AssertionError, match="walked"):  # out of order, the walk decides
+        find_cycle({"b": make_task("b", deps=["a"]), "a": make_task("a")})
 
 
 class StatusScan:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -18,6 +20,7 @@ from taskweave import (
 from taskweave.scenario import _compile, scenario_from_dict
 
 from conftest import CANONICAL_SCENARIOS, make_agent, make_row, make_scenario, make_task
+from test_golden_digests import load_perfbench_run
 
 MINIMAL = {
     "schema_version": 1,
@@ -246,3 +249,19 @@ def test_reference_facts_union(tmp_path):
     assert scenario.reference_facts() is scenario.reference_facts()
     assert scenario == load_scenario(write(tmp_path, doc))
     assert dataclasses.replace(scenario, tasks=scenario.tasks[:1]).reference_facts() == frozenset({"f1"})
+
+
+def test_a_loaded_scenario_holds_under_twice_its_files_size(tmp_path):
+    # one object per distinct name and fact set: the parsed document's copies are not kept
+    bench = load_perfbench_run()
+    path = tmp_path / "deep_dag.json"
+    path.write_text(bench.synth.dumps(bench.synth.generate(bench.SHAPES["deep_dag"].scaled(2000), 1)), "utf-8")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        scenario = load_scenario(path)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(scenario.tasks) == 2000
+    assert kept < 2 * path.stat().st_size

@@ -325,10 +325,18 @@ def test_builder_reports_the_first_of_two_faults_by_path(doc):
 
 
 BASE_IDS = ["minimal", "rich", *(path.stem for path in CANONICAL_SCENARIOS)]
+BENCH_SHAPES = ("deep_dag", "fanout_revise")
 
 
-@pytest.mark.parametrize("base", BASES, ids=BASE_IDS)
+def bench_document(name: str) -> dict:
+    bench = load_perfbench_run()
+    return bench.synth.generate(bench.SHAPES[name].scaled(60), 1)
+
+
+@pytest.mark.parametrize("base", [*BASES, *BENCH_SHAPES], ids=[*BASE_IDS, *BENCH_SHAPES])
 def test_valid_bases_build_the_reference_scenario(base):
+    # the pooled build equals the plain one, on the files and on the bench's shapes
+    base = bench_document(base) if isinstance(base, str) else base
     assert schema_verdict(base) is None
     assert scenario_from_dict(copy.deepcopy(base)) == reference_scenario(base)
 
@@ -695,3 +703,89 @@ def test_cross_references_report_the_fault_the_scans_reported(fields):
     expected = cross_reference_verdict(scanned_cross_references, fields)
     assert cross_reference_verdict(scenario_module._check_cross_references, fields) == expected
     assert cross_reference_verdict(lambda f: Scenario(**vars(f)), fields) == expected
+
+
+# -- the pool: one object per distinct name and fact set ------------------------------
+
+
+def objects_by_value(*collections) -> dict:
+    """Each value in `collections` and the ids of the objects that hold it."""
+    out: dict = {}
+    for collection in collections:
+        for value in collection:
+            out.setdefault(value, set()).add(id(value))
+    return out
+
+
+def test_a_build_holds_one_object_per_distinct_name_and_fact_set():
+    doc = {
+        "schema_version": 1,
+        "tasks": [
+            {"id": "task one", "reference_facts": ["fact a", "fact b"], "domain_markers": ["legal"]},
+            {"id": "task two", "depends_on": ["task one"], "reference_facts": ["fact b", "fact c"],
+             "domain_markers": ["legal"]},
+        ],
+        "agents": [
+            {
+                "id": "a1",
+                "capabilities": ["legal"],
+                "behavior": [
+                    {"task_id": "task one", "attempt": 0, "content": "x", "emitted_facts": ["fact a", "fact b"]},
+                    {"task_id": "task one", "attempt": 1, "content": "y", "emitted_facts": ["fact a", "fact b"]},
+                    {"task_id": "task two", "attempt": 0, "content": "z", "emitted_facts": ["fact c"]},
+                ],
+            }
+        ],
+    }
+    scenario = scenario_from_dict(json.loads(json.dumps(doc)))  # every string its own object
+    one, two = scenario.tasks
+    rows = scenario.agents[0].behavior
+    # two rows that emit the same facts hold one frozenset, the task's set of those facts too
+    assert rows[("task one", 0)].emitted_facts is rows[("task one", 1)].emitted_facts is one.reference_facts
+    assert one.domain_markers is two.domain_markers is scenario.agents[0].capabilities
+    # one fact in different sets is one str; a task id is one str wherever it is named
+    facts = objects_by_value(one.reference_facts, two.reference_facts, rows[("task two", 0)].emitted_facts)
+    names = objects_by_value([one.id, two.id], two.depends_on, [task_id for task_id, _ in rows])
+    assert {value: len(ids) for value, ids in {**facts, **names}.items()} == {
+        "fact a": 1, "fact b": 1, "fact c": 1, "task one": 1, "task two": 1
+    }
+
+
+def with_rows(doc: dict, *rows: dict) -> dict:
+    doc = copy.deepcopy(doc)
+    doc["agents"][0]["behavior"] += [dict(row) for row in rows]
+    return doc
+
+
+POOL_FAULTS = {
+    # the tasks and rows before it fill the pool; this row fails in its spec, on the slow path
+    "slow-path-row": (
+        with_rows(RICH, {"task_id": "t1", "attempt": 2, "content": "c", "emitted_facts": ["f9"],
+                         "declared_confidence": math.nan}),
+        "$.agents[0].behavior[2]",
+    ),
+    "duplicate-row": (with_rows(RICH, RICH["agents"][0]["behavior"][0]), "$.agents[0].behavior[2]"),
+    "unknown-id": (
+        {**RICH, "tasks": [*RICH["tasks"], {"id": "t3", "depends_on": ["ghost"]}]}, "$.tasks[2].depends_on"
+    ),
+    "cycle": ({**RICH, "tasks": [{**RICH["tasks"][0], "depends_on": ["t2"]}, RICH["tasks"][1]]}, "$.tasks"),
+}
+
+
+@pytest.mark.parametrize("fault", list(POOL_FAULTS))
+def test_the_pool_is_empty_after_a_build_fails(monkeypatch, fault):
+    doc, path = POOL_FAULTS[fault]
+    held = []  # the pool's size as a fault the check raised gets its path
+    at = scenario_module._at
+    monkeypatch.setattr(scenario_module, "_at", lambda *args: held.append(len(scenario_module._POOL)) or at(*args))
+    with pytest.raises(ScenarioValidationError) as exc:
+        scenario_from_dict(doc)
+    assert exc.value.path == path
+    assert scenario_module._POOL == {}
+    if fault == "slow-path-row":
+        assert held and held[0] > 0  # the rows before the fault had filled it
+
+
+def test_the_pool_is_empty_after_a_build():
+    scenario_from_dict(copy.deepcopy(RICH))
+    assert scenario_module._POOL == {}

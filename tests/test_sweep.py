@@ -40,6 +40,7 @@ ROW_KEYS = {
     "orchestrate_gc_s",
     "orchestrate_gc_raw_s",
     "load_peak_bytes",
+    "load_kept_bytes",
     "parse_s",
     "parse_raw_s",
     "parse_repeats",
@@ -71,7 +72,7 @@ def test_sweep_writes_every_size_of_every_shape(tmp_path):
         for row in shape["sizes"].values():
             assert set(row) == ROW_KEYS
             assert row["orchestrate_s"] > 0 and row["orchestrate_peak_bytes"] > 0
-            assert row["to_jsonl_s"] > 0 and row["load_peak_bytes"] > 0
+            assert row["to_jsonl_s"] > 0 and 0 < row["load_kept_bytes"] <= row["load_peak_bytes"]
             assert row["write_s"] > 0 and row["write_repeats"] >= 1 and row["write_peak_bytes"] > 0
             assert row["report_s"] > 0 and row["report_repeats"] >= 1
             # the load parses the same text and then builds from it

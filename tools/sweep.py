@@ -25,7 +25,9 @@ and records:
   generation (0, 1, 2) and the seconds spent inside them, read through
   `gc.callbacks` during those same calls;
 - `load_peak_bytes`, `orchestrate_peak_bytes`, `write_peak_bytes`: the
-  `tracemalloc` peak of one more call (the write over the same file).
+  `tracemalloc` peak of one more call (the write over the same file);
+- `load_kept_bytes`: `tracemalloc`'s current size once that load returns,
+  with the scenario still held: what the loaded scenario keeps.
 
 Timings are medians over repeats, scaled to nominal host speed by
 `perfbench/reference.py` as the benchmark scales its own (the raw medians are
@@ -138,18 +140,19 @@ def measure(repo: Path, shape_name: str, tasks: int, work: Path) -> dict:
             f"{name}_gc_collections": [statistics.median(s[4][g] for s in samples) for g in range(3)],
         }
 
-    def peak(name: str, fn) -> dict[str, int]:
+    def peak(name: str, fn, kept: bool = False) -> dict[str, int]:
         tracemalloc.start()
         try:
-            fn()
-            return {f"{name}_peak_bytes": tracemalloc.get_traced_memory()[1]}
+            result = fn()  # held while the sizes are read
+            current, highest = tracemalloc.get_traced_memory()
+            return {f"{name}_peak_bytes": highest, **({f"{name}_kept_bytes": current} if kept else {})}
         finally:
             tracemalloc.stop()
 
     # Each reading holds only what the CLI holds at that point: no second
     # scenario during the load, no run log during the orchestrate.
     load = partial(load_scenario, path)
-    row = {**timed("load", load), **peak("load", load)}
+    row = {**timed("load", load), **peak("load", load, kept=True)}
     row.update(timed("parse", collector_paused(partial(json.loads, path.read_text(encoding="utf-8")))))
     scenario = load()
     config = run.make_item(path, scenario, "full").config
