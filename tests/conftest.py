@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import random
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -27,6 +30,30 @@ def child_interpreters_import_src():
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("PYTHONPATH", os.pathsep.join(filter(None, paths)))
         yield
+
+
+@dataclass
+class Result:
+    exit_code: int
+    output: str  # stdout, then stderr: a CLI call writes to one of them
+    stdout: str
+    exception: BaseException | None  # what ended a call that did not exit 0
+
+
+class CliRunner:
+    """`main(args)` run in this process, with its output captured and its exit code kept."""
+
+    def invoke(self, main, args) -> Result:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        code, exception = 0, None
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                main(args)
+            except SystemExit as exc:
+                code, exception = exc.code or 0, exc
+            except Exception as exc:
+                code, exception = 1, exc
+        return Result(code, stdout.getvalue() + stderr.getvalue(), stdout.getvalue(), exception if code else None)
 
 
 def make_task(

@@ -3,16 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import os
 
 import pytest
-from click.testing import CliRunner
 
 from taskweave import RunConfig, load_scenario, orchestrate
-from taskweave.cli import main, run
+from taskweave.cli import _PARSER, main, run
+from taskweave.scoring import WEIGHT_KEYS
 
-from conftest import CANONICAL_SCENARIOS
+from conftest import CANONICAL_SCENARIOS, CliRunner
 
 FILING = str(CANONICAL_SCENARIOS[0])
 
@@ -97,8 +98,9 @@ def test_weight_overrides_change_scores(runner):
 
 def test_partial_weight_flags_rejected(runner):
     result = runner.invoke(main, ["run", FILING, "--alpha", "0.5"])
-    assert result.exit_code != 0
-    assert "together" in result.output
+    assert result.exit_code == 2
+    assert result.output.startswith("usage: taskweave run ")  # the run command's own usage
+    assert result.output.endswith("taskweave run: error: --alpha/--beta/--gamma must be given together\n")
 
 
 def test_theta_and_k_overrides_change_routing(runner, tmp_path):
@@ -446,9 +448,14 @@ def test_an_output_path_that_cannot_be_written_exits_one(tmp_path, option, name,
 
 
 def test_every_run_parameter_is_a_run_config_field():
-    own = {"scenario_path", "report_path", "log_path", "alpha", "beta", "gamma"}
-    fields = {field.name for field in dataclasses.fields(RunConfig)}
-    settings = {param.name for param in run.params} - own
+    # the parsed keys are what `main` passes to `run`: its named parameters, the weight trio it
+    # folds into `weights`, and settings it hands to RunConfig.with_overrides
+    parsed = vars(_PARSER.parse_args(["run", FILING]))
+    assert parsed.pop("command") is run
+    own = {name for name in inspect.signature(run).parameters if name != "settings"} | set(WEIGHT_KEYS)
+    assert own <= set(parsed)
+    fields = {field.name for field in dataclasses.fields(RunConfig)} - {"weights"}
+    settings = set(parsed) - own
     assert settings <= fields, f"not RunConfig fields: {sorted(settings - fields)}"
 
 
@@ -521,29 +528,72 @@ def test_an_existing_output_file_and_a_new_one_in_an_existing_directory_can_be_w
     assert json.loads(report.read_text(encoding="utf-8")) and log.read_text(encoding="utf-8")
 
 
-def test_the_runtime_needs_only_click():
-    # the test-only packages are blocked, so an import of any of them fails as it would
-    # in an install without the `test` extra
+def test_the_runtime_needs_only_the_standard_library():
+    # click and the test-only packages are blocked, so an import of any of them fails as it
+    # would in an install without the `test` extra
     import subprocess
     import sys
 
     from conftest import REPO_ROOT
 
     code = (
-        "import sys\n"
-        "for name in ('jsonschema', 'hypothesis', 'pytest'):\n"
+        "import contextlib, io, sys\n"
+        "for name in ('click', 'jsonschema', 'hypothesis', 'pytest'):\n"
         "    sys.modules[name] = None\n"
-        "from click.testing import CliRunner\n"
         "from taskweave.cli import main\n"
         "for path in sys.argv[1:]:\n"
         "    for command in ('validate', 'run'):\n"
-        "        result = CliRunner().invoke(main, [command, path])\n"
-        "        print(command, path, result.exit_code, repr(result.exception))\n"
+        "        with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "            main([command, path])\n"
+        "        print(command, path, bool(out.getvalue()))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     paths = [str(path) for path in CANONICAL_SCENARIOS]
     proc = subprocess.run([sys.executable, "-c", code, *paths], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        f"{command} {path} 0 None" for path in paths for command in ("validate", "run")
+        f"{command} {path} True" for path in paths for command in ("validate", "run")
     ]
+
+
+# Each a command line the parser refuses. Abbreviations of options are refused too: one
+# would pass for the option it begins, and a later option could make it ambiguous.
+BAD_COMMAND_LINES = {
+    "unknown-option": ["run", FILING, "--no-such-option"],
+    "abbreviated-flag": ["run", FILING, "--no-p"],
+    "abbreviated-option": ["run", FILING, "--the", "0.5"],
+    "seed-not-an-integer": ["run", FILING, "--seed", "x"],
+    "theta-not-a-number": ["run", FILING, "--theta", "x"],
+    "run-without-a-scenario": ["run"],
+    "validate-without-a-scenario": ["validate"],
+    "no-command": [],
+    "alpha-alone": ["run", FILING, "--alpha", "0.5"],
+}
+
+
+@pytest.mark.parametrize("args", BAD_COMMAND_LINES.values(), ids=BAD_COMMAND_LINES)
+def test_a_bad_command_line_exits_two_on_stderr_before_the_load(runner, monkeypatch, args):
+    loads = []
+    monkeypatch.setattr("taskweave.cli.load_scenario", loads.append)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == "" and "error: " in result.output
+    assert loads == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full, a device every write to fails")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_a_stdout_that_cannot_be_written_exits_one(command, unbuffered):
+    # buffered, the text is only written at the flush: one that fails at exit would exit 120
+    import subprocess
+    import sys
+
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        args = [sys.executable, "-m", "taskweave.cli", command, FILING]
+        proc = subprocess.run(args, env=env, stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == "cannot write: [Errno 28] No space left on device\n"

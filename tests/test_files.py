@@ -10,7 +10,6 @@ import threading
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -19,7 +18,7 @@ from taskweave._files import check_writable, write_blocks, write_text
 from taskweave.cli import main
 from taskweave.scenario import dump_scenario
 
-from conftest import CANONICAL_SCENARIOS
+from conftest import CANONICAL_SCENARIOS, CliRunner
 
 TEXTS = st.one_of(st.text(st.characters(max_codepoint=127)), st.text())
 RELATIONS = ("absent", "empty", "shorter", "same length", "longer")

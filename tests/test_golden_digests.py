@@ -25,13 +25,12 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from taskweave import RunConfig, RunResult, orchestrate
 from taskweave.cli import main
 from taskweave.scenario import load_scenario
 
-from conftest import CANONICAL_SCENARIOS, REPO_ROOT, random_adversarial_scenario
+from conftest import CANONICAL_SCENARIOS, CliRunner, REPO_ROOT, random_adversarial_scenario
 
 # variant: (CLI flags, the settings they give)
 VARIANTS = {
