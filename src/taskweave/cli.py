@@ -120,7 +120,10 @@ _RUN.add_argument("--log", dest="log_path", help="Write the run log (JSON lines)
 
 def main(args: Sequence[str] | None = None, standalone_mode: bool = True) -> None:
     """Run the command `args` (by default the process's arguments) names; a bad command line exits 2."""
-    parsed = vars(_PARSER.parse_args(args))
+    namespace, extras = _PARSER.parse_known_args(args)
+    parsed = vars(namespace)
+    if extras:  # reported by the command's parser, so its usage line lists its options
+        _COMMANDS.choices[parsed["command"].__name__].error(f"unrecognized arguments: {' '.join(extras)}")
     parsed.pop("command")(**parsed)
 
 

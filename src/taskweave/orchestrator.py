@@ -250,14 +250,9 @@ class Orchestrator:
     @collector_paused
     def run(self) -> RunResult:
         """Execute the loop with the collector paused and return the result."""
-        while True:
-            assignable = self.graph.ready_tasks()
-            if not assignable:
-                if self.graph.all_committed():
-                    break
-                raise DeadlockError(
-                    "uncommitted tasks remain but none are assignable"
-                )
+        # The graph is acyclic with known dependencies, so the first uncommitted task in
+        # topological order is always ready: the loop ends with every task committed.
+        while assignable := self.graph.ready_tasks():
             committed = self._run_wave(sorted(assignable))
             if not committed:
                 raise DeadlockError(
@@ -272,15 +267,14 @@ class Orchestrator:
         bound = len(self.graph.tasks) * (1 + self.config.revision_budget) * self.router.k
         if self._dispatches > bound:
             raise InvariantError(f"dispatch bound violated: {self._dispatches} > {bound}")
+        winners, tasks = self.memory.committed_count(), len(self.graph.tasks)
+        if winners != tasks:  # memory must hold a winner for each task before the log says completed
+            raise MissingCommitError(f"memory holds {winners} committed entries for {tasks} tasks")
         self.log.append(
             "terminate",
             self._clock,
             {"reason": "completed", "waves": self._waves, "dispatches": self._dispatches},
         )
-        # The loop ends with every task committed; memory must hold a winner for each.
-        winners, tasks = self.memory.committed_count(), len(self.graph.tasks)
-        if winners != tasks:
-            raise MissingCommitError(f"memory holds {winners} committed entries for {tasks} tasks")
         for agent in self.agents.values():
             if agent.profile.load != 0:
                 raise InvariantError(f"agent {agent.profile.id} still loaded at the end of the run")

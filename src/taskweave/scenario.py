@@ -43,6 +43,8 @@ class AgentSpec:
     behavior: dict[tuple[str, int], BehaviorRow] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.capacity < 1:
+            raise ValueError("capacity must be a positive integer")
         for marker, value in self.historical_performance.items():
             if math.isnan(value):
                 raise ValueError(f"historical_performance[{marker!r}] is NaN")  # others clamp
@@ -171,23 +173,15 @@ def scenario_from_dict(doc: object) -> Scenario:
     finally:
         _POOL.clear()
     _check_duplicate_rows(doc, top["agents"])
-    return Scenario(
-        name=top.get("name", ""),
-        description=top.get("description", ""),
-        tasks=tuple(top["tasks"]),
-        agents=tuple(top["agents"]),
-        contradiction_pairs=tuple(tuple(pair) for pair in top.get("contradiction_pairs", ())),
-        gold_answers=top.get("gold_answers", {}),
-        static_assignments=top.get("static_assignments", {}),
-        defaults=top.get("defaults", {}),
-    )
+    del top["schema_version"]  # the root's other properties are Scenario fields; an absent one, its default
+    return Scenario(**top)
 
 
 # -- the schema, compiled ---------------------------------------------------------
 #
 # `_compile` turns each schema node into a check: a function that takes the
-# node's value and returns the value to build from (an integral float in an
-# integer node becomes an int) or raises `_Fault` with jsonschema's message.
+# node's value and returns the value to build from (an integer node's integral
+# float as an int, an array as a tuple) or raises `_Fault` with jsonschema's message.
 # The fast path is Python source generated from the schema and `exec`ed once:
 # string and number nodes test their value inline, and each hot node (`_BUILT`)
 # inlines its key-set test and its properties' tests, then builds its spec or
@@ -213,7 +207,6 @@ _KEYWORDS = {  # by the node's type; a `$ref` stands alone, the root adds annota
 }
 _ANNOTATIONS = {"$schema", "$id", "$defs", "title", "default"}
 _TYPES = dict(object=dict, array=list, string=str, number=(int, float), integer=(int, float))
-_EMPTY: list = []
 _IDENTIFIER = re.compile("^[a-zA-Z][a-zA-Z0-9_]*$")
 _SCORE_NAMES = ("coherence", "factuality", "relevance")  # the order of a score triple
 _CONTINGENT_NAMES = ("if_visible", "emit")  # the order of a contingent pair
@@ -411,7 +404,7 @@ def _source(schema: dict, at: str) -> str:
 def _array(schema: dict, item: Check, slow: Check) -> Check:
     fewest, most = schema.get("minItems", 0), schema.get("maxItems", math.inf)
 
-    def check(value: object) -> list:
+    def check(value: object) -> tuple:
         if not (type(value) is list and fewest <= len(value) <= most):
             slow(value)
         out: list = []
@@ -422,7 +415,7 @@ def _array(schema: dict, item: Check, slow: Check) -> Check:
         except _Fault as fault:
             fault.keys.append(len(out))
             raise
-        return out
+        return tuple(out)
 
     return check
 
@@ -482,10 +475,10 @@ _NAMES = dict(
 _check_document = _compile(_SCHEMA)
 
 
-def _check_duplicate_rows(doc: dict, agents: list[AgentSpec]) -> None:
+def _check_duplicate_rows(doc: dict, agents: tuple[AgentSpec, ...]) -> None:
     """No agent has two behavior rows for one (task, attempt); `doc` has passed the schema."""
     for i, (raw, agent) in enumerate(zip(doc["agents"], agents)):
-        rows = raw.get("behavior", _EMPTY)
+        rows = raw.get("behavior", ())
         if len(agent.behavior) < len(rows):
             keys = [(row["task_id"], int(row["attempt"])) for row in rows]
             first: dict[tuple[str, int], int] = {}

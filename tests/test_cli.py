@@ -558,26 +558,30 @@ def test_the_runtime_needs_only_the_standard_library():
 
 # Each a command line the parser refuses. Abbreviations of options are refused too: one
 # would pass for the option it begins, and a later option could make it ambiguous.
+RUN_USAGE, VALIDATE_USAGE, TOP_USAGE = "usage: taskweave run ", "usage: taskweave validate ", "usage: taskweave [-h] "
+# each bad command line and the start of the usage it prints: a fault after a command, that command's
 BAD_COMMAND_LINES = {
-    "unknown-option": ["run", FILING, "--no-such-option"],
-    "abbreviated-flag": ["run", FILING, "--no-p"],
-    "abbreviated-option": ["run", FILING, "--the", "0.5"],
-    "seed-not-an-integer": ["run", FILING, "--seed", "x"],
-    "theta-not-a-number": ["run", FILING, "--theta", "x"],
-    "run-without-a-scenario": ["run"],
-    "validate-without-a-scenario": ["validate"],
-    "no-command": [],
-    "alpha-alone": ["run", FILING, "--alpha", "0.5"],
+    "unknown-option": (["run", FILING, "--no-such-option"], RUN_USAGE),
+    "abbreviated-flag": (["run", FILING, "--no-p"], RUN_USAGE),
+    "abbreviated-option": (["run", FILING, "--the", "0.5"], RUN_USAGE),
+    "validate-with-a-run-option": (["validate", FILING, "--seed", "3"], VALIDATE_USAGE),
+    "seed-not-an-integer": (["run", FILING, "--seed", "x"], RUN_USAGE),
+    "theta-not-a-number": (["run", FILING, "--theta", "x"], RUN_USAGE),
+    "run-without-a-scenario": (["run"], RUN_USAGE),
+    "validate-without-a-scenario": (["validate"], VALIDATE_USAGE),
+    "no-command": ([], TOP_USAGE),
+    "alpha-alone": (["run", FILING, "--alpha", "0.5"], RUN_USAGE),
 }
 
 
-@pytest.mark.parametrize("args", BAD_COMMAND_LINES.values(), ids=BAD_COMMAND_LINES)
-def test_a_bad_command_line_exits_two_on_stderr_before_the_load(runner, monkeypatch, args):
+@pytest.mark.parametrize("args,usage", BAD_COMMAND_LINES.values(), ids=BAD_COMMAND_LINES)
+def test_a_bad_command_line_exits_two_on_stderr_before_the_load(runner, monkeypatch, args, usage):
     loads = []
     monkeypatch.setattr("taskweave.cli.load_scenario", loads.append)
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert result.stdout == "" and "error: " in result.output
+    assert result.output.startswith(usage)
     assert loads == []
 
 

@@ -206,6 +206,7 @@ def test_ready_tasks_match_brute_force_under_commits_and_reopens(seed, n_nodes, 
     graph = build_graph(random_dag(random.Random(seed), n_nodes))
     for _ in range(data.draw(st.integers(0, 4 * n_nodes), label="steps")):
         assert graph.ready_tasks() == brute_force_assignable(graph)
+        assert graph.ready_tasks() or graph.all_committed()  # the run loop ends on an empty ready set
         committed = sorted(t for t in graph.tasks if graph.status(t) is TaskStatus.COMMITTED)
         moves = [("commit", t) for t in sorted(graph.ready_tasks())]
         moves += [("reopen", t) for t in committed]

@@ -798,8 +798,10 @@ def test_a_run_whose_memory_misses_a_winner_raises(monkeypatch):
         return entry
 
     monkeypatch.setattr(SharedMemory, "commit", commit_then_forget_t2)
+    orch = Orchestrator(chain_scenario(), RunConfig(no_feedback=True))
     with pytest.raises(MissingCommitError, match="1 committed entries for 2 tasks"):
-        orchestrate(chain_scenario(), RunConfig(no_feedback=True))
+        orch.run()
+    assert orch.log.by_kind("terminate") == []  # the log never says completed
 
 
 @pytest.mark.parametrize("path", CANONICAL_SCENARIOS, ids=lambda p: p.stem)

@@ -476,6 +476,21 @@ def test_the_loader_rejects_non_finite_latency_literals(tmp_path, literal, path)
     assert exc.value.path == path
 
 
+def test_a_capacity_below_one_is_refused_by_the_spec_and_by_the_schema():
+    with pytest.raises(ValueError, match="capacity must be a positive integer"):
+        AgentSpec("a", capacity=0)
+    # a file's fault is the schema's, reported before any spec is built
+    with pytest.raises(ScenarioValidationError) as exc:
+        scenario_from_dict(apply(MINIMAL, ("agents", 0, "capacity"), 0))
+    assert (exc.value.path, exc.value.message) == ("$.agents[0].capacity", "0 is less than the minimum of 1")
+
+
+def test_the_root_properties_but_the_version_are_the_scenario_fields():
+    # scenario_from_dict builds Scenario(**checked root), so each property is a field and each field a property
+    names = [f.name for f in dataclasses.fields(Scenario)]
+    assert sorted(SCHEMA["properties"].keys() - {"schema_version"}) == sorted(names)
+
+
 def test_validate_under_python_O_exits_two_on_an_infinite_latency(tmp_path):
     file = tmp_path / "latency.json"
     file.write_text(json.dumps(MINIMAL).replace('"latency": 1', '"latency": 1e400'))
