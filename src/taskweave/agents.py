@@ -6,7 +6,6 @@ run is a pure function of the scenario. It is the only agent implementation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import NoScriptedBehaviorError
@@ -91,22 +90,32 @@ class BehaviorRow(_BehaviorFields):
         return cls(*values)
 
 
-@dataclass
+def check_capacity(capacity: object) -> None:
+    """Raise ValueError unless `capacity` is an int, not a bool, of at least 1."""
+    if isinstance(capacity, bool) or not isinstance(capacity, int) or capacity < 1:
+        raise ValueError("capacity must be a positive integer")
+
+
 class AgentProfile:
     """Routing metadata for one agent: capabilities, capacity, load, history."""
 
-    id: str
-    capabilities: frozenset[str] = frozenset()
-    capacity: int = 1
-    load: int = 0
-    historical_performance: dict[str, float] = field(default_factory=dict)
+    __slots__ = ("id", "capabilities", "capacity", "load", "historical_performance")
 
-    def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ValueError("capacity must be a positive integer")
+    def __init__(
+        self,
+        id: str,
+        capabilities: frozenset[str] = frozenset(),
+        capacity: int = 1,
+        load: int = 0,
+        historical_performance: dict[str, float] = {},  # copied below, never kept
+    ) -> None:
+        check_capacity(capacity)
+        self.id = id
+        self.capabilities = capabilities
+        self.capacity = capacity
+        self.load = load
         # a clamped copy, so that adapt_strategy never edits the caller's mapping
-        history = self.historical_performance
-        self.historical_performance = {m: min(1.0, max(0.0, v)) for m, v in history.items()}
+        self.historical_performance = {m: min(1.0, max(0.0, v)) for m, v in historical_performance.items()}
 
     @property
     def has_spare_capacity(self) -> bool:

@@ -120,10 +120,14 @@ _RUN.add_argument("--log", dest="log_path", help="Write the run log (JSON lines)
 
 def main(args: Sequence[str] | None = None, standalone_mode: bool = True) -> None:
     """Run the command `args` (by default the process's arguments) names; a bad command line exits 2."""
+    args = sys.argv[1:] if args is None else list(args)
     namespace, extras = _PARSER.parse_known_args(args)
     parsed = vars(namespace)
-    if extras:  # reported by the command's parser, so its usage line lists its options
-        _COMMANDS.choices[parsed["command"].__name__].error(f"unrecognized arguments: {' '.join(extras)}")
+    if extras:  # reported by the parser given them, so its usage line lists its options
+        command = parsed["command"].__name__
+        before = args[: args.index(command)]
+        parser = _PARSER if any(extra in before for extra in extras) else _COMMANDS.choices[command]
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
     parsed.pop("command")(**parsed)
 
 

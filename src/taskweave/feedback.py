@@ -7,27 +7,22 @@ target agent, in publish order within each target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Frozen
 from .errors import DanglingReferenceError
 from .memory import SharedMemory
 
 DEFAULT_SEVERITY_THRESHOLD = 0.5
 
 
-@dataclass(frozen=True)
-class FeedbackMessage:
-    id: str
-    sender: str
-    target: str
-    task_id: str
-    referenced_version: int
-    severity: float
-    note: str = ""
+class FeedbackMessage(Frozen):
+    __slots__ = _fields = ("id", "sender", "target", "task_id", "referenced_version", "severity", "note")
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.severity <= 1.0:
+    def __init__(
+        self, id: str, sender: str, target: str, task_id: str, referenced_version: int, severity: float, note: str = ""
+    ) -> None:
+        if not 0.0 <= severity <= 1.0:
             raise ValueError("severity must be in [0, 1]")
+        self._fill(id, sender, target, task_id, referenced_version, severity, note)
 
     def to_dict(self) -> dict:
         return {

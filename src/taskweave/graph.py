@@ -8,10 +8,10 @@ A single writer (the orchestrator) is assumed for mutation; reads are safe anywh
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
+from ._record import Frozen, _set
 from .errors import (
     CycleError,
     DuplicateIdError,
@@ -30,28 +30,39 @@ class TaskStatus(str, Enum):
 _READY, _COMMITTED, _NEEDS_REVISION = TaskStatus.READY, TaskStatus.COMMITTED, TaskStatus.NEEDS_REVISION
 
 
-@dataclass(frozen=True)
-class TaskSpec:
+class TaskSpec(Frozen):
     """Immutable task descriptor as declared by a scenario."""
 
-    id: str
-    description: str = ""
-    domain_markers: frozenset[str] = frozenset()
-    ambiguity: float = 0.0
-    expected_effort: int = 0
-    reference_facts: frozenset[str] = frozenset()
-    depends_on: frozenset[str] = frozenset()
+    __slots__ = _fields = (
+        "id", "description", "domain_markers", "ambiguity", "expected_effort", "reference_facts", "depends_on"
+    )
 
-    def __post_init__(self) -> None:
-        if not self.id:
+    def __init__(
+        self,
+        id: str,
+        description: str = "",
+        domain_markers: frozenset[str] = frozenset(),
+        ambiguity: float = 0.0,
+        expected_effort: int = 0,
+        reference_facts: frozenset[str] = frozenset(),
+        depends_on: frozenset[str] = frozenset(),
+    ) -> None:
+        if not id:
             raise ValueError("task id must be non-empty")
-        if not 0.0 <= self.ambiguity <= 1.0:
-            raise ValueError(f"ambiguity must be in [0, 1], got {self.ambiguity}")
-        if self.expected_effort < 0:
+        if not 0.0 <= ambiguity <= 1.0:
+            raise ValueError(f"ambiguity must be in [0, 1], got {ambiguity}")
+        if expected_effort < 0:
             raise ValueError("expected_effort must be nonnegative")
+        # a call per field, not `_fill`: the load builds one spec per task
+        _set(self, "id", id)
+        _set(self, "description", description)
+        _set(self, "domain_markers", domain_markers)
+        _set(self, "ambiguity", ambiguity)
+        _set(self, "expected_effort", expected_effort)
+        _set(self, "reference_facts", reference_facts)
+        _set(self, "depends_on", depends_on)
 
 
-@dataclass
 class TaskGraph:
     """Dependency DAG over TaskSpecs; a task consumes the output of each task
     its `depends_on` names.
@@ -63,13 +74,10 @@ class TaskGraph:
     UnknownDependencyError; a dependency cycle raises CycleError.
     """
 
-    tasks: dict[str, TaskSpec] = field(default_factory=dict)
-    _status: dict[str, TaskStatus] = field(init=False, repr=False)
-    _blocked: dict[str, int] = field(init=False, repr=False)
-    _ready: set[str] = field(init=False, repr=False)
-    _consumers: dict[str, tuple[str, ...]] = field(init=False, repr=False)
+    __slots__ = ("tasks", "_status", "_blocked", "_ready", "_consumers")
 
-    def __post_init__(self) -> None:
+    def __init__(self, tasks: dict[str, TaskSpec] | None = None) -> None:
+        self.tasks = {} if tasks is None else tasks
         self._status = dict.fromkeys(self.tasks, TaskStatus.READY)
         self._blocked = {tid: len(task.depends_on) for tid, task in self.tasks.items()}
         self._ready = {tid for tid, blocked in self._blocked.items() if not blocked}

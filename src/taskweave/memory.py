@@ -10,7 +10,6 @@ its review needs as it commits.
 from __future__ import annotations
 
 from collections.abc import Mapping, Set
-from dataclasses import dataclass
 
 from .agents import CandidateOutput
 from .errors import DuplicateKeyError, UnknownEntryError
@@ -19,12 +18,14 @@ from .scoring import ScoreBreakdown
 EntryKey = tuple[str, str, int]
 
 
-@dataclass(slots=True)
 class MemoryEntry:
-    key: EntryKey
-    output: CandidateOutput
-    version: int
-    score: ScoreBreakdown | None = None
+    __slots__ = ("key", "output", "version", "score")
+
+    def __init__(self, key: EntryKey, output: CandidateOutput, version: int, score: ScoreBreakdown | None = None):
+        self.key = key
+        self.output = output
+        self.version = version
+        self.score = score
 
     @property
     def task_id(self) -> str:

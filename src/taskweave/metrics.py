@@ -7,12 +7,12 @@ store/commit events, so a written log file is enough to recompute every field.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
-from datetime import datetime, timezone
-from math import fsum
+import time
+from math import fsum, modf
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
+from ._record import Frozen
 from .errors import EmptyReferenceError, NoTerminateError
 from .runlog import RunEvent, RunLog
 from .scenario import Scenario
@@ -23,24 +23,37 @@ REPORT_SCHEMA_VERSION = 1
 TIMESTAMP_FIELD = "generated_at"
 
 
-@dataclass(frozen=True)
-class RunReport:
-    factual_coverage: float
-    compliance_accuracy: float | None
-    redundancy_penalty: float
-    revision_rate: float
-    coherence_mean: float
-    relevance_mean: float
-    completion_time: float
-    counts: dict[str, int]
+def utc_timestamp(t: float | None = None) -> str:
+    """`datetime.fromtimestamp(t, timezone.utc).isoformat()`, `t` by default now, without importing `datetime`."""
+    fraction, whole = modf(time.time() if t is None else t)
+    seconds, micros = divmod(int(whole) * 1_000_000 + round(fraction * 1e6), 1_000_000)
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds))
+    return f"{stamp}.{micros:06d}+00:00" if micros else f"{stamp}+00:00"
+
+
+class RunReport(Frozen):
+    __slots__ = _fields = (
+        "factual_coverage", "compliance_accuracy", "redundancy_penalty", "revision_rate",
+        "coherence_mean", "relevance_mean", "completion_time", "counts",
+    )
+
+    def __init__(
+        self, factual_coverage: float, compliance_accuracy: float | None, redundancy_penalty: float,
+        revision_rate: float, coherence_mean: float, relevance_mean: float, completion_time: float,
+        counts: dict[str, int],
+    ) -> None:
+        self._fill(
+            factual_coverage, compliance_accuracy, redundancy_penalty, revision_rate, coherence_mean, relevance_mean,
+            completion_time, counts,
+        )
 
     def to_dict(self, timestamp: str | None = None) -> dict:
         """Every field but an unset compliance_accuracy, the schema version and a timestamp."""
         doc = {
             "schema_version": REPORT_SCHEMA_VERSION,
-            TIMESTAMP_FIELD: timestamp if timestamp is not None else datetime.now(timezone.utc).isoformat(),
+            TIMESTAMP_FIELD: timestamp if timestamp is not None else utc_timestamp(),
         }
-        doc.update((f.name, getattr(self, f.name)) for f in fields(self))
+        doc.update(zip(self._fields, self._values()))
         if self.compliance_accuracy is None:
             del doc["compliance_accuracy"]
         return doc

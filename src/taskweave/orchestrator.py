@@ -18,14 +18,11 @@ Variants:
 
 from __future__ import annotations
 
-import dataclasses
-import logging
 import random
-from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Mapping, NamedTuple
 
 from ._collector import collector_paused
+from ._record import Frozen, _set
 from .agents import DEFAULT_ADAPT_DECREMENT, CandidateOutput, adapt_strategy
 from .errors import (
     DeadlockError,
@@ -60,8 +57,6 @@ from .scoring import (
     scorer_factory,
 )
 
-logger = logging.getLogger(__name__)
-
 DEFAULT_REVISION_BUDGET = 3
 _INF = float("inf")
 
@@ -71,29 +66,40 @@ _INT_SETTINGS = ("seed", "k", "revision_budget")
 _FLAG_SETTINGS = ("static", "no_feedback", "no_memory_sharing", "no_parallel")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Frozen):
     """Variant switchboard and tunables for one run."""
 
-    seed: int = 0
-    theta: float = DEFAULT_THETA
-    k: int = DEFAULT_K
-    weights: ScoringWeights = ScoringWeights()
-    domain_weights: dict[str, ScoringWeights] = field(default_factory=dict)
-    w1: float = DEFAULT_PERF_WEIGHT
-    w2: float = DEFAULT_CAPACITY_WEIGHT
-    severity_threshold: float = DEFAULT_SEVERITY_THRESHOLD
-    revision_budget: int = DEFAULT_REVISION_BUDGET
-    fact_threshold: float = DEFAULT_FACT_THRESHOLD
-    adapt_decrement: float = DEFAULT_ADAPT_DECREMENT
-    scorer: str = "lexical"
-    scorer_fallback: str | None = None
-    static: bool = False
-    no_feedback: bool = False
-    no_memory_sharing: bool = False
-    no_parallel: bool = False
+    __slots__ = _fields = (
+        "seed", "theta", "k", "weights", "domain_weights", "w1", "w2", "severity_threshold", "revision_budget",
+        "fact_threshold", "adapt_decrement", "scorer", "scorer_fallback",
+        "static", "no_feedback", "no_memory_sharing", "no_parallel",
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(  # the shared default mapping is never mutated: a config is immutable
+        self,
+        seed: int = 0,
+        theta: float = DEFAULT_THETA,
+        k: int = DEFAULT_K,
+        weights: ScoringWeights = ScoringWeights(),
+        domain_weights: dict[str, ScoringWeights] = {},
+        w1: float = DEFAULT_PERF_WEIGHT,
+        w2: float = DEFAULT_CAPACITY_WEIGHT,
+        severity_threshold: float = DEFAULT_SEVERITY_THRESHOLD,
+        revision_budget: int = DEFAULT_REVISION_BUDGET,
+        fact_threshold: float = DEFAULT_FACT_THRESHOLD,
+        adapt_decrement: float = DEFAULT_ADAPT_DECREMENT,
+        scorer: str = "lexical",
+        scorer_fallback: str | None = None,
+        static: bool = False,
+        no_feedback: bool = False,
+        no_memory_sharing: bool = False,
+        no_parallel: bool = False,
+    ) -> None:
+        # set first, so that each check below reads a setting by its name
+        self._fill(
+            seed, theta, k, weights, domain_weights, w1, w2, severity_threshold, revision_budget, fact_threshold,
+            adapt_decrement, scorer, scorer_fallback, static, no_feedback, no_memory_sharing, no_parallel,
+        )
         for name in _INT_SETTINGS:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -126,7 +132,7 @@ class RunConfig:
         """New config with every non-None override applied; an unknown key is an error."""
         clean = dict()
         for key, value in overrides.items():
-            if key not in _FIELDS:
+            if key not in self._fields:
                 raise InvalidConfigError(f"unknown setting {key!r}")
             if value is None:
                 continue
@@ -135,10 +141,7 @@ class RunConfig:
             if key == "domain_weights" and isinstance(value, Mapping):
                 value = {m: _weights_from(f"domain_weights[{m!r}]", w) for m, w in value.items()}
             clean[key] = value
-        return dataclasses.replace(self, **clean)
-
-
-_FIELDS = frozenset(f.name for f in dataclasses.fields(RunConfig))
+        return type(self)(**{**dict(zip(self._fields, self._values())), **clean})
 
 
 def _weights_from(name: str, value: object) -> object:
@@ -160,11 +163,13 @@ class DocumentSection(NamedTuple):
     facts: frozenset[str]
 
 
-@dataclass(frozen=True)
-class FinalDocument:
+class FinalDocument(Frozen):
     """Committed contents in deterministic topological order, plus fact unions."""
 
-    sections: tuple[DocumentSection, ...]
+    __slots__ = _fields = ("sections",)
+
+    def __init__(self, sections: tuple[DocumentSection, ...]) -> None:
+        self._fill(sections)
 
     @property
     def text(self) -> str:
@@ -191,19 +196,20 @@ def compile_final_output(memory: SharedMemory, graph: TaskGraph) -> FinalDocumen
     return FinalDocument(tuple(sections))
 
 
-@dataclass(frozen=True)
-class RunResult:
-    log: RunLog
-    report: RunReport
-    # the run's memory and graph, kept for `document`; keyword-only
-    memory: SharedMemory = field(repr=False, compare=False, kw_only=True)
-    graph: TaskGraph = field(repr=False, compare=False, kw_only=True)
+class RunResult(Frozen):
+    _fields = ("log", "report")
+    __slots__ = (*_fields, "memory", "graph", "_document")  # the run's memory and graph, kept for `document`
 
-    @cached_property
+    def __init__(self, log: RunLog, report: RunReport, *, memory: SharedMemory, graph: TaskGraph) -> None:
+        self._fill(log, report, memory, graph, None)
+
+    @property
     @collector_paused
     def document(self) -> FinalDocument:
         """The final document, compiled on first read with the collector paused, as the run was."""
-        return compile_final_output(self.memory, self.graph)
+        if self._document is None:
+            _set(self, "_document", compile_final_output(self.memory, self.graph))
+        return self._document
 
 
 class Orchestrator:
@@ -415,7 +421,9 @@ class Orchestrator:
     def _reopen(self, task_id: str, agent_id: str, reason: str) -> bool:
         """Reopen a committed task for its next attempt, unless its revision budget is spent."""
         if self._revisions[task_id] >= self.config.revision_budget:
-            logger.info("budget_exhausted task=%s reason=%s", task_id, reason)
+            import logging  # here, not at the top: only a spent budget logs, so most runs never import it
+
+            logging.getLogger(__name__).info("budget_exhausted task=%s reason=%s", task_id, reason)
             return False
         self._revisions[task_id] += 1
         stale = self.graph.mark_needs_revision(task_id)

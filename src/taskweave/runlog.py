@@ -8,13 +8,13 @@ this trail alone, and byte-identical logs are the reproducibility contract.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _str
 from math import isfinite
 from pathlib import Path
 from typing import NamedTuple
 
 from ._files import write_blocks
+from ._record import Record
 from .errors import UnknownEntryError
 
 EVENT_KINDS = ("dispatch", "store", "commit", "feedback", "reassign", "terminate")
@@ -89,12 +89,12 @@ def dumps_payload(kind: str, p: dict) -> str:
     return _ENCODE(p)
 
 
-@dataclass
-class RunLog:
-    events: list[RunEvent] = field(default_factory=list)
-    _kinds: dict[str, list[RunEvent]] = field(init=False, repr=False, compare=False)  # events by kind, in order
+class RunLog(Record):
+    _fields = ("events",)
+    __slots__ = ("events", "_kinds")  # `_kinds`: the events by kind, in order
 
-    def __post_init__(self) -> None:
+    def __init__(self, events: list[RunEvent] | None = None) -> None:
+        self.events = [] if events is None else events
         self._kinds = {kind: [e for e in self.events if e.kind == kind] for kind in EVENT_KINDS}
 
     def append(self, kind: str, virtual_time: float, payload: dict) -> RunEvent:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field, fields
 from functools import cache, reduce
 from operator import itemgetter
 from pathlib import Path
@@ -24,7 +23,8 @@ from typing import Any, Callable
 
 from ._collector import collector_paused
 from ._files import write_text
-from .agents import AgentProfile, BehaviorRow, ScriptedAgent
+from ._record import Frozen, _set
+from .agents import AgentProfile, BehaviorRow, ScriptedAgent, check_capacity
 from .errors import CycleError, ScenarioParseError, ScenarioValidationError
 from .graph import TaskGraph, TaskSpec, build_graph, find_cycle
 
@@ -32,22 +32,25 @@ _SCHEMA = json.loads((Path(__file__).parent / "schemas/scenario.schema.json").re
 SCHEMA_VERSION = _SCHEMA["properties"]["schema_version"]["const"]
 
 
-@dataclass(frozen=True)
-class AgentSpec:
+class AgentSpec(Frozen):
     """Immutable agent descriptor: profile seed plus scripted behavior table."""
 
-    id: str
-    capabilities: frozenset[str] = frozenset()
-    capacity: int = 1
-    historical_performance: dict[str, float] = field(default_factory=dict)
-    behavior: dict[tuple[str, int], BehaviorRow] = field(default_factory=dict)
+    __slots__ = _fields = ("id", "capabilities", "capacity", "historical_performance", "behavior")
 
-    def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ValueError("capacity must be a positive integer")
-        for marker, value in self.historical_performance.items():
+    def __init__(  # a mapping left out is a new empty one
+        self,
+        id: str,
+        capabilities: frozenset[str] = frozenset(),
+        capacity: int = 1,
+        historical_performance: dict[str, float] | None = None,
+        behavior: dict[tuple[str, int], BehaviorRow] | None = None,
+    ) -> None:
+        check_capacity(capacity)
+        historical_performance = {} if historical_performance is None else historical_performance
+        for marker, value in historical_performance.items():
             if math.isnan(value):
                 raise ValueError(f"historical_performance[{marker!r}] is NaN")  # others clamp
+        self._fill(id, capabilities, capacity, historical_performance, {} if behavior is None else behavior)
 
     def build(self) -> ScriptedAgent:
         """Fresh runtime agent; profiles mutate during a run, specs never do."""
@@ -60,18 +63,27 @@ class AgentSpec:
         return ScriptedAgent(profile, dict(self.behavior))
 
 
-@dataclass(frozen=True)
-class Scenario:
-    name: str = ""
-    description: str = ""
-    tasks: tuple[TaskSpec, ...] = ()
-    agents: tuple[AgentSpec, ...] = ()
-    contradiction_pairs: tuple[tuple[str, str], ...] = ()
-    gold_answers: dict[str, str] = field(default_factory=dict)
-    static_assignments: dict[str, str] = field(default_factory=dict)
-    defaults: dict = field(default_factory=dict)
+class Scenario(Frozen):
+    _fields = (
+        "name", "description", "tasks", "agents", "contradiction_pairs", "gold_answers", "static_assignments",
+        "defaults",
+    )
+    # `_reference_facts` is no field, so `==` ignores the cached union; a scenario can be weakly referenced
+    __slots__ = (*_fields, "_reference_facts", "__weakref__")
 
-    def __post_init__(self) -> None:
+    def __init__(  # a mapping left out is a new empty one
+        self,
+        name: str = "",
+        description: str = "",
+        tasks: tuple[TaskSpec, ...] = (),
+        agents: tuple[AgentSpec, ...] = (),
+        contradiction_pairs: tuple[tuple[str, str], ...] = (),
+        gold_answers: dict[str, str] | None = None,
+        static_assignments: dict[str, str] | None = None,
+        defaults: dict | None = None,
+    ) -> None:
+        mappings = [{} if mapping is None else mapping for mapping in (gold_answers, static_assignments, defaults)]
+        self._fill(name, description, tasks, agents, contradiction_pairs, *mappings, None)  # no fact union yet
         _check_cross_references(self)
 
     def build_graph(self) -> TaskGraph:
@@ -82,8 +94,8 @@ class Scenario:
 
     def reference_facts(self) -> frozenset[str]:
         """Union of every task's reference facts: the run-level coverage target, built on first call."""
-        if "_reference_facts" not in self.__dict__:  # no field, so `==` and `replace` ignore it
-            object.__setattr__(self, "_reference_facts", frozenset().union(*(t.reference_facts for t in self.tasks)))
+        if self._reference_facts is None:
+            _set(self, "_reference_facts", frozenset().union(*(t.reference_facts for t in self.tasks)))
         return self._reference_facts
 
     def annotations(self) -> dict[tuple[str, str, int], tuple[float, float, float]]:
@@ -101,10 +113,10 @@ class Scenario:
             "schema_version": SCHEMA_VERSION,
             "name": self.name,
             "description": self.description,
-            "tasks": [_fields(t) for t in self.tasks],
+            "tasks": [_field_dict(t) for t in self.tasks],
             "agents": [
                 {
-                    **_fields(a),
+                    **_field_dict(a),
                     "historical_performance": dict(sorted(a.historical_performance.items())),
                     "behavior": [
                         _row_to_dict(task_id, attempt, row)
@@ -121,18 +133,17 @@ class Scenario:
         return doc
 
 
-def _fields(spec: object) -> dict:
+def _field_dict(spec: object) -> dict:
     """A spec's or a row's fields by name in declaration order, sets as sorted lists."""
-    names = spec._fields if isinstance(spec, tuple) else [f.name for f in fields(spec)]
     return {
         name: sorted(value) if isinstance(value, frozenset) else value
-        for name in names
+        for name in spec._fields
         for value in [getattr(spec, name)]
     }
 
 
 def _row_to_dict(task_id: str, attempt: int, row: BehaviorRow) -> dict:
-    out = {"task_id": task_id, "attempt": attempt, **_fields(row)}
+    out = {"task_id": task_id, "attempt": attempt, **_field_dict(row)}
     scores, contingent = out.pop("annotated_scores"), out.pop("contingent_facts")
     if scores is not None:
         out["annotated_scores"] = dict(zip(_SCORE_NAMES, scores))

@@ -10,9 +10,9 @@ policies can be registered by name.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple, Protocol
 
+from ._record import Frozen
 from .errors import InvalidConfigError, ScorerUnavailableError
 
 if TYPE_CHECKING:
@@ -37,20 +37,18 @@ def check_unit_setting(name: str, value: object) -> None:
         raise InvalidConfigError(f"{name} must be in [0, 1], got {value!r}")
 
 
-@dataclass(frozen=True)
-class ScoringWeights:
+class ScoringWeights(Frozen):
     """Component weights (coherence, factuality, relevance); must sum to 1."""
 
-    alpha: float = DEFAULT_ALPHA
-    beta: float = DEFAULT_BETA
-    gamma: float = DEFAULT_GAMMA
+    __slots__ = _fields = WEIGHT_KEYS
 
-    def __post_init__(self) -> None:
-        for name in WEIGHT_KEYS:
-            check_unit_setting(name, getattr(self, name))
-        total = self.alpha + self.beta + self.gamma
+    def __init__(self, alpha: float = DEFAULT_ALPHA, beta: float = DEFAULT_BETA, gamma: float = DEFAULT_GAMMA) -> None:
+        for name, value in zip(WEIGHT_KEYS, (alpha, beta, gamma)):
+            check_unit_setting(name, value)
+        total = alpha + beta + gamma
         if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
             raise InvalidConfigError(f"weights must sum to 1, got {total}")
+        self._fill(alpha, beta, gamma)
 
 
 class ScoreBreakdown(NamedTuple):

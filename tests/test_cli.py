@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import inspect
 import json
 import os
@@ -454,7 +453,7 @@ def test_every_run_parameter_is_a_run_config_field():
     assert parsed.pop("command") is run
     own = {name for name in inspect.signature(run).parameters if name != "settings"} | set(WEIGHT_KEYS)
     assert own <= set(parsed)
-    fields = {field.name for field in dataclasses.fields(RunConfig)} - {"weights"}
+    fields = set(RunConfig._fields) - {"weights"}
     settings = set(parsed) - own
     assert settings <= fields, f"not RunConfig fields: {sorted(settings - fields)}"
 
@@ -565,6 +564,7 @@ BAD_COMMAND_LINES = {
     "abbreviated-flag": (["run", FILING, "--no-p"], RUN_USAGE),
     "abbreviated-option": (["run", FILING, "--the", "0.5"], RUN_USAGE),
     "validate-with-a-run-option": (["validate", FILING, "--seed", "3"], VALIDATE_USAGE),
+    "unknown-option-before-the-command": (["--foo", "run", FILING], TOP_USAGE),
     "seed-not-an-integer": (["run", FILING, "--seed", "x"], RUN_USAGE),
     "theta-not-a-number": (["run", FILING, "--theta", "x"], RUN_USAGE),
     "run-without-a-scenario": (["run"], RUN_USAGE),

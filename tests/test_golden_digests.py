@@ -16,7 +16,6 @@ digests in CHANGES.md.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import importlib.util
 import random
@@ -184,7 +183,7 @@ def synthetic_digest() -> str:
     for _ in range(SYNTHETIC_SCENARIOS):
         scenario, config = random_adversarial_scenario(rng)
         for flags in SYNTHETIC_VARIANTS.values():
-            result = orchestrate(scenario, dataclasses.replace(config, **flags))
+            result = orchestrate(scenario, config.with_overrides(flags))
             digest.update(result.log.to_jsonl().encode("utf-8"))
     return digest.hexdigest()
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import importlib.util
 import json
 import math
@@ -278,7 +277,7 @@ def test_report_recomputed_from_a_written_log_is_the_run_report(shape, seed, dat
     scenario = scenario_from_dict(doc)
     base = RunConfig().with_overrides(scenario.defaults)
     for flags in VARIANT_FLAGS:
-        result = orchestrate(scenario, dataclasses.replace(base, **flags))
+        result = orchestrate(scenario, base.with_overrides(flags))
         replayed = RunLog.from_jsonl(result.log.to_jsonl())
         assert build_report(replayed, scenario) == result.report
         assert reference_build_report(replayed, scenario) == result.report
@@ -358,7 +357,7 @@ def bundled_runs():
         base = RunConfig().with_overrides(scenario.defaults)
         for flags in VARIANT_FLAGS:
             for seed in (0, 7):
-                yield scenario, orchestrate(scenario, dataclasses.replace(base, seed=seed, **flags)).log
+                yield scenario, orchestrate(scenario, base.with_overrides({"seed": seed, **flags})).log
 
 
 def test_report_of_every_bundled_run_equals_the_dict_replay():

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import re
@@ -135,7 +134,7 @@ def test_low_factuality_commit_triggers_exactly_one_revision():
 def test_a_critique_at_the_severity_threshold_reopens_its_task(threshold, revisions):
     # factuality 0.25 is critiqued at severity 0.75; only a critique at or above the threshold reopens
     scenario, config = revision_scenario([0.25, 0.9])
-    orch = Orchestrator(scenario, dataclasses.replace(config, severity_threshold=threshold))
+    orch = Orchestrator(scenario, config.with_overrides({"severity_threshold": threshold}))
     orch.run()
     assert [event.payload["severity"] for event in orch.log.by_kind("feedback")] == [0.75]
     assert len(orch.log.by_kind("reassign")) == revisions
@@ -430,7 +429,7 @@ def test_no_parallel_is_a_router_of_k_one(tmp_path):
     runs = 0
     for case, scenario, config in no_parallel_runs(tmp_path):
         assert config.no_parallel and config.k > 1
-        single = dataclasses.replace(config, no_parallel=False, k=1)
+        single = config.with_overrides({"no_parallel": False, "k": 1})
         assert orchestrate(scenario, config).log.to_jsonl() == orchestrate(scenario, single).log.to_jsonl(), case
         runs += 1
     assert runs == (len(CANONICAL_SCENARIOS) + len(load_perfbench_run().SHAPES)) * 2
@@ -769,7 +768,7 @@ def test_the_document_is_the_compiled_final_output(path):
     base = RunConfig().with_overrides(scenario.defaults)
     for flags in VARIANT_FLAGS:
         for seed in (0, 7):
-            orch = Orchestrator(scenario, dataclasses.replace(base, seed=seed, **flags))
+            orch = Orchestrator(scenario, base.with_overrides({"seed": seed, **flags}))
             result = orch.run()
             assert result.document == compile_final_output(orch.memory, orch.graph)
             assert result.document is result.document  # compiled once

@@ -11,7 +11,6 @@ built.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import json
 import math
 import os
@@ -26,7 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from taskweave import ScenarioValidationError
-from taskweave.agents import BehaviorRow
+from taskweave.agents import AgentProfile, BehaviorRow
 from taskweave.graph import TaskSpec
 from taskweave import scenario as scenario_module
 from taskweave.scenario import AgentSpec, Scenario, load_scenario, scenario_from_dict
@@ -485,9 +484,17 @@ def test_a_capacity_below_one_is_refused_by_the_spec_and_by_the_schema():
     assert (exc.value.path, exc.value.message) == ("$.agents[0].capacity", "0 is less than the minimum of 1")
 
 
+@pytest.mark.parametrize("capacity", [1.5, True, 0], ids=["fraction", "bool", "zero"])
+@pytest.mark.parametrize("build", [AgentSpec, AgentProfile], ids=lambda cls: cls.__name__)
+def test_a_capacity_that_is_no_positive_int_is_refused_by_spec_and_profile(build, capacity):
+    # a capacity of 1.5 used to run two tasks in one wave, as capacity 2 would
+    with pytest.raises(ValueError, match="capacity must be a positive integer"):
+        build("a", capacity=capacity)
+
+
 def test_the_root_properties_but_the_version_are_the_scenario_fields():
     # scenario_from_dict builds Scenario(**checked root), so each property is a field and each field a property
-    names = [f.name for f in dataclasses.fields(Scenario)]
+    names = list(Scenario._fields)
     assert sorted(SCHEMA["properties"].keys() - {"schema_version"}) == sorted(names)
 
 
@@ -507,9 +514,8 @@ def test_validate_under_python_O_exits_two_on_an_infinite_latency(tmp_path):
 
 def typed(value):
     """`value` as nested (type name, parts), so that 1, 1.0, -0.0 and True all differ."""
-    if dataclasses.is_dataclass(value):
-        fields = dataclasses.fields(value)
-        return (type(value).__name__, tuple(typed(getattr(value, f.name)) for f in fields))
+    if hasattr(value, "_fields"):  # a record or a named tuple
+        return (type(value).__name__, tuple(typed(getattr(value, name)) for name in value._fields))
     if isinstance(value, dict):
         return ("dict", frozenset((typed(key), typed(each)) for key, each in value.items()))
     if isinstance(value, frozenset):

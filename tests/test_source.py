@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import taskweave
 
@@ -37,3 +41,15 @@ def test_every_imported_name_is_read_and_all_lists_what_the_package_imports():
             read.update(taskweave.__all__)
         unread += [f"{name}:{line} {bound}" for bound, line in imported.items() if bound not in read]
     assert unread == []
+
+
+def test_a_fresh_import_of_the_cli_loads_no_code_generator_logger_or_clock():
+    # each costs every fresh `taskweave` process milliseconds of start-up: `dataclasses` (with
+    # `inspect`) generated code at import, `logging` served one rarely taken line, `datetime` one stamp;
+    # the diff leaves out what `site` loaded before it
+    code = "import sys; before = set(sys.modules); import taskweave.cli; print(*sorted(set(sys.modules) - before))"
+    env = {**os.environ, "PYTHONPATH": str(Path(taskweave.__file__).parents[1])}  # `src/`
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    added = set(proc.stdout.split())
+    assert "taskweave.cli" in added
+    assert added & {"dataclasses", "inspect", "logging", "datetime"} == set()
