@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 from ._collector import collector_paused
 from ._files import check_writable, file_identity, write_text
 from .errors import DeadlockError, InvalidConfigError, OrchestrationError, ScenarioError
-from .orchestrator import RunConfig, orchestrate
+from .orchestrator import DEFAULT_CONFIG, orchestrate
 from .scenario import load_scenario
 from .scoring import WEIGHT_KEYS
 
@@ -73,7 +73,7 @@ def run(scenario_path: str, report_path: str | None, log_path: str | None, **set
                     raise InvalidConfigError(f"{name} {path!r} names the same file as {seen[identity]}")
                 seen[identity] = name
         scenario = load_scenario(scenario_path)
-        config = RunConfig().with_overrides(scenario.defaults).with_overrides({**settings, "weights": weights})
+        config = DEFAULT_CONFIG.with_overrides(scenario.defaults).with_overrides({**settings, "weights": weights})
         result = orchestrate(scenario, config)
         report_json = result.report.to_json()
         if report_path is not None:
@@ -87,7 +87,7 @@ def validate(scenario_path: str) -> None:
     """Validate SCENARIO_PATH and the settings its defaults give, without running it."""
     with _exit_on_error():
         scenario = load_scenario(scenario_path)
-        RunConfig().with_overrides(scenario.defaults)
+        DEFAULT_CONFIG.with_overrides(scenario.defaults)
         _echo(f"ok: {len(scenario.tasks)} tasks, {len(scenario.agents)} agents\n")
 
 
@@ -118,16 +118,23 @@ _RUN.add_argument("--report", dest="report_path", help="Write the report JSON he
 _RUN.add_argument("--log", dest="log_path", help="Write the run log (JSON lines) here.")
 
 
+def _parse(args: list[str]) -> dict:
+    """The command and settings `args` gives; a bad command line exits 2."""
+    parser = _COMMANDS.choices.get(args[0]) if args else None
+    if parser is None:
+        namespace, extras = _PARSER.parse_known_args(args)
+        command = namespace.command.__name__  # an extra is reported by the parser given it, whose usage lists its options
+        parser = _PARSER if any(extra in args[: args.index(command)] for extra in extras) else _COMMANDS.choices[command]
+    else:  # `_PARSER` would hand every string after the command to the command's parser alone
+        namespace, extras = parser.parse_known_args(args[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return vars(namespace)
+
+
 def main(args: Sequence[str] | None = None, standalone_mode: bool = True) -> None:
     """Run the command `args` (by default the process's arguments) names; a bad command line exits 2."""
-    args = sys.argv[1:] if args is None else list(args)
-    namespace, extras = _PARSER.parse_known_args(args)
-    parsed = vars(namespace)
-    if extras:  # reported by the parser given them, so its usage line lists its options
-        command = parsed["command"].__name__
-        before = args[: args.index(command)]
-        parser = _PARSER if any(extra in before for extra in extras) else _COMMANDS.choices[command]
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    parsed = _parse(sys.argv[1:] if args is None else list(args))
     parsed.pop("command")(**parsed)
 
 

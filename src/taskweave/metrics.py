@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import json
 import time
-from math import fsum, modf
+from json.encoder import encode_basestring_ascii as _str
+from math import fsum, isfinite, modf
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -68,10 +69,19 @@ def _indented(doc: dict, pad: str) -> str:
     """`json.dumps(doc, sort_keys=True, indent=2)` of nested dicts, each line after the first starting `pad`."""
     inner = pad + "  "
     items = ",".join(
-        f"{inner}{json.dumps(key)}: {_indented(value, inner) if isinstance(value, dict) else json.dumps(value)}"
+        f"{inner}{_leaf(key)}: {_indented(value, inner) if isinstance(value, dict) else _leaf(value)}"
         for key, value in sorted(doc.items())
     )
     return f"{{{items}{pad}}}" if items else "{}"
+
+
+def _leaf(value: object) -> str:
+    """`json.dumps(value)`: a str, an exact int and a finite float as `json` writes them, any other by `json`."""
+    if type(value) is str:
+        return _str(value)
+    if type(value) is int or type(value) is float and isfinite(value):
+        return repr(value)
+    return json.dumps(value)
 
 
 def factual_coverage(emitted: Iterable[str], reference: Iterable[str]) -> float:

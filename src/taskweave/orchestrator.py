@@ -144,6 +144,9 @@ class RunConfig(Frozen):
         return type(self)(**{**dict(zip(self._fields, self._values())), **clean})
 
 
+DEFAULT_CONFIG = RunConfig()  # immutable, so shared: the base of every run not given a config
+
+
 def _weights_from(name: str, value: object) -> object:
     """ScoringWeights from a mapping naming exactly alpha, beta and gamma; other values as given."""
     if not isinstance(value, Mapping):
@@ -217,7 +220,7 @@ class Orchestrator:
 
     def __init__(self, scenario: Scenario, config: RunConfig | None = None) -> None:
         self.scenario = scenario
-        self.config = config if config is not None else RunConfig()
+        self.config = config if config is not None else DEFAULT_CONFIG
         self.graph = scenario.build_graph()
         self.agents = scenario.build_agents()
         self.memory = SharedMemory()

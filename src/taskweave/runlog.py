@@ -35,29 +35,13 @@ class RunEvent(NamedTuple):
         return {"virtual_time": self.virtual_time, "kind": self.kind, "payload": self.payload}
 
 
-# Templates for the payloads that make up nearly all of a log, writing the bytes
+# Templates for the payloads of the shapes the run writes, writing the bytes
 # `_ENCODE` writes with what `json` itself uses: `_str` and the int and float
 # reprs. A payload fits if it is a dict with exactly the template's key count
-# and keys (else KeyError) and values of exactly the written types (else
-# TypeError): ints that are not bools, finite floats, a list of strings, and a
-# store's `committed` false and `score` null, as the run writes them.
-_KEY_COUNTS = {"dispatch": 5, "store": 8, "commit": 5}
-
-
-def _num(v: object, kind: type) -> str:
-    """`repr(v)` if `v` is exactly a `kind` (so a bool is no int) and finite."""
-    if type(v) is not kind or kind is float and not isfinite(v):
-        raise TypeError
-    return repr(v)
-
-
-def _score(s: object) -> str:
-    if type(s) is not dict or len(s) != 4:
-        raise TypeError
-    return (
-        f'{{"coherence": {_num(s["coherence"], float)}, "composite": {_num(s["composite"], float)}, '
-        f'"factuality": {_num(s["factuality"], float)}, "relevance": {_num(s["relevance"], float)}}}'
-    )
+# and keys (else KeyError) and values of exactly the written types: strings
+# (else TypeError), ints that are not bools, finite floats, lists of strings,
+# and a store's `committed` false and `score` null. Any other goes to `_ENCODE`.
+_KEY_COUNTS = {"dispatch": 5, "store": 8, "commit": 5, "feedback": 8, "reassign": 5, "terminate": 3}
 
 
 def _finite(token: str) -> float:
@@ -69,23 +53,61 @@ def _finite(token: str) -> float:
 
 def dumps_payload(kind: str, p: dict) -> str:
     """`json.dumps(p, sort_keys=True)`."""
-    if type(p) is dict and len(p) == _KEY_COUNTS.get(kind):
-        try:
-            head = f'{{"agent_id": {_str(p["agent_id"])}, "attempt": {_num(p["attempt"], int)}, '
-            if kind == "dispatch":
-                mode, task_id, wave = _str(p["mode"]), _str(p["task_id"]), _num(p["wave"], int)
-                return f'{head}"mode": {mode}, "task_id": {task_id}, "wave": {wave}}}'
-            tail = f'"task_id": {_str(p["task_id"])}, "version": {_num(p["version"], int)}}}'
-            if kind == "commit":
-                return f'{head}"score": {_score(p["score"])}, {tail}'
-            facts = p["emitted_facts"]
-            if p["committed"] is False and p["score"] is None and type(facts) is list:
+    if type(p) is not dict or len(p) != _KEY_COUNTS.get(kind):
+        return _ENCODE(p)
+    try:
+        if kind == "dispatch":
+            attempt, wave = p["attempt"], p["wave"]
+            if type(attempt) is type(wave) is int:
                 return (
-                    f'{head}"committed": false, "declared_confidence": {_num(p["declared_confidence"], float)}, '
-                    f'"emitted_facts": [{", ".join(map(_str, facts))}], "score": null, {tail}'
+                    f'{{"agent_id": {_str(p["agent_id"])}, "attempt": {attempt!r}, "mode": {_str(p["mode"])}, '
+                    f'"task_id": {_str(p["task_id"])}, "wave": {wave!r}}}'
                 )
-        except (KeyError, TypeError):
-            pass
+        elif kind == "store":
+            attempt, version, facts, confidence = p["attempt"], p["version"], p["emitted_facts"], p["declared_confidence"]
+            if (
+                type(attempt) is type(version) is int and type(confidence) is float and isfinite(confidence)
+                and type(facts) is list and p["committed"] is False and p["score"] is None
+            ):
+                return (
+                    f'{{"agent_id": {_str(p["agent_id"])}, "attempt": {attempt!r}, "committed": false, '
+                    f'"declared_confidence": {confidence!r}, "emitted_facts": [{", ".join(map(_str, facts))}], '
+                    f'"score": null, "task_id": {_str(p["task_id"])}, "version": {version!r}}}'
+                )
+        elif kind == "commit":
+            attempt, version, s = p["attempt"], p["version"], p["score"]
+            if type(attempt) is type(version) is int and type(s) is dict and len(s) == 4:
+                c, m, f, r = s["coherence"], s["composite"], s["factuality"], s["relevance"]
+                if (
+                    type(c) is type(m) is type(f) is type(r) is float
+                    and isfinite(c) and isfinite(m) and isfinite(f) and isfinite(r)
+                ):
+                    return (
+                        f'{{"agent_id": {_str(p["agent_id"])}, "attempt": {attempt!r}, "score": {{"coherence": {c!r}, '
+                        f'"composite": {m!r}, "factuality": {f!r}, "relevance": {r!r}}}, '
+                        f'"task_id": {_str(p["task_id"])}, "version": {version!r}}}'
+                    )
+        elif kind == "feedback":
+            version, severity = p["referenced_version"], p["severity"]
+            if type(version) is int and type(severity) is float and isfinite(severity):
+                return (
+                    f'{{"from": {_str(p["from"])}, "id": {_str(p["id"])}, "kind": {_str(p["kind"])}, '
+                    f'"note": {_str(p["note"])}, "referenced_version": {version!r}, "severity": {severity!r}, '
+                    f'"target": {_str(p["target"])}, "task_id": {_str(p["task_id"])}}}'
+                )
+        elif kind == "reassign":
+            attempt, stale = p["attempt"], p["stale"]
+            if type(attempt) is int and type(stale) is list:
+                return (
+                    f'{{"agent_id": {_str(p["agent_id"])}, "attempt": {attempt!r}, "reason": {_str(p["reason"])}, '
+                    f'"stale": [{", ".join(map(_str, stale))}], "task_id": {_str(p["task_id"])}}}'
+                )
+        else:
+            dispatches, waves = p["dispatches"], p["waves"]
+            if type(dispatches) is type(waves) is int:
+                return f'{{"dispatches": {dispatches!r}, "reason": {_str(p["reason"])}, "waves": {waves!r}}}'
+    except (KeyError, TypeError):
+        pass
     return _ENCODE(p)
 
 

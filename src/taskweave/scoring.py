@@ -31,7 +31,7 @@ _new_tuple = tuple.__new__  # builds a breakdown per scored entry without the co
 
 def check_unit_setting(name: str, value: object) -> None:
     """Raise InvalidConfigError unless value is a number, not a bool, in [0, 1]."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if type(value) not in (float, int) and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise InvalidConfigError(f"{name} must be a number, got {value!r}")
     if not 0.0 <= value <= 1.0:
         raise InvalidConfigError(f"{name} must be in [0, 1], got {value!r}")

@@ -9,7 +9,7 @@ import os
 import pytest
 
 from taskweave import RunConfig, load_scenario, orchestrate
-from taskweave.cli import _PARSER, main, run
+from taskweave.cli import _COMMANDS, _PARSER, _parse, main, run
 from taskweave.scoring import WEIGHT_KEYS
 
 from conftest import CANONICAL_SCENARIOS, CliRunner
@@ -583,6 +583,59 @@ def test_a_bad_command_line_exits_two_on_stderr_before_the_load(runner, monkeypa
     assert result.stdout == "" and "error: " in result.output
     assert result.output.startswith(usage)
     assert loads == []
+
+
+# Each a command line the parser accepts, or one it answers with help and exit 0.
+GOOD_COMMAND_LINES = {
+    "run": ["run", FILING],
+    "validate": ["validate", FILING],
+    "run-help-after-the-command": ["run", "-h"],
+    "run-help-after-the-path": ["run", FILING, "--help"],
+    "validate-help-after-the-command": ["validate", "-h"],
+    "run-double-dash": ["run", "--", FILING],
+    "run-option-then-double-dash": ["run", "--static", "--", FILING],
+    "validate-double-dash": ["validate", "--", FILING],
+    "run-options-before-and-after-the-path": [
+        "run", "--seed", "3", "--no-memory", FILING, "--theta", "0.5", "--log", "l.jsonl"
+    ],
+    "run-option-with-equals": ["run", "--k=2", FILING],
+    "run-weights": ["run", FILING, "--alpha", "0.2", "--beta", "0.5", "--gamma", "0.3"],
+    "top-level-help": ["-h"],
+}
+
+
+def parse_outcome(parse, args, capsys):
+    """What `parse(args)` returns, or the exit code, stdout and stderr of the exit it makes."""
+    try:
+        result = parse(args)
+    except SystemExit as exc:
+        out = capsys.readouterr()
+        return exc.code, out.out, out.err
+    return (vars(result[0]), result[1]) if isinstance(result, tuple) else result
+
+
+def top_level_parse(args):
+    """The settings `_PARSER` alone reads from `args`, each extra reported by the parser given it."""
+    namespace, extras = _PARSER.parse_known_args(args)
+    if extras:
+        command = namespace.command.__name__
+        before = args[: args.index(command)]
+        parser = _PARSER if any(extra in before for extra in extras) else _COMMANDS.choices[command]
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return vars(namespace)
+
+
+PARSE_LINES = {**{name: args for name, (args, _) in BAD_COMMAND_LINES.items()}, **GOOD_COMMAND_LINES}
+
+
+@pytest.mark.parametrize("args", PARSE_LINES.values(), ids=PARSE_LINES)
+def test_a_command_line_parses_as_the_top_level_parser_alone_parses_it(args, capsys):
+    # `main` hands a line that starts with a command to that command's parser alone
+    if args and args[0] in _COMMANDS.choices:
+        command = _COMMANDS.choices[args[0]]
+        expected = parse_outcome(_PARSER.parse_known_args, args, capsys)
+        assert parse_outcome(command.parse_known_args, args[1:], capsys) == expected
+    assert parse_outcome(_parse, args, capsys) == parse_outcome(top_level_parse, args, capsys)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full, a device every write to fails")

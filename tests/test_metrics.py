@@ -202,12 +202,18 @@ def test_report_ranges_are_valid():
 
 
 REPORT_FLOATS = st.floats() | st.sampled_from([0.0, -0.0, 1e-7, 1e16, 0.1 + 0.2, 5e-324])
+# what the leaf writer writes itself, and what it hands to `json`: bools, None, and nested dicts it recurses into
+REPORT_LEAVES = st.recursive(
+    REPORT_FLOATS | st.integers() | st.booleans() | st.none() | st.text(max_size=4),
+    lambda inner: st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
 
 
 @given(
-    st.tuples(*[REPORT_FLOATS] * 7),
+    st.tuples(*[REPORT_FLOATS | REPORT_LEAVES] * 7),
     st.none() | REPORT_FLOATS,
-    st.dictionaries(st.text(max_size=6), st.integers() | REPORT_FLOATS, max_size=5),
+    st.dictionaries(st.text(max_size=6), st.integers() | REPORT_FLOATS | REPORT_LEAVES, max_size=5),
     st.none() | st.text(max_size=8),
 )
 def test_report_json_is_json_dumps_with_indent(values, compliance, counts, timestamp):

@@ -97,7 +97,7 @@ def test_to_jsonl_matches_per_event_dumps_on_awkward_values():
 
 # -- the per-kind templates, against json.dumps --------------------------------------
 
-HOT_KINDS = ("dispatch", "store", "commit")
+HOT_KINDS = EVENT_KINDS  # every kind has a template for the payloads of the run's shape
 
 TEXT = (
     st.sampled_from(["", "naïve – ✓", "“quoted”", '"', "\\", "\x00\x1f\x7f\n", "\ud800", "a\udfffb"])
@@ -124,6 +124,14 @@ PAYLOADS = {  # the payloads the run writes, and store payloads it never writes:
     "commit": st.fixed_dictionaries(
         {"task_id": TEXT, "agent_id": TEXT, "attempt": INTS, "version": INTS, "score": SCORE}
     ),
+    "feedback": st.fixed_dictionaries(
+        {"id": TEXT, "from": TEXT, "target": TEXT, "task_id": TEXT, "referenced_version": INTS, "kind": TEXT,
+         "severity": FLOATS, "note": TEXT}
+    ),
+    "reassign": st.fixed_dictionaries(
+        {"task_id": TEXT, "agent_id": TEXT, "attempt": INTS, "reason": TEXT, "stale": st.lists(TEXT, max_size=3)}
+    ),
+    "terminate": st.fixed_dictionaries({"reason": TEXT, "waves": INTS, "dispatches": INTS}),
 }
 CHANGES = [None, None, None, "value", "time", "score value", "score key", "facts", "extra key", "missing key",
            "renamed key"]
@@ -131,7 +139,7 @@ CHANGES = [None, None, None, "value", "time", "score value", "score key", "facts
 
 @st.composite
 def hot_events(draw):
-    """A dispatch, store or commit event of the run's shape, or one with a value, type or key off."""
+    """An event of the run's shape, of any kind, or one with a value, type or key off."""
     kind = draw(st.sampled_from(HOT_KINDS))
     payload = draw(PAYLOADS[kind])
     virtual_time = draw(FLOATS)
@@ -148,9 +156,10 @@ def hot_events(draw):
             score["extra"] = 0.5
         else:
             del score[draw(st.sampled_from(SCORE_NAMES))]
-    elif change == "facts" and kind == "store":
-        facts = payload["emitted_facts"]
-        payload["emitted_facts"] = draw(st.sampled_from([tuple(facts), set(facts), [*facts, 1], [*facts, None]]))
+    elif change == "facts" and kind in ("store", "reassign"):
+        key = "emitted_facts" if kind == "store" else "stale"
+        facts = payload[key]
+        payload[key] = draw(st.sampled_from([tuple(facts), set(facts), [*facts, 1], [*facts, None]]))
     elif change == "extra key":
         payload[draw(TEXT | st.just(1))] = draw(INTS)
     elif change in ("missing key", "renamed key"):
@@ -195,6 +204,12 @@ def test_awkward_values_in_the_run_shape_take_the_templates(monkeypatch):
                   "emitted_facts": ["\ud800", "f\\2", "✓"], "declared_confidence": 1e-7, "score": None},
         "commit": {"task_id": "t1", "agent_id": "a1", "attempt": 0, "version": 1,
                    "score": {"coherence": -0.0, "factuality": 1e16, "relevance": 0.1 + 0.2, "composite": 0.5}},
+        "feedback": {"id": "fb-\u2713", "from": "evaluator", "target": "a\x7f", "task_id": "t1",
+                     "referenced_version": 10**30, "kind": "revision_request", "severity": 5e-324,
+                     "note": 'fact "f1" \udfff'},
+        "reassign": {"task_id": "t1", "agent_id": "a\n", "attempt": -1, "reason": "quality_gate",
+                     "stale": ["t\u00e9", ""]},
+        "terminate": {"reason": "completed", "waves": 0, "dispatches": 10**30},
     }
     expected = {kind: DUMPS(payload) for kind, payload in payloads.items()}
     monkeypatch.setattr(runlog, "_ENCODE", None)  # the fallback is not reached
@@ -219,16 +234,16 @@ def test_no_hot_event_of_the_bundled_or_bench_runs_takes_the_fallback(monkeypatc
     fallback = []
     encode = runlog._ENCODE
     monkeypatch.setattr(runlog, "_ENCODE", lambda obj: fallback.append(obj) or encode(obj))
-    runs = 0
+    runs, kinds = 0, set()
     for scenario, config in bundled_and_bench_runs(tmp_path):
         log = Orchestrator(scenario, config).run().log
         text = log.to_jsonl()
-        assert len(fallback) == sum(e.kind not in HOT_KINDS for e in log.events)  # one per cold event
+        assert fallback == []  # every event of every run is hot
         assert text == per_event_lines(log)
-        assert {e.kind for e in log.events} >= set(HOT_KINDS)
-        fallback.clear()
+        kinds.update(e.kind for e in log.events)
         runs += 1
     assert runs == 6 * 5
+    assert kinds == set(HOT_KINDS)
 
 
 # -- the per-kind event lists, against a scan of the log -----------------------------------
