@@ -131,3 +131,19 @@ def test_rows_past_the_revision_budget_and_a_pair_of_facts_no_row_emits_change_n
     }
     assert emitted.isdisjoint({"never_emitted_a", "never_emitted_b"})
     assert run_log(padded, variant) == expected
+
+
+@each_variant
+@each_document
+def test_swapping_the_facts_of_every_contradiction_pair_changes_only_feedback_notes(name, variant):
+    # Review treats the two facts of a pair alike; only a critique's note names them, in the pair's order.
+    doc = order_documents()[name]
+    pairs = doc.get("contradiction_pairs", [])
+    swapped = {**doc, "contradiction_pairs": [[b, a] for a, b in pairs]}
+    note = "contradictory facts {!r} / {!r} across committed outputs".format
+    renote = {note(a, b): note(b, a) for a, b in pairs}
+    expected = [json.loads(line) for line in run_log(doc, variant).splitlines()]
+    for event in expected:
+        if event["kind"] == "feedback":
+            event["payload"]["note"] = renote.get(event["payload"]["note"], event["payload"]["note"])
+    assert [json.loads(line) for line in run_log(swapped, variant).splitlines()] == expected

@@ -159,6 +159,12 @@ def test_completion_time_requires_terminate():
         completion_time(RunLog())
 
 
+def test_completion_time_of_a_log_with_no_dispatch_is_zero():
+    log = RunLog()
+    log.append("terminate", 4.0, {"reason": "completed", "waves": 0, "dispatches": 0})
+    assert completion_time(log) == 0.0
+
+
 def test_report_is_pure_function_of_log_and_scenario():
     scenario = load_scenario(CANONICAL_SCENARIOS[0])
     config = RunConfig().with_overrides(scenario.defaults)

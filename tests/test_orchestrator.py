@@ -273,6 +273,20 @@ def test_static_quality_gate_retries_same_agent_without_feedback():
     assert orch.memory.committed_entry("t1").attempt == 3
 
 
+def test_static_quality_gate_keeps_a_winner_exactly_at_the_threshold():
+    # 3 of the 5 emitted facts are reference facts: factuality 3/5 == 0.6, the threshold itself
+    rows = {("t1", attempt): make_row({"f1", "f2", "f3", "x1", "x2"}) for attempt in range(2)}
+    scenario = make_scenario(
+        tasks=[make_task("t1", reference={"f1", "f2", "f3"})],
+        agents=[make_agent("pinned", rows=rows)],
+        static_assignments={"t1": "pinned"},
+    )
+    orch = Orchestrator(scenario, RunConfig(static=True, fact_threshold=0.6))
+    orch.run()
+    assert orch.memory.committed_entry("t1").score.factuality == 0.6
+    assert orch.log.by_kind("reassign") == []
+
+
 def test_static_quality_gate_reports_a_spent_budget_once(caplog):
     # t1 spends its budget in the first waves; t2 and t3 keep the run going after it
     junk = {("t1", attempt): make_row({"junk"}, latency=1.0) for attempt in range(2)}
@@ -755,6 +769,17 @@ def test_compile_requires_every_commit():
     graph = build_graph([make_task("a")])
     with pytest.raises(MissingCommitError):
         compile_final_output(SharedMemory(), graph)
+
+
+def test_compile_refuses_a_reopened_task_whose_old_winner_is_still_committed():
+    graph, memory = build_graph([make_task("a")]), SharedMemory()
+    memory.store(CandidateOutput("a", "w", 0, "old", frozenset(), 0.5, 0.0))
+    memory.commit("a", ("a", "w", 0))
+    graph.mark_committed("a")
+    graph.mark_needs_revision("a")
+    assert memory.committed_entry("a") is not None
+    with pytest.raises(MissingCommitError, match="has no committed output"):
+        compile_final_output(memory, graph)
 
 
 # -- the end of a run: the winner count check and the document compiled on first read ------------

@@ -16,7 +16,8 @@ from taskweave import (
     dump_scenario,
     load_scenario,
 )
-from taskweave.scenario import _compile, scenario_from_dict
+from taskweave._schema import _compile
+from taskweave.scenario import scenario_from_dict
 
 from conftest import CANONICAL_SCENARIOS, make_agent, make_row, make_scenario, make_task
 from test_golden_digests import load_perfbench_run

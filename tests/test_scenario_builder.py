@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from taskweave import ScenarioValidationError
 from taskweave.agents import AgentProfile, BehaviorRow
 from taskweave.graph import TaskSpec
+from taskweave import _schema
 from taskweave import scenario as scenario_module
 from taskweave.scenario import AgentSpec, Scenario, load_scenario, scenario_from_dict
 
@@ -613,13 +614,13 @@ def test_valid_documents_stay_on_the_fast_path(monkeypatch):
     # every typed node off its fast path enters _held_to_rules; enum and const
     # nodes (schema_version, scorer, scorer_fallback) have no other path
     entered = []
-    held_to_rules = scenario_module._held_to_rules
+    held_to_rules = _schema._held_to_rules
 
     def spy(schema, value):
         entered.append(schema)
         return held_to_rules(schema, value)
 
-    monkeypatch.setattr(scenario_module, "_held_to_rules", spy)
+    monkeypatch.setattr(_schema, "_held_to_rules", spy)
     bench = load_perfbench_run()
     docs = [RICH] + [json.loads(path.read_text()) for path in CANONICAL_SCENARIOS]
     docs += [bench.synth.generate(shape.scaled(30), 1) for shape in bench.SHAPES.values()]
