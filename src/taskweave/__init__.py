@@ -6,7 +6,7 @@ the winner to an append-only shared memory, and emits revision feedback over a
 message bus; a metrics harness recomputes everything from the run's event log.
 """
 
-from .agents import AgentProfile, BehaviorRow, CandidateOutput, ScriptedAgent, adapt_strategy
+from .agents import BehaviorRow, CandidateOutput, ScriptedAgent, adapt_strategy
 from .errors import (
     CycleError,
     DanglingReferenceError,
@@ -66,7 +66,6 @@ from .scoring import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentProfile",
     "AgentSpec",
     "BehaviorRow",
     "CandidateOutput",

@@ -1,4 +1,4 @@
-"""Agent abstraction and the deterministic scripted implementation used in tests.
+"""The run-time agent: a scripted behavior table and the routing state of one run.
 
 A scripted agent replays a behavior table keyed by (task id, attempt index), so a
 run is a pure function of the scenario. It is the only agent implementation.
@@ -96,38 +96,32 @@ def check_capacity(capacity: object) -> None:
         raise ValueError("capacity must be a positive integer")
 
 
-class AgentProfile:
-    """Routing metadata for one agent: capabilities, capacity, load, history."""
+class ScriptedAgent:
+    """Deterministic agent that replays a scenario behavior table, and the routing
+    state it carries through a run: capabilities, capacity, load and history."""
 
-    __slots__ = ("id", "capabilities", "capacity", "load", "historical_performance")
+    __slots__ = ("id", "capabilities", "capacity", "historical_performance", "behavior", "load")
 
-    def __init__(
+    def __init__(  # a mapping left out is a new empty one
         self,
         id: str,
         capabilities: frozenset[str] = frozenset(),
         capacity: int = 1,
-        load: int = 0,
-        historical_performance: dict[str, float] = {},  # copied below, never kept
+        historical_performance: dict[str, float] | None = None,  # copied below, never kept
+        behavior: dict[tuple[str, int], BehaviorRow] | None = None,
     ) -> None:
         check_capacity(capacity)
         self.id = id
         self.capabilities = capabilities
         self.capacity = capacity
-        self.load = load
         # a clamped copy, so that adapt_strategy never edits the caller's mapping
-        self.historical_performance = {m: min(1.0, max(0.0, v)) for m, v in historical_performance.items()}
+        self.historical_performance = {m: min(1.0, max(0.0, v)) for m, v in (historical_performance or {}).items()}
+        self.behavior = {} if behavior is None else behavior
+        self.load = 0
 
     @property
     def has_spare_capacity(self) -> bool:
         return self.load < self.capacity
-
-
-class ScriptedAgent:
-    """Deterministic agent that replays a scenario behavior table."""
-
-    def __init__(self, profile: AgentProfile, behavior: dict[tuple[str, int], BehaviorRow]):
-        self.profile = profile
-        self.behavior = behavior
 
     def execute(
         self, task: TaskSpec, memory_view: MemoryView, attempt: int, start: float
@@ -146,7 +140,7 @@ class ScriptedAgent:
                 facts = facts | fired
         return _new_tuple(  # by position and without the constructor's Python frame
             CandidateOutput,
-            (task.id, self.profile.id, attempt, row.content, facts, row.declared_confidence, start + row.latency),
+            (task.id, self.id, attempt, row.content, facts, row.declared_confidence, start + row.latency),
         )
 
     def declared_confidence(self, task: TaskSpec) -> float:
@@ -161,17 +155,17 @@ class ScriptedAgent:
         row = self.behavior.get((task_id, attempt))
         if row is None:
             raise NoScriptedBehaviorError(
-                f"agent {self.profile.id!r} has no behavior for task {task_id!r}"
+                f"agent {self.id!r} has no behavior for task {task_id!r}"
                 f" attempt {attempt}"
             )
         return row
 
 
 def adapt_strategy(
-    profile: AgentProfile,
+    agent: ScriptedAgent,
     task_markers: frozenset[str],
     decrement: float = DEFAULT_ADAPT_DECREMENT,
-) -> AgentProfile:
+) -> None:
     """Apply a revision request to an agent's routing metadata.
 
     Every domain marker of the task the feedback refers to loses `decrement`
@@ -179,6 +173,5 @@ def adapt_strategy(
     never scripted outputs.
     """
     for marker in task_markers:
-        current = profile.historical_performance.get(marker, UNSEEN_MARKER_PERFORMANCE)
-        profile.historical_performance[marker] = max(0.0, current - decrement)
-    return profile
+        current = agent.historical_performance.get(marker, UNSEEN_MARKER_PERFORMANCE)
+        agent.historical_performance[marker] = max(0.0, current - decrement)

@@ -73,7 +73,7 @@ def run(scenario_path: str, report_path: str | None, log_path: str | None, **set
                     raise InvalidConfigError(f"{name} {path!r} names the same file as {seen[identity]}")
                 seen[identity] = name
         scenario = load_scenario(scenario_path)
-        config = DEFAULT_CONFIG.with_overrides(scenario.defaults).with_overrides({**settings, "weights": weights})
+        config = DEFAULT_CONFIG.with_overrides(scenario.defaults, {**settings, "weights": weights})
         result = orchestrate(scenario, config)
         report_json = result.report.to_json()
         if report_path is not None:

@@ -128,10 +128,11 @@ class RunConfig(Frozen):
                 f"scorer_fallback must be 'lexical' or None, got {self.scorer_fallback!r}"
             )
 
-    def with_overrides(self, overrides: Mapping) -> RunConfig:
-        """New config with every non-None override applied; an unknown key is an error."""
-        clean = dict()
-        for key, value in overrides.items():
+    def with_overrides(self, *overrides: Mapping) -> RunConfig:
+        """One new config with every non-None override applied, a later mapping's over an earlier's;
+        an unknown key is an error. Each mapping is converted before the next, so its faults come first."""
+        clean = dict(zip(self._fields, self._values()))
+        for key, value in (item for mapping in overrides for item in mapping.items()):
             if key not in self._fields:
                 raise InvalidConfigError(f"unknown setting {key!r}")
             if value is None:
@@ -141,7 +142,7 @@ class RunConfig(Frozen):
             if key == "domain_weights" and isinstance(value, Mapping):
                 value = {m: _weights_from(f"domain_weights[{m!r}]", w) for m, w in value.items()}
             clean[key] = value
-        return type(self)(**{**dict(zip(self._fields, self._values())), **clean})
+        return type(self)(**clean)
 
 
 DEFAULT_CONFIG = RunConfig()  # immutable, so shared: the base of every run not given a config
@@ -285,8 +286,8 @@ class Orchestrator:
             {"reason": "completed", "waves": self._waves, "dispatches": self._dispatches},
         )
         for agent in self.agents.values():
-            if agent.profile.load != 0:
-                raise InvariantError(f"agent {agent.profile.id} still loaded at the end of the run")
+            if agent.load != 0:
+                raise InvariantError(f"agent {agent.id} still loaded at the end of the run")
         report = build_report(self.log, self.scenario)
         return RunResult(self.log, report, memory=self.memory, graph=self.graph)
 
@@ -315,7 +316,7 @@ class Orchestrator:
             outputs = []
             for agent_id in assignees:
                 agent = agents[agent_id]
-                agent.profile.load += 1
+                agent.load += 1
                 start = wave_start
                 if static:
                     # Fixed-role agents work their wave queue one task at a time.
@@ -378,7 +379,7 @@ class Orchestrator:
             )
 
         for _, _, _, output in executions:
-            agents[output.agent_id].profile.load -= 1
+            agents[output.agent_id].load -= 1
         self._clock = wave_end
         return [task.id for task, _ in groups]
 
@@ -401,7 +402,7 @@ class Orchestrator:
                 continue
             self.router.reassign(msg.target, msg.task_id)
             adapt_strategy(
-                self.agents[msg.target].profile,
+                self.agents[msg.target],
                 self.graph.task(msg.task_id).domain_markers,
                 self.config.adapt_decrement,
             )

@@ -1,6 +1,6 @@
 """Dispatch decisions: single assignment, k-way parallel fan-out, or deferral.
 
-Decisions are functions of agent-profile snapshots and the router's revision
+Decisions are functions of the agents' routing state and the router's revision
 pins, so routing is deterministic; ties always break on agent id.
 """
 
@@ -9,7 +9,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .agents import UNSEEN_MARKER_PERFORMANCE, AgentProfile, ScriptedAgent
+from .agents import UNSEEN_MARKER_PERFORMANCE, ScriptedAgent
 from .errors import UnknownAgentError
 from .graph import TaskSpec
 
@@ -44,7 +44,7 @@ class RoutingDecision(NamedTuple):
 
 
 def suitability(
-    profile: AgentProfile,
+    agent: ScriptedAgent,
     task: TaskSpec,
     perf_weight: float = DEFAULT_PERF_WEIGHT,
     capacity_weight: float = DEFAULT_CAPACITY_WEIGHT,
@@ -55,22 +55,22 @@ def suitability(
     no markers at all.
     """
     # sorted iteration keeps float summation order stable across processes
-    return _suitability(profile, sorted(task.domain_markers), perf_weight, capacity_weight)
+    return _suitability(agent, sorted(task.domain_markers), perf_weight, capacity_weight)
 
 
 def _suitability(
-    profile: AgentProfile, markers: list[str], perf_weight: float, capacity_weight: float
+    agent: ScriptedAgent, markers: list[str], perf_weight: float, capacity_weight: float
 ) -> float:
     """`suitability` of a task whose markers are `markers`, given in sorted order."""
     if markers:
-        history = profile.historical_performance
+        history = agent.historical_performance
         total = 0.0
         for marker in markers:
             total += history.get(marker, UNSEEN_MARKER_PERFORMANCE)
         perf = total / len(markers)
     else:
         perf = UNSEEN_MARKER_PERFORMANCE
-    spare = 1.0 - profile.load / profile.capacity
+    spare = 1.0 - agent.load / agent.capacity
     return perf_weight * perf + capacity_weight * spare
 
 
@@ -103,7 +103,7 @@ class Router:
             return True
         # Past this point theta > 0, so one capable agent at theta settles it.
         for agent in self.agents.values():
-            if task.domain_markers <= agent.profile.capabilities and agent.declared_confidence(task) >= theta:
+            if task.domain_markers <= agent.capabilities and agent.declared_confidence(task) >= theta:
                 return False
         return True
 
@@ -117,7 +117,7 @@ class Router:
         straightforward tasks) the suitability argmax gets it alone.
         """
         pinned = self._pinned.pop(task.id, None)
-        if pinned is not None and self.agents[pinned].profile.has_spare_capacity:
+        if pinned is not None and self.agents[pinned].has_spare_capacity:
             return _new_tuple(RoutingDecision, (task.id, (pinned,)))
         ranked = self._ranked_available(task)
         if not ranked:
@@ -144,9 +144,9 @@ class Router:
         markers = sorted(task.domain_markers)
         perf_weight, capacity_weight = self.perf_weight, self.capacity_weight
         scored = [
-            (-_suitability(agent.profile, markers, perf_weight, capacity_weight), agent_id)
+            (-_suitability(agent, markers, perf_weight, capacity_weight), agent_id)
             for agent_id, agent in self.agents.items()
-            if agent.profile.has_spare_capacity
+            if agent.has_spare_capacity
         ]
         scored.sort()
         return [agent_id for _, agent_id in scored]

@@ -17,7 +17,6 @@ from ._files import write_blocks
 from ._record import Record
 from .errors import UnknownEntryError
 
-EVENT_KINDS = ("dispatch", "store", "commit", "feedback", "reassign", "terminate")
 _INF = float("inf")
 _new_tuple = tuple.__new__
 _BLOCK = 256  # events `write` encodes at a time: its memory is one block's, not the whole log's
@@ -42,6 +41,7 @@ class RunEvent(NamedTuple):
 # (else TypeError), ints that are not bools, finite floats, lists of strings,
 # and a store's `committed` false and `score` null. Any other goes to `_ENCODE`.
 _KEY_COUNTS = {"dispatch": 5, "store": 8, "commit": 5, "feedback": 8, "reassign": 5, "terminate": 3}
+EVENT_KINDS = tuple(_KEY_COUNTS)  # the kinds a log holds
 
 
 def _finite(token: str) -> float:
@@ -175,5 +175,8 @@ class RunLog(Record):
             if not line.strip():
                 continue
             doc = json.loads(line, parse_constant=_finite, parse_float=_finite)
-            log.append(doc["kind"], doc["virtual_time"], doc["payload"])
+            virtual_time = doc["virtual_time"]
+            if type(virtual_time) not in (float, int):  # a `true` would pass `append`
+                raise ValueError(f"virtual_time must be a number, got {virtual_time!r} in a run log")
+            log.append(doc["kind"], virtual_time, doc["payload"])
         return log

@@ -22,7 +22,7 @@ from ._collector import collector_paused
 from ._files import write_text
 from ._record import Frozen, _set
 from ._schema import _Fault, _at, compile_schema
-from .agents import AgentProfile, BehaviorRow, ScriptedAgent, check_capacity
+from .agents import BehaviorRow, ScriptedAgent, check_capacity
 from .errors import CycleError, ScenarioParseError, ScenarioValidationError
 from .graph import TaskGraph, TaskSpec, build_graph, find_cycle
 
@@ -33,7 +33,7 @@ _CONTINGENT_NAMES = ("if_visible", "emit")  # the order of a contingent pair
 
 
 class AgentSpec(Frozen):
-    """Immutable agent descriptor: profile seed plus scripted behavior table."""
+    """Immutable agent descriptor: routing seed plus scripted behavior table."""
 
     __slots__ = _fields = ("id", "capabilities", "capacity", "historical_performance", "behavior")
 
@@ -53,14 +53,8 @@ class AgentSpec(Frozen):
         self._fill(id, capabilities, capacity, historical_performance, {} if behavior is None else behavior)
 
     def build(self) -> ScriptedAgent:
-        """Fresh runtime agent; profiles mutate during a run, specs never do."""
-        profile = AgentProfile(
-            id=self.id,
-            capabilities=self.capabilities,
-            capacity=self.capacity,
-            historical_performance=self.historical_performance,
-        )
-        return ScriptedAgent(profile, dict(self.behavior))
+        """Fresh runtime agent; agents mutate during a run, specs never do."""
+        return ScriptedAgent(self.id, self.capabilities, self.capacity, self.historical_performance, dict(self.behavior))
 
 
 class Scenario(Frozen):

@@ -10,10 +10,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from taskweave import (
-    AgentProfile,
     BehaviorRow,
     MemoryView,
     NoScriptedBehaviorError,
+    ScriptedAgent,
     SharedMemory,
     adapt_strategy,
 )
@@ -117,54 +117,54 @@ def test_out_of_range_confidence_rejected_at_row_construction():
 
 
 def test_adapt_strategy_decrements_marker_performance():
-    profile = make_agent("a", perf={"legal": 0.8}).build().profile
+    profile = make_agent("a", perf={"legal": 0.8}).build()
     adapt_strategy(profile, frozenset({"legal"}))
     expected = 0.8 - 0.1
     assert profile.historical_performance["legal"] == pytest.approx(expected)
 
 
 def test_adapt_strategy_clamps_at_zero():
-    profile = make_agent("a", perf={"legal": 0.05}).build().profile
+    profile = make_agent("a", perf={"legal": 0.05}).build()
     adapt_strategy(profile, frozenset({"legal"}))
     assert profile.historical_performance["legal"] == 0.0
 
 
 def test_adapt_strategy_decrements_every_marker():
-    profile = make_agent("a", perf={"legal": 0.8, "numeric": 0.6}).build().profile
+    profile = make_agent("a", perf={"legal": 0.8, "numeric": 0.6}).build()
     adapt_strategy(profile, frozenset({"legal", "numeric"}))
     assert profile.historical_performance["legal"] == pytest.approx(0.7)
     assert profile.historical_performance["numeric"] == pytest.approx(0.5)
 
 
 def test_adapt_strategy_unseen_marker_starts_from_default():
-    profile = make_agent("a").build().profile
+    profile = make_agent("a").build()
     adapt_strategy(profile, frozenset({"new"}))
     assert profile.historical_performance["new"] == pytest.approx(0.4)
 
 
 def test_adapt_strategy_custom_decrement():
-    profile = make_agent("a", perf={"legal": 0.8}).build().profile
+    profile = make_agent("a", perf={"legal": 0.8}).build()
     adapt_strategy(profile, frozenset({"legal"}), decrement=0.25)
     assert profile.historical_performance["legal"] == pytest.approx(0.55)
 
 
 def test_profile_clamps_out_of_range_history():
-    profile = make_agent("a", perf={"legal": 1.7, "numeric": -0.2}).build().profile
+    profile = make_agent("a", perf={"legal": 1.7, "numeric": -0.2}).build()
     assert profile.historical_performance == {"legal": 1.0, "numeric": 0.0}
 
 
 def test_profile_leaves_the_callers_history_alone():
     history = {"legal": 1.7, "numeric": 0.6}
-    profile = AgentProfile("a", historical_performance=history)
+    profile = ScriptedAgent("a", historical_performance=history)
     assert history == {"legal": 1.7, "numeric": 0.6}
     adapt_strategy(profile, frozenset({"legal", "numeric"}))
     assert history == {"legal": 1.7, "numeric": 0.6}
     assert profile.historical_performance == pytest.approx({"legal": 0.9, "numeric": 0.5})
 
     spec = make_agent("a", perf={"legal": 0.8})
-    adapt_strategy(spec.build().profile, frozenset({"legal"}))
+    adapt_strategy(spec.build(), frozenset({"legal"}))
     assert spec.historical_performance == {"legal": 0.8}
-    assert spec.build().profile.historical_performance == {"legal": 0.8}
+    assert spec.build().historical_performance == {"legal": 0.8}
 
 
 @dataclasses.dataclass(frozen=True, slots=True)

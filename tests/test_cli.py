@@ -358,6 +358,35 @@ def test_validate_rejects_settings_that_run_rejects(runner, tmp_path):
         assert "invalid setting: weights must sum to 1, got 1.5" in result.output
 
 
+def test_a_fault_in_the_scenarios_weights_is_reported_before_the_command_lines_weights(runner, tmp_path):
+    # the command line's weights replace the scenario's, but the scenario's are converted first
+    doc = json.loads(CANONICAL_SCENARIOS[0].read_text())
+    doc["defaults"]["weights"] = {"alpha": 0.5, "beta": 0.5, "gamma": 0.5}
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["run", str(path), "--alpha", "0.2", "--beta", "0.4", "--gamma", "0.4"])
+    assert result.exit_code == 2
+    assert result.output == "invalid setting: weights must sum to 1, got 1.5\n"
+
+
+@pytest.mark.parametrize(
+    "flags", [[], ["--static", "--seed", "3", "--alpha", "0.2", "--beta", "0.5", "--gamma", "0.3"]], ids=["bare", "set"]
+)
+def test_a_run_builds_one_config(runner, monkeypatch, flags):
+    built = []
+    init = RunConfig.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(RunConfig, "__init__", spy)
+    result = runner.invoke(main, ["run", FILING, *flags])
+    assert result.exit_code == 0, result.output
+    assert len(built) == 1
+    assert built[0].static is ("--static" in flags)
+
+
 def test_validate_accepts_a_chain_deeper_than_the_recursion_limit(runner, tmp_path):
     ids = [f"t{i:05d}" for i in range(2500)]
     tasks = [{"id": ids[0]}] + [{"id": t, "depends_on": [prev]} for prev, t in zip(ids, ids[1:])]

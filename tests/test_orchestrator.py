@@ -165,7 +165,7 @@ def test_adapt_strategy_applied_on_revision():
     )
     orch = Orchestrator(scenario, config)
     orch.run()
-    profile = orch.agents["fixer"].profile
+    profile = orch.agents["fixer"]
     assert profile.historical_performance["legal"] == pytest.approx(0.7)
 
 
@@ -242,7 +242,7 @@ def test_static_pin_beyond_capacity_serializes_without_overload():
     result = orch.run()
     # four tasks run back to back on the single pinned agent
     assert result.report.completion_time == 8.0
-    assert orch.agents["narrow"].profile.load == 0
+    assert orch.agents["narrow"].load == 0
 
 
 def test_static_variant_requires_full_assignment_map():
@@ -568,7 +568,7 @@ def test_log_virtual_time_nondecreasing():
 def test_loads_return_to_zero_after_run():
     orch = Orchestrator(ambiguous_scenario(), RunConfig())
     orch.run()
-    assert all(agent.profile.load == 0 for agent in orch.agents.values())
+    assert all(agent.load == 0 for agent in orch.agents.values())
 
 
 @pytest.mark.parametrize(
@@ -597,7 +597,7 @@ def test_agent_left_loaded_is_an_invariant_error(monkeypatch):
 
     def leaking_wave(assignable):
         executed = run_wave(assignable)
-        orch.agents["solo"].profile.load += 1
+        orch.agents["solo"].load += 1
         return executed
 
     monkeypatch.setattr(orch, "_run_wave", leaking_wave)

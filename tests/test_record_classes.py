@@ -11,7 +11,6 @@ from datetime import datetime, timezone
 import pytest
 
 from taskweave import (
-    AgentProfile,
     AgentSpec,
     FeedbackMessage,
     FinalDocument,
@@ -23,6 +22,7 @@ from taskweave import (
     RunResult,
     Scenario,
     ScoringWeights,
+    ScriptedAgent,
     SharedMemory,
     TaskGraph,
     TaskSpec,
@@ -40,9 +40,9 @@ SIGNATURES = {
         ("expected_effort", P, 0), ("reference_facts", P, frozenset()), ("depends_on", P, frozenset()),
     ],
     TaskGraph: [("tasks", P, dict)],
-    AgentProfile: [
-        ("id", P, REQUIRED), ("capabilities", P, frozenset()), ("capacity", P, 1), ("load", P, 0),
-        ("historical_performance", P, dict),
+    ScriptedAgent: [
+        ("id", P, REQUIRED), ("capabilities", P, frozenset()), ("capacity", P, 1),
+        ("historical_performance", P, dict), ("behavior", P, dict),
     ],
     AgentSpec: [
         ("id", P, REQUIRED), ("capabilities", P, frozenset()), ("capacity", P, 1),
@@ -95,7 +95,7 @@ def test_each_constructor_keeps_its_parameters_kinds_and_defaults(cls):
 def test_a_mutable_default_is_built_afresh_for_each_record():
     assert RunLog().events is not RunLog().events
     assert TaskGraph().tasks is not TaskGraph().tasks
-    first, second = AgentProfile("a"), AgentProfile("a")
+    first, second = ScriptedAgent("a"), ScriptedAgent("a")
     assert first.historical_performance is not second.historical_performance
     first, second = AgentSpec("a"), AgentSpec("a")
     assert first.historical_performance is not second.historical_performance
@@ -211,7 +211,7 @@ def test_scenario_equality_ignores_the_cached_fact_union():
 
 
 def test_the_mutable_records_take_no_attribute_beyond_their_own():
-    records = [TaskGraph(), AgentProfile("a"), MemoryEntry(("t1", "a1", 0), None, 1), RunLog()]
+    records = [TaskGraph(), ScriptedAgent("a"), MemoryEntry(("t1", "a1", 0), None, 1), RunLog()]
     for record in records:
         with pytest.raises(AttributeError):
             record.extra = 1

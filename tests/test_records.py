@@ -297,6 +297,19 @@ def test_from_jsonl_refuses_a_line_whose_time_is_not_finite(token, position):
         RunLog.from_jsonl("\n".join(lines))
 
 
+@pytest.mark.parametrize("token", ["true", '"1"'])
+def test_from_jsonl_refuses_a_line_whose_time_is_no_number(token):
+    # `append` takes True as a time, since -inf < True < inf; a string it compares with a TypeError
+    line = f'{{"kind": "dispatch", "payload": {{}}, "virtual_time": {token}}}'
+    with pytest.raises(ValueError, match=f"virtual_time must be a number, got {re.escape(repr(json.loads(token)))}"):
+        RunLog.from_jsonl(line)
+
+
+def test_from_jsonl_reads_an_int_time():
+    (event,) = RunLog.from_jsonl('{"kind": "dispatch", "payload": {}, "virtual_time": 0}').events
+    assert (type(event.virtual_time), event.virtual_time) == (int, 0)
+
+
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
 def test_from_jsonl_refuses_a_commit_whose_score_is_not_finite(token):
     # `to_jsonl` would write such a number back as a token that is not JSON

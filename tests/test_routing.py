@@ -21,7 +21,7 @@ def pool(*specs):
 
 
 def test_suitability_fresh_agent():
-    profile = make_agent("a", capacity=2, perf={"legal": 0.8}).build().profile
+    profile = make_agent("a", capacity=2, perf={"legal": 0.8}).build()
     task = make_task("t", markers={"legal"})
     expected = 0.7 * 0.8 + 0.3 * 1.0
     assert suitability(profile, task) == pytest.approx(expected)
@@ -29,7 +29,7 @@ def test_suitability_fresh_agent():
 
 
 def test_suitability_fully_loaded_agent():
-    profile = make_agent("a", capacity=2, perf={"legal": 0.9}).build().profile
+    profile = make_agent("a", capacity=2, perf={"legal": 0.9}).build()
     profile.load = 2
     task = make_task("t", markers={"legal"})
     assert suitability(profile, task) == pytest.approx(0.7 * 0.9)
@@ -37,7 +37,7 @@ def test_suitability_fully_loaded_agent():
 
 
 def test_suitability_defaults_for_unseen_markers_and_markerless_tasks():
-    profile = make_agent("a", capacity=4).build().profile
+    profile = make_agent("a", capacity=4).build()
     profile.load = 1
     capacity_term = 0.3 * (1 - 1 / 4)
     assert suitability(profile, make_task("t")) == pytest.approx(
@@ -49,7 +49,7 @@ def test_suitability_defaults_for_unseen_markers_and_markerless_tasks():
 
 
 def test_suitability_averages_across_markers():
-    profile = make_agent("a", perf={"legal": 0.9, "numeric": 0.5}).build().profile
+    profile = make_agent("a", perf={"legal": 0.9, "numeric": 0.5}).build()
     task = make_task("t", markers={"legal", "numeric"})
     assert suitability(profile, task) == pytest.approx(0.7 * 0.7 + 0.3)
 
@@ -89,7 +89,7 @@ def test_route_single_to_suitability_argmax():
         make_agent("A", capacity=2, perf={"legal": 0.8}, rows={("t", 0): make_row(confidence=0.9)}),
         make_agent("B", capacity=2, perf={"legal": 0.9}, rows={("t", 0): make_row(confidence=0.9)}),
     )
-    agents["B"].profile.load = 2
+    agents["B"].load = 2
     router = Router(agents, theta=0.7)
     decision = router.route(make_task("t", markers={"legal"}, ambiguity=0.1))
     # suitability oracle: A = 0.86 free, B at capacity is not even available
@@ -112,7 +112,7 @@ def test_route_parallel_takes_top_k_in_suitability_order():
 def test_route_defers_when_everyone_is_full():
     agents = pool(make_agent("a1", capacity=1), make_agent("a2", capacity=1))
     for agent in agents.values():
-        agent.profile.load = 1
+        agent.load = 1
     router = Router(agents)
     decision = router.route(make_task("t"))
     assert decision.mode is RouteMode.DEFER
@@ -121,7 +121,7 @@ def test_route_defers_when_everyone_is_full():
 
 def test_route_parallel_falls_back_to_single_with_one_free_agent():
     agents = pool(make_agent("a1", capacity=1), make_agent("a2", capacity=1))
-    agents["a2"].profile.load = 1
+    agents["a2"].load = 1
     router = Router(agents, theta=0.0, k=3)
     decision = router.route(make_task("t", ambiguity=0.9))
     assert decision.mode is RouteMode.SINGLE
@@ -158,7 +158,7 @@ def test_route_never_assigns_loaded_agent():
         make_agent("a1", capacity=1, perf={"x": 1.0}),
         make_agent("a2", capacity=1, perf={"x": 0.1}),
     )
-    agents["a1"].profile.load = 1
+    agents["a1"].load = 1
     router = Router(agents, theta=0.5)
     decision = router.route(make_task("t", markers={"x"}, ambiguity=0.9))
     assert "a1" not in decision.assignees
@@ -228,16 +228,16 @@ def spec_is_ambiguous(agents, task, theta):
         return True
     best = 0.0
     for agent in agents.values():
-        if task.domain_markers <= agent.profile.capabilities:
+        if task.domain_markers <= agent.capabilities:
             best = max(best, agent.declared_confidence(task))
     return best < theta
 
 
 def spec_route(agents, task, theta, k, w1, w2):
     scored = sorted(
-        (-spec_suitability(agent.profile, task, w1, w2), agent_id)
+        (-spec_suitability(agent, task, w1, w2), agent_id)
         for agent_id, agent in agents.items()
-        if agent.profile.load < agent.profile.capacity
+        if agent.load < agent.capacity
     )
     ranked = [agent_id for _, agent_id in scored]
     if not ranked:
@@ -274,7 +274,7 @@ def routing_cases(draw):
             rows=rows,
         )
         agent = spec.build()
-        agent.profile.load = draw(st.integers(0, capacity))
+        agent.load = draw(st.integers(0, capacity))
         agents[spec.id] = agent
     k = draw(st.integers(1, 4)) if draw(st.booleans()) else 1  # a router without fan-out has k 1
     pinned = draw(st.none() | st.sampled_from(sorted(agents)))
@@ -286,12 +286,12 @@ def test_router_matches_the_per_agent_scan(case):
     agents, task, theta, k, w1, w2, pinned = case
     router = Router(agents, theta=theta, k=k, perf_weight=w1, capacity_weight=w2)
     for agent in agents.values():
-        assert suitability(agent.profile, task, w1, w2) == spec_suitability(agent.profile, task, w1, w2)
+        assert suitability(agent, task, w1, w2) == spec_suitability(agent, task, w1, w2)
     assert router.is_ambiguous(task) is spec_is_ambiguous(agents, task, theta)
     expected = spec_route(agents, task, theta, k, w1, w2)
     if pinned is not None:
         router.reassign(pinned, "t")
-        profile = agents[pinned].profile
+        profile = agents[pinned]
         decision = router.route(task)  # spends the pin whether or not the agent has room
         assert decision.assignees == ((pinned,) if profile.load < profile.capacity else expected)
     decision = router.route(task)

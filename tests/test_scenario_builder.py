@@ -25,7 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from taskweave import ScenarioValidationError
-from taskweave.agents import AgentProfile, BehaviorRow
+from taskweave.agents import BehaviorRow, ScriptedAgent
 from taskweave.graph import TaskSpec
 from taskweave import _schema
 from taskweave import scenario as scenario_module
@@ -486,7 +486,7 @@ def test_a_capacity_below_one_is_refused_by_the_spec_and_by_the_schema():
 
 
 @pytest.mark.parametrize("capacity", [1.5, True, 0], ids=["fraction", "bool", "zero"])
-@pytest.mark.parametrize("build", [AgentSpec, AgentProfile], ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("build", [AgentSpec, ScriptedAgent], ids=lambda cls: cls.__name__)
 def test_a_capacity_that_is_no_positive_int_is_refused_by_spec_and_profile(build, capacity):
     # a capacity of 1.5 used to run two tasks in one wave, as capacity 2 would
     with pytest.raises(ValueError, match="capacity must be a positive integer"):
