@@ -122,18 +122,23 @@ def _construct(cls: type, values: tuple) -> object:
     return cls(*values)
 
 
-def compile_schema(root: dict, built: dict[str, str], names: dict, at: str = "#") -> Check:
+def compile_schema(
+    root: dict, built: dict[str, str], names: dict, at: str = "#", marks: dict | None = None, checks: dict | None = None
+) -> Check:
     """The check of the node at the JSON pointer `at` of `root`. `built` maps a hot node's
     pointer to its built form, an expression over its property names and `names`. A form's
     `new(C, values)` makes the record C: as a bare tuple on the fast path, whose tests must
-    cover every rule C's constructor checks, and through that constructor on the slow path."""
-    return _compile({"$ref": at}, at, (root, built, names))
+    cover every rule C's constructor checks, and through that constructor on the slow path.
+    `marks` maps a hot node's pointer to a tuple subclass: the node's check also passes
+    `mark((value,))` as `value`, which it built earlier, in a JSON decoder's hook, say.
+    `checks`, if given, gets each hot node's check by its pointer."""
+    return _compile({"$ref": at}, at, (root, built, names, marks or {}, {} if checks is None else checks))
 
 
 def _compile(schema: dict, at: str = "#", scope: tuple | None = None) -> Check:
     """The check of one schema node; `at`, its JSON pointer, picks a built form.
-    `scope` holds the root, for `$ref`, the built forms and their names."""
-    root, built, names = scope = scope or (schema, {}, {})
+    `scope` holds the root, for `$ref`, the built forms, their names, `marks` and `checks`."""
+    root, built, names, marks, hot = scope = scope or (schema, {}, {}, {}, {})
     if schema.keys() == {"$ref"}:
         pointer = schema["$ref"]
         return _compile(reduce(dict.__getitem__, pointer.split("/")[1:], root), pointer, scope)
@@ -179,11 +184,12 @@ def _compile(schema: dict, at: str = "#", scope: tuple | None = None) -> Check:
 
     if at in built:
         namespace = dict(names, inf=math.inf, _Fault=_Fault, _off=_off, new=tuple.__new__, construct=_construct)
-        namespace.update(walk=walk, allowed=allowed, required=required)
+        namespace.update(walk=walk, allowed=allowed, required=required, Mark=marks.get(at))
         namespace.update((f"check_{key}", check) for key, check in checks.items())
         exec(_source(schema, built, at), namespace)
         build = namespace["build"]
-        return namespace["fast"]
+        hot[at] = namespace["fast"]
+        return hot[at]
     return walk
 
 
@@ -230,7 +236,7 @@ def _source(schema: dict, built: dict[str, str], at: str) -> str:
     fast = [
         "def fast(v, slow=walk):",
         "    if type(v) is not dict or not required <= v.keys() <= allowed:",
-        "        return slow(v)",
+        "        return v[0] if type(v) is Mark else slow(v)",
     ]
     build = ["def build(d):", "    new = construct"]
     for key, node in schema["properties"].items():

@@ -6,6 +6,7 @@ run is a pure function of the scenario. It is the only agent implementation.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import NoScriptedBehaviorError
@@ -90,10 +91,13 @@ class BehaviorRow(_BehaviorFields):
         return cls(*values)
 
 
-def check_capacity(capacity: object) -> None:
-    """Raise ValueError unless `capacity` is an int, not a bool, of at least 1."""
+def check_agent(capacity: object, historical_performance: dict[str, float]) -> None:
+    """Raise ValueError unless `capacity` is an int, not a bool, of at least 1 and no history value is NaN."""
     if isinstance(capacity, bool) or not isinstance(capacity, int) or capacity < 1:
         raise ValueError("capacity must be a positive integer")
+    for marker, value in historical_performance.items():
+        if math.isnan(value):
+            raise ValueError(f"historical_performance[{marker!r}] is NaN")
 
 
 class ScriptedAgent:
@@ -110,7 +114,7 @@ class ScriptedAgent:
         historical_performance: dict[str, float] | None = None,  # copied below, never kept
         behavior: dict[tuple[str, int], BehaviorRow] | None = None,
     ) -> None:
-        check_capacity(capacity)
+        check_agent(capacity, historical_performance or {})
         self.id = id
         self.capabilities = capabilities
         self.capacity = capacity

@@ -5,7 +5,8 @@ the agent pool with scripted behavior tables, contradiction pairs, gold
 answers for compliance tasks, static-variant assignments, and config defaults.
 `schemas/scenario.schema.json` is the published contract for the format and
 the one place its rules are written: the loader generates checks from it at
-import that build the specs as they check them; a Scenario checks its cross-references.
+import that build the specs as they check them, and runs them as the JSON decoder
+closes each behavior row, task and agent; a Scenario checks its cross-references.
 Every error carries a JSON path and jsonschema's message for the fault; the
 test suite holds the loader to the schema, with jsonschema as the oracle.
 """
@@ -13,7 +14,6 @@ test suite holds the loader to the schema, with jsonschema as the oracle.
 from __future__ import annotations
 
 import json
-import math
 from functools import reduce
 from operator import itemgetter
 from pathlib import Path
@@ -22,7 +22,7 @@ from ._collector import collector_paused
 from ._files import write_text
 from ._record import Frozen, _set
 from ._schema import _Fault, _at, compile_schema
-from .agents import BehaviorRow, ScriptedAgent, check_capacity
+from .agents import BehaviorRow, ScriptedAgent, check_agent
 from .errors import CycleError, ScenarioParseError, ScenarioValidationError
 from .graph import TaskGraph, TaskSpec, build_graph, find_cycle
 
@@ -45,16 +45,14 @@ class AgentSpec(Frozen):
         historical_performance: dict[str, float] | None = None,
         behavior: dict[tuple[str, int], BehaviorRow] | None = None,
     ) -> None:
-        check_capacity(capacity)
         historical_performance = {} if historical_performance is None else historical_performance
-        for marker, value in historical_performance.items():
-            if math.isnan(value):
-                raise ValueError(f"historical_performance[{marker!r}] is NaN")  # others clamp
+        check_agent(capacity, historical_performance)
         self._fill(id, capabilities, capacity, historical_performance, {} if behavior is None else behavior)
 
     def build(self) -> ScriptedAgent:
-        """Fresh runtime agent; agents mutate during a run, specs never do."""
-        return ScriptedAgent(self.id, self.capabilities, self.capacity, self.historical_performance, dict(self.behavior))
+        """Fresh runtime agent: its load and history change during a run, the spec's never do.
+        It shares the spec's behavior table, which nothing writes."""
+        return ScriptedAgent(self.id, self.capabilities, self.capacity, self.historical_performance, self.behavior)
 
 
 class Scenario(Frozen):
@@ -148,20 +146,27 @@ def _row_to_dict(task_id: str, attempt: int, row: BehaviorRow) -> dict:
 
 @collector_paused
 def load_scenario(path: str | Path) -> Scenario:
-    """Load and fully validate a scenario file, with the cyclic collector paused."""
-    return scenario_from_dict(_parse(Path(path)))
-
-
-def _parse(path: Path) -> object:
-    """The file's JSON document; the text is dropped when this returns, before the build."""
+    """Load and fully validate a scenario file, with the cyclic collector paused. The decoder
+    builds each behavior row, task and agent as it closes it (`_built`); any fault, bad JSON
+    too, abandons that parse for `scenario_from_dict(json.loads(text))` and its error."""
+    path = Path(path)
     try:
-        raw = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioParseError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(raw)
-    except (ValueError, RecursionError) as exc:  # bad syntax, too deep, too many digits
+        top = _check_document(_DECODER.decode(text))
+    except (_Fault, ValueError, RecursionError):  # a fault, bad JSON, a BOM, too deep, too many digits
+        top = None
+    finally:
+        _POOL.clear()
+    if top is not None:
+        return _scenario(top)
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise ScenarioParseError(f"{path} is not valid JSON: {exc}") from exc
+    return scenario_from_dict(doc)
 
 
 def scenario_from_dict(doc: object) -> Scenario:
@@ -178,13 +183,17 @@ def scenario_from_dict(doc: object) -> Scenario:
     finally:
         _POOL.clear()
     _check_duplicate_rows(doc, top["agents"])
+    return _scenario(top)
+
+
+def _scenario(top: dict) -> Scenario:
     del top["schema_version"]  # the root's other properties are Scenario fields; an absent one, its default
     return Scenario(**top)
 
 
 # One build's distinct names (each str keyed by itself) and fact sets (each frozenset
 # keyed by its members as listed), so a scenario holds one object per distinct value;
-# `scenario_from_dict` empties it once its check returns or raises.
+# `load_scenario` and `scenario_from_dict` empty it once their check returns or raises.
 _POOL: dict = {}
 
 
@@ -197,21 +206,50 @@ def _facts(members: list[str]) -> frozenset[str]:
     return found
 
 
-_ROW = "#/properties/agents/items/properties/behavior/items"
+_TASK, _AGENT = "#/properties/tasks/items", "#/properties/agents/items"
+_ROW = _AGENT + "/properties/behavior/items"
 # Each hot node's built form (see `compile_schema`); `_name(s, s)` is the build's one copy of the name `s`.
 _BUILT = {
-    "#/properties/tasks/items": "TaskSpec(_name(id, id), description, _facts(domain_markers),"
+    _TASK: "TaskSpec(_name(id, id), description, _facts(domain_markers),"
     " float(ambiguity), expected_effort, _facts(reference_facts), _facts(depends_on))",
-    # a repeated (task, attempt) is reported once the whole document passes
-    "#/properties/agents/items": "AgentSpec(id, _facts(capabilities), capacity,"
+    # a repeated (task, attempt) is reported once the whole document passes, or abandons a hooked parse
+    _AGENT: "AgentSpec(id, _facts(capabilities), capacity,"
     " historical_performance, dict(behavior))",
     _ROW: "(_name(task_id, task_id), attempt), new(BehaviorRow, (content, _facts(emitted_facts),"
     " float(declared_confidence), float(latency), annotated_scores, tuple(contingent_facts)))",
     _ROW + "/properties/annotated_scores": ", ".join(_SCORE_NAMES),
     _ROW + "/properties/contingent_facts/items": ", ".join(_CONTINGENT_NAMES),
 }
+# A task or agent the decoder built, as the one item of a tuple that only its own node passes
+_Task, _Agent = (type(name, (tuple,), {"__slots__": ()}) for name in ("_Task", "_Agent"))
 _NAMES = dict(TaskSpec=TaskSpec, AgentSpec=AgentSpec, BehaviorRow=BehaviorRow, _facts=_facts, _name=_POOL.setdefault)
-_check_document = compile_schema(_SCHEMA, _BUILT, _NAMES)
+_CHECKS: dict = {}
+_check_document = compile_schema(_SCHEMA, _BUILT, _NAMES, marks={_TASK: _Task, _AGENT: _Agent}, checks=_CHECKS)
+_check_task, _check_agent, _check_row = (_CHECKS[at] for at in (_TASK, _AGENT, _ROW))
+
+
+def _built(obj: dict) -> object:
+    """The decoder's value of each object it closes: a behavior row (it names `content`) as its
+    (key, row) pair, the one plain tuple a decoded document holds; a task (`expected_effort`) or an
+    agent (`behavior`, a list of such pairs) built; else the object. A fault raises `_Fault`."""
+    if "content" in obj:
+        return _check_row(obj)
+    if "expected_effort" in obj:
+        return _Task((_check_task(obj),))
+    if "behavior" in obj:
+        rows = obj["behavior"]
+        if type(rows) is not list or not {*map(type, rows)} <= {tuple}:
+            raise _Fault("a behavior row the decoder did not build")
+        table, obj["behavior"] = dict(rows), []
+        if len(table) < len(rows):
+            raise _Fault("duplicate behavior row")
+        agent = _check_agent(obj)
+        _set(agent, "behavior", table)  # the table its rows make, checked and built above
+        return _Agent((agent,))
+    return obj
+
+
+_DECODER = json.JSONDecoder(object_hook=_built)
 
 
 def _check_duplicate_rows(doc: dict, agents: tuple[AgentSpec, ...]) -> None:

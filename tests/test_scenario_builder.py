@@ -485,6 +485,13 @@ def test_a_capacity_below_one_is_refused_by_the_spec_and_by_the_schema():
     assert (exc.value.path, exc.value.message) == ("$.agents[0].capacity", "0 is less than the minimum of 1")
 
 
+@pytest.mark.parametrize("build", [AgentSpec, ScriptedAgent], ids=lambda cls: cls.__name__)
+def test_a_nan_history_is_refused_by_spec_and_agent(build):
+    # a run-time agent built directly used to clamp NaN to 0.0
+    with pytest.raises(ValueError, match=r"historical_performance\['x'\] is NaN"):
+        build("a", historical_performance={"y": 0.5, "x": math.nan})
+
+
 @pytest.mark.parametrize("capacity", [1.5, True, 0], ids=["fraction", "bool", "zero"])
 @pytest.mark.parametrize("build", [AgentSpec, ScriptedAgent], ids=lambda cls: cls.__name__)
 def test_a_capacity_that_is_no_positive_int_is_refused_by_spec_and_profile(build, capacity):
@@ -739,27 +746,32 @@ def objects_by_value(*collections) -> dict:
     return out
 
 
+POOLED = {
+    "schema_version": 1,
+    "tasks": [
+        {"id": "task one", "reference_facts": ["fact a", "fact b"], "domain_markers": ["legal"]},
+        {"id": "task two", "depends_on": ["task one"], "reference_facts": ["fact b", "fact c"],
+         "domain_markers": ["legal"]},
+    ],
+    "agents": [
+        {
+            "id": "a1",
+            "capabilities": ["legal"],
+            "behavior": [
+                {"task_id": "task one", "attempt": 0, "content": "x", "emitted_facts": ["fact a", "fact b"]},
+                {"task_id": "task one", "attempt": 1, "content": "y", "emitted_facts": ["fact a", "fact b"]},
+                {"task_id": "task two", "attempt": 0, "content": "z", "emitted_facts": ["fact c"]},
+            ],
+        }
+    ],
+}
+
+
 def test_a_build_holds_one_object_per_distinct_name_and_fact_set():
-    doc = {
-        "schema_version": 1,
-        "tasks": [
-            {"id": "task one", "reference_facts": ["fact a", "fact b"], "domain_markers": ["legal"]},
-            {"id": "task two", "depends_on": ["task one"], "reference_facts": ["fact b", "fact c"],
-             "domain_markers": ["legal"]},
-        ],
-        "agents": [
-            {
-                "id": "a1",
-                "capabilities": ["legal"],
-                "behavior": [
-                    {"task_id": "task one", "attempt": 0, "content": "x", "emitted_facts": ["fact a", "fact b"]},
-                    {"task_id": "task one", "attempt": 1, "content": "y", "emitted_facts": ["fact a", "fact b"]},
-                    {"task_id": "task two", "attempt": 0, "content": "z", "emitted_facts": ["fact c"]},
-                ],
-            }
-        ],
-    }
-    scenario = scenario_from_dict(json.loads(json.dumps(doc)))  # every string its own object
+    check_one_object_per_value(scenario_from_dict(json.loads(json.dumps(POOLED))))  # every string its own object
+
+
+def check_one_object_per_value(scenario) -> None:
     one, two = scenario.tasks
     rows = scenario.agents[0].behavior
     # two rows that emit the same facts hold one frozenset, the task's set of those facts too

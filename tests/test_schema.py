@@ -77,6 +77,21 @@ def test_the_check_of_one_node_by_its_pointer():
         point({"x": 10})
 
 
+def test_a_marked_node_passes_the_value_its_mark_holds():
+    # a decoder hook builds a point ahead of the document, in a type only that node passes
+    made = type("Made", (tuple,), {"__slots__": ()})
+    checks = {}
+    check = compile_schema(SHAPE, BUILT, {}, marks={"#/$defs/point": made}, checks=checks)
+    assert list(checks) == ["#/$defs/point"]
+    point = checks["#/$defs/point"]
+    assert point(made(((4, 1.0),))) == (4, 1.0) == point({"x": 4, "y": 1.0})
+    assert check({"kind": "ring", "points": [made(((4, 1.0),)), {"x": 2}]})["points"] == ((4, 1.0), (2, 0.0))
+    with pytest.raises(_Fault, match="is not of type 'object'"):
+        point((4, 1.0))  # the same value in a plain tuple is no point
+    with pytest.raises(_Fault, match="is not of type 'object'"):
+        CHECK({"kind": "ring", "points": [made(((4, 1.0),))]})  # nor is it where no caller lets it through
+
+
 def single_faults():
     for path, schema in SITES:
         node = reduce(lambda value, key: value[key], path, VALID)

@@ -106,6 +106,52 @@ def test_the_source_digest_names_the_code_of_a_copy_outside_git(tmp_path):
     assert sweep.src_digest(copies[1]) != sweep.src_digest(copies[0])
 
 
+def git(repo, *args) -> str:
+    return subprocess.run(
+        ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t", *args],
+        capture_output=True, text=True, check=True,
+    ).stdout.strip()
+
+
+def committed_copy(repo):
+    """A git repository of one commit holding this checkout's `src/` and `perfbench/`."""
+    for name in ("src", "perfbench"):
+        shutil.copytree(REPO_ROOT / name, repo / name, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    git(repo, "init", "-q")
+    git(repo, "add", "-A")
+    git(repo, "commit", "-q", "-m", "copy")
+    return repo
+
+
+def test_git_state_names_only_the_top_level_of_a_work_tree(tmp_path):
+    sweep = load_sweep()
+    repo = committed_copy(tmp_path / "repo")
+    assert sweep.git_state(repo) == {"commit": git(repo, "rev-parse", "HEAD"), "dirty": False}
+    # a tree placed inside another work tree is not that work tree's HEAD
+    inner = repo / "inner"
+    shutil.copytree(repo / "src", inner / "src")
+    assert sweep.git_state(inner) == {"commit": None, "dirty": None}
+    assert sweep.git_state(repo) == {"commit": git(repo, "rev-parse", "HEAD"), "dirty": False}
+
+
+def test_sweep_of_a_ref_names_the_commit_and_tree_it_measured(tmp_path):
+    repo = committed_copy(tmp_path / "repo")
+    (repo / "src" / "taskweave" / "__init__.py").write_text("# an uncommitted edit\n", encoding="utf-8", newline="\n")
+    out = tmp_path / "bench.json"
+    argv = [sys.executable, str(SWEEP_PATH), "--repo", str(repo), "--ref", "HEAD", "--out", str(out),
+            "--size", "deep_dag=8"]
+    subprocess.run(argv, check=True, capture_output=True, timeout=120)
+    run = json.loads(out.read_text(encoding="utf-8"))["runs"]["change"]
+    git(repo, "checkout", "--", ".")  # the measured tree is the commit's, not the edited checkout
+    assert {key: run[key] for key in ("ref", "commit", "tree", "src_digest")} == {
+        "ref": "HEAD",
+        "commit": git(repo, "rev-parse", "HEAD"),
+        "tree": git(repo, "rev-parse", "HEAD^{tree}"),
+        "src_digest": load_sweep().src_digest(repo),
+    }
+    assert set(run["shapes"]["deep_dag"]["sizes"]["8"]) == ROW_KEYS
+
+
 def test_sweep_records_a_size_over_the_cap_as_skipped(tmp_path):
     sweep = load_sweep()
     shapes = sweep.sweep(REPO_ROOT, {"deep_dag": (8,)}, 0.001, tmp_path)

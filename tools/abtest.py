@@ -21,9 +21,10 @@ ratio of the medians, the count of pairs the change is lower in, the exact
 two-sided sign-test p-value of that count (ties dropped), and whether the gap
 between the medians exceeds the parent's interquartile range, plus each pair's
 change / parent ratio. Each side also records its ref, commit (null for a
-bare tree id), tree id and `src_digest` (as tools/sweep.py computes it); the
-set records the Python version and `PYTHONDONTWRITEBYTECODE`. The output file
-keeps the sets of earlier calls, so several calls fill one file.
+bare tree id), tree id and `src_digest` (a sha256 over its `src/`, which
+tools/sweep.py records too); the set records the Python version and
+`PYTHONDONTWRITEBYTECODE`. The output file keeps the sets of earlier calls, so
+several calls fill one file.
 
 Verdict rule: a metric is better or worse only if the sign test gives
 p < 0.05 and the median ratio lies outside the range of median ratios that
@@ -35,6 +36,7 @@ so a sign count alone proves nothing.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -46,9 +48,6 @@ import tempfile
 from math import comb
 from pathlib import Path
 from typing import Callable
-
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from sweep import src_digest  # noqa: E402
 
 SIDES = ("parent", "change")  # also the tree directory names, of equal length
 
@@ -62,6 +61,17 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
             "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def src_digest(repo: Path) -> str:
+    """sha256 over each `*.py` and `*.json` file under `<repo>/src`, in sorted path order: its
+    path relative to `src`, its length and its bytes."""
+    src = repo / "src"
+    digest = hashlib.sha256()
+    for name in sorted(path.relative_to(src).as_posix() for glob in ("*.py", "*.json") for path in src.rglob(glob)):
+        data = (src / name).read_bytes()
+        digest.update(f"{name}\0{len(data)}\0".encode("utf-8") + data)
+    return digest.hexdigest()
 
 
 def archive(repo: Path, ref: str, into: Path) -> dict:

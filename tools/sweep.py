@@ -38,9 +38,15 @@ that runs past `CAP_S` seconds is stopped and its size recorded as skipped; the
 cap covers the whole child (generation, every load and orchestrate repeat and
 the traced run), not one orchestrate.
 Each run names the code it measured: the checkout's git `commit` and whether
-it is `dirty` (null outside a git work tree, as in a `git archive` copy), and
+it is `dirty` (null unless `--repo` is the top level of a git work tree, so a
+`git archive` copy, even one placed inside another work tree, reads null), and
 `src_digest`, a sha256 over the files of `<repo>/src`, which a copy outside
-git has too.
+git has too. With `--ref REF` it measures REF of the `--repo` repository, written
+into a temporary tree as `tools/abtest.py` writes each side, and names it by
+its `ref`, `commit`, `tree` and `src_digest`:
+
+    python3 tools/sweep.py --ref HEAD~1 --label parent --out BENCH.json
+
 The output file keeps the runs of other labels, so two calls with different
 labels fill one file. Nothing under `perfbench/` is written.
 """
@@ -49,7 +55,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
 import json
 import os
 import platform
@@ -64,6 +69,8 @@ from pathlib import Path
 from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from abtest import archive, src_digest  # noqa: E402
 
 # fanout_revise at 10^4 tasks is ~100 MB of JSON, so it stops at 10^3.
 DEFAULT_SIZES = {"deep_dag": (100, 1000, 10000), "fanout_revise": (100, 1000)}
@@ -173,8 +180,14 @@ def measure(repo: Path, shape_name: str, tasks: int, work: Path) -> dict:
 
 
 def git_state(repo: Path) -> dict:
-    """The checkout's HEAD commit and whether tracked files differ from it."""
+    """The checkout's HEAD commit and whether tracked files differ from it; null unless `repo`
+    is its work tree's top level, since a tree placed inside another one is not its HEAD."""
     try:
+        top = subprocess.run(
+            ["git", "-C", str(repo), "rev-parse", "--show-toplevel"], capture_output=True, text=True, check=True
+        ).stdout.strip()
+        if Path(top).resolve() != repo.resolve():
+            return {"commit": None, "dirty": None}
         head = subprocess.run(
             ["git", "-C", str(repo), "rev-parse", "HEAD"], capture_output=True, text=True, check=True
         ).stdout.strip()
@@ -185,17 +198,6 @@ def git_state(repo: Path) -> dict:
     except (OSError, subprocess.CalledProcessError):
         return {"commit": None, "dirty": None}
     return {"commit": head, "dirty": bool(status.strip())}
-
-
-def src_digest(repo: Path) -> str:
-    """sha256 over each `*.py` and `*.json` file under `<repo>/src`, in sorted path order: its
-    path relative to `src`, its length and its bytes."""
-    src = repo / "src"
-    digest = hashlib.sha256()
-    for name in sorted(path.relative_to(src).as_posix() for glob in ("*.py", "*.json") for path in src.rglob(glob)):
-        data = (src / name).read_bytes()
-        digest.update(f"{name}\0{len(data)}\0".encode("utf-8") + data)
-    return digest.hexdigest()
 
 
 def sweep(repo: Path, sizes: dict[str, tuple[int, ...]], cap: float, work: Path) -> dict:
@@ -239,6 +241,7 @@ def parse_sizes(values: list[str]) -> dict[str, tuple[int, ...]]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repo", type=Path, default=ROOT, help="checkout to measure (default: this one)")
+    parser.add_argument("--ref", help="measure this git ref of --repo, written out as tools/abtest.py writes it")
     parser.add_argument("--label", default="change", help="key of this run in the output file")
     parser.add_argument("--out", type=Path, help="JSON file to write or update")
     parser.add_argument("--size", action="append", default=[], metavar="SHAPE=TASKS",
@@ -258,11 +261,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.out is None:
         parser.error("--out is required")
     with tempfile.TemporaryDirectory() as work:
+        if args.ref is None:
+            provenance = {**git_state(repo), "src_digest": src_digest(repo)}
+        else:
+            provenance = archive(repo, args.ref, Path(work) / "tree")
+            repo = Path(work) / "tree"
         shapes = sweep(repo, sizes, CAP_S, Path(work))
     doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     doc.setdefault("runs", {})[args.label] = {
-        **git_state(repo),
-        "src_digest": src_digest(repo),
+        **provenance,
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
         "seed": SEED,
